@@ -9,7 +9,8 @@ by the creation factor and refined by Rayleigh-Ritz, then measures
 
 Boundedness of the first column across levels is the desk-scale content of
 the sup-norm bound; boundedness of the second is the improved-L^6 bound.
-Run time is a couple of minutes (the L^6 extremizer is a multistart ascent).
+Most of the run time goes to the L^6 extremizer, a multistart BFGS
+maximization; a level where it did not converge is listed under the warnings.
 """
 
 from landaulab import Grid, make_potential, sweep_bounds

@@ -96,6 +96,23 @@ def run_bounds(cfg: RunConfig) -> int:
 def run_lemmas(cfg: RunConfig) -> int:
     potential, grid = _setup(cfg)
     rows = []
+    skipped = []
+
+    def admissible(q, g, on_node=False, **entry):
+        """Whether the check can use center q on grid g; a skip is recorded
+        in lemmas.json and warned about, never dropped silently."""
+        d = g.spacing
+        if on_node and not all(abs(c / d - round(c / d)) < 1e-9 for c in q):
+            reason = f"center not on a grid node (spacing {d:g})"
+        elif max(abs(q[0]), abs(q[1])) > g.extent_L - 2.0:
+            reason = f"center outside the interior margin 2 of the box of extent {g.extent_L:g}"
+        else:
+            return True
+        skipped.append({**entry, "q": list(q), "reason": reason})
+        where = ", ".join(f"{k}={v}" for k, v in entry.items())
+        print(f"warning: skipped {where}, q={list(q)}: {reason}", file=sys.stderr)
+        return False
+
     # energy identity on ladder clusters of the unscaled operator
     clusters, _ = ladder_level_clusters(potential, grid, min(cfg.max_level, 2),
                                         m_count=min(cfg.m_count, 6))
@@ -105,30 +122,25 @@ def run_lemmas(cfg: RunConfig) -> int:
     for h in cfg.h_list:
         level = max(1, round(1.0 / (2.0 * h)))
         cl, _ = ladder_level_clusters(potential, grid, level, m_count=1)
-        state = cl[-1].basis[0]
-        uh = rescale(state, h, "to_semiclassical")
-        centers = [q for q in cfg.q_list
-                   if max(abs(q[0]), abs(q[1])) <= uh.grid.extent_L - 2.0]
-        if not centers:
-            print(f"warning: no admissible centers for h={h}", file=sys.stderr)
-            continue
-        rows += check_cutoff_lemma(potential, uh.grid, uh, h, centers)
+        uh = rescale(cl[-1].basis[0], h, "to_semiclassical")
+        centers = [q for q in cfg.q_list if admissible(q, uh.grid, check="cutoff", h=h)]
+        if centers:
+            rows += check_cutoff_lemma(potential, uh.grid, uh, h, centers)
     # gauge rows on the ground state for node-aligned centers
     cl0, _ = ladder_level_clusters(potential, grid, 0, m_count=1)
     ground = cl0[0].basis[0]
-    d = grid.spacing
     for q in cfg.q_list:
-        aligned = all(abs(c / d - round(c / d)) < 1e-9 for c in q)
-        if aligned and max(abs(q[0]), abs(q[1])) <= grid.extent_L - 2.0:
+        if admissible(q, grid, on_node=True, check="gauge"):
             rows += check_gauge_lemma(potential, grid, ground, q)
     doc = {
         "schema_version": SCHEMA_VERSION,
         "rows": [{"lemma_id": r.lemma_id, "lhs": r.lhs, "rhs": r.rhs,
                   "passed": r.passed, "detail": r.detail} for r in rows],
+        "skipped": skipped,
     }
     _dump_json(doc, os.path.join(cfg.out_dir, "lemmas.json"))
     n_pass = sum(r.passed for r in rows)
-    print(f"lemmas: {n_pass}/{len(rows)} rows passed")
+    print(f"lemmas: {n_pass}/{len(rows)} rows passed, {len(skipped)} skipped")
     return 0 if rows and n_pass == len(rows) else 2
 
 

@@ -43,6 +43,13 @@ def resolution_warning(potential, grid) -> str | None:
     return None
 
 
+def gap_groups(values, gap):
+    """Index arrays of the maximal runs of nondecreasing `values` whose
+    consecutive gaps are <= gap (a scalar, or one threshold per value)."""
+    breaks = np.flatnonzero(np.diff(values) > np.broadcast_to(gap, len(values))[1:])
+    return np.split(np.arange(len(values)), breaks + 1)
+
+
 def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float):
     if not op.is_hermitian:
         raise SolverError(f"operator {op.label!r} is not flagged Hermitian")
@@ -62,14 +69,18 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float):
             f"eigensolver did not converge within the iteration budget: {exc}") from exc
     order = np.argsort(vals)
     vals = vals[order]
-    vecs = vecs[:, order]
+    vecs = vecs[:, order].astype(complex, copy=False)
+    # ARPACK leaves the vectors of a (near-)multiple eigenvalue unit but not
+    # mutually orthogonal: orthonormalize them before certifying them
+    w = op.grid.weight
+    for g in gap_groups(vals, tol * np.maximum(1.0, np.abs(vals))):
+        if len(g) > 1:
+            vecs[:, g] = np.stack(mgs_orthonormalize(vecs[:, g].T, w), axis=1)
 
     pairs = []
-    w = op.grid.weight
     for i in range(k):
-        gf = GridFunction(vecs[:, i].astype(complex), op.grid)
-        nrm = l2_norm(gf)
-        gf.values /= nrm
+        gf = GridFunction(vecs[:, i].copy(), op.grid)
+        gf.values /= l2_norm(gf)
         resid = l2_norm(GridFunction(
             op.apply_array(gf.as_2d()).reshape(-1) - vals[i] * gf.values, op.grid))
         bound = tol * max(1.0, abs(vals[i]))
@@ -85,8 +96,8 @@ def lowest_eigenpairs(op: OperatorHandle, k: int, tol: float = 1e-6,
                       seed: int = 0):
     """k smallest eigenpairs of a Hermitian handle, residual-certified.
 
-    Returns a list of (eigenvalue, GridFunction, residual) in nondecreasing
-    eigenvalue order; eigenvectors are unit in the discrete L^2 norm.
+    Returns (eigenvalue, GridFunction, residual) triples in nondecreasing
+    eigenvalue order, with orthonormal eigenvectors in the discrete L^2.
     """
     return _solve(op, k, tol, seed, sigma=-1.0)
 
@@ -126,18 +137,9 @@ def cluster(pairs, cluster_tol: float = 0.25) -> list[EigenCluster]:
     vals = [p[0] for p in pairs]
     if any(vals[i + 1] < vals[i] for i in range(len(vals) - 1)):
         raise SolverError("eigenpairs must be sorted by eigenvalue")
-    groups = []
-    cur = [pairs[0]]
-    for p in pairs[1:]:
-        if p[0] - cur[-1][0] <= cluster_tol:
-            cur.append(p)
-        else:
-            groups.append(cur)
-            cur = [p]
-    groups.append(cur)
-
     out = []
-    for idx, g in enumerate(groups):
+    for idx, run in enumerate(gap_groups(vals, cluster_tol)):
+        g = [pairs[i] for i in run]
         grid = g[0][1].grid
         ortho = mgs_orthonormalize([p[1].values for p in g], grid.weight)
         out.append(EigenCluster(

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .cutoffs import make_cutoff, lattice_window, overlap_sup_factors
-from .eigensolve import EigenCluster
+from .eigensolve import EigenCluster, gap_groups
 from .grid import Grid, GridFunction, l2_norm, mgs_orthonormalize
 from .norms import extremal_l6, extremal_linf
 from .operators import build_operator, gauge_multiplier
@@ -70,9 +70,8 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
         raw.extend(tier)
 
     basis = mgs_orthonormalize([u.reshape(-1) for u in raw], w)
-    k = len(basis)
     n = grid.n_per_side
-    B = np.stack(basis)           # (k, N)
+    B = np.stack(basis)           # (basis size, N)
     HB = np.stack([H.apply_array(b.reshape(n, n)).reshape(-1) for b in basis])
     M = (B.conj() @ HB.T) * w
     M = 0.5 * (M + M.conj().T)
@@ -81,19 +80,9 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
     ritz_hvecs = evecs.T @ HB
     resid = np.sqrt(np.sum(np.abs(ritz_hvecs - evals[:, None] * ritz_vecs) ** 2, axis=1) * w)
 
-    groups = []
-    cur = [0]
-    for i in range(1, k):
-        if evals[i] - evals[cur[-1]] <= cluster_tol:
-            cur.append(i)
-        else:
-            groups.append(cur)
-            cur = [i]
-    groups.append(cur)
-
     clusters = []
     residuals = []
-    for g in groups:
+    for g in gap_groups(evals, cluster_tol):
         ortho = mgs_orthonormalize([ritz_vecs[i] for i in g], w)
         mean = float(np.mean(evals[g]))
         clusters.append(EigenCluster(
@@ -118,6 +107,8 @@ class LevelRow:
     ratio_l6: float
     scaled_l6: float
     max_residual: float
+    l6_converged: bool
+    l6_iterations: int
 
 
 @dataclass
@@ -171,6 +162,7 @@ class BoundReport:
                 "cluster_dim": r.cluster_dim, "ratio_linf": r.ratio_linf,
                 "ratio_l6": r.ratio_l6, "scaled_l6": r.scaled_l6,
                 "max_residual": r.max_residual,
+                "l6_converged": r.l6_converged, "l6_iterations": r.l6_iterations,
             } for r in self.rows],
             "theorem1": trend(self.theorem1),
             "theorem2": trend(self.theorem2),
@@ -210,29 +202,37 @@ def sweep_bounds(potential: Potential, grid: Grid, max_level: int,
     """Per-level extremal norm ratios with the Theorem-1/Theorem-2 pass rules.
 
     Levels whose worst Ritz residual exceeds residual_warn are excluded from
-    the report with a warning (never silently).
+    the report with a warning (never silently); a level whose L^6 ascent did
+    not converge is reported with a warning.
     """
     clusters, _ = ladder_level_clusters(potential, grid, max_level,
                                         m_count=m_count, cluster_tol=cluster_tol)
     rows = []
     warns = []
+
+    def warn(msg):
+        warns.append(msg)
+        warnings.warn(msg)
+
     for c in clusters:
         if c.label > max_level:
             continue
         worst = float(max(c.residuals))
         if worst > residual_warn:
-            msg = (f"level {c.label} excluded: worst Ritz residual {worst:.3f} "
-                   f"exceeds guard {residual_warn}")
-            warns.append(msg)
-            warnings.warn(msg)
+            warn(f"level {c.label} excluded: worst Ritz residual {worst:.3f} "
+                 f"exceeds guard {residual_warn}")
             continue
         ratio_linf, _ = extremal_linf(c)
         asc = extremal_l6(c, restarts=restarts, tol=ascent_tol, seed=seed)
+        if not asc.converged:
+            warn(f"level {c.label}: L^6 ascent stopped after {asc.iterations} "
+                 "iterations without converging; ratio_l6 is a looser lower bound")
         lam2 = c.mean
         scaled = asc.ratio * lam2 ** (1.0 / 6.0) if c.label >= 1 else asc.ratio
         rows.append(LevelRow(level=c.label, lambda_sq=lam2, cluster_dim=c.dim,
                              ratio_linf=ratio_linf, ratio_l6=asc.ratio,
-                             scaled_l6=scaled, max_residual=worst))
+                             scaled_l6=scaled, max_residual=worst,
+                             l6_converged=asc.converged, l6_iterations=asc.iterations))
 
     rows.sort(key=lambda r: r.level)
     report = BoundReport(potential_kind=potential.kind, params=potential.params,

@@ -132,6 +132,21 @@ def test_cli_lemmas_runs(tmp_path):
     assert rows and all(r["passed"] for r in rows)
 
 
+def test_cli_lemmas_records_skipped_rows(tmp_path, capsys):
+    # q = (1.5, 0) is not a node of the n = 97 grid (spacing 13/96), so the
+    # gauge rows are skipped; the run still exits 0 but says so
+    cfg = _write_config(tmp_path, BASE)
+    out = str(tmp_path / "lem_skip")
+    assert main(["lemmas", "--config", cfg, "--out", out]) == 0
+    doc = json.loads(open(os.path.join(out, "lemmas.json")).read())
+    assert not any(r["lemma_id"].startswith("gauge") for r in doc["rows"])
+    gauge = [s for s in doc["skipped"] if s["check"] == "gauge"]
+    assert len(gauge) == 1
+    assert gauge[0]["q"] == [1.5, 0.0]
+    assert "not on a grid node" in gauge[0]["reason"]
+    assert "not on a grid node" in capsys.readouterr().err
+
+
 def test_cli_oracle_compare_small(tmp_path):
     doc = {
         "grid": {"extent_L": 6.0, "n_per_side": 129},

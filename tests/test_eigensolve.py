@@ -124,3 +124,18 @@ def test_eigenpairs_near_targets_band(model):
     low = lowest_eigenpairs(H, k=6, tol=1e-6, seed=0)
     # nearest-zero values are closer to 0 than the most negative ones
     assert max(abs(p[0]) for p in pairs) <= max(abs(p[0]) for p in low) + 1e-12
+
+
+def test_degenerate_eigenvectors_orthonormal(model):
+    # the model H on this square grid has two exactly double eigenvalues
+    # among its lowest 8 (square symmetry); ARPACK alone returns their
+    # vectors unit but far from orthogonal
+    g = Grid(extent_L=4.0, n_per_side=33)
+    for seed in (0, 2):
+        pairs = lowest_eigenpairs(build_operator("H", model, g), k=8, seed=seed)
+        vals = np.array([p[0] for p in pairs])
+        assert np.sum(np.diff(vals) <= 1e-12) >= 2
+        V = np.stack([p[1].values for p in pairs], axis=1)
+        gram = (V.conj().T @ V) * g.weight
+        assert np.max(np.abs(gram - np.eye(8))) <= 1e-8
+        assert max(p[2] for p in pairs) <= 1e-6

@@ -1,11 +1,14 @@
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from landaulab import (EigenCluster, Grid, GridFunction, extremal_l6,
-                       extremal_linf, norm_triple, null_state,
-                       orthonormal_level_basis)
+                       extremal_linf, ladder_level_clusters, norm_triple,
+                       null_state, orthonormal_level_basis)
 from landaulab.norms import NormError, l6_objective_and_gradient
 
 
@@ -134,6 +137,31 @@ def test_l6_gradient_matches_finite_differences(rng):
         fd = (Jp - Jm) / (2 * step)
         analytic = np.real(np.vdot(grad, d))
         assert fd == pytest.approx(analytic, rel=1e-4)
+
+
+def test_extremal_l6_converges_on_trig_level(trig01):
+    g = Grid(extent_L=6.5, n_per_side=65)
+    clusters, _ = ladder_level_clusters(trig01, g, 1, m_count=4)
+    c = clusters[1]
+    res = extremal_l6(c, restarts=4, seed=0)
+    assert res.converged
+    assert np.linalg.norm(res.coeffs) == pytest.approx(1.0, abs=1e-14)
+    V = np.stack([b.values for b in c.basis])  # orthonormal: unit rows
+    J, grad = l6_objective_and_gradient(res.coeffs, V, g.weight)
+    assert J == pytest.approx(res.ratio, rel=1e-14)
+    tangent = grad - np.real(np.vdot(res.coeffs, grad)) * res.coeffs
+    assert np.linalg.norm(tangent) <= 1e-6
+
+
+def test_import_does_not_load_scipy_optimize():
+    # scipy.optimize adds ~0.3 s and ~15 MB to every command; only the L^6
+    # ascent needs it, and it imports it itself
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + "/src"
+    code = "import sys, landaulab; print('scipy.optimize' in sys.modules)"
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "False"
 
 
 def test_empty_cluster_rejected():

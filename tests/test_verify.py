@@ -177,6 +177,23 @@ def test_sweep_report_serialization(model):
     assert doc["schema_version"] == 1
     assert doc["theorem1"]["passed"] is True
     assert len(doc["rows"]) == 2
+    for row in doc["rows"]:
+        assert row["l6_converged"] is True
+        assert isinstance(row["l6_iterations"], int)
+    assert doc["warnings"] == []
+
+
+def test_sweep_warns_on_unconverged_ascent(trig01, monkeypatch):
+    from landaulab import norms, verify
+    monkeypatch.setattr(verify, "extremal_l6",
+                        lambda c, **kw: norms.extremal_l6(c, max_iter=1, **kw))
+    g = Grid(extent_L=6.5, n_per_side=97)
+    with pytest.warns(UserWarning, match="L\\^6 ascent stopped"):
+        report = sweep_bounds(trig01, g, max_level=1, m_count=3, restarts=2, seed=0)
+    assert [r.level for r in report.rows] == [0, 1]
+    assert not report.rows[1].l6_converged
+    assert report.rows[1].l6_iterations == 1
+    assert any(w.startswith("level 1: L^6 ascent stopped") for w in report.warnings)
 
 
 def test_sweep_envelope_guard(model):
