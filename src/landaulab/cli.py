@@ -48,7 +48,8 @@ def run_spectrum(cfg: RunConfig) -> int:
     warn = resolution_warning(potential, grid)
     if warn:
         print(f"warning: {warn}", file=sys.stderr)
-    pairs = lowest_eigenpairs(H, k=cfg.k, tol=cfg.tol, seed=cfg.seed)
+    solver = {}
+    pairs = lowest_eigenpairs(H, k=cfg.k, tol=cfg.tol, seed=cfg.seed, info=solver)
     clusters = cluster(pairs, cluster_tol=cfg.cluster_tol)
     labels = {}
     for c in clusters:
@@ -59,6 +60,7 @@ def run_spectrum(cfg: RunConfig) -> int:
         "eigenvalues": [p[0] for p in pairs],
         "residuals": [p[2] for p in pairs],
         "cluster_labels": [labels[p[0]] for p in pairs],
+        "solver": solver,
         "warnings": [warn] if warn else [],
     }
     _dump_json(manifest, os.path.join(cfg.out_dir, "spectrum.json"))
@@ -132,11 +134,15 @@ def run_lemmas(cfg: RunConfig) -> int:
     for q in cfg.q_list:
         if admissible(q, grid, on_node=True, check="gauge"):
             rows += check_gauge_lemma(potential, grid, ground, q)
+    polluted = sorted({r.detail["h"] for r in rows
+                       if r.detail.get("input_guard_ok") is False})
     doc = {
         "schema_version": SCHEMA_VERSION,
         "rows": [{"lemma_id": r.lemma_id, "lhs": r.lhs, "rhs": r.rhs,
                   "passed": r.passed, "detail": r.detail} for r in rows],
         "skipped": skipped,
+        "warnings": [f"cutoff rows at h={h:g} rest on an input state above the "
+                     "||Pu||/||u|| guard (input_guard_ok false)" for h in polluted],
     }
     _dump_json(doc, os.path.join(cfg.out_dir, "lemmas.json"))
     n_pass = sum(r.passed for r in rows)
@@ -163,7 +169,9 @@ def run_oracle_compare(cfg: RunConfig) -> int:
     sigma = cfg.compare_sigma
     if sigma == "auto":
         sigma = float(np.mean([r["rayleigh"] for r in oracle_rows]))
-    pairs = eigenpairs_near(H, k=cfg.k, sigma=sigma, tol=cfg.tol, seed=cfg.seed)
+    solver = {}
+    pairs = eigenpairs_near(H, k=cfg.k, sigma=sigma, tol=cfg.tol, seed=cfg.seed,
+                            info=solver)
     span = [p[1] for p in pairs]
     angles = principal_angles(span, oracle_basis)
     max_angle = float(np.max(angles))
@@ -172,7 +180,7 @@ def run_oracle_compare(cfg: RunConfig) -> int:
         "schema_version": SCHEMA_VERSION,
         "solver": {"k": cfg.k, "sigma": sigma,
                    "eigenvalue_range": [pairs[0][0], pairs[-1][0]],
-                   "max_residual": max(p[2] for p in pairs)},
+                   "max_residual": max(p[2] for p in pairs), **solver},
         "oracle": oracle_rows,
         "principal_angles_rad": [float(a) for a in np.sort(angles)],
         "max_angle_rad": max_angle,

@@ -156,14 +156,18 @@ def _rows(u: GridFunction) -> np.ndarray:
 
 def save_grid_function(u: GridFunction, path: str, fmt: str = "csv") -> None:
     rows = _rows(u)
-    tmp = path + ".tmp"
     if fmt == "csv":
-        np.savetxt(tmp, rows, delimiter=",", header="x1,x2,re_u,im_u", comments="")
+        # the bytes np.savetxt writes (header, then "%.18e" rows), from one
+        # format over all rows instead of its per-row loop
+        line = ",".join(["%.18e"] * rows.shape[1]) + "\n"
+        atomic_write_text(path, "x1,x2,re_u,im_u\n"
+                          + (line * len(rows)) % tuple(rows.ravel().tolist()))
     elif fmt == "binary":
+        tmp = path + ".tmp"
         rows.astype(np.float64).tofile(tmp)
+        os.replace(tmp, path)
     else:
         raise GridError(f"unknown format {fmt!r} (use 'csv' or 'binary')")
-    os.replace(tmp, path)
     meta = {"extent_L": u.grid.extent_L, "n_per_side": u.grid.n_per_side, "format": fmt}
     atomic_write_text(_sidecar_path(path), json.dumps(meta, sort_keys=True) + "\n")
 

@@ -312,11 +312,14 @@ def check_cutoff_lemma(potential: Potential, grid: Grid, u: GridFunction,
                        slack: float = 1.05, profile=None) -> list[LemmaRow]:
     """||P beta_q u||_2 against the explicit product-rule constant, per center,
     plus the summed (little-l2 over the lattice window) variant. An alternative
-    admissible bump profile is checked against its own sup norms."""
+    admissible bump profile is checked against its own sup norms. Each row's
+    detail records `input_guard_ok`: whether the input's ||Pu||/||u|| is
+    within `p_residual_guard`, above which the check may be polluted."""
     P = build_operator("P", potential, grid, h=h)
     nu = l2_norm(u)
     p_res = l2_norm(P.apply(u)) / nu
-    if p_res > p_residual_guard:
+    guard_ok = bool(p_res <= p_residual_guard)
+    if not guard_ok:
         warnings.warn(f"input state has ||Pu||/||u|| = {p_res:.3f}, above the "
                       f"guard {p_residual_guard}; the check may be polluted")
     lap_sup = potential.laplacian_sup_norm()
@@ -332,7 +335,8 @@ def check_cutoff_lemma(potential: Potential, grid: Grid, u: GridFunction,
         rows.append(LemmaRow(lemma_id="cutoff_sup_q", lhs=lhs, rhs=rhs,
                              passed=bool(lhs <= slack * rhs),
                              detail={"q": [float(q[0]), float(q[1])], "h": h,
-                                     "p_residual": p_res}))
+                                     "p_residual": p_res,
+                                     "input_guard_ok": guard_ok}))
     # summed version over the integer-lattice window
     window = lattice_window(grid, margin)
     if window:
@@ -345,7 +349,8 @@ def check_cutoff_lemma(potential: Potential, grid: Grid, u: GridFunction,
         rhs_sum = h * (h / 4.0 * s_lap + energy_factor * (s_d1 + s_d2)) * nu
         rows.append(LemmaRow(lemma_id="cutoff_l2_q", lhs=lhs_sum, rhs=rhs_sum,
                              passed=bool(lhs_sum <= slack * rhs_sum),
-                             detail={"window_size": len(window), "h": h}))
+                             detail={"window_size": len(window), "h": h,
+                                     "input_guard_ok": guard_ok}))
     return rows
 
 

@@ -109,6 +109,40 @@ def test_cli_spectrum_manifest(tmp_path):
     assert len(manifest["cluster_labels"]) == 6
 
 
+def test_cli_spectrum_reproducible(tmp_path):
+    doc = dict(BASE)
+    doc["grid"] = {"extent_L": 4.0, "n_per_side": 33}
+    cfg = _write_config(tmp_path, doc)
+    outs = [str(tmp_path / f"rep{i}") for i in range(2)]
+    for out in outs:
+        assert main(["spectrum", "--config", cfg, "--out", out]) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert "spectrum.json" in names and "eig_005.csv" in names
+    assert sorted(os.listdir(outs[1])) == names
+    for name in names:
+        a, b = (open(os.path.join(out, name), "rb").read() for out in outs)
+        assert a == b, name
+    solver = json.loads(open(os.path.join(outs[0], "spectrum.json")).read())["solver"]
+    assert set(solver) == {"ncv", "op_solves", "lu_fill_nnz"}
+    assert solver["ncv"] == 20
+
+
+def test_cli_solver_failure_exits_2(tmp_path, monkeypatch, capsys):
+    import scipy.sparse.linalg as spla
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(spla, "splu", singular)
+    doc = dict(BASE)
+    doc["grid"] = {"extent_L": 4.0, "n_per_side": 33}
+    cfg = _write_config(tmp_path, doc)
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "fail")]) == 2
+    err = capsys.readouterr().err
+    assert "exactly singular" in err
+    assert "Traceback" not in err
+
+
 def test_cli_spectrum_writes_eigenfunctions(tmp_path):
     doc = dict(BASE)
     doc["grid"] = {"extent_L": 5.0, "n_per_side": 65}
@@ -128,8 +162,12 @@ def test_cli_lemmas_runs(tmp_path):
     out = str(tmp_path / "lem_out")
     code = main(["lemmas", "--config", cfg, "--out", out])
     assert code == 0
-    rows = json.loads(open(os.path.join(out, "lemmas.json")).read())["rows"]
+    doc = json.loads(open(os.path.join(out, "lemmas.json")).read())
+    rows = doc["rows"]
     assert rows and all(r["passed"] for r in rows)
+    # the h = 0.5 input state fails the ||Pu||/||u|| guard (see
+    # test_cutoff_lemma_input_guard_flag): the report says so
+    assert any("h=0.5" in w for w in doc["warnings"])
 
 
 def test_cli_lemmas_records_skipped_rows(tmp_path, capsys):
@@ -159,3 +197,7 @@ def test_cli_oracle_compare_small(tmp_path):
     doc_json = json.loads(open(os.path.join(out, "oracle_compare.json")).read())
     assert "max_angle_rad" in doc_json
     assert code in (0, 2)  # pass threshold checked in the acceptance suite
+    solver = doc_json["solver"]
+    assert solver["ncv"] == 121  # scipy's default 2k + 1 at k = 60
+    assert solver["op_solves"] >= solver["ncv"] - 1
+    assert solver["lu_fill_nnz"] > 0

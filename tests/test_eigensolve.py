@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
-from landaulab import (Grid, build_operator, cluster, custom_operator,
-                       eigenpairs_near, lowest_eigenpairs, principal_angles)
-from landaulab.eigensolve import SolverError, resolution_warning
+from landaulab import (Grid, assemble_sparse, build_operator, cluster,
+                       custom_operator, eigenpairs_near, lowest_eigenpairs,
+                       principal_angles)
+from landaulab.eigensolve import SolverError, arnoldi_ncv, resolution_warning
 from landaulab.grid import GridFunction
 
 
@@ -139,3 +142,70 @@ def test_degenerate_eigenvectors_orthonormal(model):
         gram = (V.conj().T @ V) * g.weight
         assert np.max(np.abs(gram - np.eye(8))) <= 1e-8
         assert max(p[2] for p in pairs) <= 1e-6
+
+
+def test_matches_default_shift_invert(model):
+    # the owned LU (minimum-degree ordering) and the k-sized Krylov basis
+    # give the eigenvalues of scipy's own shift-invert path
+    g = Grid(extent_L=4.0, n_per_side=33)
+    H = build_operator("H", model, g)
+    mat = assemble_sparse(H)
+    v0 = np.random.RandomState(0).standard_normal(g.size)
+    for sigma in (-1.0, 0.0):
+        info = {}
+        if sigma == -1.0:
+            pairs = lowest_eigenpairs(H, k=8, seed=0, info=info)
+        else:
+            pairs = eigenpairs_near(H, k=8, sigma=sigma, seed=0, info=info)
+        ref = np.sort(spla.eigsh(mat, k=8, sigma=sigma, v0=v0, return_eigenvectors=False))
+        np.testing.assert_allclose([p[0] for p in pairs], ref, rtol=0, atol=1e-10)
+        assert info["ncv"] == 20
+        assert info["op_solves"] >= info["ncv"] - 1
+        assert info["lu_fill_nnz"] > mat.nnz
+
+
+def test_arnoldi_ncv_rule():
+    for k in range(1, 64):
+        assert arnoldi_ncv(k, 10**6) == max(2 * k + 1, 20)
+    assert arnoldi_ncv(130, 66049) == 194
+    for n in (12, 40, 300):
+        for k in range(1, n - 1):
+            ncv = arnoldi_ncv(k, n)
+            # ARPACK needs k + 2 <= ncv <= n
+            assert k + 2 <= ncv <= n
+
+
+def test_solver_failures_raise_solver_error(monkeypatch):
+    g = Grid(extent_L=1.0, n_per_side=9)
+    # sigma on an eigenvalue of a diagonal matrix: an exactly singular factor
+    with pytest.raises(SolverError, match="singular"):
+        eigenpairs_near(_diag_op(g), k=2, sigma=3.0)
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(spla, "splu", out_of_memory)
+    with pytest.raises(SolverError):
+        lowest_eigenpairs(_diag_op(g), k=2)
+
+
+def _random_basis(rng, g, m):
+    return [GridFunction(rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size), g)
+            for _ in range(m)]
+
+
+def test_principal_angles_match_scipy():
+    g = Grid(extent_L=1.0, n_per_side=15)
+    rng = np.random.default_rng(3)
+    small, large = _random_basis(rng, g, 4), _random_basis(rng, g, 11)
+    # a 5-dimensional space inside span(large) up to a 1e-6 perturbation
+    L = np.stack([b.values for b in large], axis=1)
+    near = L @ (rng.standard_normal((11, 5)) + 1j * rng.standard_normal((11, 5)))
+    near += 1e-6 * rng.standard_normal(near.shape)
+    inside = [GridFunction(near[:, j], g) for j in range(5)]
+    for a, b in ((small, large), (large, small), (inside, large), (large, inside)):
+        ref = sla.subspace_angles(np.stack([v.values for v in a], axis=1),
+                                  np.stack([v.values for v in b], axis=1))
+        np.testing.assert_allclose(principal_angles(a, b), ref, rtol=0, atol=1e-10)
+    tiny = principal_angles(inside, large)
+    assert np.all((tiny > 1e-8) & (tiny < 1e-5))

@@ -74,6 +74,22 @@ def test_serialization_roundtrip(tmp_path, fmt, rng):
     np.testing.assert_allclose(v.values, u.values, rtol=0, atol=1e-12)
 
 
+def test_csv_bytes_match_savetxt(tmp_path, rng):
+    g = Grid(extent_L=2.0, n_per_side=11)
+    v = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
+    v[::5] = 0.0
+    v[1::7] = v[1::7].real
+    v[2] = -0.0
+    u = GridFunction(v, g)
+    path = str(tmp_path / "state.csv")
+    save_grid_function(u, path)
+    ref = str(tmp_path / "ref.csv")
+    X1, X2 = g.mesh()
+    np.savetxt(ref, np.column_stack([X1.ravel(), X2.ravel(), v.real, v.imag]),
+               delimiter=",", header="x1,x2,re_u,im_u", comments="")
+    assert open(path, "rb").read() == open(ref, "rb").read()
+
+
 def test_inner_product_grid_guard(rng):
     a = GridFunction(np.ones(Grid(2.0, 9).size), Grid(2.0, 9))
     b = GridFunction(np.ones(Grid(2.0, 11).size), Grid(2.0, 11))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -82,6 +84,20 @@ def test_cutoff_lemma_rows_pass(model):
     assert all(r.passed for r in sup_rows)
     l2_rows = [r for r in rows if r.lemma_id == "cutoff_l2_q"]
     assert len(l2_rows) == 1 and l2_rows[0].passed
+
+
+@pytest.mark.parametrize("L, n, clean", [(6.5, 97, False), (9.0, 193, True)])
+def test_cutoff_lemma_input_guard_flag(model, L, n, clean):
+    # L = 6.5, n = 97 is the lemmas CLI test's grid: its h = 0.5 ladder state
+    # has ||Pu||/||u|| = 0.066, above the 0.05 guard
+    h = 0.5
+    uh = _cutoff_state(model, h, L=L, n=n)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rows = check_cutoff_lemma(model, uh.grid, uh, h, centers=[(1.5, 0.0)])
+    assert {r.lemma_id for r in rows} == {"cutoff_sup_q", "cutoff_l2_q"}
+    assert all(r.detail["input_guard_ok"] is clean for r in rows)
+    assert any("guard" in str(w.message) for w in caught) is not clean
 
 
 def test_cutoff_lemma_corner_center_vanishes(model):
