@@ -12,6 +12,21 @@ certified by recomputing its residual through the matrix-free application
 path. Results are deterministic for a fixed seed (the seed fixes the Krylov
 start vector).
 
+`eigenpairs_near` solves each invariant block of the assembled matrix on its
+own. When the matrix stores no entry linking two of the four node parity
+classes (i mod 2, j mod 2), which holds for every averaged-coefficient
+operator, H is block-diagonal over them and its spectrum is the union of the
+four block spectra (`sublattice_blocks`). Each block gets its own LU and a
+quarter-size Arnoldi basis, is asked for its share of k plus `BLOCK_MARGIN`
+pairs, and the k eigenvalues nearest sigma over all blocks are kept. A block
+whose farthest returned eigenvalue is not beyond the k-th distance may hold
+more of them, so it is solved once more for k + `BLOCK_MARGIN` pairs; if
+that still falls short the solve raises `SolverError`. Each eigenvector is
+supported on one sublattice. `lowest_eigenpairs` keeps one block: at sigma
+= -1 a block can hold no state below the physical band, and ARPACK then
+spends thousands of solves on pairs deep inside the band; skipping such a
+block needs an eigenvalue count (an inertia certificate) first.
+
 Caution for coarse grids: when the largest coefficient momentum |grad phi|/2
 on the box approaches the grid's resolvable band (|grad phi| * spacing / 2 of
 order one), the lowest discrete eigenvalues belong to under-resolved states
@@ -21,6 +36,7 @@ near the box corners, displaced below the physical band by O((k dx)^2). The
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +83,67 @@ def arnoldi_ncv(k: int, n: int) -> int:
     return min(max(min(2 * k + 1, k + 64), 20), n)
 
 
+def sublattice_blocks(mat, n_side: int) -> list:
+    """Node index arrays of the invariant blocks of an assembled grid matrix.
+
+    The four parity classes (i mod 2, j mod 2) of the nodes, in that order,
+    when `mat` stores no entry linking two classes; otherwise one block of
+    all nodes. With averaged coefficients every term of A shifts axis 1 by
+    exactly one node and every term of B shifts axis 2 by one, so
+    H = A^2 + B^2 - lap(phi)/4 (and P, P~) never links two classes.
+    """
+    def parity(node):
+        return 2 * (node // n_side % 2) + node % n_side % 2
+
+    coo = mat.tocoo()
+    nodes = np.arange(mat.shape[0])
+    if np.any(parity(coo.row) != parity(coo.col)):
+        return [nodes]
+    labels = parity(nodes)
+    return [np.flatnonzero(labels == c) for c in range(4)]
+
+
+class _ShiftInvert:
+    """ARPACK shift-invert on one matrix, whose H - sigma I is factored once
+    with SuperLU under the minimum-degree ordering of A^T + A."""
+
+    def __init__(self, mat, sigma: float, seed: int):
+        n = mat.shape[0]
+        try:
+            self.lu = spla.splu((mat - sigma * sp.identity(n, format="csr")).tocsc(),
+                                permc_spec="MMD_AT_PLUS_A")
+        except (RuntimeError, MemoryError) as exc:
+            raise SolverError(f"LU factorization of H - {sigma:g} I failed: {exc}") from exc
+        self.mat, self.sigma, self.seed = mat, sigma, seed
+        self.solves = 0
+
+    def _apply(self, x):
+        self.solves += 1
+        return self.lu.solve(x)
+
+    def eigenpairs(self, k: int):
+        """The k eigenpairs nearest sigma, from the Krylov start vector of
+        `RandomState(seed)`, with an `arnoldi_ncv(k, n)` basis."""
+        n = self.mat.shape[0]
+        v0 = np.random.RandomState(self.seed).standard_normal(n)
+        try:
+            return spla.eigsh(self.mat, k=k, sigma=self.sigma, which="LM", v0=v0,
+                              ncv=arnoldi_ncv(k, n),
+                              OPinv=spla.LinearOperator(self.mat.shape, matvec=self._apply,
+                                                        dtype=self.mat.dtype))
+        except spla.ArpackNoConvergence as exc:
+            raise SolverError(
+                f"eigensolver did not converge within the iteration budget: {exc}") from exc
+        except (RuntimeError, MemoryError) as exc:
+            raise SolverError(f"shift-invert eigensolve failed: {exc}") from exc
+
+
+# pairs asked of each block beyond its share of k when the matrix splits
+BLOCK_MARGIN = 5
+
+
 def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
-           info: dict | None):
+           info: dict | None, split: bool):
     if not op.is_hermitian:
         raise SolverError(f"operator {op.label!r} is not flagged Hermitian")
     if k < 1 or k > MAX_K:
@@ -79,55 +154,80 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
     n = mat.shape[0]
     if k >= n - 1:
         raise SolverError("k too large for the grid")
-    try:
-        lu = spla.splu((mat - sigma * sp.identity(n, format="csr")).tocsc(),
-                       permc_spec="MMD_AT_PLUS_A")
-    except (RuntimeError, MemoryError) as exc:
-        raise SolverError(f"LU factorization of H - {sigma:g} I failed: {exc}") from exc
-    solves = 0
+    blocks = sublattice_blocks(mat, op.grid.n_per_side) if split else [np.arange(n)]
 
-    def shift_invert(x):
-        nonlocal solves
-        solves += 1
-        return lu.solve(x)
+    solvers, found, facts = [], [], []
+    for idx in blocks:
+        nb = len(idx)
+        sub = mat if nb == n else mat[idx][:, idx]
+        kb = k if nb == n else min(math.ceil(k * nb / n) + BLOCK_MARGIN, nb - 2)
+        solvers.append(_ShiftInvert(sub, sigma, seed))
+        found.append(solvers[-1].eigenpairs(kb))
+        facts.append({"size": nb, "k": kb, "resolves": 0})
+    # keep the k eigenvalues nearest sigma over all blocks; a block whose
+    # farthest returned eigenvalue is not beyond the k-th distance may hold
+    # more inside it, so it is asked for k + BLOCK_MARGIN pairs, once
+    while len(blocks) > 1:
+        dist = np.sort(np.abs(np.concatenate([v for v, _ in found]) - sigma))
+        if len(dist) < k:
+            raise SolverError(f"the {len(blocks)} invariant blocks hold fewer than k = {k} pairs")
+        short = [b for b, (v, _) in enumerate(found)
+                 if np.max(np.abs(v - sigma)) <= dist[k - 1]]
+        if not short:
+            break
+        for b in short:
+            kb = min(k + BLOCK_MARGIN, facts[b]["size"] - 2)
+            if facts[b]["resolves"] or kb <= facts[b]["k"]:
+                raise SolverError(
+                    f"block {b} of {len(blocks)} may hold more of the {k} eigenvalues "
+                    f"nearest {sigma:g} than the {facts[b]['k']} it returned")
+            found[b] = solvers[b].eigenpairs(kb)
+            facts[b].update(k=kb, resolves=1)
+    dist = np.abs(np.concatenate([v for v, _ in found]) - sigma)
+    kept = np.zeros(len(dist), dtype=bool)
+    kept[np.argsort(dist, kind="stable")[:k]] = True
 
-    ncv = arnoldi_ncv(k, n)
-    rng = np.random.RandomState(seed)
-    v0 = rng.standard_normal(n)
-    try:
-        vals, vecs = spla.eigsh(
-            mat, k=k, sigma=sigma, which="LM", v0=v0, ncv=ncv,
-            OPinv=spla.LinearOperator(mat.shape, matvec=shift_invert, dtype=mat.dtype))
-    except spla.ArpackNoConvergence as exc:
-        raise SolverError(
-            f"eigensolver did not converge within the iteration budget: {exc}") from exc
-    except (RuntimeError, MemoryError) as exc:
-        raise SolverError(f"shift-invert eigensolve failed: {exc}") from exc
-    if info is not None:
-        info.update(ncv=ncv, op_solves=solves, lu_fill_nnz=int(lu.nnz))
-    order = np.argsort(vals)
-    vals = vals[order]
-    vecs = vecs[:, order].astype(complex, copy=False)
     # ARPACK leaves the vectors of a (near-)multiple eigenvalue unit but not
-    # mutually orthogonal: orthonormalize them before certifying them
+    # mutually orthogonal: orthonormalize them within each block (vectors of
+    # different blocks have disjoint supports) before certifying them
     w = op.grid.weight
-    for g in gap_groups(vals, tol * np.maximum(1.0, np.abs(vals))):
-        if len(g) > 1:
-            vecs[:, g] = np.stack(mgs_orthonormalize(vecs[:, g].T, w), axis=1)
-
     pairs = []
-    for i in range(k):
-        gf = GridFunction(vecs[:, i].copy(), op.grid)
+    start = 0
+    for idx, (vals, vecs) in zip(blocks, found):
+        mine = np.flatnonzero(kept[start:start + len(vals)])
+        start += len(vals)
+        order = mine[np.argsort(vals[mine])]
+        vals = vals[order]
+        vecs = vecs[:, order].astype(complex, copy=False)
+        for g in gap_groups(vals, tol * np.maximum(1.0, np.abs(vals))):
+            if len(g) > 1:
+                vecs[:, g] = np.stack(mgs_orthonormalize(vecs[:, g].T, w), axis=1)
+        for lam, vec in zip(vals, vecs.T):
+            gf = GridFunction(np.zeros(n, dtype=complex), op.grid)
+            gf.values[idx] = vec
+            pairs.append((lam, gf))
+    if info is not None:
+        for f, solver in zip(facts, solvers):
+            f.update(ncv=arnoldi_ncv(f["k"], f["size"]), op_solves=solver.solves,
+                     lu_fill_nnz=int(solver.lu.nnz))
+        info.update(ncv=max(f["ncv"] for f in facts),
+                    op_solves=sum(f["op_solves"] for f in facts),
+                    lu_fill_nnz=sum(f["lu_fill_nnz"] for f in facts), blocks=facts)
+    del solvers, found   # the factors and Arnoldi outputs are no longer needed
+
+    out = []
+    for i in np.argsort([lam for lam, _ in pairs], kind="stable"):
+        lam, gf = pairs[i]
         gf.values /= l2_norm(gf)
         resid = l2_norm(GridFunction(
-            op.apply_array(gf.as_2d()).reshape(-1) - vals[i] * gf.values, op.grid))
-        bound = tol * max(1.0, abs(vals[i]))
+            op.apply_array(gf.as_2d()).reshape(-1) - lam * gf.values, op.grid))
+        bound = tol * max(1.0, abs(lam))
         if resid > bound:
             raise SolverError(
                 f"recomputed residual {resid:.2e} exceeds {bound:.2e} "
-                f"for eigenvalue {vals[i]:.6g}")
-        pairs.append((float(vals[i]), gf, float(resid)))
-    return pairs
+                f"for eigenvalue {lam:.6g}")
+        out.append((float(lam), gf, float(resid)))
+    return out
 
 
 def lowest_eigenpairs(op: OperatorHandle, k: int, tol: float = 1e-6,
@@ -136,19 +236,22 @@ def lowest_eigenpairs(op: OperatorHandle, k: int, tol: float = 1e-6,
 
     Returns (eigenvalue, GridFunction, residual) triples in nondecreasing
     eigenvalue order, with orthonormal eigenvectors in the discrete L^2.
-    A dict passed as `info` receives the solver facts `ncv` (Krylov basis
-    size), `op_solves` (shift-invert solves) and `lu_fill_nnz` (the entries
-    SuperLU stores for L and U).
+    A dict passed as `info` receives the solver facts `ncv` (the largest
+    Krylov basis size), `op_solves` (shift-invert solves) and `lu_fill_nnz`
+    (the entries SuperLU stores for L and U), summed over the solved blocks,
+    and `blocks`: per block its `size`, `k`, `ncv`, `op_solves`,
+    `lu_fill_nnz` and `resolves` (0 or 1). This solve uses one block of all
+    nodes (see the module docstring).
     """
-    return _solve(op, k, tol, seed, -1.0, info)
+    return _solve(op, k, tol, seed, -1.0, info, split=False)
 
 
 def eigenpairs_near(op: OperatorHandle, k: int, sigma: float,
                     tol: float = 1e-6, seed: int = 0, info: dict | None = None):
     """k certified eigenpairs nearest the shift sigma (used by oracle
-    comparison, where the physical band sits at a known location); `info`
-    as for `lowest_eigenpairs`."""
-    return _solve(op, k, tol, seed, sigma, info)
+    comparison, where the physical band sits at a known location), solved
+    per invariant sublattice block; `info` as for `lowest_eigenpairs`."""
+    return _solve(op, k, tol, seed, sigma, info, split=True)
 
 
 # ---------------------------------------------------------------------------

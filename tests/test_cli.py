@@ -5,6 +5,7 @@ import pytest
 
 from landaulab.cli import main
 from landaulab.config import ConfigError, parse_config
+from landaulab.eigensolve import arnoldi_ncv
 
 
 def _write_config(tmp_path, doc, name="cfg.json"):
@@ -20,6 +21,20 @@ BASE = {
     "sweep": {"max_level": 1, "restarts": 8, "m_count": 4},
     "lemmas": {"h_list": [0.5], "q_list": [[1.5, 0.0]]},
 }
+
+
+def _assert_solver_blocks(solver, size, n_blocks):
+    blocks = solver["blocks"]
+    assert len(blocks) == n_blocks
+    assert sum(b["size"] for b in blocks) == size
+    for b in blocks:
+        assert set(b) == {"size", "k", "ncv", "op_solves", "lu_fill_nnz", "resolves"}
+        assert b["ncv"] == arnoldi_ncv(b["k"], b["size"])
+        assert b["op_solves"] >= b["ncv"] - 1
+        assert b["lu_fill_nnz"] > 0
+    assert solver["ncv"] == max(b["ncv"] for b in blocks)
+    assert solver["op_solves"] == sum(b["op_solves"] for b in blocks)
+    assert solver["lu_fill_nnz"] == sum(b["lu_fill_nnz"] for b in blocks)
 
 
 def test_parse_config_defaults():
@@ -123,8 +138,11 @@ def test_cli_spectrum_reproducible(tmp_path):
         a, b = (open(os.path.join(out, name), "rb").read() for out in outs)
         assert a == b, name
     solver = json.loads(open(os.path.join(outs[0], "spectrum.json")).read())["solver"]
-    assert set(solver) == {"ncv", "op_solves", "lu_fill_nnz"}
-    assert solver["ncv"] == 20
+    assert set(solver) == {"ncv", "op_solves", "lu_fill_nnz", "blocks"}
+    # the lowest-eigenpair solve stays on one block of all nodes
+    _assert_solver_blocks(solver, 33 * 33, n_blocks=1)
+    assert solver["blocks"][0]["k"] == 6
+
 
 
 def test_cli_solver_failure_exits_2(tmp_path, monkeypatch, capsys):
@@ -197,7 +215,23 @@ def test_cli_oracle_compare_small(tmp_path):
     doc_json = json.loads(open(os.path.join(out, "oracle_compare.json")).read())
     assert "max_angle_rad" in doc_json
     assert code in (0, 2)  # pass threshold checked in the acceptance suite
+    # the averaged-coefficient H splits over the four sublattices
     solver = doc_json["solver"]
-    assert solver["ncv"] == 121  # scipy's default 2k + 1 at k = 60
-    assert solver["op_solves"] >= solver["ncv"] - 1
-    assert solver["lu_fill_nnz"] > 0
+    _assert_solver_blocks(solver, 129 * 129, n_blocks=4)
+    assert all(b["k"] >= 60 * b["size"] / 129 ** 2 for b in solver["blocks"])
+
+
+def test_cli_oracle_compare_reproducible(tmp_path):
+    doc = {
+        "grid": {"extent_L": 5.2, "n_per_side": 65},
+        "solve": {"k": 30, "tol": 1e-6, "seed": 4},
+        "compare": {"sigma": "auto", "m_max": 2},
+    }
+    cfg = _write_config(tmp_path, doc)
+    outs = [str(tmp_path / f"oc{i}") for i in range(2)]
+    # the pass threshold is checked in the acceptance suite; this window is
+    # too narrow to meet it, and the test asks only that the run repeats
+    codes = [main(["oracle-compare", "--config", cfg, "--out", out]) for out in outs]
+    assert codes[0] == codes[1]
+    a, b = (open(os.path.join(out, "oracle_compare.json"), "rb").read() for out in outs)
+    assert a == b

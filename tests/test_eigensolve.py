@@ -7,7 +7,8 @@ import scipy.sparse.linalg as spla
 from landaulab import (Grid, assemble_sparse, build_operator, cluster,
                        custom_operator, eigenpairs_near, lowest_eigenpairs,
                        principal_angles)
-from landaulab.eigensolve import SolverError, arnoldi_ncv, resolution_warning
+from landaulab.eigensolve import (SolverError, arnoldi_ncv, resolution_warning,
+                                  sublattice_blocks)
 from landaulab.grid import GridFunction
 
 
@@ -162,6 +163,85 @@ def test_matches_default_shift_invert(model):
         assert info["ncv"] == 20
         assert info["op_solves"] >= info["ncv"] - 1
         assert info["lu_fill_nnz"] > mat.nnz
+
+
+def _sublattice(g):
+    """Parity class 2 (i mod 2) + (j mod 2) of every node, flat."""
+    i, j = np.divmod(np.arange(g.size), g.n_per_side)
+    return 2 * (i % 2) + j % 2
+
+
+def _near_vs_eigsh(H, k, sigma):
+    mat = assemble_sparse(H)
+    info = {}
+    pairs = eigenpairs_near(H, k=k, sigma=sigma, seed=0, info=info)
+    v0 = np.random.RandomState(0).standard_normal(mat.shape[0])
+    ref = np.sort(spla.eigsh(mat, k=k, sigma=sigma, v0=v0, return_eigenvectors=False))
+    np.testing.assert_allclose([p[0] for p in pairs], ref, rtol=0, atol=1e-10)
+    return pairs, info
+
+
+@pytest.mark.parametrize("potential", ["model", "trig01"])
+def test_split_solve_matches_eigsh(potential, request):
+    # sigma = 0.02 lies inside the level-0 band on this grid
+    g = Grid(extent_L=4.0, n_per_side=33)
+    H = build_operator("H", request.getfixturevalue(potential), g)
+    pairs, info = _near_vs_eigsh(H, k=12, sigma=0.02)
+    blocks = info["blocks"]
+    assert [b["size"] for b in blocks] == [289, 272, 272, 256]
+    for b in blocks:
+        assert b["ncv"] == arnoldi_ncv(b["k"], b["size"])
+        assert b["op_solves"] >= b["ncv"] - 1
+    assert info["op_solves"] == sum(b["op_solves"] for b in blocks)
+    assert info["lu_fill_nnz"] == sum(b["lu_fill_nnz"] for b in blocks)
+    # each vector lives on one sublattice; together they are orthonormal
+    labels = _sublattice(g)
+    for _, vec, _ in pairs:
+        assert len(np.unique(labels[vec.values != 0])) == 1
+    V = np.stack([p[1].values for p in pairs], axis=1)
+    gram = (V.conj().T @ V) * g.weight
+    assert np.max(np.abs(gram - np.eye(12))) <= 1e-8
+
+
+def test_pointwise_coefficients_solve_one_block(model):
+    g = Grid(extent_L=4.0, n_per_side=33)
+    H = build_operator("H", model, g, averaged_coefficients=False)
+    assert len(sublattice_blocks(assemble_sparse(H), g.n_per_side)) == 1
+    _, info = _near_vs_eigsh(H, k=8, sigma=0.0)
+    assert [b["size"] for b in info["blocks"]] == [g.size]
+
+
+def _one_sublattice_diag_op(g, cls):
+    # eigenvalues 1, 2, ... on sublattice `cls`, all others above 100
+    labels = _sublattice(g)
+    d = 100.0 + np.arange(g.size)
+    d[labels == cls] = np.arange(1.0, np.sum(labels == cls) + 1.0)
+    return custom_operator(
+        g, lambda u: d.reshape(u.shape) * u, True,
+        sparse_builder=lambda: sp.diags(d).tocsr()), labels
+
+
+def test_split_resolves_a_short_block():
+    # all 8 eigenvalues nearest sigma sit on sublattice (0, 0): its first
+    # request (its share of k plus the margin) returns exactly them, so
+    # it is solved again for more pairs
+    g = Grid(extent_L=1.0, n_per_side=9)
+    op, labels = _one_sublattice_diag_op(g, 0)
+    info = {}
+    pairs = eigenpairs_near(op, k=8, sigma=0.5, tol=1e-8, seed=0, info=info)
+    assert [p[0] for p in pairs] == pytest.approx(np.arange(1.0, 9.0), abs=1e-9)
+    assert all(labels[np.argmax(np.abs(p[1].values))] == 0 for p in pairs)
+    assert [b["resolves"] for b in info["blocks"]] == [1, 0, 0, 0]
+    assert info["blocks"][0]["k"] > 8
+
+
+def test_split_short_block_at_its_size_limit_raises():
+    # sublattice (1, 1) of a 9 x 9 grid has 16 nodes, so ARPACK can return
+    # at most 14 of its pairs: the 15 nearest sigma cannot be certified
+    g = Grid(extent_L=1.0, n_per_side=9)
+    op, _ = _one_sublattice_diag_op(g, 3)
+    with pytest.raises(SolverError, match="block 3"):
+        eigenpairs_near(op, k=15, sigma=0.5, tol=1e-8)
 
 
 def test_arnoldi_ncv_rule():
