@@ -15,7 +15,21 @@ import numpy as np
 
 from landaulab import (Grid, GridFunction, build_operator, gauge_multiplier,
                        make_potential, norm_triple, rescale)
-from landaulab.operators import _coeff_mul, d1_stencil
+
+
+def translated_factor(u, coeff, h, delta):
+    """(h/2) D1 u - (h/2) sym(coeff) u on an (n, n) array, axis 0 = x1:
+    the centered difference and the symmetrized neighbor average along x1,
+    with zeros outside the grid."""
+    def shift_sum(v, sign):
+        out = np.zeros_like(v, dtype=complex)
+        out[:-1] += v[1:]
+        out[1:] += sign * v[:-1]
+        return out
+    d1 = -1j * shift_sum(u, -1.0) / (2.0 * delta)
+    sym = 0.25 * (coeff * shift_sum(u, 1.0) + shift_sum(coeff * u, 1.0))
+    return (h / 2) * d1 - (h / 2) * sym
+
 
 model = make_potential("model_quadratic")
 rng = np.random.default_rng(0)
@@ -42,8 +56,7 @@ for n in (65, 129, 257):
     lhs = T.meta["inverse"](At.apply_array(T.apply_array(test)))
     s = np.sqrt(h)
     coeff = model.grad((X1 + q[0]) / s, (X2 + q[1]) / s)[1] / s
-    mul = _coeff_mul(coeff, 1, True)
-    rhs = (h / 2) * d1_stencil(test.astype(complex), gg.spacing) - (h / 2) * mul(test)
+    rhs = translated_factor(test, coeff, h, gg.spacing)
     disc = float(np.max(np.abs(lhs - rhs)))
     note = f"  ({prev / disc:.2f}x down)" if prev else ""
     print(f"  n={n:3d}: max discrepancy {disc:.3e}{note}")

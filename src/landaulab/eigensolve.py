@@ -8,9 +8,9 @@ symmetric, and this ordering has far less fill than the default COLAMD), and
 hands the factor's solve to ARPACK. A complex operator runs general Arnoldi
 (scipy's `eigsh` passes complex input to `eigs`); a real one runs Lanczos.
 The Krylov basis holds `arnoldi_ncv(k, N)` vectors. Every returned pair is
-certified by recomputing its residual through the matrix-free application
-path. Results are deterministic for a fixed seed (the seed fixes the Krylov
-start vector).
+certified by recomputing its residual through the handle's apply, which
+composes the CSR factor matvecs and is independent of the LU. Results are
+deterministic for a fixed seed (the seed fixes the Krylov start vector).
 
 `eigenpairs_near` solves each invariant block of the assembled matrix on its
 own. When the matrix stores no entry linking two of the four node parity

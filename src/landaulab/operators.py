@@ -1,4 +1,4 @@
-"""Matrix-free magnetic-Laplacian operators on truncated grids.
+"""Magnetic-Laplacian operators on truncated grids, defined by CSR factors.
 
 Discretization:
   * D_j = -i * second-order centered difference along axis j, Dirichlet
@@ -16,9 +16,15 @@ Discretization:
   * zeroth-order terms (Delta phi / 4, the semiclassical -1) are plain
     diagonal multiplications.
 
-All Hermitian-flagged handles are exactly Hermitian in the uniform-weight
-discrete inner product, and H = A∘A + B∘B - (Delta phi / 4) holds as composed
-maps, so energy identities hold to round-off for computed eigenpairs.
+Every built handle is defined by its two first-order factors A, B, stored as
+CSR factor matrices over the flattened grid, and one zeroth-order diagonal V;
+the factors are built on the handle's first apply or assembly. A and B apply
+as one CSR matvec each, D = iA + B and D* = -iA + B as two, and H, P and P~
+as A(Au) + B(Bu) - V u. `assemble_sparse` composes the same factors,
+A@A + B@B - V. All Hermitian-flagged handles are exactly Hermitian in the
+uniform-weight discrete inner product, and H = A∘A + B∘B - (Delta phi / 4)
+holds as composed maps, so energy identities hold to round-off for computed
+eigenpairs.
 """
 
 from __future__ import annotations
@@ -53,6 +59,7 @@ class OperatorHandle:
     q: Optional[tuple] = None
     sparse_builder: Optional[Callable] = None
     meta: dict = field(default_factory=dict)
+    factors: Optional["Factors"] = None
 
     def apply(self, u: GridFunction) -> GridFunction:
         if u.grid != self.grid:
@@ -63,82 +70,64 @@ class OperatorHandle:
         return self.apply(u)
 
 
-# ---------------------------------------------------------------------------
-# stencil primitives on (n, n) arrays, axis 0 = x1
+class Factors:
+    """The CSR first-order factors A, B of an operator A∘A + B∘B - V and its
+    (n, n) diagonal V, built by `build` on first use."""
 
-def d1_stencil(u, delta):
-    out = np.zeros_like(u, dtype=complex)
-    out[:-1, :] += u[1:, :]
-    out[1:, :] -= u[:-1, :]
-    out *= -1j / (2.0 * delta)
-    return out
+    def __init__(self, build: Callable):
+        self._build = build
+        self._mats = None
 
+    @property
+    def mats(self):
+        if self._mats is None:
+            self._mats, self._build = self._build(), None
+        return self._mats
 
-def d2_stencil(u, delta):
-    out = np.zeros_like(u, dtype=complex)
-    out[:, :-1] += u[:, 1:]
-    out[:, 1:] -= u[:, :-1]
-    out *= -1j / (2.0 * delta)
-    return out
+    def A(self, u):
+        return (self.mats[0] @ u.reshape(-1)).reshape(u.shape)
 
+    def B(self, u):
+        return (self.mats[1] @ u.reshape(-1)).reshape(u.shape)
 
-def avg1_stencil(u):
-    out = np.zeros_like(u, dtype=complex)
-    out[:-1, :] += u[1:, :]
-    out[1:, :] += u[:-1, :]
-    out *= 0.5
-    return out
+    def square(self, u):
+        """A(Au) + B(Bu) - V u."""
+        A, B, V = self.mats
+        x = u.reshape(-1)
+        return (A @ (A @ x) + B @ (B @ x)).reshape(u.shape) - V * u
 
-
-def avg2_stencil(u):
-    out = np.zeros_like(u, dtype=complex)
-    out[:, :-1] += u[:, 1:]
-    out[:, 1:] += u[:, :-1]
-    out *= 0.5
-    return out
+    def square_matrix(self):
+        A, B, V = self.mats
+        return (A @ A + B @ B - sp.diags(V.ravel())).tocsr()
 
 
-def _coeff_mul(coeff, axis, averaged):
-    """Multiplication by a real coefficient field, optionally through the
-    symmetrized neighbor average along the given axis."""
-    if not averaged:
-        return lambda u: coeff * u
-    avg = avg1_stencil if axis == 1 else avg2_stencil
-    return lambda u: 0.5 * (coeff * avg(u) + avg(coeff * u))
+def _factor(grid: Grid, axis: int, coeff, scale: float, const: float = 0.0,
+            averaged: bool = True):
+    """scale * (D_axis + c) as a CSR matrix over the flattened grid.
 
-
-# sparse mirrors of the stencils ------------------------------------------------
-
-def _d_1d(n, delta):
-    e = np.ones(n - 1)
-    return sp.diags([e, -e], [1, -1], format="csr") * (-1j / (2.0 * delta))
-
-
-def _avg_1d(n):
-    e = np.ones(n - 1)
-    return sp.diags([e, e], [1, -1], format="csr") * 0.5
-
-
-def _sparse_d(grid, axis):
+    c multiplies by the field `coeff` plus the constant `const`: through the
+    symmetrized neighbor average along `axis` when averaged (each neighbor
+    pair (k, l) carries (coeff_k + coeff_l)/4 + const/2), pointwise on the
+    diagonal otherwise. Neighbors along axis 1 (x1) are n nodes apart, along
+    axis 2 one node apart within a row. No explicit zero is stored.
+    """
     n = grid.n_per_side
-    I = sp.identity(n, format="csr")
-    T = _d_1d(n, grid.spacing)
-    return sp.kron(T, I, format="csr") if axis == 1 else sp.kron(I, T, format="csr")
-
-
-def _sparse_avg(grid, axis):
-    n = grid.n_per_side
-    I = sp.identity(n, format="csr")
-    T = _avg_1d(n)
-    return sp.kron(T, I, format="csr") if axis == 1 else sp.kron(I, T, format="csr")
-
-
-def _sparse_coeff(grid, coeff, axis, averaged):
-    C = sp.diags(coeff.ravel())
-    if not averaged:
-        return C
-    Av = _sparse_avg(grid, axis)
-    return 0.5 * (C @ Av + Av @ C)
+    size = n * n
+    off = n if axis == 1 else 1
+    c = coeff.ravel()
+    d = -1j / (2.0 * grid.spacing)
+    if averaged:
+        mix = 0.25 * (c[:-off] + c[off:]) + 0.5 * const   # pairs (k, k + off)
+        diagonals = [scale * (mix - d), scale * (d + mix)]
+    else:
+        diagonals = [np.full(size - off, -scale * d), scale * (c + const),
+                     np.full(size - off, scale * d)]
+    if axis == 2:
+        for v in (diagonals[0], diagonals[-1]):
+            v[n - 1::n] = 0.0   # (k, k + 1) across a row end is not a pair
+    offsets = [-off, off] if averaged else [-off, 0, off]
+    # the DIA to CSR conversion drops the zeros
+    return sp.diags(diagonals, offsets, shape=(size, size), format="csr")
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +166,8 @@ def _shifted_grad(potential, grid, h, q):
 def build_operator(label: str, potential: Potential, grid: Grid,
                    h: float | None = None, q: tuple | None = None,
                    averaged_coefficients: bool = True) -> OperatorHandle:
-    """Construct a matrix-free handle for one of the named operators."""
+    """Construct a handle for one of the named operators; its CSR factors are
+    built on first apply or assembly, not here."""
     if label not in LABELS or label in ("T_q", "custom"):
         raise OperatorError(f"unknown or non-constructible label {label!r}")
     if label in SEMICLASSICAL_LABELS:
@@ -187,95 +177,46 @@ def build_operator(label: str, potential: Potential, grid: Grid,
             raise OperatorError(f"h must be positive, got {h}")
     if label in TILDE_LABELS and q is None:
         raise OperatorError(f"{label} requires a translation center q")
-
-    delta = grid.spacing
     avg = averaged_coefficients
 
-    def handle(apply_array, hermitian, sparse_builder):
-        return OperatorHandle(label=label, grid=grid, apply_array=apply_array,
-                              is_hermitian=hermitian, h=h, q=q,
-                              sparse_builder=sparse_builder,
-                              meta={"averaged_coefficients": avg,
-                                    "potential_kind": potential.kind})
-
-    if label in ("A", "B", "H", "D", "D_star"):
-        g1, g2, lap = _fields(potential, grid, None)
-        mul2 = _coeff_mul(g2, 1, avg)
-        mul1 = _coeff_mul(g1, 2, avg)
-        A = lambda u: 0.5 * d1_stencil(u, delta) - 0.5 * mul2(u)
-        B = lambda u: 0.5 * d2_stencil(u, delta) + 0.5 * mul1(u)
-        lap4 = lap / 4.0
-
-        def sparse():
-            Asp = 0.5 * _sparse_d(grid, 1) - 0.5 * _sparse_coeff(grid, g2, 1, avg)
-            Bsp = 0.5 * _sparse_d(grid, 2) + 0.5 * _sparse_coeff(grid, g1, 2, avg)
-            if label == "A":
-                return Asp.tocsr()
-            if label == "B":
-                return Bsp.tocsr()
-            if label == "D":
-                return (1j * Asp + Bsp).tocsr()
-            if label == "D_star":
-                return (-1j * Asp + Bsp).tocsr()
-            return (Asp @ Asp + Bsp @ Bsp - sp.diags(lap4.ravel())).tocsr()
-
-        if label == "A":
-            return handle(A, True, sparse)
-        if label == "B":
-            return handle(B, True, sparse)
-        if label == "D":
-            # annihilation factor iA + B = d_z + (d_z phi); kills e^{-phi} F(conj z)
-            return handle(lambda u: 1j * A(u) + B(u), False, sparse)
-        if label == "D_star":
-            # creation factor: the formal adjoint -iA + B, so H = D_star ∘ D
-            return handle(lambda u: -1j * A(u) + B(u), False, sparse)
-        return handle(lambda u: A(A(u)) + B(B(u)) - lap4 * u, True, sparse)
-
-    if label == "P":
+    def build():
+        if label not in SEMICLASSICAL_LABELS:
+            # A = D1/2 - (d2 phi)/2, B = D2/2 + (d1 phi)/2, V = lap(phi)/4
+            g1, g2, lap = _fields(potential, grid, None)
+            return (_factor(grid, 1, -g2, 0.5, averaged=avg),
+                    _factor(grid, 2, g1, 0.5, averaged=avg), lap / 4.0)
+        # the semiclassical factors carry h/2 and phi_h; V = h^2 lap(phi_h)/4 + 1
         g1, g2, lap = _fields(potential, grid, h)
-        mul2 = _coeff_mul(g2, 1, avg)
-        mul1 = _coeff_mul(g1, 2, avg)
-        Ah = lambda u: (h / 2.0) * d1_stencil(u, delta) - (h / 2.0) * mul2(u)
-        Bh = lambda u: (h / 2.0) * d2_stencil(u, delta) + (h / 2.0) * mul1(u)
         zero_order = (h * h / 4.0) * lap + 1.0
+        if label == "P":
+            return (_factor(grid, 1, -g2, h / 2.0, averaged=avg),
+                    _factor(grid, 2, g1, h / 2.0, averaged=avg), zero_order)
+        # translated: (d phi_h)(x + q) - (d phi_h)(q); the constant rides the
+        # same axis average so that the quadratic-potential identity
+        # A_tilde_q = A holds exactly on the lattice
+        g1s, g2s, g1q, g2q = _shifted_grad(potential, grid, h, q)
+        return (_factor(grid, 1, -g2s, h / 2.0, g2q, averaged=avg),
+                _factor(grid, 2, g1s, h / 2.0, -g1q, averaged=avg), zero_order)
 
-        def sparse():
-            Asp = (h / 2.0) * (_sparse_d(grid, 1) - _sparse_coeff(grid, g2, 1, avg))
-            Bsp = (h / 2.0) * (_sparse_d(grid, 2) + _sparse_coeff(grid, g1, 2, avg))
-            return (Asp @ Asp + Bsp @ Bsp - sp.diags(zero_order.ravel())).tocsr()
-
-        return handle(lambda u: Ah(Ah(u)) + Bh(Bh(u)) - zero_order * u, True, sparse)
-
-    # translated operators
-    g1s, g2s, g1q, g2q = _shifted_grad(potential, grid, h, q)
-    mul2s = _coeff_mul(g2s, 1, avg)
-    mul1s = _coeff_mul(g1s, 2, avg)
-    # constant terms ride the same axis average so that the quadratic-potential
-    # identity A_tilde_q = A holds exactly on the lattice
-    cmul1 = (lambda u: g2q * avg1_stencil(u)) if avg else (lambda u: g2q * u)
-    cmul2 = (lambda u: g1q * avg2_stencil(u)) if avg else (lambda u: g1q * u)
-    At = lambda u: (h / 2.0) * d1_stencil(u, delta) - (h / 2.0) * mul2s(u) + (h / 2.0) * cmul1(u)
-    Bt = lambda u: (h / 2.0) * d2_stencil(u, delta) + (h / 2.0) * mul1s(u) - (h / 2.0) * cmul2(u)
-
-    def tilde_sparse():
-        Av1 = _sparse_avg(grid, 1) if avg else sp.identity(grid.size, format="csr")
-        Av2 = _sparse_avg(grid, 2) if avg else sp.identity(grid.size, format="csr")
-        Asp = (h / 2.0) * (_sparse_d(grid, 1) - _sparse_coeff(grid, g2s, 1, avg) + g2q * Av1)
-        Bsp = (h / 2.0) * (_sparse_d(grid, 2) + _sparse_coeff(grid, g1s, 2, avg) - g1q * Av2)
-        if label == "A_tilde_q":
-            return Asp.tocsr()
-        if label == "B_tilde_q":
-            return Bsp.tocsr()
-        _, _, lap = _fields(potential, grid, h)
-        return (Asp @ Asp + Bsp @ Bsp - sp.diags(((h * h / 4.0) * lap + 1.0).ravel())).tocsr()
-
-    if label == "A_tilde_q":
-        return handle(At, True, tilde_sparse)
-    if label == "B_tilde_q":
-        return handle(Bt, True, tilde_sparse)
-    _, _, lap = _fields(potential, grid, h)
-    zero_order = (h * h / 4.0) * lap + 1.0
-    return handle(lambda u: At(At(u)) + Bt(Bt(u)) - zero_order * u, True, tilde_sparse)
+    f = Factors(build)
+    if label in ("A", "A_tilde_q"):
+        apply, sparse = f.A, lambda: f.mats[0].copy()
+    elif label in ("B", "B_tilde_q"):
+        apply, sparse = f.B, lambda: f.mats[1].copy()
+    elif label in ("D", "D_star"):
+        # annihilation factor D = iA + B = d_z + (d_z phi), which kills
+        # e^{-phi} F(conj z); creation factor D_star = -iA + B, its formal
+        # adjoint, so H = D_star ∘ D
+        c = 1j if label == "D" else -1j
+        apply = lambda u: c * f.A(u) + f.B(u)
+        sparse = lambda: (c * f.mats[0] + f.mats[1]).tocsr()
+    else:
+        apply, sparse = f.square, f.square_matrix
+    return OperatorHandle(label=label, grid=grid, apply_array=apply,
+                          is_hermitian=label not in ("D", "D_star"), h=h, q=q,
+                          sparse_builder=sparse, factors=f,
+                          meta={"averaged_coefficients": avg,
+                                "potential_kind": potential.kind})
 
 
 def custom_operator(grid: Grid, apply_array, is_hermitian: bool,

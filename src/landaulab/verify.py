@@ -58,26 +58,27 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
     def nrm(a):
         return np.sqrt(np.vdot(a, a).real * w)
 
-    raw = []
-    tier = []
-    for m in range(m_count):
-        u = zbar**m * env
-        tier.append(u / nrm(u))
-    raw.extend(tier)
-    for _ in range(max_level):
-        tier = [dstar.apply_array(u) for u in tier]
-        tier = [u / nrm(u) for u in tier]
-        raw.extend(tier)
+    def tiers():
+        tier = [zbar**m * env for m in range(m_count)]
+        for level in range(max_level + 1):
+            if level:
+                tier = [dstar.apply_array(u) for u in tier]
+            tier = [u / nrm(u) for u in tier]
+            yield from tier
 
-    basis = mgs_orthonormalize([u.reshape(-1) for u in raw], w)
+    # the ladder tiers stream into MGS, whose output is stacked at once
     n = grid.n_per_side
-    B = np.stack(basis)           # (basis size, N)
-    HB = np.stack([H.apply_array(b.reshape(n, n)).reshape(-1) for b in basis])
+    B = np.stack(mgs_orthonormalize((u.reshape(-1) for u in tiers()), w))  # (basis size, N)
+    HB = np.empty_like(B)
+    for b, hb in zip(B, HB):
+        hb[:] = H.apply_array(b.reshape(n, n)).reshape(-1)
     M = (B.conj() @ HB.T) * w
     M = 0.5 * (M + M.conj().T)
     evals, evecs = np.linalg.eigh(M)
     ritz_vecs = evecs.T @ B       # rows are Ritz vectors
+    del B
     ritz_hvecs = evecs.T @ HB
+    del HB
     resid = np.sqrt(np.sum(np.abs(ritz_hvecs - evals[:, None] * ritz_vecs) ** 2, axis=1) * w)
 
     clusters = []
@@ -252,16 +253,12 @@ def sweep_bounds(potential: Potential, grid: Grid, max_level: int,
 # Lemma checks. Every check recomputes both sides from primitives.
 
 def semiclassical_factors(potential: Potential, grid: Grid, h: float):
-    """The first-order factors of P as array-level callables:
-    A_h = (h/2) D1 - (h/2)(d2 phi_h)(x),  B_h = (h/2) D2 + (h/2)(d1 phi_h)(x)."""
-    from .operators import _coeff_mul, _fields, d1_stencil, d2_stencil
-    g1, g2, _ = _fields(potential, grid, h)
-    mul2 = _coeff_mul(g2, 1, True)
-    mul1 = _coeff_mul(g1, 2, True)
-    delta = grid.spacing
-    Ah = lambda u: (h / 2.0) * d1_stencil(u, delta) - (h / 2.0) * mul2(u)
-    Bh = lambda u: (h / 2.0) * d2_stencil(u, delta) + (h / 2.0) * mul1(u)
-    return Ah, Bh
+    """The first-order factors of P as array-level callables, the P handle's
+    factor applies: A_h = (h/2) D1 - (h/2)(d2 phi_h)(x),
+    B_h = (h/2) D2 + (h/2)(d1 phi_h)(x)."""
+    factors = build_operator("P", potential, grid, h=h).factors
+    return factors.A, factors.B
+
 
 def check_energy_lemma(potential: Potential, grid: Grid, cluster: EigenCluster,
                        h: float | None = None, rel_tol: float = 1e-3) -> list[LemmaRow]:

@@ -160,8 +160,8 @@ def _conjugation_discrepancy(model, n, h, q):
     lhs = T.meta["inverse"](At.apply_array(T.apply_array(test)))
     s = np.sqrt(h)
     g2s = model.grad((X1 + q[0]) / s, (X2 + q[1]) / s)[1] / s
-    from landaulab.operators import _coeff_mul, d1_stencil
-    mul = _coeff_mul(g2s, 1, True)
+    from stencils import coeff_mul, d1_stencil
+    mul = coeff_mul(g2s, 1, True)
     rhs = (h / 2.0) * d1_stencil(test.astype(complex), g.spacing) - (h / 2.0) * mul(test)
     return float(np.max(np.abs(lhs - rhs)))
 

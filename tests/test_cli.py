@@ -188,6 +188,20 @@ def test_cli_lemmas_runs(tmp_path):
     assert any("h=0.5" in w for w in doc["warnings"])
 
 
+def test_cli_lemmas_reproducible(tmp_path):
+    # spacing 12/96 puts q = (1.5, 0) on a node, so the gauge rows run too
+    doc = dict(BASE)
+    doc["grid"] = {"extent_L": 6.0, "n_per_side": 97}
+    doc["lemmas"] = {"h_list": [0.5, 0.25], "q_list": [[1.5, 0.0]]}
+    cfg = _write_config(tmp_path, doc)
+    outs = [str(tmp_path / f"lem{i}") for i in range(2)]
+    codes = [main(["lemmas", "--config", cfg, "--out", out, "--seed", "3"]) for out in outs]
+    assert codes == [0, 0]
+    a, b = (open(os.path.join(out, "lemmas.json"), "rb").read() for out in outs)
+    assert a == b
+    assert any(r["lemma_id"].startswith("gauge") for r in json.loads(a)["rows"])
+
+
 def test_cli_lemmas_records_skipped_rows(tmp_path, capsys):
     # q = (1.5, 0) is not a node of the n = 97 grid (spacing 13/96), so the
     # gauge rows are skipped; the run still exits 0 but says so

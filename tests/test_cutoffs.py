@@ -78,3 +78,33 @@ def test_overlap_sup_factors_finite(model):
     assert l1 <= s_lap < 4 * l1
     assert g1 <= s_d1 < 4 * g1
     assert abs(s_d1 - s_d2) < 1e-6
+
+
+def _overlap_sup_factors_full_grid(grid, margin=2.0):
+    """Reference: every lattice center evaluated on the whole grid."""
+    X1, X2 = grid.mesh()
+    s_lap = np.zeros_like(X1)
+    s_d1 = np.zeros_like(X1)
+    s_d2 = np.zeros_like(X1)
+    eps = 1e-9
+    for q in lattice_window(grid, margin):
+        r = np.sqrt((X1 - q[0]) ** 2 + (X2 - q[1]) ** 2)
+        rr = np.maximum(r, eps)
+        dr = 1e-6
+        dpsi = (bump_profile(rr + dr) - bump_profile(rr - dr)) / (2 * dr)
+        d2psi = (bump_profile(rr + dr) - 2 * bump_profile(rr) + bump_profile(rr - dr)) / dr**2
+        lap = d2psi + dpsi / rr
+        s_lap += lap**2
+        s_d1 += (dpsi * (X1 - q[0]) / rr) ** 2
+        s_d2 += (dpsi * (X2 - q[1]) / rr) ** 2
+    return (float(np.sqrt(s_lap.max())), float(np.sqrt(s_d1.max())),
+            float(np.sqrt(s_d2.max())))
+
+
+@pytest.mark.parametrize("extent, n", [(10.0 * np.sqrt(0.5), 129),
+                                       (10.0 * np.sqrt(0.25), 129),
+                                       (10.0 * np.sqrt(0.125), 257),
+                                       (5.0, 41)])   # nodes exactly at radius 2
+def test_overlap_sup_factors_window_is_exact(extent, n):
+    g = Grid(extent_L=extent, n_per_side=n)
+    assert overlap_sup_factors(g) == _overlap_sup_factors_full_grid(g)

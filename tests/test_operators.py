@@ -5,19 +5,25 @@ import scipy.sparse as sp
 from landaulab import (Grid, GridFunction, assemble_sparse, build_operator,
                        custom_operator, from_callable, gauge_multiplier,
                        hermiticity_defect, inner, l2_norm)
+import landaulab.operators as operators
 from landaulab.operators import OperatorError
 from landaulab.verify import semiclassical_factors
+from stencils import coeff_mul, d1_stencil, reference_apply
 
 HERMITIAN_LABELS = ["A", "B", "H", "P", "A_tilde_q", "B_tilde_q", "P_tilde_q"]
 
 
-def _build(label, potential, grid):
+def _kwargs(label):
     kwargs = {}
     if label in ("P", "A_tilde_q", "B_tilde_q", "P_tilde_q"):
         kwargs["h"] = 0.5
     if label.endswith("tilde_q"):
         kwargs["q"] = (0.7, -0.3)
-    return build_operator(label, potential, grid, **kwargs)
+    return kwargs
+
+
+def _build(label, potential, grid):
+    return build_operator(label, potential, grid, **_kwargs(label))
 
 
 def test_A_on_constant_is_minus_x2(model):
@@ -72,15 +78,41 @@ def test_assemble_A_is_hermitian_matrix(model):
 
 
 @pytest.mark.parametrize("label", HERMITIAN_LABELS + ["D", "D_star"])
-def test_sparse_matches_matrix_free(label, model, rng):
+def test_sparse_matches_matrix_free(label, model, trig01, rng):
+    # each handle's factor composition against the independent stencil
+    # reference of the tests, and its assembled matrix against its apply,
+    # for both coefficient variants
     g = Grid(extent_L=5.0, n_per_side=33)
-    op = _build(label, model, g)
-    mat = assemble_sparse(op)
-    for _ in range(20):
-        u = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
-        a = op.apply_array(u.reshape(33, 33)).reshape(-1)
-        b = mat @ u
-        assert np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(a)
+    for potential in (model, trig01):
+        for averaged in (True, False):
+            op = build_operator(label, potential, g, averaged_coefficients=averaged,
+                                **_kwargs(label))
+            ref = reference_apply(label, potential, g, averaged=averaged, **_kwargs(label))
+            mat = assemble_sparse(op)
+            for _ in range(20):
+                u = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
+                a = op.apply_array(u)
+                assert np.linalg.norm(a - ref(u)) <= 1e-13 * np.linalg.norm(a)
+                b = mat @ u.reshape(-1)
+                assert np.linalg.norm(a.reshape(-1) - b) <= 1e-13 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("label", HERMITIAN_LABELS + ["D", "D_star"])
+def test_build_operator_does_not_assemble(label, model, monkeypatch):
+    # the CSR factors are built on the first apply or assembly, once
+    built = []
+    factor = operators._factor
+    monkeypatch.setattr(operators, "_factor",
+                        lambda *a, **k: built.append(1) or factor(*a, **k))
+    g = Grid(extent_L=5.0, n_per_side=33)
+    op = build_operator(label, model, g, **_kwargs(label))
+    assert built == []
+    u = np.ones((33, 33), dtype=complex)
+    op.apply_array(u)
+    assert len(built) == 2
+    op.apply_array(u)
+    assemble_sparse(op)
+    assert len(built) == 2
 
 
 def test_assembly_guard(model):
@@ -200,11 +232,9 @@ def _conjugation_discrepancy(model, n, h, q):
     test = np.exp(-(X1**2 + X2**2))
     lhs = T.meta["inverse"](At.apply_array(T.apply_array(test)))
     # rhs operator: (h/2) D1 - (h/2)(d2 phi_h)(x + q), realized identically
-    Ah_shifted, _ = semiclassical_factors(model, g, h)
     s = np.sqrt(h)
     g2s = model.grad((X1 + q[0]) / s, (X2 + q[1]) / s)[1] / s
-    from landaulab.operators import _coeff_mul, d1_stencil
-    mul = _coeff_mul(g2s, 1, True)
+    mul = coeff_mul(g2s, 1, True)
     rhs = (h / 2.0) * d1_stencil(test.astype(complex), g.spacing) - (h / 2.0) * mul(test)
     return float(np.max(np.abs(lhs - rhs)))
 
