@@ -8,8 +8,9 @@ norms are measured once on a fine one-dimensional reference mesh.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import lru_cache
+from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
+from typing import Callable
 
 import numpy as np
 
@@ -54,34 +55,41 @@ def profile_sup_norms(samples: int = 400001):
     return _profile_sups(bump_profile, samples)
 
 
+def _radial(profile, q, grid: Grid, scale: float = 1.0) -> GridFunction:
+    """profile(|x - q| / scale) on the grid's nodes."""
+    x = grid.axis()
+    r = np.sqrt((x[:, None] - q[0]) ** 2 + (x[None, :] - q[1]) ** 2)
+    return GridFunction(profile(r / scale).astype(complex).reshape(-1), grid)
+
+
 @dataclass
 class Cutoff:
     center: tuple
     beta: GridFunction        # beta_q on the grid
-    beta_tilde: GridFunction  # beta_tilde_q = beta((x - q)/2)
     sup_d1: float             # sup |D1 beta| = sup |d1 beta|
     sup_d2: float
     sup_lap: float            # sup |Delta beta|
+    profile: Callable = field(repr=False)   # the radial profile psi
+
+    @cached_property
+    def beta_tilde(self) -> GridFunction:
+        """beta_tilde_q = beta((x - q)/2), evaluated on first access."""
+        return _radial(self.profile, self.center, self.beta.grid, 2.0)
 
 
 def make_cutoff(q, grid: Grid, profile=None) -> Cutoff:
     """Cutoff centered at q; an alternative admissible radial profile (1 on
     r<=1, 0 on r>=2) may be supplied, e.g. bump_profile squared."""
-    X1, X2 = grid.mesh()
-    r = np.sqrt((X1 - q[0]) ** 2 + (X2 - q[1]) ** 2)
     if profile is None:
-        beta = bump_profile(r)
-        beta_t = bump_profile(r / 2.0)
+        profile = bump_profile
         sup_grad, sup_lap = profile_sup_norms()
     else:
-        beta = profile(r)
-        beta_t = profile(r / 2.0)
         sup_grad, sup_lap = _profile_sups(profile)
+    center = (float(q[0]), float(q[1]))
     # |d_j beta| = |psi'(r)| |x_j - q_j| / r <= |psi'(r)|, attained on the axis
-    return Cutoff(center=(float(q[0]), float(q[1])),
-                  beta=GridFunction(beta.astype(complex).reshape(-1), grid),
-                  beta_tilde=GridFunction(beta_t.astype(complex).reshape(-1), grid),
-                  sup_d1=sup_grad, sup_d2=sup_grad, sup_lap=sup_lap)
+    return Cutoff(center=center, beta=_radial(profile, center, grid),
+                  sup_d1=sup_grad, sup_d2=sup_grad, sup_lap=sup_lap,
+                  profile=profile)
 
 
 def lattice_window(grid: Grid, margin: float = 2.0):

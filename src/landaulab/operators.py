@@ -72,9 +72,11 @@ class OperatorHandle:
 
 class Factors:
     """The CSR first-order factors A, B of an operator A∘A + B∘B - V and its
-    (n, n) diagonal V, built by `build` on first use."""
+    (n, n) diagonal V, built by `build` on first use. `key` names the inputs
+    they depend on: (potential, grid, h, q, averaged_coefficients)."""
 
-    def __init__(self, build: Callable):
+    def __init__(self, key: tuple, build: Callable):
+        self.key = key
         self._build = build
         self._mats = None
 
@@ -165,9 +167,14 @@ def _shifted_grad(potential, grid, h, q):
 
 def build_operator(label: str, potential: Potential, grid: Grid,
                    h: float | None = None, q: tuple | None = None,
-                   averaged_coefficients: bool = True) -> OperatorHandle:
+                   averaged_coefficients: bool = True,
+                   factors: Factors | None = None) -> OperatorHandle:
     """Construct a handle for one of the named operators; its CSR factors are
-    built on first apply or assembly, not here."""
+    built on first apply or assembly, not here.
+
+    `factors`, the `factors` of another handle over the same inputs, shares
+    them instead: A, B, H, D and D_star over (potential, grid) have the same
+    factors, and so have A~_q, B~_q and P~_q over (potential, grid, h, q)."""
     if label not in LABELS or label in ("T_q", "custom"):
         raise OperatorError(f"unknown or non-constructible label {label!r}")
     if label in SEMICLASSICAL_LABELS:
@@ -178,6 +185,8 @@ def build_operator(label: str, potential: Potential, grid: Grid,
     if label in TILDE_LABELS and q is None:
         raise OperatorError(f"{label} requires a translation center q")
     avg = averaged_coefficients
+    key = (potential, grid, h if label in SEMICLASSICAL_LABELS else None,
+           tuple(map(float, q)) if label in TILDE_LABELS else None, avg)
 
     def build():
         if label not in SEMICLASSICAL_LABELS:
@@ -198,7 +207,12 @@ def build_operator(label: str, potential: Potential, grid: Grid,
         return (_factor(grid, 1, -g2s, h / 2.0, g2q, averaged=avg),
                 _factor(grid, 2, g1s, h / 2.0, -g1q, averaged=avg), zero_order)
 
-    f = Factors(build)
+    if factors is None:
+        f = Factors(key, build)
+    elif factors.key != key:
+        raise OperatorError(f"{label} cannot share factors built for other inputs")
+    else:
+        f = factors
     if label in ("A", "A_tilde_q"):
         apply, sparse = f.A, lambda: f.mats[0].copy()
     elif label in ("B", "B_tilde_q"):

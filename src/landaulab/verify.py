@@ -33,6 +33,25 @@ class VerifyError(ValueError):
 
 
 # ---------------------------------------------------------------------------
+# handles over the unscaled factors, shared across checks
+
+_shared_factors = None   # the Factors of the last unscaled handle built here
+
+
+def _unscaled_operator(label: str, potential: Potential, grid: Grid):
+    """A handle over the averaged unscaled factors of (potential, grid). The
+    ladder, energy and gauge handles over one potential and grid share one
+    set of factors, built once; the last set is kept."""
+    global _shared_factors
+    f = _shared_factors
+    if f is not None and f.key[0] is potential and f.key[1] == grid:
+        return build_operator(label, potential, grid, factors=f)
+    op = build_operator(label, potential, grid)
+    _shared_factors = op.factors
+    return op
+
+
+# ---------------------------------------------------------------------------
 # ladder + Rayleigh-Ritz level bases (any shipped potential)
 
 def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
@@ -52,8 +71,8 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
             f"extent {grid.extent_L} too small: exp(-phi) exceeds 1e-10 on the boundary")
 
     w = grid.weight
-    dstar = build_operator("D_star", potential, grid)
-    H = build_operator("H", potential, grid)
+    dstar = _unscaled_operator("D_star", potential, grid)
+    H = _unscaled_operator("H", potential, grid)
 
     def nrm(a):
         return np.sqrt(np.vdot(a, a).real * w)
@@ -110,6 +129,9 @@ class LevelRow:
     max_residual: float
     l6_converged: bool
     l6_iterations: int
+    l6_cut_bound: float
+    l6_nodes_kept: int
+    l6_hessian_max: float | None
 
 
 @dataclass
@@ -164,6 +186,8 @@ class BoundReport:
                 "ratio_l6": r.ratio_l6, "scaled_l6": r.scaled_l6,
                 "max_residual": r.max_residual,
                 "l6_converged": r.l6_converged, "l6_iterations": r.l6_iterations,
+                "l6_cut_bound": r.l6_cut_bound, "l6_nodes_kept": r.l6_nodes_kept,
+                "l6_hessian_max": r.l6_hessian_max,
             } for r in self.rows],
             "theorem1": trend(self.theorem1),
             "theorem2": trend(self.theorem2),
@@ -204,7 +228,8 @@ def sweep_bounds(potential: Potential, grid: Grid, max_level: int,
 
     Levels whose worst Ritz residual exceeds residual_warn are excluded from
     the report with a warning (never silently); a level whose L^6 ascent did
-    not converge is reported with a warning.
+    not converge, or whose winner's tangent Hessian is not negative definite,
+    is reported with a warning.
     """
     clusters, _ = ladder_level_clusters(potential, grid, max_level,
                                         m_count=m_count, cluster_tol=cluster_tol)
@@ -228,12 +253,18 @@ def sweep_bounds(potential: Potential, grid: Grid, max_level: int,
         if not asc.converged:
             warn(f"level {c.label}: L^6 ascent stopped after {asc.iterations} "
                  "iterations without converging; ratio_l6 is a looser lower bound")
+        if asc.hessian_max is not None and not asc.hessian_max < 0.0:
+            warn(f"level {c.label}: the L^6 ascent's tangent Hessian has largest "
+                 f"eigenvalue {asc.hessian_max:.3g} >= 0; the winner is not "
+                 "certified as a strict local maximum")
         lam2 = c.mean
         scaled = asc.ratio * lam2 ** (1.0 / 6.0) if c.label >= 1 else asc.ratio
         rows.append(LevelRow(level=c.label, lambda_sq=lam2, cluster_dim=c.dim,
                              ratio_linf=ratio_linf, ratio_l6=asc.ratio,
                              scaled_l6=scaled, max_residual=worst,
-                             l6_converged=asc.converged, l6_iterations=asc.iterations))
+                             l6_converged=asc.converged, l6_iterations=asc.iterations,
+                             l6_cut_bound=asc.cut_bound, l6_nodes_kept=asc.nodes_kept,
+                             l6_hessian_max=asc.hessian_max))
 
     rows.sort(key=lambda r: r.level)
     report = BoundReport(potential_kind=potential.kind, params=potential.params,
@@ -271,8 +302,8 @@ def check_energy_lemma(potential: Potential, grid: Grid, cluster: EigenCluster,
     rows = []
     w = grid.weight
     if h is None:
-        A = build_operator("A", potential, grid)
-        B = build_operator("B", potential, grid)
+        A = _unscaled_operator("A", potential, grid)
+        B = _unscaled_operator("B", potential, grid)
         X1, X2 = grid.mesh()
         lap4 = potential.laplacian(X1, X2).reshape(-1) / 4.0
         for lam, u in zip(cluster.eigenvalues, cluster.basis):
@@ -402,7 +433,7 @@ def check_gauge_lemma(potential: Potential, grid: Grid, u: GridFunction, q,
     (and symmetrically for B with d1 phi)."""
     if max(abs(q[0]), abs(q[1])) > grid.extent_L - 2.0:
         raise VerifyError(f"center {q} violates the interior margin 2")
-    H = build_operator("H", potential, grid)
+    H = _unscaled_operator("H", potential, grid)
     nu = l2_norm(u)
     hu = H.apply(u)
     lam_est = float(np.vdot(u.values, hu.values).real * grid.weight / nu**2)
@@ -410,8 +441,8 @@ def check_gauge_lemma(potential: Potential, grid: Grid, u: GridFunction, q,
     if res > h_residual_guard:
         warnings.warn(f"input has ||Hu - lambda u||/||u|| = {res:.3f} above "
                       f"guard {h_residual_guard}")
-    A = build_operator("A", potential, grid)
-    B = build_operator("B", potential, grid)
+    A = _unscaled_operator("A", potential, grid)
+    B = _unscaled_operator("B", potential, grid)
     Tq = gauge_multiplier(potential, grid, h=1.0, q=q)
     u_minus_q = translate_samples(u, q)          # u(x + q)
     beta0 = make_cutoff((0.0, 0.0), grid).beta

@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -60,6 +62,34 @@ def test_parse_config_validates_fields():
         parse_config({"solve": {"tol": 1e-12}})
     with pytest.raises(ConfigError, match="lemmas.h_list"):
         parse_config({"lemmas": {"h_list": []}})
+
+
+# config texts whose values are not numbers where numbers are due; 1e400
+# parses to inf
+NON_NUMBERS = ['{"solve": {"k": null}}', '{"compare": {"sigma": null}}',
+               '{"potential": {"params": [null]}}', '{"sweep": {"max_level": 1e400}}']
+
+
+@pytest.mark.parametrize("text", NON_NUMBERS)
+def test_parse_config_rejects_non_numbers(text):
+    with pytest.raises(ConfigError, match="must be a number"):
+        parse_config(json.loads(text))
+
+
+@pytest.mark.parametrize("text", NON_NUMBERS + [None])
+def test_cli_bad_config_exits_1_without_traceback(tmp_path, text):
+    path = tmp_path / "cfg.json"
+    if text is not None:     # None: the config file does not exist
+        path.write_text(text)
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + "/src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-m", "landaulab.cli", "bounds", "--config",
+                          str(path), "--out", str(tmp_path / "out")],
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: ")
 
 
 def test_cli_empty_h_list_exits_1(tmp_path, capsys):

@@ -108,3 +108,23 @@ def _overlap_sup_factors_full_grid(grid, margin=2.0):
 def test_overlap_sup_factors_window_is_exact(extent, n):
     g = Grid(extent_L=extent, n_per_side=n)
     assert overlap_sup_factors(g) == _overlap_sup_factors_full_grid(g)
+
+
+def test_beta_tilde_evaluated_on_first_access(model):
+    g = Grid(extent_L=6.0, n_per_side=41)
+    grid_calls = []
+
+    def profile(r):
+        if np.ndim(r) == 2:
+            grid_calls.append(r.copy())
+        return bump_profile(r)
+
+    cut = make_cutoff((1.0, -0.5), g, profile=profile)
+    assert len(grid_calls) == 1
+    ref = make_cutoff((1.0, -0.5), g)
+    assert np.array_equal(cut.beta.values, ref.beta.values)
+    bt = cut.beta_tilde
+    assert len(grid_calls) == 2
+    assert np.array_equal(grid_calls[1], grid_calls[0] / 2.0)
+    assert np.array_equal(bt.values, ref.beta_tilde.values)
+    assert cut.beta_tilde is bt and len(grid_calls) == 2

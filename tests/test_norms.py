@@ -9,7 +9,10 @@ import pytest
 from landaulab import (EigenCluster, Grid, GridFunction, extremal_l6,
                        extremal_linf, ladder_level_clusters, norm_triple,
                        null_state, orthonormal_level_basis)
-from landaulab.norms import NormError, l6_objective_and_gradient
+from landaulab.norms import (SUPPORT_CUT, AscentResult, NormError,
+                             _basis_matrix, l6_log_hessian,
+                             l6_objective_and_gradient, l6_support,
+                             tangent_hessian_max)
 
 
 def _cluster_from_basis(basis, grid, lam=0.0):
@@ -151,6 +154,152 @@ def test_extremal_l6_converges_on_trig_level(trig01):
     assert J == pytest.approx(res.ratio, rel=1e-14)
     tangent = grad - np.real(np.vdot(res.coeffs, grad)) * res.coeffs
     assert np.linalg.norm(tangent) <= 1e-6
+
+
+@pytest.fixture(scope="module")
+def trig_level1(trig01):
+    g = Grid(extent_L=6.5, n_per_side=65)
+    clusters, _ = ladder_level_clusters(trig01, g, 1, m_count=4)
+    return clusters[1]
+
+
+def _uncut_reference_ascent(cluster, restarts, seed, tol=1e-8, max_iter=500):
+    """The ascent on every node: the same starts, BFGS settings and
+    tie-break as extremal_l6, with the objective on the full basis matrix."""
+    from scipy.optimize import minimize
+
+    V = _basis_matrix(cluster)
+    w = cluster.basis[0].grid.weight
+    k = V.shape[0]
+
+    def f_and_grad(x):
+        c = x[:k] + 1j * x[k:]
+        J, G = l6_objective_and_gradient(c, V, w)
+        return (-np.log(J) + 0.5 * np.log(x @ x),
+                -np.concatenate([G.real, G.imag]) / J + x / (x @ x))
+
+    starts = [np.eye(k, dtype=complex)[j] for j in range(k)]
+    for r in range(restarts):
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
+        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        starts.append(c / np.linalg.norm(c))
+    best = None
+    for c in starts:
+        res = minimize(f_and_grad, np.concatenate([c.real, c.imag]), jac=True,
+                       method="BFGS", options={"gtol": tol, "maxiter": max_iter})
+        c = res.x[:k] + 1j * res.x[k:]
+        c /= np.linalg.norm(c)
+        cur = (l6_objective_and_gradient(c, V, w)[0], bool(res.success))
+        if best is None or cur[0] > best[0] + 1e-15:
+            best = cur
+    return best
+
+
+def test_cut_ascent_matches_uncut_reference(trig_level1):
+    res = extremal_l6(trig_level1, restarts=4, seed=0)
+    ratio, converged = _uncut_reference_ascent(trig_level1, restarts=4, seed=0)
+    assert res.converged and converged
+    assert res.ratio == pytest.approx(ratio, rel=1e-12)
+    assert 0 < res.nodes_kept < trig_level1.basis[0].grid.size
+
+
+def test_l6_support_drops_only_nodes_below_the_cut(trig_level1):
+    V = _basis_matrix(trig_level1)
+    w = trig_level1.basis[0].grid.weight
+    keep, bound = l6_support(V, w)
+    K = np.sum(np.abs(V) ** 2, axis=0)
+    assert np.all(keep[K > SUPPORT_CUT * K.max()])
+    assert not np.any(keep[K <= SUPPORT_CUT * K.max()])
+    assert 0.0 < bound == pytest.approx(w * np.sum(K[~keep] ** 3), rel=1e-14)
+    assert bound <= 1e-40
+    assert extremal_l6(trig_level1, restarts=1, seed=0).cut_bound == bound
+
+
+def test_cut_objective_within_reported_bound(trig_level1, rng):
+    V = _basis_matrix(trig_level1)
+    w = trig_level1.basis[0].grid.weight
+    keep, bound = l6_support(V, w)
+    k = V.shape[0]
+    for _ in range(20):
+        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        c /= np.linalg.norm(c)
+        J_full, _ = l6_objective_and_gradient(c, V, w)
+        J_kept, _ = l6_objective_and_gradient(c, V[:, keep], w)
+        dropped = w * np.sum(np.abs(c @ V[:, ~keep]) ** 6)
+        assert dropped <= bound
+        # J^6 = kept + dropped sums; dropped is far below the rounding of J
+        assert abs(J_full ** 6 - J_kept ** 6) <= bound + 1e-14 * J_full ** 6
+
+
+def test_ratio_is_evaluated_on_every_node(trig_level1, monkeypatch):
+    # a coarse cut that visibly changes J: the reported ratio still is J on
+    # all nodes at the winning coefficients
+    from landaulab import norms
+    monkeypatch.setattr(norms, "SUPPORT_CUT", 0.3)
+    res = extremal_l6(trig_level1, restarts=2, seed=0)
+    V = _basis_matrix(trig_level1)
+    w = trig_level1.basis[0].grid.weight
+    keep, bound = l6_support(V, w)
+    assert res.nodes_kept == keep.sum() and res.cut_bound == bound > 1e-3
+    assert res.ratio == l6_objective_and_gradient(res.coeffs, V, w)[0]
+    assert l6_objective_and_gradient(res.coeffs, V[:, keep], w)[0] < res.ratio
+
+
+def test_l6_log_hessian_matches_finite_differences(rng):
+    g = Grid(extent_L=6.0, n_per_side=65)
+    basis, _ = orthonormal_level_basis(1, 3, g)
+    V = np.stack(basis)
+    w = g.weight
+    k = V.shape[0]
+
+    def grad_log_J(x):
+        J, G = l6_objective_and_gradient(x[:k] + 1j * x[k:], V, w)
+        return np.concatenate([G.real, G.imag]) / J
+
+    step = 1e-5
+    for _ in range(5):
+        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        c /= np.linalg.norm(c)
+        x = np.concatenate([c.real, c.imag])
+        hess = l6_log_hessian(c, V, w)
+        # log J(tc) = log t + log J(c): the radial derivative is 1
+        assert x @ grad_log_J(x) == pytest.approx(1.0, abs=1e-12)
+        assert np.array_equal(hess, hess.T)
+        fd = np.stack([(grad_log_J(x + step * e) - grad_log_J(x - step * e)) / (2 * step)
+                       for e in np.eye(2 * k)], axis=1)
+        assert np.max(np.abs(fd - hess)) <= 1e-6 * np.max(np.abs(hess))
+
+
+def test_tangent_hessian_certifies_the_ascent_maximum(trig_level1, rng):
+    res = extremal_l6(trig_level1, restarts=4, seed=0)
+    # clearly below 0, not round-off: the flat phase direction is excluded
+    assert res.hessian_max is not None and res.hessian_max < -1e-3
+    V = _basis_matrix(trig_level1)
+    w = trig_level1.basis[0].grid.weight
+    keep, _ = l6_support(V, w)
+    assert res.hessian_max == tangent_hessian_max(res.coeffs, V[:, keep], w)
+    c = res.coeffs
+    ix = np.concatenate([-c.imag, c.real])
+    assert abs(ix @ l6_log_hessian(c, V, w) @ ix - 1.0) <= 1e-10
+    # the phase direction is flat: the curve c e^{it} keeps J
+    for t in (1e-3, 0.7):
+        assert l6_objective_and_gradient(res.coeffs * np.exp(1j * t), V, w)[0] == \
+            pytest.approx(res.ratio, rel=1e-13)
+    # a second-order step along any tangent direction off c, ic lowers J
+    k = V.shape[0]
+    for _ in range(10):
+        d = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        d -= np.vdot(res.coeffs, d) * res.coeffs
+        d /= np.linalg.norm(d)
+        c = res.coeffs + 1e-3 * d
+        assert l6_objective_and_gradient(c / np.linalg.norm(c), V, w)[0] < res.ratio
+
+
+def test_tangent_hessian_undefined_on_one_dimensional_space(grid_medium):
+    u = null_state(0, grid_medium).values
+    c = _cluster_from_basis([u.values], grid_medium)
+    res = extremal_l6(c, restarts=1, seed=0)
+    assert isinstance(res, AscentResult) and res.hessian_max is None
 
 
 def test_import_does_not_load_scipy_optimize():

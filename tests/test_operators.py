@@ -115,6 +115,39 @@ def test_build_operator_does_not_assemble(label, model, monkeypatch):
     assert len(built) == 2
 
 
+@pytest.mark.parametrize("labels", [("A", "B", "H", "D", "D_star"),
+                                    ("A_tilde_q", "B_tilde_q", "P_tilde_q")])
+def test_shared_factors_match_own_factors(labels, trig01, rng, monkeypatch):
+    built = []
+    factor = operators._factor
+    monkeypatch.setattr(operators, "_factor",
+                        lambda *a, **k: built.append(1) or factor(*a, **k))
+    g = Grid(extent_L=5.0, n_per_side=33)
+    u = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
+    first = _build(labels[0], trig01, g)
+    first.apply_array(u)
+    outs = {label: build_operator(label, trig01, g, factors=first.factors,
+                                  **_kwargs(label)).apply_array(u)
+            for label in labels[1:]}
+    assert len(built) == 2
+    for label, out in outs.items():
+        assert np.array_equal(out, _build(label, trig01, g).apply_array(u))
+
+
+def test_shared_factors_reject_other_inputs(model, trig01):
+    g = Grid(extent_L=5.0, n_per_side=33)
+    f = build_operator("H", model, g).factors
+    for label, potential, grid, kwargs in (
+            ("A", trig01, g, {}), ("H", model, Grid(extent_L=5.0, n_per_side=35), {}),
+            ("H", model, g, {"averaged_coefficients": False}),
+            ("P", model, g, {"h": 0.5}), ("P_tilde_q", model, g, _kwargs("P_tilde_q"))):
+        with pytest.raises(OperatorError, match="cannot share factors"):
+            build_operator(label, potential, grid, factors=f, **kwargs)
+    P = build_operator("P", model, g, h=0.5)
+    with pytest.raises(OperatorError, match="cannot share factors"):
+        build_operator("P", model, g, h=0.25, factors=P.factors)
+
+
 def test_assembly_guard(model):
     g = Grid(extent_L=5.0, n_per_side=33)
     op = build_operator("H", model, g)

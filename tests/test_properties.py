@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from landaulab import (Grid, assemble_sparse, build_operator,
                        hermiticity_defect, make_potential)
+from landaulab.config import _SECTIONS, ConfigError, parse_config
 from landaulab.eigensolve import sublattice_blocks
 
 KINDS = ("model_quadratic", "quadratic_plus_trig", "quadratic_plus_gaussian_bump")
@@ -39,3 +40,30 @@ def test_averaged_assembly_splits_over_sublattices(kind, eps, n, extent, label, 
     assert len(sublattice_blocks(mat_pw, n)) == 1
     for op in (averaged, pointwise):
         assert hermiticity_defect(op, trials=3) <= 1e-12
+
+
+JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=6) | st.sampled_from(["auto", "json", "csv", "1e400"]))
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                 max_size=2),
+    max_leaves=6)
+FIELDS = sorted((section, key) for section, keys in _SECTIONS.items() for key in keys)
+
+
+def _document(entries):
+    doc = {}
+    for (section, key), value in entries:
+        doc.setdefault(section, {})[key] = value
+    return doc
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(entries=st.lists(st.tuples(st.sampled_from(FIELDS), JSON_VALUES), max_size=4))
+def test_parse_config_raises_only_config_error(entries):
+    try:
+        cfg = parse_config(_document(entries))
+    except ConfigError:
+        return
+    assert 1 <= cfg.k <= 200 and cfg.n_per_side % 2 == 1

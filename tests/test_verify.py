@@ -199,6 +199,54 @@ def test_sweep_report_serialization(model):
     assert doc["warnings"] == []
 
 
+def test_sweep_reports_l6_certificates(trig01):
+    g = Grid(extent_L=6.5, n_per_side=97)
+    report = sweep_bounds(trig01, g, max_level=1, m_count=3, restarts=8, seed=0)
+    import json
+    rows = json.loads(report.to_json())["rows"]
+    assert len(rows) == 2
+    for row in rows:
+        assert 0.0 < row["l6_cut_bound"] <= 1e-40
+        assert 0 < row["l6_nodes_kept"] < g.size
+        assert row["l6_hessian_max"] < 0.0
+    assert report.warnings == []
+
+
+def test_sweep_warns_on_uncertified_maximum(trig01, monkeypatch):
+    from landaulab import norms, verify
+
+    def flat(c, **kw):
+        res = norms.extremal_l6(c, **kw)
+        res.hessian_max = 0.0
+        return res
+
+    monkeypatch.setattr(verify, "extremal_l6", flat)
+    g = Grid(extent_L=6.5, n_per_side=97)
+    with pytest.warns(UserWarning, match="not certified as a strict local maximum"):
+        report = sweep_bounds(trig01, g, max_level=0, m_count=3, restarts=8, seed=0)
+    assert report.rows[0].l6_hessian_max == 0.0
+    assert report.warnings[0].startswith("level 0: the L^6 ascent's tangent Hessian")
+
+
+def test_lemma_handles_share_unscaled_factors(trig01, monkeypatch):
+    from landaulab import operators, verify
+    built = []
+    factor = operators._factor
+    monkeypatch.setattr(operators, "_factor",
+                        lambda *a, **k: built.append(1) or factor(*a, **k))
+    monkeypatch.setattr(verify, "_shared_factors", None)
+    g = Grid(extent_L=6.5, n_per_side=65)
+    clusters, _ = ladder_level_clusters(trig01, g, 1, m_count=2)
+    assert len(built) == 2
+    check_energy_lemma(trig01, g, clusters[0])
+    ladder_level_clusters(trig01, g, 0, m_count=1)
+    check_gauge_lemma(trig01, g, clusters[0].basis[0], (4 * g.spacing, 0.0))
+    assert len(built) == 2
+    # another grid gets its own factors
+    ladder_level_clusters(trig01, Grid(extent_L=6.5, n_per_side=67), 0, m_count=1)
+    assert len(built) == 4
+
+
 def test_sweep_warns_on_unconverged_ascent(trig01, monkeypatch):
     from landaulab import norms, verify
     monkeypatch.setattr(verify, "extremal_l6",
