@@ -18,8 +18,7 @@ from .norms import NormTriple, extremal_l6, extremal_linf, norm_triple
 from .operators import (OperatorHandle, assemble_sparse, build_operator,
                         custom_operator, gauge_multiplier, hermiticity_defect)
 from .oracle import (LadderState, analytic_null_norm, kernel_diagonal,
-                     ladder_basis, null_state, orthonormal_level_basis,
-                     raise_state)
+                     null_state, orthonormal_level_basis)
 from .potentials import (Potential, check_derivative_bounds, make_potential)
 from .verify import (BoundReport, LemmaRow, LevelRow, check_cutoff_lemma,
                      check_energy_lemma, check_gauge_lemma,
@@ -34,9 +33,9 @@ __all__ = [
     "check_energy_lemma", "check_gauge_lemma", "cluster", "custom_operator",
     "eigenpairs_near", "extremal_l6", "extremal_linf", "from_callable",
     "gauge_multiplier", "hermiticity_defect", "inner", "kernel_diagonal",
-    "l2_norm", "ladder_basis", "ladder_level_clusters", "load_config",
+    "l2_norm", "ladder_level_clusters", "load_config",
     "load_grid_function", "lowest_eigenpairs", "make_cutoff",
     "make_potential", "norm_triple", "null_state", "orthonormal_level_basis",
-    "parse_config", "principal_angles", "raise_state", "rescale",
+    "parse_config", "principal_angles", "rescale",
     "save_grid_function", "smooth_step", "sweep_bounds",
 ]

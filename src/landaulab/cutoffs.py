@@ -2,15 +2,16 @@
 
 The radial profile is the standard exp(-1/t) glue, so beta is C^infinity,
 radially non-increasing, and 0 <= beta <= 1. The wide variant
-beta_tilde(x) = beta(x/2) equals 1 on the support of beta. Derivative sup
-norms are measured once on a fine one-dimensional reference mesh.
+beta_tilde(x) = beta(x/2) equals 1 on the support of beta. The profile's
+first two derivatives have a closed form; the derivative sup norms sample it
+on a fine one-dimensional mesh, and the summed overlap factors evaluate it on
+the grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable
 
 import numpy as np
 
@@ -36,30 +37,44 @@ def bump_profile(r):
     return smooth_step(np.asarray(r, dtype=float) - 1.0)
 
 
-def _profile_sups(profile, samples: int = 400001):
-    r = np.linspace(0.5, 2.5, samples)
-    dr = r[1] - r[0]
-    psi = profile(r)
-    dpsi = np.gradient(psi, dr)
-    d2psi = np.gradient(dpsi, dr)
-    sup_grad = float(np.abs(dpsi).max())
-    sup_lap = float(np.abs(d2psi + dpsi / r).max())
-    return sup_grad, sup_lap
+def bump_derivatives(r):
+    """(psi'(r), psi''(r)) in closed form, exactly 0 outside 1 < r < 2.
+
+    With t = r - 1, f = smooth_step(t) = 1 / (1 + e^g), g = 1/(1-t) - 1/t:
+    psi' = -f(1-f) g' and psi'' = -psi'(1-2f) g' - f(1-f) g'', where
+    g' = 1/t^2 + 1/(1-t)^2 and g'' = 2/(1-t)^3 - 2/t^3. In terms of g alone,
+    f(1-f) = e / (1+e)^2 with e = exp(-|g|) <= 1 (no overflow) and
+    1 - 2f = tanh(g/2)."""
+    t = np.asarray(r, dtype=float) - 1.0
+    d1 = np.zeros_like(t)
+    d2 = np.zeros_like(t)
+    mid = (t > 0.0) & (t < 1.0)
+    a = 1.0 / t[mid]
+    b = 1.0 / (1.0 - t[mid])
+    g = b - a
+    e = np.exp(-np.abs(g))
+    ff = e / (1.0 + e) ** 2
+    g1 = a * a + b * b
+    d1[mid] = -ff * g1
+    d2[mid] = ff * g1 * g1 * np.tanh(0.5 * g) - 2.0 * ff * (b**3 - a**3)
+    return d1, d2
 
 
 @lru_cache(maxsize=1)
-def profile_sup_norms(samples: int = 400001):
-    """(sup |psi'|, sup |Delta beta|) for the shipped bump, measured on a
-    fine 1-d mesh. |grad beta| = |psi'(r)| and Delta beta = psi'' + psi'/r;
-    both extremes live in 1 <= r <= 2."""
-    return _profile_sups(bump_profile, samples)
+def profile_sup_norms(samples: int = 20001):
+    """(sup |psi'|, sup |Delta beta|) for the bump, sampled from the closed
+    form on 1 <= r <= 2 (outside it both vanish). |grad beta| = |psi'(r)|,
+    largest (= 2) at r = 1.5, and Delta beta = psi'' + psi'/r."""
+    r = np.linspace(1.0, 2.0, samples)
+    d1, d2 = bump_derivatives(r)
+    return float(np.abs(d1).max()), float(np.abs(d2 + d1 / r).max())
 
 
-def _radial(profile, q, grid: Grid, scale: float = 1.0) -> GridFunction:
-    """profile(|x - q| / scale) on the grid's nodes."""
+def _radial(q, grid: Grid, scale: float = 1.0) -> GridFunction:
+    """bump_profile(|x - q| / scale) on the grid's nodes."""
     x = grid.axis()
     r = np.sqrt((x[:, None] - q[0]) ** 2 + (x[None, :] - q[1]) ** 2)
-    return GridFunction(profile(r / scale).astype(complex).reshape(-1), grid)
+    return GridFunction(bump_profile(r / scale).astype(complex).reshape(-1), grid)
 
 
 @dataclass
@@ -69,27 +84,20 @@ class Cutoff:
     sup_d1: float             # sup |D1 beta| = sup |d1 beta|
     sup_d2: float
     sup_lap: float            # sup |Delta beta|
-    profile: Callable = field(repr=False)   # the radial profile psi
 
     @cached_property
     def beta_tilde(self) -> GridFunction:
         """beta_tilde_q = beta((x - q)/2), evaluated on first access."""
-        return _radial(self.profile, self.center, self.beta.grid, 2.0)
+        return _radial(self.center, self.beta.grid, 2.0)
 
 
-def make_cutoff(q, grid: Grid, profile=None) -> Cutoff:
-    """Cutoff centered at q; an alternative admissible radial profile (1 on
-    r<=1, 0 on r>=2) may be supplied, e.g. bump_profile squared."""
-    if profile is None:
-        profile = bump_profile
-        sup_grad, sup_lap = profile_sup_norms()
-    else:
-        sup_grad, sup_lap = _profile_sups(profile)
+def make_cutoff(q, grid: Grid) -> Cutoff:
+    """Cutoff centered at q, built from bump_profile."""
+    sup_grad, sup_lap = profile_sup_norms()
     center = (float(q[0]), float(q[1]))
     # |d_j beta| = |psi'(r)| |x_j - q_j| / r <= |psi'(r)|, attained on the axis
-    return Cutoff(center=center, beta=_radial(profile, center, grid),
-                  sup_d1=sup_grad, sup_d2=sup_grad, sup_lap=sup_lap,
-                  profile=profile)
+    return Cutoff(center=center, beta=_radial(center, grid),
+                  sup_d1=sup_grad, sup_d2=sup_grad, sup_lap=sup_lap)
 
 
 def lattice_window(grid: Grid, margin: float = 2.0):
@@ -105,31 +113,26 @@ def lattice_window(grid: Grid, margin: float = 2.0):
 def overlap_sup_factors(grid: Grid, margin: float = 2.0):
     """Finite-overlap factors for the summed cutoff inequality:
     sup-norms of sum_q |Delta beta_q|^2 and sum_q |d_j beta_q|^2 over the
-    integer-lattice window, computed from the actual bump.
+    integer-lattice window, from the bump's closed-form derivatives.
 
-    Each center is evaluated only on the box of nodes within 2 + dr of it in
-    both coordinates: every node outside lies beyond the bump's support at
-    the difference step dr, where each term is exactly 0."""
+    Each center is evaluated only on the box of nodes within 2 of it in both
+    coordinates: every node outside lies beyond the bump's support, where
+    each term is exactly 0."""
     x = grid.axis()
     n = grid.n_per_side
     s_lap = np.zeros((n, n))
     s_d1 = np.zeros((n, n))
     s_d2 = np.zeros((n, n))
-    eps = 1e-9
-    dr = 1e-6
     for q in lattice_window(grid, margin):
         lo1, hi1, lo2, hi2 = np.searchsorted(
-            x, [q[0] - 2.0 - dr, q[0] + 2.0 + dr, q[1] - 2.0 - dr, q[1] + 2.0 + dr])
-        box = (slice(lo1, hi1 + 1), slice(lo2, hi2 + 1))
+            x, [q[0] - 2.0, q[0] + 2.0, q[1] - 2.0, q[1] + 2.0])
+        box = (slice(lo1, hi1), slice(lo2, hi2))
         x1 = x[box[0], None] - q[0]
         x2 = x[None, box[1]] - q[1]
-        rr = np.maximum(np.sqrt(x1 ** 2 + x2 ** 2), eps)
-        psi_in, psi, psi_out = (bump_profile(rr - dr), bump_profile(rr),
-                                bump_profile(rr + dr))
-        dpsi = (psi_out - psi_in) / (2 * dr)
-        d2psi = (psi_out - 2 * psi + psi_in) / dr**2
-        lap = d2psi + dpsi / rr
-        s_lap[box] += lap**2
+        # the derivatives vanish for r <= 1: clipping r there keeps 1/r finite
+        rr = np.maximum(np.sqrt(x1 ** 2 + x2 ** 2), 1.0)
+        dpsi, d2psi = bump_derivatives(rr)
+        s_lap[box] += (d2psi + dpsi / rr) ** 2
         s_d1[box] += (dpsi * x1 / rr) ** 2
         s_d2[box] += (dpsi * x2 / rr) ** 2
     return (float(np.sqrt(s_lap.max())), float(np.sqrt(s_d1.max())),

@@ -2,8 +2,10 @@
 
 The null space is spanned by conj(z)^m exp(-|z|^2) with analytic L^2 norm
 sqrt(pi m! / 2^(m+1)); higher levels follow by repeated application of the
-creation factor, which shifts the eigenvalue by exactly 2. These sampled
+creation factor D*, which shifts the eigenvalue by exactly 2. These sampled
 states are the ground truth the numerical pipeline is validated against.
+`ladder_tiers` builds the tiers conj(z)^m e^{-phi}, D* of those, ... for any
+potential; the Rayleigh-Ritz level bases of `verify` start from it too.
 """
 
 from __future__ import annotations
@@ -63,41 +65,37 @@ def null_state(m: int, grid: Grid) -> LadderState:
 _model = make_potential("model_quadratic")
 
 
-def raise_state(state: LadderState, grid: Grid) -> LadderState:
-    """Apply the creation factor; level goes up by one, eigenvalue by two.
-
-    On a unit level-n state the continuum creation factor has norm
-    sqrt(2n + 2), so the output is renormalized by that factor and stays
-    approximately unit.
-    """
-    if state.values.grid != grid:
-        raise OracleError("state grid does not match the supplied grid")
-    check_resolution(state.angular_index + state.level + 1, grid)
-    dstar = build_operator("D_star", _model, grid)
-    new_level = state.level + 1
-    factor = math.sqrt(2.0 * new_level)
-    vals = dstar.apply_array(state.values.as_2d()) / factor
-    return LadderState(level=new_level, angular_index=state.angular_index,
-                       values=GridFunction(vals.reshape(-1), grid),
-                       normalization=state.normalization * factor)
-
-
-def ladder_basis(level: int, basis_size: int, grid: Grid) -> list[LadderState]:
-    """States m = 0..basis_size-1 raised to the given level (not orthonormalized)."""
-    states = [null_state(m, grid) for m in range(basis_size)]
-    for _ in range(level):
-        states = [raise_state(s, grid) for s in states]
-    return states
+def ladder_tiers(potential, dstar, m_count: int, max_level: int):
+    """Yield the ladder tiers 0..max_level of `potential` on dstar's grid, each
+    a list of m_count (n, n) arrays: tier 0 is conj(z)^m e^{-phi}, m < m_count,
+    and each next tier is dstar applied to the last. Every vector is
+    normalized discretely. dstar is the D_star handle over potential."""
+    grid = dstar.grid
+    X1, X2 = grid.mesh()
+    zbar = X1 - 1j * X2
+    env = np.exp(-potential.value(X1, X2)).astype(complex)
+    w = grid.weight
+    tier = [zbar**m * env for m in range(m_count)]
+    for level in range(max_level + 1):
+        if level:
+            tier = [dstar.apply_array(u) for u in tier]
+        tier = [u / np.sqrt(np.vdot(u, u).real * w) for u in tier]
+        yield tier
 
 
 def orthonormal_level_basis(level: int, basis_size: int, grid: Grid,
                             max_condition: float = 1e3):
-    """Discrete-orthonormal basis for the (truncated) level eigenspace.
+    """Discrete-orthonormal basis for the (truncated) level eigenspace of the
+    model operator: the level's ladder tier of states m = 0..basis_size-1.
 
     Returns (list of flat arrays, gram condition number before MGS).
     """
-    states = ladder_basis(level, basis_size, grid)
-    raw = [s.values.values for s in states]
+    if level < 0:
+        raise OracleError(f"level must be >= 0, got {level}")
+    check_resolution(basis_size - 1 + level, grid)
+    *_, tier = ladder_tiers(_model, build_operator("D_star", _model, grid),
+                            basis_size, level)
+    raw = [u.reshape(-1) for u in tier]
     w = grid.weight
     gram = np.array([[np.vdot(a, b) * w for b in raw] for a in raw])
     cond = float(np.linalg.cond(gram))

@@ -51,19 +51,27 @@ class Potential:
         return np.broadcast_to(np.asarray(out, float), np.broadcast(x1, x2).shape).copy()
 
     def grad_sup_norm(self, radius: float, samples: int = 721) -> float:
-        """sup |grad phi| over the closed ball of given radius (sampled)."""
-        t = np.linspace(0.0, 2 * np.pi, samples)
-        r = np.linspace(0.0, radius, samples // 2)
-        R, T = np.meshgrid(r, t, indexing="ij")
-        g1, g2 = self.grad(R * np.cos(T), R * np.sin(T))
-        return float(np.sqrt(g1**2 + g2**2).max())
+        """sup |grad phi| over the closed ball of given radius, sampled by
+        `ball_sup` (a lower estimate)."""
+        return ball_sup(lambda x1, x2: np.sqrt(sum(g**2 for g in self.grad(x1, x2))),
+                        radius, samples)
 
     def laplacian_sup_norm(self, radius: float = 30.0, samples: int = 601) -> float:
-        """sup |lap phi| over a large ball; exact for the shipped kinds since
-        their Laplacians are bounded globally and attain the sup near 0."""
-        x = np.linspace(-radius, radius, samples)
-        X1, X2 = np.meshgrid(x, x, indexing="ij")
-        return float(np.abs(self.laplacian(X1, X2)).max())
+        """sup |lap phi| over a large ball, sampled by `ball_sup`: a lower
+        estimate of the global sup (trig eps = 0.1 reads 4.2 - O(1e-6)
+        against the exact 4 + 2 eps)."""
+        return ball_sup(self.laplacian, radius, samples)
+
+
+def ball_sup(fn, radius: float, samples: int) -> float:
+    """max |fn(x1, x2)| over a polar mesh of the closed ball of given radius
+    centered at 0: `samples` angles on [0, 2 pi] by samples // 2 radii on
+    [0, radius]. Like every sampled sup in the package, a lower estimate of
+    the true sup."""
+    t = np.linspace(0.0, 2 * np.pi, samples)
+    r = np.linspace(0.0, radius, samples // 2)
+    R, T = np.meshgrid(r, t, indexing="ij")
+    return float(np.abs(fn(R * np.cos(T), R * np.sin(T))).max())
 
 
 def _model():

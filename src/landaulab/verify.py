@@ -23,7 +23,8 @@ from .eigensolve import EigenCluster, gap_groups
 from .grid import Grid, GridFunction, l2_norm, mgs_orthonormalize
 from .norms import extremal_l6, extremal_linf
 from .operators import build_operator, gauge_multiplier
-from .potentials import Potential
+from .oracle import ladder_tiers
+from .potentials import Potential, _fd_partial, ball_sup
 
 SCHEMA_VERSION = 1
 
@@ -63,9 +64,6 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
     """
     if max_level < 0:
         raise VerifyError("max_level must be >= 0")
-    X1, X2 = grid.mesh()
-    zbar = X1 - 1j * X2
-    env = np.exp(-potential.value(X1, X2)).astype(complex)
     if not grid.check_envelope(potential):
         raise VerifyError(
             f"extent {grid.extent_L} too small: exp(-phi) exceeds 1e-10 on the boundary")
@@ -73,21 +71,12 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
     w = grid.weight
     dstar = _unscaled_operator("D_star", potential, grid)
     H = _unscaled_operator("H", potential, grid)
-
-    def nrm(a):
-        return np.sqrt(np.vdot(a, a).real * w)
-
-    def tiers():
-        tier = [zbar**m * env for m in range(m_count)]
-        for level in range(max_level + 1):
-            if level:
-                tier = [dstar.apply_array(u) for u in tier]
-            tier = [u / nrm(u) for u in tier]
-            yield from tier
+    tiers = ladder_tiers(potential, dstar, m_count, max_level)
 
     # the ladder tiers stream into MGS, whose output is stacked at once
     n = grid.n_per_side
-    B = np.stack(mgs_orthonormalize((u.reshape(-1) for u in tiers()), w))  # (basis size, N)
+    B = np.stack(mgs_orthonormalize((u.reshape(-1) for tier in tiers for u in tier),
+                                    w))  # (basis size, N)
     HB = np.empty_like(B)
     for b, hb in zip(B, HB):
         hb[:] = H.apply_array(b.reshape(n, n)).reshape(-1)
@@ -283,14 +272,6 @@ def sweep_bounds(potential: Potential, grid: Grid, max_level: int,
 # ---------------------------------------------------------------------------
 # Lemma checks. Every check recomputes both sides from primitives.
 
-def semiclassical_factors(potential: Potential, grid: Grid, h: float):
-    """The first-order factors of P as array-level callables, the P handle's
-    factor applies: A_h = (h/2) D1 - (h/2)(d2 phi_h)(x),
-    B_h = (h/2) D2 + (h/2)(d1 phi_h)(x)."""
-    factors = build_operator("P", potential, grid, h=h).factors
-    return factors.A, factors.B
-
-
 def check_energy_lemma(potential: Potential, grid: Grid, cluster: EigenCluster,
                        h: float | None = None, rel_tol: float = 1e-3) -> list[LemmaRow]:
     """Energy identity / energy bound for each cluster basis vector.
@@ -320,12 +301,12 @@ def check_energy_lemma(potential: Potential, grid: Grid, cluster: EigenCluster,
                                  detail={"lambda_sq": lam, "rel_err": rel}))
         return rows
 
-    Ah, Bh = semiclassical_factors(potential, grid, h)
+    factors = build_operator("P", potential, grid, h=h).factors
     lap_sup = potential.laplacian_sup_norm()
     bound_factor = float(np.sqrt(h / 4.0 * lap_sup + 1.0))
     for lam, u in zip(cluster.eigenvalues, cluster.basis):
         nu = l2_norm(u)
-        for name, op in (("A", Ah), ("B", Bh)):
+        for name, op in (("A", factors.A), ("B", factors.B)):
             lhs = l2_norm(GridFunction(op(u.as_2d()).reshape(-1), grid))
             rhs = bound_factor * nu + 1e-3
             rows.append(LemmaRow(lemma_id=f"energy_bound_{name}", lhs=lhs, rhs=rhs,
@@ -337,10 +318,9 @@ def check_energy_lemma(potential: Potential, grid: Grid, cluster: EigenCluster,
 def check_cutoff_lemma(potential: Potential, grid: Grid, u: GridFunction,
                        h: float, centers, margin: float = 2.0,
                        p_residual_guard: float = 0.05,
-                       slack: float = 1.05, profile=None) -> list[LemmaRow]:
+                       slack: float = 1.05) -> list[LemmaRow]:
     """||P beta_q u||_2 against the explicit product-rule constant, per center,
-    plus the summed (little-l2 over the lattice window) variant. An alternative
-    admissible bump profile is checked against its own sup norms. Each row's
+    plus the summed (little-l2 over the lattice window) variant. Each row's
     detail records `input_guard_ok`: whether the input's ||Pu||/||u|| is
     within `p_residual_guard`, above which the check may be polluted."""
     P = build_operator("P", potential, grid, h=h)
@@ -356,7 +336,7 @@ def check_cutoff_lemma(potential: Potential, grid: Grid, u: GridFunction,
     for q in centers:
         if max(abs(q[0]), abs(q[1])) > grid.extent_L - margin:
             raise VerifyError(f"center {q} violates the interior margin {margin}")
-        cut = make_cutoff(q, grid, profile=profile)
+        cut = make_cutoff(q, grid)
         lhs = l2_norm(P.apply(GridFunction(cut.beta.values * u.values, grid)))
         rhs = h * (h / 4.0 * cut.sup_lap
                    + energy_factor * (cut.sup_d1 + cut.sup_d2)) * nu
@@ -404,24 +384,18 @@ def translate_samples(u: GridFunction, q) -> GridFunction:
     return GridFunction(out.reshape(-1), u.grid)
 
 
-def _second_deriv_sup(potential: Potential, component: int, radius=30.0,
-                      samples=401, step=1e-4) -> float:
-    """sup over a large box of |grad(d_component phi)| via differences of grad."""
-    x = np.linspace(-radius, radius, samples)
-    X1, X2 = np.meshgrid(x, x, indexing="ij")
-    pick = lambda g: g[component]
-    d11 = (pick(potential.grad(X1 + step, X2)) - pick(potential.grad(X1 - step, X2))) / (2 * step)
-    d12 = (pick(potential.grad(X1, X2 + step)) - pick(potential.grad(X1, X2 - step))) / (2 * step)
-    return float(np.sqrt(d11**2 + d12**2).max())
+def _gauge_sups(potential: Potential, comp: int):
+    """The gauge chain's constants for d_comp phi: the sampled sups of
+    |grad d_comp phi| over B(0, 30) (central differences of grad, step 1e-4)
+    and of |d_comp phi| over B(0, 2)."""
+    def d_comp(x1, x2):
+        return potential.grad(x1, x2)[comp]
 
+    def hessian_row(x1, x2):
+        return np.sqrt(_fd_partial(d_comp, x1, x2, 1, 0, 1e-4) ** 2
+                       + _fd_partial(d_comp, x1, x2, 0, 1, 1e-4) ** 2)
 
-def _grad_component_sup_ball(potential: Potential, component: int,
-                             radius: float = 2.0, samples: int = 401) -> float:
-    t = np.linspace(0, 2 * np.pi, samples)
-    r = np.linspace(0, radius, samples // 2)
-    R, T = np.meshgrid(r, t, indexing="ij")
-    g = potential.grad(R * np.cos(T), R * np.sin(T))[component]
-    return float(np.abs(g).max())
+    return ball_sup(hessian_row, 30.0, 401), ball_sup(d_comp, 2.0, 401)
 
 
 def check_gauge_lemma(potential: Potential, grid: Grid, u: GridFunction, q,
@@ -453,9 +427,8 @@ def check_gauge_lemma(potential: Potential, grid: Grid, u: GridFunction, q,
     rows = []
     for name, op, comp in (("A", A, 1), ("B", B, 0)):
         lhs = l2_norm(op.apply(twisted))
-        chain = (l2_norm(op.apply(local))
-                 + _second_deriv_sup(potential, comp) * nu
-                 + _grad_component_sup_ball(potential, comp) * nu)
+        hess_sup, grad_sup = _gauge_sups(potential, comp)
+        chain = l2_norm(op.apply(local)) + (hess_sup + grad_sup) * nu
         rows.append(LemmaRow(lemma_id=f"gauge_translate_{name}", lhs=lhs,
                              rhs=chain, passed=bool(lhs <= slack * chain),
                              detail={"q": [float(q[0]), float(q[1])],

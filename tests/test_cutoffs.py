@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from landaulab import Grid, bump_profile, make_cutoff, smooth_step
-from landaulab.cutoffs import lattice_window, overlap_sup_factors, profile_sup_norms
+import landaulab.cutoffs as cutoffs
+from landaulab.cutoffs import (bump_derivatives, lattice_window,
+                               overlap_sup_factors, profile_sup_norms)
 
 
 def test_smooth_step_endpoints():
@@ -54,12 +56,40 @@ def test_profile_sup_norms_sane():
     assert 5.0 < sup_lap < 20.0
 
 
-def test_squared_profile_sups_differ():
-    from landaulab.cutoffs import _profile_sups
-    sq = lambda r: bump_profile(r) ** 2
-    g1, l1 = profile_sup_norms()
-    g2, l2 = _profile_sups(sq)
-    assert g2 != pytest.approx(g1, rel=1e-3)
+def test_bump_derivatives_match_central_differences():
+    r = np.linspace(1.02, 1.98, 481)
+    d = 1e-5
+    d1, d2 = bump_derivatives(r)
+    fd1 = (bump_profile(r + d) - bump_profile(r - d)) / (2 * d)
+    fd2 = (bump_profile(r + d) - 2 * bump_profile(r) + bump_profile(r - d)) / d**2
+    np.testing.assert_allclose(d1, fd1, rtol=0, atol=1e-8)
+    np.testing.assert_allclose(d2, fd2, rtol=0, atol=2e-5)
+
+
+def test_bump_gradient_peak_is_two_at_midpoint():
+    # t = 1/2: f = 1/2, g' = 8, so psi' = -f(1-f)g' = -2 exactly
+    assert bump_derivatives(1.5)[0] == -2.0
+    r = np.linspace(1.0, 2.0, 100001)
+    d1 = np.abs(bump_derivatives(r)[0])
+    assert d1.max() == 2.0 and r[d1.argmax()] == 1.5
+
+
+def test_profile_sup_norms_closed_form():
+    sup_grad, sup_lap = profile_sup_norms()
+    assert sup_grad == 2.0
+    # the numeric-gradient estimate this replaced read these values
+    assert sup_grad == pytest.approx(1.99999999988, rel=1e-6)
+    assert sup_lap == pytest.approx(10.4968964, rel=1e-6)
+
+
+def test_bump_derivatives_vanish_off_the_transition():
+    r = np.array([0.0, 0.5, 1.0, 2.0, 2.5, 10.0])
+    d1, d2 = bump_derivatives(r)
+    assert np.all(d1 == 0.0) and np.all(d2 == 0.0)
+    ends = np.array([np.nextafter(1.0, 2.0), np.nextafter(2.0, 1.0)])
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        d1, d2 = bump_derivatives(ends)
+    assert np.all(np.isfinite(d1)) and np.all(np.isfinite(d2))
 
 
 def test_lattice_window(model):
@@ -86,15 +116,29 @@ def _overlap_sup_factors_full_grid(grid, margin=2.0):
     s_lap = np.zeros_like(X1)
     s_d1 = np.zeros_like(X1)
     s_d2 = np.zeros_like(X1)
-    eps = 1e-9
     for q in lattice_window(grid, margin):
-        r = np.sqrt((X1 - q[0]) ** 2 + (X2 - q[1]) ** 2)
-        rr = np.maximum(r, eps)
-        dr = 1e-6
+        rr = np.maximum(np.sqrt((X1 - q[0]) ** 2 + (X2 - q[1]) ** 2), 1.0)
+        dpsi, d2psi = bump_derivatives(rr)
+        s_lap += (d2psi + dpsi / rr) ** 2
+        s_d1 += (dpsi * (X1 - q[0]) / rr) ** 2
+        s_d2 += (dpsi * (X2 - q[1]) / rr) ** 2
+    return (float(np.sqrt(s_lap.max())), float(np.sqrt(s_d1.max())),
+            float(np.sqrt(s_d2.max())))
+
+
+def _overlap_sup_factors_by_differences(grid, margin=2.0):
+    """Independent reference: derivatives of bump_profile by central
+    differences of step 1e-6 on the whole grid."""
+    X1, X2 = grid.mesh()
+    s_lap = np.zeros_like(X1)
+    s_d1 = np.zeros_like(X1)
+    s_d2 = np.zeros_like(X1)
+    dr = 1e-6
+    for q in lattice_window(grid, margin):
+        rr = np.maximum(np.sqrt((X1 - q[0]) ** 2 + (X2 - q[1]) ** 2), 1e-9)
         dpsi = (bump_profile(rr + dr) - bump_profile(rr - dr)) / (2 * dr)
         d2psi = (bump_profile(rr + dr) - 2 * bump_profile(rr) + bump_profile(rr - dr)) / dr**2
-        lap = d2psi + dpsi / rr
-        s_lap += lap**2
+        s_lap += (d2psi + dpsi / rr) ** 2
         s_d1 += (dpsi * (X1 - q[0]) / rr) ** 2
         s_d2 += (dpsi * (X2 - q[1]) / rr) ** 2
     return (float(np.sqrt(s_lap.max())), float(np.sqrt(s_d1.max())),
@@ -110,21 +154,30 @@ def test_overlap_sup_factors_window_is_exact(extent, n):
     assert overlap_sup_factors(g) == _overlap_sup_factors_full_grid(g)
 
 
-def test_beta_tilde_evaluated_on_first_access(model):
+@pytest.mark.parametrize("extent, n", [(10.0, 257), (5.0, 41)])
+def test_overlap_sup_factors_match_differences(extent, n):
+    g = Grid(extent_L=extent, n_per_side=n)
+    np.testing.assert_allclose(overlap_sup_factors(g),
+                               _overlap_sup_factors_by_differences(g), rtol=1e-5)
+
+
+def test_beta_tilde_evaluated_on_first_access(model, monkeypatch):
     g = Grid(extent_L=6.0, n_per_side=41)
+    ref = make_cutoff((1.0, -0.5), g)
+    ref_tilde = ref.beta_tilde
     grid_calls = []
 
-    def profile(r):
+    def spy(r):
         if np.ndim(r) == 2:
             grid_calls.append(r.copy())
         return bump_profile(r)
 
-    cut = make_cutoff((1.0, -0.5), g, profile=profile)
+    monkeypatch.setattr(cutoffs, "bump_profile", spy)
+    cut = make_cutoff((1.0, -0.5), g)
     assert len(grid_calls) == 1
-    ref = make_cutoff((1.0, -0.5), g)
     assert np.array_equal(cut.beta.values, ref.beta.values)
     bt = cut.beta_tilde
     assert len(grid_calls) == 2
     assert np.array_equal(grid_calls[1], grid_calls[0] / 2.0)
-    assert np.array_equal(bt.values, ref.beta_tilde.values)
+    assert np.array_equal(bt.values, ref_tilde.values)
     assert cut.beta_tilde is bt and len(grid_calls) == 2

@@ -7,7 +7,6 @@ from landaulab import (Grid, GridFunction, assemble_sparse, build_operator,
                        hermiticity_defect, inner, l2_norm)
 import landaulab.operators as operators
 from landaulab.operators import OperatorError
-from landaulab.verify import semiclassical_factors
 from stencils import coeff_mul, d1_stencil, reference_apply
 
 HERMITIAN_LABELS = ["A", "B", "H", "P", "A_tilde_q", "B_tilde_q", "P_tilde_q"]
@@ -285,6 +284,6 @@ def test_tilde_equals_plain_for_quadratic_potential(model, rng):
     g = Grid(extent_L=3.0, n_per_side=33)
     h = 0.5
     At = build_operator("A_tilde_q", model, g, h=h, q=(1.0, 0.5))
-    Ah, _ = semiclassical_factors(model, g, h)
+    Ah = build_operator("P", model, g, h=h).factors.A
     u = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
     np.testing.assert_allclose(At.apply_array(u), Ah(u), atol=1e-12)

@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from landaulab import (Grid, analytic_null_norm, build_operator, inner,
-                       kernel_diagonal, l2_norm, null_state,
-                       orthonormal_level_basis, raise_state)
-from landaulab.oracle import OracleError
+from landaulab import (Grid, GridFunction, analytic_null_norm, build_operator,
+                       inner, kernel_diagonal, l2_norm, null_state,
+                       orthonormal_level_basis)
+from landaulab.oracle import OracleError, ladder_tiers
 
 
 def test_analytic_norms():
@@ -48,29 +48,57 @@ def test_null_state_H_residual_rate(model):
     assert 3.6 <= res[257] / res[513] <= 4.4
 
 
-def test_raise_rayleigh_shift(model):
+def _ladder(model, grid, m_count, max_level):
+    """The ladder tiers as lists of GridFunctions."""
+    dstar = build_operator("D_star", model, grid)
+    return [[GridFunction(u.reshape(-1), grid) for u in tier]
+            for tier in ladder_tiers(model, dstar, m_count, max_level)]
+
+
+def test_ladder_rayleigh_shift(model):
     g = Grid(extent_L=6.0, n_per_side=257)
     H = build_operator("H", model, g)
-    s0 = null_state(0, g)
-    s1 = raise_state(s0, g)
-    s2 = raise_state(s1, g)
-    for s, target in ((s1, 2.0), (s2, 4.0)):
-        u = s.values
+    tiers = _ladder(model, g, 1, 2)
+    assert len(tiers) == 3 and all(len(t) == 1 for t in tiers)
+    for (u,), target in ((tiers[1], 2.0), (tiers[2], 4.0)):
         ray = inner(u, H.apply(u)).real / l2_norm(u) ** 2
         assert ray == pytest.approx(target, rel=0.02)
-    assert s1.level == 1 and s2.level == 2
 
 
-def test_raise_orthogonal_to_base(grid_medium):
-    s0 = null_state(0, grid_medium)
-    s1 = raise_state(s0, grid_medium)
+def test_ladder_level1_orthogonal_to_level0(model, grid_medium):
+    (u0,), (u1,) = _ladder(model, grid_medium, 1, 1)
     # <D* u, u> = <u, D u> with D u = 0 for null states
-    assert abs(inner(s1.values, s0.values)) < 1e-6
+    assert abs(inner(u1, u0)) < 1e-6
+
+
+def test_ladder_tiers_discretely_unit(model, grid_medium):
+    for tier in _ladder(model, grid_medium, 3, 2):
+        for u in tier:
+            assert l2_norm(u) == pytest.approx(1.0, abs=1e-14)
+
+
+def test_ladder_tier0_is_the_null_state(model, grid_medium):
+    (tier0,) = _ladder(model, grid_medium, 4, 0)
+    for m, u in enumerate(tier0):
+        ref = null_state(m, grid_medium).values.values
+        np.testing.assert_allclose(u.values, ref, atol=1e-12)
 
 
 def test_level_basis_gram_condition(grid_medium):
     _, cond = orthonormal_level_basis(0, 8, grid_medium)
     assert cond < 1e3
+    with pytest.raises(OracleError):
+        orthonormal_level_basis(-1, 8, grid_medium)
+
+
+def test_level_basis_sits_on_its_level(model, grid_medium):
+    H = build_operator("H", model, grid_medium)
+    for level in (0, 1, 2):
+        basis, _ = orthonormal_level_basis(level, 4, grid_medium)
+        for v in basis:
+            u = GridFunction(v, grid_medium)
+            # the discrete levels dip below 2 * level by O(spacing^2 level^2)
+            assert inner(u, H.apply(u)).real == pytest.approx(2.0 * level, abs=0.2)
 
 
 def test_kernel_diagonal_single_state(grid_medium):

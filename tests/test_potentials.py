@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from landaulab import Grid, check_derivative_bounds, make_potential
-from landaulab.potentials import PotentialError
+from landaulab.potentials import PotentialError, ball_sup
 
 
 def test_model_values(model):
@@ -113,3 +113,19 @@ def test_derivative_bounds_grid_guard(model):
     grid = Grid(extent_L=1.0, n_per_side=9)
     with pytest.raises(PotentialError):
         check_derivative_bounds(model, grid, max_order=5)
+
+
+def test_ball_sup_includes_the_boundary():
+    # the polar mesh holds the angle 0 at the full radius
+    assert ball_sup(lambda x1, x2: x1, 2.5, 101) == 2.5
+
+
+def test_sampled_sups_model(model):
+    assert model.laplacian_sup_norm() == 4.0
+    assert model.grad_sup_norm(3.0) == pytest.approx(6.0, rel=1e-15)
+
+
+def test_sampled_laplacian_sup_trig(trig01):
+    # 4 - 2 eps sin(x1) cos(x2): sup 4 + 2 eps, read from below by sampling
+    lap = trig01.laplacian_sup_norm()
+    assert lap <= 4.2 and lap == pytest.approx(4.2, abs=1e-5)

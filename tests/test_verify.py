@@ -6,8 +6,7 @@ import pytest
 from landaulab import (Grid, GridFunction, check_cutoff_lemma,
                        check_energy_lemma, check_gauge_lemma,
                        ladder_level_clusters, rescale, sweep_bounds)
-from landaulab.cutoffs import bump_profile
-from landaulab.verify import VerifyError, translate_samples
+from landaulab.verify import VerifyError, _gauge_sups, translate_samples
 
 
 @pytest.fixture(scope="module")
@@ -115,16 +114,6 @@ def test_cutoff_lemma_margin_guard(model):
     L = uh.grid.extent_L
     with pytest.raises(VerifyError):
         check_cutoff_lemma(model, uh.grid, uh, h, centers=[(L - 1.0, 0.0)])
-
-
-def test_cutoff_lemma_alternative_bump(model):
-    # beta^2 is still an admissible bump; the inequality holds against its
-    # own sup norms
-    h = 0.5
-    uh = _cutoff_state(model, h)
-    rows = check_cutoff_lemma(model, uh.grid, uh, h, centers=[(1.5, 0.0)],
-                              profile=lambda r: bump_profile(r) ** 2)
-    assert rows[0].passed
 
 
 def test_translate_samples(model):
@@ -264,3 +253,18 @@ def test_sweep_envelope_guard(model):
     g = Grid(extent_L=4.0, n_per_side=65)
     with pytest.raises(VerifyError):
         sweep_bounds(model, g, max_level=1, m_count=2)
+
+
+def test_gauge_sups_model(model):
+    # grad d_c phi = 2 e_c, and |d_c phi| = 2|x_c| peaks at 4 on B(0, 2)
+    for comp in (0, 1):
+        hess_sup, grad_sup = _gauge_sups(model, comp)
+        assert hess_sup == pytest.approx(2.0, abs=1e-9)
+        assert grad_sup == 4.0
+
+
+def test_gauge_sups_trig(trig01):
+    # |grad d_c phi| peaks at 2 + eps where sin(x1) cos(x2) = -1
+    for comp in (0, 1):
+        hess_sup, _ = _gauge_sups(trig01, comp)
+        assert hess_sup == pytest.approx(2.1, abs=1e-5)
