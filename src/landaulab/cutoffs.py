@@ -110,10 +110,10 @@ def lattice_window(grid: Grid, margin: float = 2.0):
     return pts
 
 
-def overlap_sup_factors(grid: Grid, margin: float = 2.0):
-    """Finite-overlap factors for the summed cutoff inequality:
-    sup-norms of sum_q |Delta beta_q|^2 and sum_q |d_j beta_q|^2 over the
-    integer-lattice window, from the bump's closed-form derivatives.
+def overlap_square_sums(grid: Grid, margin: float = 2.0):
+    """The (n, n) fields sum_q |Delta beta_q|^2, sum_q |d_1 beta_q|^2 and
+    sum_q |d_2 beta_q|^2 over the integer-lattice window, from the bump's
+    closed-form derivatives.
 
     Each center is evaluated only on the box of nodes within 2 of it in both
     coordinates: every node outside lies beyond the bump's support, where
@@ -135,5 +135,10 @@ def overlap_sup_factors(grid: Grid, margin: float = 2.0):
         s_lap[box] += (d2psi + dpsi / rr) ** 2
         s_d1[box] += (dpsi * x1 / rr) ** 2
         s_d2[box] += (dpsi * x2 / rr) ** 2
-    return (float(np.sqrt(s_lap.max())), float(np.sqrt(s_d1.max())),
-            float(np.sqrt(s_d2.max())))
+    return s_lap, s_d1, s_d2
+
+
+def overlap_sup_factors(grid: Grid, margin: float = 2.0):
+    """Finite-overlap factors for the summed cutoff inequality: the sup
+    norms of the square roots of the `overlap_square_sums` fields."""
+    return tuple(float(np.sqrt(s.max())) for s in overlap_square_sums(grid, margin))

@@ -27,6 +27,12 @@ supported on one sublattice. `lowest_eigenpairs` keeps one block: at sigma
 spends thousands of solves on pairs deep inside the band; skipping such a
 block needs an eigenvalue count (an inertia certificate) first.
 
+Memory: once the solver facts are read, the LUs and the assembled matrix are
+freed before any full-grid eigenvector is built, and each block's Arnoldi
+output goes as soon as that block's vectors are embedded. `principal_angles`
+reads the larger basis one parity class at a time instead of stacking it on
+the full grid.
+
 Caution for coarse grids: when the largest coefficient momentum |grad phi|/2
 on the box approaches the grid's resolvable band (|grad phi| * spacing / 2 of
 order one), the lowest discrete eigenvalues belong to under-resolved states
@@ -186,6 +192,16 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
     dist = np.abs(np.concatenate([v for v, _ in found]) - sigma)
     kept = np.zeros(len(dist), dtype=bool)
     kept[np.argsort(dist, kind="stable")[:k]] = True
+    if info is not None:
+        for f, solver in zip(facts, solvers):
+            f.update(ncv=arnoldi_ncv(f["k"], f["size"]), op_solves=solver.solves,
+                     lu_fill_nnz=int(solver.lu.nnz))
+        info.update(ncv=max(f["ncv"] for f in facts),
+                    op_solves=sum(f["op_solves"] for f in facts),
+                    lu_fill_nnz=sum(f["lu_fill_nnz"] for f in facts), blocks=facts)
+    # the factors and the assembled matrix are no longer needed: free them
+    # before the full-grid eigenvectors are built
+    del solvers, mat, sub
 
     # ARPACK leaves the vectors of a (near-)multiple eigenvalue unit but not
     # mutually orthogonal: orthonormalize them within each block (vectors of
@@ -193,7 +209,9 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
     w = op.grid.weight
     pairs = []
     start = 0
-    for idx, (vals, vecs) in zip(blocks, found):
+    for b, idx in enumerate(blocks):
+        vals, vecs = found[b]
+        found[b] = None   # so this block's Arnoldi output goes with `vecs`
         mine = np.flatnonzero(kept[start:start + len(vals)])
         start += len(vals)
         order = mine[np.argsort(vals[mine])]
@@ -202,18 +220,10 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         for g in gap_groups(vals, tol * np.maximum(1.0, np.abs(vals))):
             if len(g) > 1:
                 vecs[:, g] = np.stack(mgs_orthonormalize(vecs[:, g].T, w), axis=1)
-        for lam, vec in zip(vals, vecs.T):
-            gf = GridFunction(np.zeros(n, dtype=complex), op.grid)
-            gf.values[idx] = vec
-            pairs.append((lam, gf))
-    if info is not None:
-        for f, solver in zip(facts, solvers):
-            f.update(ncv=arnoldi_ncv(f["k"], f["size"]), op_solves=solver.solves,
-                     lu_fill_nnz=int(solver.lu.nnz))
-        info.update(ncv=max(f["ncv"] for f in facts),
-                    op_solves=sum(f["op_solves"] for f in facts),
-                    lu_fill_nnz=sum(f["lu_fill_nnz"] for f in facts), blocks=facts)
-    del solvers, found   # the factors and Arnoldi outputs are no longer needed
+        full = np.zeros((len(vals), n), dtype=complex)
+        full[:, idx] = vecs.T
+        del vecs
+        pairs += zip(vals, [GridFunction(v, op.grid) for v in full])
 
     out = []
     for i in np.argsort([lam for lam, _ in pairs], kind="stable"):
@@ -305,20 +315,54 @@ def principal_angles(basis_a, basis_b) -> np.ndarray:
     Only the smaller basis is orthonormalized (QR); the larger one enters
     through the Cholesky factor R of its Gram matrix, so no SVD of a tall
     matrix is taken. Angles up to pi/4 come from sines, the rest from cosines,
-    each the accurate form in its range.
+    each the accurate form in its range. A larger basis whose Gram matrix is
+    not numerically positive definite fails the Cholesky factorization and
+    raises `SolverError`.
+
+    The larger basis is never stacked on the full grid. It is read one node
+    parity class (i mod 2, j mod 2) at a time, each panel holding that
+    class's rows of only the vectors that are nonzero there, and A^H A,
+    A^H Qb and the residual Qb - A S are summed or stacked over the four
+    panels. A vector that is zero on a class contributes exactly zero there,
+    so this is exact for any basis. For the sublattice-supported eigenvectors
+    of `eigenpairs_near` each panel holds about a quarter of the vectors on a
+    quarter of the rows.
     """
-    A = np.stack([b.values for b in basis_a])
-    B = np.stack([b.values for b in basis_b])
-    if len(A) < len(B):
-        A, B = B, A
-    # column bases as Fortran-ordered views, so BLAS reads them in place
-    A, B = A.T, B.T
-    Qb = np.linalg.qr(B)[0]
-    # upper triangle of A^H A, with no conjugated copy of A
-    R = sla.cholesky(sla.blas.zherk(1.0, A, trans=2))
+    if len(basis_a) < len(basis_b):
+        basis_a, basis_b = basis_b, basis_a
+    n = basis_a[0].grid.n_per_side
+    Qb = np.linalg.qr(np.stack([b.values for b in basis_b], axis=1))[0].reshape(n, n, -1)
+
+    def panels():
+        """(indices of the vectors nonzero on the class, their rows of the
+        class as Fortran-ordered columns, the class rows of Qb)."""
+        for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            Qc = Qb[p::2, q::2].reshape(-1, Qb.shape[2])
+            rows = [a.as_2d()[p::2, q::2] for a in basis_a]
+            on = [i for i, r in enumerate(rows) if r.any()]
+            panel = (np.stack([rows[i] for i in on]).reshape(len(on), -1) if on
+                     else np.zeros((0, len(Qc)), dtype=complex))
+            yield on, panel.T, Qc
+
+    dim = len(basis_a)
+    gram = np.zeros((dim, dim), dtype=complex)
+    aq = np.zeros((dim, Qb.shape[2]), dtype=complex)
+    for on, A, Qc in panels():
+        if on:
+            # upper triangle of A^H A, with no conjugated copy of A
+            gram[np.ix_(on, on)] += sla.blas.zherk(1.0, A, trans=2)
+            aq[on] += (Qc.conj().T @ A).conj().T
+    try:
+        R = sla.cholesky(gram)
+    except np.linalg.LinAlgError as exc:
+        raise SolverError(f"Cholesky factorization of the {dim} x {dim} Gram matrix "
+                          f"failed: the basis is rank-deficient ({exc})") from exc
     # Qa = A R^{-1} is orthonormal; C = Qa^H Qb is dim_a x dim_b
-    C = sla.solve_triangular(R, (Qb.conj().T @ A).conj().T, trans="C")
+    C = sla.solve_triangular(R, aq, trans="C")
+    S = sla.solve_triangular(R, C)
     cos = sla.svdvals(C)[::-1]
-    sin = sla.svdvals(Qb - A @ sla.solve_triangular(R, C))
+    # the residual's rows in class order: a row permutation keeps its
+    # singular values
+    sin = sla.svdvals(np.concatenate([Qc - A @ S[on] for on, A, Qc in panels()]))
     return np.where(cos ** 2 >= 0.5, np.arcsin(np.clip(sin, -1.0, 1.0)),
                     np.arccos(np.clip(cos, -1.0, 1.0)))

@@ -3,11 +3,14 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
+import landaulab.cli as cli
 from landaulab.cli import main
 from landaulab.config import ConfigError, parse_config
 from landaulab.eigensolve import arnoldi_ncv
+from landaulab.grid import GridFunction
 
 
 def _write_config(tmp_path, doc, name="cfg.json"):
@@ -279,3 +282,24 @@ def test_cli_oracle_compare_reproducible(tmp_path):
     assert codes[0] == codes[1]
     a, b = (open(os.path.join(out, "oracle_compare.json"), "rb").read() for out in outs)
     assert a == b
+
+
+def test_cli_oracle_compare_rank_deficient_span_exits_2(tmp_path, monkeypatch, capsys):
+    # a dependent eigenvector span fails the Cholesky factorization of its
+    # Gram matrix: a solver failure (exit 2), not a config error
+    def dependent_pairs(H, k, sigma, tol, seed, info):
+        e = np.eye(H.grid.size, 3, dtype=complex)
+        vecs = [e[:, 0], e[:, 1], e[:, 2], e[:, 0] + e[:, 1]]
+        return [(0.0, GridFunction(v, H.grid), 0.0) for v in vecs]
+
+    monkeypatch.setattr(cli, "eigenpairs_near", dependent_pairs)
+    doc = {
+        "grid": {"extent_L": 5.2, "n_per_side": 65},
+        "solve": {"k": 4, "tol": 1e-6, "seed": 0},
+        "compare": {"sigma": "auto", "m_max": 2},
+    }
+    cfg = _write_config(tmp_path, doc)
+    assert main(["oracle-compare", "--config", cfg, "--out", str(tmp_path / "oc")]) == 2
+    err = capsys.readouterr().err
+    assert "solver failure" in err and "Cholesky" in err
+    assert "Traceback" not in err

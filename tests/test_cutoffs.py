@@ -4,7 +4,8 @@ import pytest
 from landaulab import Grid, bump_profile, make_cutoff, smooth_step
 import landaulab.cutoffs as cutoffs
 from landaulab.cutoffs import (bump_derivatives, lattice_window,
-                               overlap_sup_factors, profile_sup_norms)
+                               overlap_square_sums, overlap_sup_factors,
+                               profile_sup_norms)
 
 
 def test_smooth_step_endpoints():
@@ -110,8 +111,9 @@ def test_overlap_sup_factors_finite(model):
     assert abs(s_d1 - s_d2) < 1e-6
 
 
-def _overlap_sup_factors_full_grid(grid, margin=2.0):
-    """Reference: every lattice center evaluated on the whole grid."""
+def _overlap_square_sums_full_grid(grid, margin=2.0):
+    """Reference: the three summed fields, every lattice center evaluated
+    on the whole grid."""
     X1, X2 = grid.mesh()
     s_lap = np.zeros_like(X1)
     s_d1 = np.zeros_like(X1)
@@ -122,8 +124,7 @@ def _overlap_sup_factors_full_grid(grid, margin=2.0):
         s_lap += (d2psi + dpsi / rr) ** 2
         s_d1 += (dpsi * (X1 - q[0]) / rr) ** 2
         s_d2 += (dpsi * (X2 - q[1]) / rr) ** 2
-    return (float(np.sqrt(s_lap.max())), float(np.sqrt(s_d1.max())),
-            float(np.sqrt(s_d2.max())))
+    return s_lap, s_d1, s_d2
 
 
 def _overlap_sup_factors_by_differences(grid, margin=2.0):
@@ -150,8 +151,13 @@ def _overlap_sup_factors_by_differences(grid, margin=2.0):
                                        (10.0 * np.sqrt(0.125), 257),
                                        (5.0, 41)])   # nodes exactly at radius 2
 def test_overlap_sup_factors_window_is_exact(extent, n):
+    # the fields themselves, not only their maxima: a box that drops nodes
+    # where the sums are nonzero but not maximal changes a field entry
     g = Grid(extent_L=extent, n_per_side=n)
-    assert overlap_sup_factors(g) == _overlap_sup_factors_full_grid(g)
+    ref = _overlap_square_sums_full_grid(g)
+    for field, full in zip(overlap_square_sums(g), ref):
+        assert np.array_equal(field, full)
+    assert overlap_sup_factors(g) == tuple(float(np.sqrt(f.max())) for f in ref)
 
 
 @pytest.mark.parametrize("extent, n", [(10.0, 257), (5.0, 41)])

@@ -1,9 +1,13 @@
+import tracemalloc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from landaulab import eigensolve
 from landaulab import (Grid, assemble_sparse, build_operator, cluster,
                        custom_operator, eigenpairs_near, lowest_eigenpairs,
                        principal_angles)
@@ -289,3 +293,109 @@ def test_principal_angles_match_scipy():
         np.testing.assert_allclose(principal_angles(a, b), ref, rtol=0, atol=1e-10)
     tiny = principal_angles(inside, large)
     assert np.all((tiny > 1e-8) & (tiny < 1e-5))
+
+
+def _on_classes(rng, g, classes):
+    """A random complex vector supported on the given parity classes."""
+    v = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
+    v[~np.isin(_sublattice(g), classes)] = 0.0
+    return GridFunction(v, g)
+
+
+def _assert_angles_match_scipy(a, b):
+    for x, y in ((a, b), (b, a)):
+        ref = sla.subspace_angles(np.stack([v.values for v in x], axis=1),
+                                  np.stack([v.values for v in y], axis=1))
+        np.testing.assert_allclose(principal_angles(x, y), ref, rtol=0, atol=1e-10)
+
+
+def test_principal_angles_class_panels_match_scipy():
+    # the larger basis is read one parity class at a time
+    g = Grid(extent_L=1.0, n_per_side=17)
+    rng = np.random.default_rng(5)
+    spread = _random_basis(rng, g, 3)
+    # each vector on one class, as `eigenpairs_near` returns them
+    one_class = [_on_classes(rng, g, [c % 4]) for c in range(9)]
+    _assert_angles_match_scipy(one_class, spread)
+    # one vector spread over several classes
+    _assert_angles_match_scipy(one_class + [_on_classes(rng, g, [1, 2, 3])], spread)
+    # class 2 holds no vector of the larger basis (but rows of the smaller)
+    gap = [_on_classes(rng, g, [c]) for c in (0, 1, 3, 0, 1, 3, 0)]
+    _assert_angles_match_scipy(gap, spread)
+    _assert_angles_match_scipy(gap, [_on_classes(rng, g, [0, 3]) for _ in range(2)])
+    # small angles (taken from sines) that only the rows of class 2 carry
+    G = np.stack([b.values for b in gap], axis=1)
+    leak = G @ rng.standard_normal((7, 2)) + 1e-3 * np.stack(
+        [_on_classes(rng, g, [2]).values for _ in range(2)], axis=1)
+    leaky = [GridFunction(leak[:, j], g) for j in range(2)]
+    _assert_angles_match_scipy(gap, leaky)
+    assert np.all(principal_angles(gap, leaky) > 1e-5)
+    # a space inside span(one_class) up to a 1e-6 perturbation
+    L = np.stack([b.values for b in one_class], axis=1)
+    near = L @ (rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4)))
+    near += 1e-6 * rng.standard_normal(near.shape)
+    inside = [GridFunction(near[:, j], g) for j in range(4)]
+    _assert_angles_match_scipy(inside, one_class)
+    tiny = principal_angles(inside, one_class)
+    assert np.all((tiny > 1e-8) & (tiny < 1e-5))
+
+
+def test_principal_angles_peak_memory():
+    # 40 vectors, ten on each class: the full-grid stack of them alone
+    # would take 40 N complex entries
+    g = Grid(extent_L=1.0, n_per_side=65)
+    rng = np.random.default_rng(6)
+    large = [_on_classes(rng, g, [c % 4]) for c in range(40)]
+    small = _random_basis(rng, g, 4)
+    tracemalloc.start()
+    try:
+        principal_angles(large, small)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.6 * 40 * g.size * 16
+
+
+def _dependent_basis(g):
+    """e_a, e_b, e_c and e_a + e_b: the Gram matrix is integral, so its last
+    Cholesky pivot is exactly 0."""
+    e = np.eye(g.size, 4, dtype=complex)
+    return [GridFunction(e[:, j], g) for j in range(3)] + [
+        GridFunction(e[:, 0] + e[:, 1], g)]
+
+
+def test_principal_angles_rank_deficient_raises_solver_error():
+    g = Grid(extent_L=1.0, n_per_side=9)
+    small = _random_basis(np.random.default_rng(7), g, 2)
+    for a, b in ((_dependent_basis(g), small), (small, _dependent_basis(g))):
+        with pytest.raises(SolverError, match="Cholesky"):
+            principal_angles(a, b)
+
+
+@pytest.mark.parametrize("split", [True, False])
+def test_no_factor_alive_when_vectors_are_built(model, monkeypatch, split):
+    alive = weakref.WeakSet()
+    made = []
+
+    class Tracked(eigensolve._ShiftInvert):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            alive.add(self)
+            made.append(None)
+
+    seen = []
+
+    def grid_function(*args, **kwargs):
+        seen.append(len(alive))
+        return GridFunction(*args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "_ShiftInvert", Tracked)
+    monkeypatch.setattr(eigensolve, "GridFunction", grid_function)
+    H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
+    if split:
+        pairs = eigenpairs_near(H, k=8, sigma=0.02, seed=0)
+    else:
+        pairs = lowest_eigenpairs(H, k=8, seed=0)
+    assert len(made) == (4 if split else 1)
+    assert len(pairs) == 8 and len(seen) >= 8
+    assert seen == [0] * len(seen)
