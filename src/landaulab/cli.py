@@ -12,23 +12,23 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config
+from .cutoffs import SUPPORT_RADIUS
 from .eigensolve import (SolverError, cluster, eigenpairs_near,
                          lowest_eigenpairs, principal_angles,
                          resolution_warning)
 from .grid import (Grid, GridFunction, atomic_write_text, l2_norm, rescale,
                    save_grid_function)
-from .oracle import OracleError, null_state
+from .oracle import null_state
 from .operators import build_operator
-from .potentials import PotentialError, make_potential
-from .verify import (VerifyError, check_cutoff_lemma, check_energy_lemma,
+from .potentials import make_potential
+from .verify import (SCHEMA_VERSION, check_cutoff_lemma, check_energy_lemma,
                      check_gauge_lemma, ladder_level_clusters, sweep_bounds)
-
-SCHEMA_VERSION = 1
 
 
 def _dump_json(doc, path):
@@ -66,7 +66,7 @@ def run_spectrum(cfg: RunConfig) -> int:
     _dump_json(manifest, os.path.join(cfg.out_dir, "spectrum.json"))
     if "csv" in cfg.formats:
         for i, (_, gf, _) in enumerate(pairs):
-            save_grid_function(gf, os.path.join(cfg.out_dir, f"eig_{i:03d}.csv"), fmt="csv")
+            save_grid_function(gf, os.path.join(cfg.out_dir, f"eig_{i:03d}.csv"))
     print(f"spectrum: {cfg.k} eigenpairs in {len(clusters)} cluster(s); "
           f"eigenvalue range [{pairs[0][0]:.6g}, {pairs[-1][0]:.6g}]")
     return 0
@@ -106,8 +106,9 @@ def run_lemmas(cfg: RunConfig) -> int:
         d = g.spacing
         if on_node and not all(abs(c / d - round(c / d)) < 1e-9 for c in q):
             reason = f"center not on a grid node (spacing {d:g})"
-        elif max(abs(q[0]), abs(q[1])) > g.extent_L - 2.0:
-            reason = f"center outside the interior margin 2 of the box of extent {g.extent_L:g}"
+        elif max(abs(q[0]), abs(q[1])) > g.extent_L - SUPPORT_RADIUS:
+            reason = (f"center outside the interior margin {SUPPORT_RADIUS:g} "
+                      f"of the box of extent {g.extent_L:g}")
         else:
             return True
         skipped.append({**entry, "q": list(q), "reason": reason})
@@ -138,8 +139,7 @@ def run_lemmas(cfg: RunConfig) -> int:
                        if r.detail.get("input_guard_ok") is False})
     doc = {
         "schema_version": SCHEMA_VERSION,
-        "rows": [{"lemma_id": r.lemma_id, "lhs": r.lhs, "rhs": r.rhs,
-                  "passed": r.passed, "detail": r.detail} for r in rows],
+        "rows": [asdict(r) for r in rows],
         "skipped": skipped,
         "warnings": [f"cutoff rows at h={h:g} rest on an input state above the "
                      "||Pu||/||u|| guard (input_guard_ok false)" for h in polluted],
@@ -226,7 +226,7 @@ def main(argv=None) -> int:
         if args.seed is not None:
             cfg.seed = args.seed
         return COMMANDS[args.command](cfg)
-    except (ConfigError, PotentialError, OracleError, VerifyError, ValueError) as exc:
+    except ValueError as exc:   # the error class of every module but eigensolve
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except SolverError as exc:

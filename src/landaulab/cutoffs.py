@@ -17,6 +17,11 @@ import numpy as np
 
 from .grid import Grid, GridFunction
 
+# beta_q vanishes outside the disk of this radius around q, so it is also
+# the margin a center keeps from the box boundary
+SUPPORT_RADIUS = 2.0
+PROFILE_SAMPLES = 20001     # mesh of profile_sup_norms on 1 <= r <= 2
+
 
 def smooth_step(t):
     """1 for t <= 0, 0 for t >= 1, exp(-1/t)-glued in between."""
@@ -61,11 +66,11 @@ def bump_derivatives(r):
 
 
 @lru_cache(maxsize=1)
-def profile_sup_norms(samples: int = 20001):
+def profile_sup_norms():
     """(sup |psi'|, sup |Delta beta|) for the bump, sampled from the closed
     form on 1 <= r <= 2 (outside it both vanish). |grad beta| = |psi'(r)|,
     largest (= 2) at r = 1.5, and Delta beta = psi'' + psi'/r."""
-    r = np.linspace(1.0, 2.0, samples)
+    r = np.linspace(1.0, 2.0, PROFILE_SAMPLES)
     d1, d2 = bump_derivatives(r)
     return float(np.abs(d1).max()), float(np.abs(d2 + d1 / r).max())
 
@@ -100,7 +105,7 @@ def make_cutoff(q, grid: Grid) -> Cutoff:
                   sup_d1=sup_grad, sup_d2=sup_grad, sup_lap=sup_lap)
 
 
-def lattice_window(grid: Grid, margin: float = 2.0):
+def lattice_window(grid: Grid, margin: float = SUPPORT_RADIUS):
     """Integer lattice points q with dist(q, boundary) >= margin."""
     reach = int(np.floor(grid.extent_L - margin))
     pts = []
@@ -110,14 +115,14 @@ def lattice_window(grid: Grid, margin: float = 2.0):
     return pts
 
 
-def overlap_square_sums(grid: Grid, margin: float = 2.0):
+def overlap_square_sums(grid: Grid, margin: float = SUPPORT_RADIUS):
     """The (n, n) fields sum_q |Delta beta_q|^2, sum_q |d_1 beta_q|^2 and
     sum_q |d_2 beta_q|^2 over the integer-lattice window, from the bump's
     closed-form derivatives.
 
-    Each center is evaluated only on the box of nodes within 2 of it in both
-    coordinates: every node outside lies beyond the bump's support, where
-    each term is exactly 0."""
+    Each center is evaluated only on the box of nodes within SUPPORT_RADIUS
+    of it in both coordinates: every node outside lies beyond the bump's
+    support, where each term is exactly 0."""
     x = grid.axis()
     n = grid.n_per_side
     s_lap = np.zeros((n, n))
@@ -125,7 +130,8 @@ def overlap_square_sums(grid: Grid, margin: float = 2.0):
     s_d2 = np.zeros((n, n))
     for q in lattice_window(grid, margin):
         lo1, hi1, lo2, hi2 = np.searchsorted(
-            x, [q[0] - 2.0, q[0] + 2.0, q[1] - 2.0, q[1] + 2.0])
+            x, [q[0] - SUPPORT_RADIUS, q[0] + SUPPORT_RADIUS,
+                q[1] - SUPPORT_RADIUS, q[1] + SUPPORT_RADIUS])
         box = (slice(lo1, hi1), slice(lo2, hi2))
         x1 = x[box[0], None] - q[0]
         x2 = x[None, box[1]] - q[1]
@@ -138,7 +144,7 @@ def overlap_square_sums(grid: Grid, margin: float = 2.0):
     return s_lap, s_d1, s_d2
 
 
-def overlap_sup_factors(grid: Grid, margin: float = 2.0):
+def overlap_sup_factors(grid: Grid, margin: float = SUPPORT_RADIUS):
     """Finite-overlap factors for the summed cutoff inequality: the sup
     norms of the square roots of the `overlap_square_sums` fields."""
     return tuple(float(np.sqrt(s.max())) for s in overlap_square_sums(grid, margin))

@@ -312,7 +312,9 @@ def principal_angles(basis_a, basis_b) -> np.ndarray:
     Returns min(dim_a, dim_b) angles in nonincreasing order, as
     `scipy.linalg.subspace_angles` does; small angles mean the smaller space
     is contained in the larger one. Both lists must be linearly independent.
-    Only the smaller basis is orthonormalized (QR); the larger one enters
+    Only the smaller basis is orthonormalized (QR), and it raises
+    `SolverError` when a diagonal entry of R is at most 1e-10 of the largest
+    (the rank threshold of `mgs_orthonormalize`); the larger one enters
     through the Cholesky factor R of its Gram matrix, so no SVD of a tall
     matrix is taken. Angles up to pi/4 come from sines, the rest from cosines,
     each the accurate form in its range. A larger basis whose Gram matrix is
@@ -331,7 +333,12 @@ def principal_angles(basis_a, basis_b) -> np.ndarray:
     if len(basis_a) < len(basis_b):
         basis_a, basis_b = basis_b, basis_a
     n = basis_a[0].grid.n_per_side
-    Qb = np.linalg.qr(np.stack([b.values for b in basis_b], axis=1))[0].reshape(n, n, -1)
+    Qb, Rb = np.linalg.qr(np.stack([b.values for b in basis_b], axis=1))
+    d = np.abs(np.diag(Rb))
+    if d.min() <= 1e-10 * d.max():
+        raise SolverError(f"QR of the {len(d)}-vector basis has |R_ii| down to {d.min():.1e} "
+                          f"of the largest {d.max():.1e}: the basis is rank-deficient")
+    Qb = Qb.reshape(n, n, -1)
 
     def panels():
         """(indices of the vectors nonzero on the class, their rows of the

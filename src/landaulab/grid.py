@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+ENVELOPE_THRESHOLD = 1e-10   # Grid.check_envelope's bound on boundary exp(-phi)
+
 
 class GridError(ValueError):
     pass
@@ -54,14 +56,14 @@ class Grid:
         x = self.axis()
         return np.meshgrid(x, x, indexing="ij")
 
-    def check_envelope(self, potential, threshold: float = 1e-10) -> bool:
-        """True when exp(-phi) < threshold on the whole boundary."""
+    def check_envelope(self, potential) -> bool:
+        """True when exp(-phi) < ENVELOPE_THRESHOLD on the whole boundary."""
         x = self.axis()
         L = np.full_like(x, self.extent_L)
         vals = []
         for bx1, bx2 in ((L, x), (-L, x), (x, L), (x, -L)):
             vals.append(np.exp(-potential.value(bx1, bx2)))
-        return bool(np.max(vals) < threshold)
+        return bool(np.max(vals) < ENVELOPE_THRESHOLD)
 
 
 @dataclass
@@ -82,11 +84,6 @@ class GridFunction:
 
     def copy(self) -> "GridFunction":
         return GridFunction(self.values.copy(), self.grid)
-
-
-def from_callable(fn, grid: Grid) -> GridFunction:
-    X1, X2 = grid.mesh()
-    return GridFunction(np.asarray(fn(X1, X2), dtype=complex).reshape(-1), grid)
 
 
 def inner(f: GridFunction, g: GridFunction) -> complex:
@@ -143,32 +140,22 @@ def rescale(u: GridFunction, h: float, direction: str = "to_semiclassical") -> G
 
 
 # ---------------------------------------------------------------------------
-# serialization: CSV / flat binary of (x1, x2, Re u, Im u) + JSON sidecar
+# serialization: CSV of (x1, x2, Re u, Im u) + JSON sidecar
 
 def _sidecar_path(path: str) -> str:
     return path + ".meta.json"
 
-def _rows(u: GridFunction) -> np.ndarray:
+
+def save_grid_function(u: GridFunction, path: str) -> None:
     X1, X2 = u.grid.mesh()
-    v = u.as_2d()
-    return np.column_stack([X1.ravel(), X2.ravel(), v.real.ravel(), v.imag.ravel()])
-
-
-def save_grid_function(u: GridFunction, path: str, fmt: str = "csv") -> None:
-    rows = _rows(u)
-    if fmt == "csv":
-        # the bytes np.savetxt writes (header, then "%.18e" rows), from one
-        # format over all rows instead of its per-row loop
-        line = ",".join(["%.18e"] * rows.shape[1]) + "\n"
-        atomic_write_text(path, "x1,x2,re_u,im_u\n"
-                          + (line * len(rows)) % tuple(rows.ravel().tolist()))
-    elif fmt == "binary":
-        tmp = path + ".tmp"
-        rows.astype(np.float64).tofile(tmp)
-        os.replace(tmp, path)
-    else:
-        raise GridError(f"unknown format {fmt!r} (use 'csv' or 'binary')")
-    meta = {"extent_L": u.grid.extent_L, "n_per_side": u.grid.n_per_side, "format": fmt}
+    v = u.values
+    rows = np.column_stack([X1.ravel(), X2.ravel(), v.real, v.imag])
+    # the bytes np.savetxt writes (header, then "%.18e" rows), from one
+    # format over all rows instead of its per-row loop
+    line = ",".join(["%.18e"] * rows.shape[1]) + "\n"
+    atomic_write_text(path, "x1,x2,re_u,im_u\n"
+                      + (line * len(rows)) % tuple(rows.ravel().tolist()))
+    meta = {"extent_L": u.grid.extent_L, "n_per_side": u.grid.n_per_side, "format": "csv"}
     atomic_write_text(_sidecar_path(path), json.dumps(meta, sort_keys=True) + "\n")
 
 
@@ -176,10 +163,7 @@ def load_grid_function(path: str) -> GridFunction:
     with open(_sidecar_path(path)) as fh:
         meta = json.load(fh)
     grid = Grid(extent_L=float(meta["extent_L"]), n_per_side=int(meta["n_per_side"]))
-    if meta.get("format", "csv") == "csv":
-        rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    else:
-        rows = np.fromfile(path, dtype=np.float64).reshape(-1, 4)
+    rows = np.loadtxt(path, delimiter=",", skiprows=1)
     if rows.shape[0] != grid.size:
         raise GridError(f"file row count {rows.shape[0]} does not match sidecar grid")
     return GridFunction(rows[:, 2] + 1j * rows[:, 3], grid)

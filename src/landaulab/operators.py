@@ -39,7 +39,7 @@ from .grid import Grid, GridFunction
 from .potentials import Potential
 
 LABELS = ("A", "B", "H", "P", "A_tilde_q", "B_tilde_q", "P_tilde_q",
-          "D", "D_star", "T_q", "custom")
+          "D", "D_star", "T_q")
 
 SEMICLASSICAL_LABELS = ("P", "A_tilde_q", "B_tilde_q", "P_tilde_q")
 TILDE_LABELS = ("A_tilde_q", "B_tilde_q", "P_tilde_q")
@@ -55,8 +55,6 @@ class OperatorHandle:
     grid: Grid
     apply_array: Callable  # (n, n) complex array -> (n, n) complex array
     is_hermitian: bool
-    h: Optional[float] = None
-    q: Optional[tuple] = None
     sparse_builder: Optional[Callable] = None
     meta: dict = field(default_factory=dict)
     factors: Optional["Factors"] = None
@@ -175,7 +173,7 @@ def build_operator(label: str, potential: Potential, grid: Grid,
     `factors`, the `factors` of another handle over the same inputs, shares
     them instead: A, B, H, D and D_star over (potential, grid) have the same
     factors, and so have A~_q, B~_q and P~_q over (potential, grid, h, q)."""
-    if label not in LABELS or label in ("T_q", "custom"):
+    if label not in LABELS or label == "T_q":
         raise OperatorError(f"unknown or non-constructible label {label!r}")
     if label in SEMICLASSICAL_LABELS:
         if h is None:
@@ -227,16 +225,8 @@ def build_operator(label: str, potential: Potential, grid: Grid,
     else:
         apply, sparse = f.square, f.square_matrix
     return OperatorHandle(label=label, grid=grid, apply_array=apply,
-                          is_hermitian=label not in ("D", "D_star"), h=h, q=q,
-                          sparse_builder=sparse, factors=f,
-                          meta={"averaged_coefficients": avg,
-                                "potential_kind": potential.kind})
-
-
-def custom_operator(grid: Grid, apply_array, is_hermitian: bool,
-                    sparse_builder=None) -> OperatorHandle:
-    return OperatorHandle(label="custom", grid=grid, apply_array=apply_array,
-                          is_hermitian=is_hermitian, sparse_builder=sparse_builder)
+                          is_hermitian=label not in ("D", "D_star"),
+                          sparse_builder=sparse, factors=f)
 
 
 # ---------------------------------------------------------------------------
@@ -267,27 +257,8 @@ def gauge_multiplier(potential: Potential, grid: Grid, h: float, q: tuple) -> Op
     xi = (float(g1q) / s, float(g2q) / s)
     X1, X2 = grid.mesh()
     phase = np.exp(1j * (X2 * xi[0] - X1 * xi[1]))
-    hdl = OperatorHandle(label="T_q", grid=grid,
-                         apply_array=lambda u: phase * u,
-                         is_hermitian=False, h=h, q=tuple(q),
-                         sparse_builder=lambda: sp.diags(phase.ravel()).tocsr(),
-                         meta={"xi": xi})
-    hdl.meta["inverse"] = lambda u: np.conj(phase) * u
-    hdl.meta["phase"] = phase
-    return hdl
+    return OperatorHandle(label="T_q", grid=grid, apply_array=lambda u: phase * u,
+                          is_hermitian=False,
+                          sparse_builder=lambda: sp.diags(phase.ravel()).tocsr(),
+                          meta={"inverse": lambda u: np.conj(phase) * u, "phase": phase})
 
-
-def hermiticity_defect(op: OperatorHandle, trials: int = 50, seed: int = 0) -> float:
-    """max over random pairs of |<f, Op g> - <Op f, g>| / (|f| |g|)."""
-    rng = np.random.default_rng(seed)
-    n = op.grid.n_per_side
-    w = op.grid.weight
-    worst = 0.0
-    for _ in range(trials):
-        f = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        g = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        lhs = np.vdot(f, op.apply_array(g)) * w
-        rhs = np.vdot(op.apply_array(f), g) * w
-        scale = np.sqrt(np.vdot(f, f).real * np.vdot(g, g).real) * w
-        worst = max(worst, abs(lhs - rhs) / scale)
-    return worst

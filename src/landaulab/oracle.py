@@ -16,10 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid import Grid, GridFunction, mgs_orthonormalize
+from .norms import _kernel_diagonal
 from .operators import build_operator
 from .potentials import make_potential
 
 RESOLUTION_GUARD = 1e-8
+MAX_CONDITION = 1e3     # largest Gram condition orthonormal_level_basis accepts
 
 
 class OracleError(ValueError):
@@ -83,8 +85,7 @@ def ladder_tiers(potential, dstar, m_count: int, max_level: int):
         yield tier
 
 
-def orthonormal_level_basis(level: int, basis_size: int, grid: Grid,
-                            max_condition: float = 1e3):
+def orthonormal_level_basis(level: int, basis_size: int, grid: Grid):
     """Discrete-orthonormal basis for the (truncated) level eigenspace of the
     model operator: the level's ladder tier of states m = 0..basis_size-1.
 
@@ -99,9 +100,9 @@ def orthonormal_level_basis(level: int, basis_size: int, grid: Grid,
     w = grid.weight
     gram = np.array([[np.vdot(a, b) * w for b in raw] for a in raw])
     cond = float(np.linalg.cond(gram))
-    if cond > max_condition:
+    if cond > MAX_CONDITION:
         raise OracleError(
-            f"ladder basis ill-conditioned (cond {cond:.1e} > {max_condition:.0e}); "
+            f"ladder basis ill-conditioned (cond {cond:.1e} > {MAX_CONDITION:.0e}); "
             "lower basis_size or refine the grid")
     return mgs_orthonormalize(raw, w), cond
 
@@ -114,7 +115,4 @@ def kernel_diagonal(level: int, basis_size: int, grid: Grid) -> GridFunction:
     the basis is truncated.
     """
     basis, _ = orthonormal_level_basis(level, basis_size, grid)
-    diag = np.zeros(grid.size)
-    for v in basis:
-        diag += np.abs(v) ** 2
-    return GridFunction(diag.astype(complex), grid)
+    return GridFunction(_kernel_diagonal(np.stack(basis)).astype(complex), grid)

@@ -1,8 +1,8 @@
 """Scalar potentials for the magnetic Laplacian, with analytic derivatives.
 
 Every shipped potential is smooth, grows quadratically, and has all derivatives
-of order >= 2 bounded; the bounds are stored per order and can be validated
-against finite-difference sampling on a grid. (Any growth faster than |x|^eps
+of order >= 2 bounded; the bounds are stored per order (the tests validate
+them against finite-difference sampling on a grid). (Any growth faster than |x|^eps
 already makes the operator's null space infinite-dimensional; quadratic growth
 is recorded here as a property of the shipped family, not a requirement the
 code enforces.)
@@ -18,7 +18,12 @@ from typing import Callable
 
 import numpy as np
 
-KINDS = ("model_quadratic", "quadratic_plus_trig", "quadratic_plus_gaussian_bump", "custom")
+# the kinds a config can name; "custom" also needs callables, so only
+# make_potential builds it
+KINDS = ("model_quadratic", "quadratic_plus_trig", "quadratic_plus_gaussian_bump")
+
+GRAD_SUP_SAMPLES = 721      # ball_sup mesh of Potential.grad_sup_norm
+LAP_SUP_RADIUS, LAP_SUP_SAMPLES = 30.0, 601   # ball and mesh of laplacian_sup_norm
 
 
 class PotentialError(ValueError):
@@ -50,17 +55,17 @@ class Potential:
         out = self.laplacian_fn(np.asarray(x1, float), np.asarray(x2, float))
         return np.broadcast_to(np.asarray(out, float), np.broadcast(x1, x2).shape).copy()
 
-    def grad_sup_norm(self, radius: float, samples: int = 721) -> float:
+    def grad_sup_norm(self, radius: float) -> float:
         """sup |grad phi| over the closed ball of given radius, sampled by
         `ball_sup` (a lower estimate)."""
         return ball_sup(lambda x1, x2: np.sqrt(sum(g**2 for g in self.grad(x1, x2))),
-                        radius, samples)
+                        radius, GRAD_SUP_SAMPLES)
 
-    def laplacian_sup_norm(self, radius: float = 30.0, samples: int = 601) -> float:
-        """sup |lap phi| over a large ball, sampled by `ball_sup`: a lower
-        estimate of the global sup (trig eps = 0.1 reads 4.2 - O(1e-6)
-        against the exact 4 + 2 eps)."""
-        return ball_sup(self.laplacian, radius, samples)
+    def laplacian_sup_norm(self) -> float:
+        """sup |lap phi| over the ball of radius LAP_SUP_RADIUS, sampled by
+        `ball_sup`: a lower estimate of the global sup (trig eps = 0.1 reads
+        4.2 - O(1e-6) against the exact 4 + 2 eps)."""
+        return ball_sup(self.laplacian, LAP_SUP_RADIUS, LAP_SUP_SAMPLES)
 
 
 def ball_sup(fn, radius: float, samples: int) -> float:
@@ -141,11 +146,8 @@ def make_potential(kind: str, params=(), *, value_fn=None, grad_fn=None,
         return Potential(kind="custom", value_fn=value_fn, grad_fn=grad_fn,
                          laplacian_fn=laplacian_fn,
                          deriv_bound_orders=dict(deriv_bounds or {}), params=params)
-    raise PotentialError(f"unknown potential kind {kind!r}; known: {KINDS}")
+    raise PotentialError(f"unknown potential kind {kind!r}; known: {KINDS + ('custom',)}")
 
-
-# ---------------------------------------------------------------------------
-# derivative-bound validation by centered-difference sampling
 
 def _fd_partial(f, x1, x2, i_order, j_order, step):
     """Centered finite-difference estimate of d1^i d2^j f at (x1, x2)."""
@@ -157,49 +159,3 @@ def _fd_partial(f, x1, x2, i_order, j_order, step):
                 - _fd_partial(f, x1, x2 - step, i_order, j_order - 1, step)) / (2 * step)
     return f(x1, x2)
 
-
-@dataclass
-class DerivativeBoundReport:
-    order: int
-    observed_sup: float
-    claimed_bound: float
-    passed: bool
-
-
-# absolute floor for pass checks: covers FD round-off when the true bound is 0
-FD_PASS_FLOOR = 1e-6
-
-
-def check_derivative_bounds(potential: Potential, grid, max_order: int = 4,
-                            step: float | None = None) -> list[DerivativeBoundReport]:
-    """Sample |d^alpha phi| for 2 <= |alpha| <= max_order over the grid.
-
-    The difference step defaults to the grid spacing. Passes when the observed
-    sup is <= 1.05 * C_alpha + FD_PASS_FLOOR.
-    """
-    if not 2 <= max_order <= 4:
-        raise PotentialError(f"max_order must be in [2, 4], got {max_order}")
-    if grid.n_per_side < max_order + 1:
-        raise PotentialError("grid too coarse for requested difference order")
-    if step is None:
-        step = grid.spacing
-    X1, X2 = grid.mesh()
-    # subsample interior nodes; FD stencils use analytic evaluation off-grid
-    stride = max(1, grid.n_per_side // 48)
-    X1 = X1[::stride, ::stride]
-    X2 = X2[::stride, ::stride]
-    reports = []
-    for order in range(2, max_order + 1):
-        sup = 0.0
-        for i in range(order + 1):
-            j = order - i
-            vals = _fd_partial(potential.value, X1, X2, i, j, step)
-            sup = max(sup, float(np.abs(vals).max()))
-        claimed = float(potential.deriv_bound_orders.get(order, np.inf))
-        reports.append(DerivativeBoundReport(
-            order=order,
-            observed_sup=sup,
-            claimed_bound=claimed,
-            passed=bool(sup <= 1.05 * claimed + FD_PASS_FLOOR),
-        ))
-    return reports

@@ -14,20 +14,31 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
-from .cutoffs import make_cutoff, lattice_window, overlap_sup_factors
+from .cutoffs import (SUPPORT_RADIUS, lattice_window, make_cutoff,
+                      overlap_sup_factors)
 from .eigensolve import EigenCluster, gap_groups
-from .grid import Grid, GridFunction, l2_norm, mgs_orthonormalize
+from .grid import ENVELOPE_THRESHOLD, Grid, GridFunction, l2_norm, mgs_orthonormalize
 from .norms import extremal_l6, extremal_linf
 from .operators import build_operator, gauge_multiplier
 from .oracle import ladder_tiers
 from .potentials import Potential, _fd_partial, ball_sup
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 1          # of every JSON report the package writes
 
+LEVEL_CLUSTER_TOL = 0.5     # largest eigenvalue gap inside one level's cluster
+ASCENT_TOL = 1e-8           # BFGS gradient tolerance of the sweep's L^6 ascent
+RESIDUAL_GUARD = 0.5        # worst Ritz residual above which a level is excluded
+# bounded no growth: the later levels at most TREND_SLACK times the largest
+# of the first two, and a fitted slope at most SLOPE_LIMIT
+TREND_SLACK = 1.25
+SLOPE_LIMIT = 0.01
+ENERGY_REL_TOL = 1e-3       # relative tolerance of the energy identity
+LEMMA_SLACK = 1.05          # cutoff and gauge rows pass when lhs <= slack * rhs
+H_RESIDUAL_GUARD = 0.05     # gauge input's ||Hu - lambda u||/||u|| warned above
 
 class VerifyError(ValueError):
     pass
@@ -56,7 +67,7 @@ def _unscaled_operator(label: str, potential: Potential, grid: Grid):
 # ladder + Rayleigh-Ritz level bases (any shipped potential)
 
 def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
-                          m_count: int = 9, cluster_tol: float = 0.5):
+                          m_count: int = 9):
     """Per-level eigenspace clusters from the analytic ladder subspace.
 
     Returns (clusters, ritz_residuals_by_cluster). Cluster `label` is the
@@ -66,7 +77,8 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
         raise VerifyError("max_level must be >= 0")
     if not grid.check_envelope(potential):
         raise VerifyError(
-            f"extent {grid.extent_L} too small: exp(-phi) exceeds 1e-10 on the boundary")
+            f"extent {grid.extent_L} too small: exp(-phi) exceeds "
+            f"{ENVELOPE_THRESHOLD:g} on the boundary")
 
     w = grid.weight
     dstar = _unscaled_operator("D_star", potential, grid)
@@ -91,7 +103,7 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
 
     clusters = []
     residuals = []
-    for g in gap_groups(evals, cluster_tol):
+    for g in gap_groups(evals, LEVEL_CLUSTER_TOL):
         ortho = mgs_orthonormalize([ritz_vecs[i] for i in g], w)
         mean = float(np.mean(evals[g]))
         clusters.append(EigenCluster(
@@ -161,29 +173,16 @@ class BoundReport:
 
     def to_json(self) -> str:
         def trend(t):
-            return None if t is None else {
-                "max_value": t.max_value, "bound": t.bound,
-                "slope": t.slope, "passed": t.passed}
+            return None if t is None else asdict(t)
         doc = {
             "schema_version": self.schema_version,
             "potential_kind": self.potential_kind,
             "params": list(self.params),
             "grid": {"extent_L": self.extent_L, "n_per_side": self.n_per_side},
-            "rows": [{
-                "level": r.level, "lambda_sq": r.lambda_sq,
-                "cluster_dim": r.cluster_dim, "ratio_linf": r.ratio_linf,
-                "ratio_l6": r.ratio_l6, "scaled_l6": r.scaled_l6,
-                "max_residual": r.max_residual,
-                "l6_converged": r.l6_converged, "l6_iterations": r.l6_iterations,
-                "l6_cut_bound": r.l6_cut_bound, "l6_nodes_kept": r.l6_nodes_kept,
-                "l6_hessian_max": r.l6_hessian_max,
-            } for r in self.rows],
+            "rows": [asdict(r) for r in self.rows],
             "theorem1": trend(self.theorem1),
             "theorem2": trend(self.theorem2),
-            "lemmas": [{
-                "lemma_id": r.lemma_id, "lhs": r.lhs, "rhs": r.rhs,
-                "passed": r.passed, "detail": r.detail,
-            } for r in self.lemma_rows],
+            "lemmas": [asdict(r) for r in self.lemma_rows],
             "warnings": list(self.warnings),
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -197,31 +196,27 @@ class BoundReport:
         return "\n".join(lines) + "\n"
 
 
-def _bounded_no_growth(levels, values, slack: float = 1.25,
-                       slope_limit: float = 0.01) -> TrendCheck:
+def _bounded_no_growth(levels, values) -> TrendCheck:
     """Bounded-by-the-low-levels plus no-growth-trend rule."""
     values = np.asarray(values, dtype=float)
-    bound = slack * float(values[:2].max())
+    bound = TREND_SLACK * float(values[:2].max())
     max_rest = float(values[1:].max()) if len(values) > 1 else float(values[0])
     slope = float(np.polyfit(np.asarray(levels, float), values, 1)[0]) \
         if len(values) > 1 else 0.0
     return TrendCheck(max_value=max_rest, bound=bound, slope=slope,
-                      passed=bool(max_rest <= bound and slope <= slope_limit))
+                      passed=bool(max_rest <= bound and slope <= SLOPE_LIMIT))
 
 
 def sweep_bounds(potential: Potential, grid: Grid, max_level: int,
-                 m_count: int = 9, cluster_tol: float = 0.5,
-                 restarts: int = 8, ascent_tol: float = 1e-8, seed: int = 0,
-                 residual_warn: float = 0.5) -> BoundReport:
+                 m_count: int = 9, restarts: int = 8, seed: int = 0) -> BoundReport:
     """Per-level extremal norm ratios with the Theorem-1/Theorem-2 pass rules.
 
-    Levels whose worst Ritz residual exceeds residual_warn are excluded from
+    Levels whose worst Ritz residual exceeds RESIDUAL_GUARD are excluded from
     the report with a warning (never silently); a level whose L^6 ascent did
     not converge, or whose winner's tangent Hessian is not negative definite,
     is reported with a warning.
     """
-    clusters, _ = ladder_level_clusters(potential, grid, max_level,
-                                        m_count=m_count, cluster_tol=cluster_tol)
+    clusters, _ = ladder_level_clusters(potential, grid, max_level, m_count=m_count)
     rows = []
     warns = []
 
@@ -233,12 +228,12 @@ def sweep_bounds(potential: Potential, grid: Grid, max_level: int,
         if c.label > max_level:
             continue
         worst = float(max(c.residuals))
-        if worst > residual_warn:
+        if worst > RESIDUAL_GUARD:
             warn(f"level {c.label} excluded: worst Ritz residual {worst:.3f} "
-                 f"exceeds guard {residual_warn}")
+                 f"exceeds guard {RESIDUAL_GUARD}")
             continue
         ratio_linf, _ = extremal_linf(c)
-        asc = extremal_l6(c, restarts=restarts, tol=ascent_tol, seed=seed)
+        asc = extremal_l6(c, restarts=restarts, tol=ASCENT_TOL, seed=seed)
         if not asc.converged:
             warn(f"level {c.label}: L^6 ascent stopped after {asc.iterations} "
                  "iterations without converging; ratio_l6 is a looser lower bound")
@@ -273,11 +268,11 @@ def sweep_bounds(potential: Potential, grid: Grid, max_level: int,
 # Lemma checks. Every check recomputes both sides from primitives.
 
 def check_energy_lemma(potential: Potential, grid: Grid, cluster: EigenCluster,
-                       h: float | None = None, rel_tol: float = 1e-3) -> list[LemmaRow]:
+                       h: float | None = None) -> list[LemmaRow]:
     """Energy identity / energy bound for each cluster basis vector.
 
     h absent: ||Au||^2 + ||Bu||^2 = <(lap phi / 4 + lambda^2) u, u> within
-    rel_tol (exact for true discrete eigenpairs). h given: the semiclassical
+    ENERGY_REL_TOL (exact for true discrete eigenpairs). h given: the semiclassical
     bound ||A u||, ||B u|| <= sqrt(h/4 ||lap phi||_inf + 1) ||u|| + slack.
     """
     rows = []
@@ -297,7 +292,7 @@ def check_energy_lemma(potential: Potential, grid: Grid, cluster: EigenCluster,
             rhs = float(np.vdot(u.values, (lap4 + lam) * u.values).real * w)
             rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
             rows.append(LemmaRow(lemma_id="energy_identity", lhs=lhs, rhs=rhs,
-                                 passed=bool(rel <= rel_tol),
+                                 passed=bool(rel <= ENERGY_REL_TOL),
                                  detail={"lambda_sq": lam, "rel_err": rel}))
         return rows
 
@@ -316,9 +311,8 @@ def check_energy_lemma(potential: Potential, grid: Grid, cluster: EigenCluster,
 
 
 def check_cutoff_lemma(potential: Potential, grid: Grid, u: GridFunction,
-                       h: float, centers, margin: float = 2.0,
-                       p_residual_guard: float = 0.05,
-                       slack: float = 1.05) -> list[LemmaRow]:
+                       h: float, centers,
+                       p_residual_guard: float = 0.05) -> list[LemmaRow]:
     """||P beta_q u||_2 against the explicit product-rule constant, per center,
     plus the summed (little-l2 over the lattice window) variant. Each row's
     detail records `input_guard_ok`: whether the input's ||Pu||/||u|| is
@@ -334,29 +328,29 @@ def check_cutoff_lemma(potential: Potential, grid: Grid, u: GridFunction,
     energy_factor = float(np.sqrt(h / 4.0 * lap_sup + 1.0))
     rows = []
     for q in centers:
-        if max(abs(q[0]), abs(q[1])) > grid.extent_L - margin:
-            raise VerifyError(f"center {q} violates the interior margin {margin}")
+        if max(abs(q[0]), abs(q[1])) > grid.extent_L - SUPPORT_RADIUS:
+            raise VerifyError(f"center {q} violates the interior margin {SUPPORT_RADIUS:g}")
         cut = make_cutoff(q, grid)
         lhs = l2_norm(P.apply(GridFunction(cut.beta.values * u.values, grid)))
         rhs = h * (h / 4.0 * cut.sup_lap
                    + energy_factor * (cut.sup_d1 + cut.sup_d2)) * nu
         rows.append(LemmaRow(lemma_id="cutoff_sup_q", lhs=lhs, rhs=rhs,
-                             passed=bool(lhs <= slack * rhs),
+                             passed=bool(lhs <= LEMMA_SLACK * rhs),
                              detail={"q": [float(q[0]), float(q[1])], "h": h,
                                      "p_residual": p_res,
                                      "input_guard_ok": guard_ok}))
     # summed version over the integer-lattice window
-    window = lattice_window(grid, margin)
+    window = lattice_window(grid)
     if window:
         total = 0.0
         for q in window:
             cut = make_cutoff(q, grid)
             total += l2_norm(P.apply(GridFunction(cut.beta.values * u.values, grid))) ** 2
         lhs_sum = float(np.sqrt(total))
-        s_lap, s_d1, s_d2 = overlap_sup_factors(grid, margin)
+        s_lap, s_d1, s_d2 = overlap_sup_factors(grid)
         rhs_sum = h * (h / 4.0 * s_lap + energy_factor * (s_d1 + s_d2)) * nu
         rows.append(LemmaRow(lemma_id="cutoff_l2_q", lhs=lhs_sum, rhs=rhs_sum,
-                             passed=bool(lhs_sum <= slack * rhs_sum),
+                             passed=bool(lhs_sum <= LEMMA_SLACK * rhs_sum),
                              detail={"window_size": len(window), "h": h,
                                      "input_guard_ok": guard_ok}))
     return rows
@@ -372,16 +366,13 @@ def translate_samples(u: GridFunction, q) -> GridFunction:
         if abs(s - round(s)) > 1e-9:
             raise VerifyError(f"translation {q} is not node-aligned (spacing {d})")
         shifts.append(int(round(s)))
-    arr = u.as_2d()
-    out = np.zeros_like(arr)
+    # node i of u sits at m + i of the padded array; a shift of n nodes or
+    # more reads only padding
     n = u.grid.n_per_side
-    s1, s2 = shifts
-    src1 = slice(max(0, s1), min(n, n + s1))
-    dst1 = slice(max(0, -s1), min(n, n - s1))
-    src2 = slice(max(0, s2), min(n, n + s2))
-    dst2 = slice(max(0, -s2), min(n, n - s2))
-    out[dst1, dst2] = arr[src1, src2]
-    return GridFunction(out.reshape(-1), u.grid)
+    s1, s2 = np.clip(shifts, -n, n)
+    m = max(abs(s1), abs(s2))
+    padded = np.pad(u.as_2d(), m)
+    return GridFunction(padded[m + s1:m + s1 + n, m + s2:m + s2 + n], u.grid)
 
 
 def _gauge_sups(potential: Potential, comp: int):
@@ -398,23 +389,21 @@ def _gauge_sups(potential: Potential, comp: int):
     return ball_sup(hessian_row, 30.0, 401), ball_sup(d_comp, 2.0, 401)
 
 
-def check_gauge_lemma(potential: Potential, grid: Grid, u: GridFunction, q,
-                      slack: float = 1.05,
-                      h_residual_guard: float = 0.05) -> list[LemmaRow]:
+def check_gauge_lemma(potential: Potential, grid: Grid, u: GridFunction, q) -> list[LemmaRow]:
     """Translation-gauge bound: A and B applied to the phase-twisted,
     cutoff-localized translate of u stay controlled by the proof's chain
       ||A(beta_q u)|| + ||grad d2 phi||_inf ||u|| + ||d2 phi||_{B(0,2)} ||u||
     (and symmetrically for B with d1 phi)."""
-    if max(abs(q[0]), abs(q[1])) > grid.extent_L - 2.0:
-        raise VerifyError(f"center {q} violates the interior margin 2")
+    if max(abs(q[0]), abs(q[1])) > grid.extent_L - SUPPORT_RADIUS:
+        raise VerifyError(f"center {q} violates the interior margin {SUPPORT_RADIUS:g}")
     H = _unscaled_operator("H", potential, grid)
     nu = l2_norm(u)
     hu = H.apply(u)
     lam_est = float(np.vdot(u.values, hu.values).real * grid.weight / nu**2)
     res = l2_norm(GridFunction(hu.values - lam_est * u.values, grid)) / nu
-    if res > h_residual_guard:
+    if res > H_RESIDUAL_GUARD:
         warnings.warn(f"input has ||Hu - lambda u||/||u|| = {res:.3f} above "
-                      f"guard {h_residual_guard}")
+                      f"guard {H_RESIDUAL_GUARD}")
     A = _unscaled_operator("A", potential, grid)
     B = _unscaled_operator("B", potential, grid)
     Tq = gauge_multiplier(potential, grid, h=1.0, q=q)
@@ -430,7 +419,7 @@ def check_gauge_lemma(potential: Potential, grid: Grid, u: GridFunction, q,
         hess_sup, grad_sup = _gauge_sups(potential, comp)
         chain = l2_norm(op.apply(local)) + (hess_sup + grad_sup) * nu
         rows.append(LemmaRow(lemma_id=f"gauge_translate_{name}", lhs=lhs,
-                             rhs=chain, passed=bool(lhs <= slack * chain),
+                             rhs=chain, passed=bool(lhs <= LEMMA_SLACK * chain),
                              detail={"q": [float(q[0]), float(q[1])],
                                      "input_residual": res}))
     return rows

@@ -48,6 +48,12 @@ def test_parse_config_defaults():
     assert cfg.k == 12
 
 
+def test_parse_config_rejects_unbuildable_potential_kind():
+    # "custom" needs callables that a config cannot give
+    with pytest.raises(ConfigError, match="potential.kind"):
+        parse_config({"potential": {"kind": "custom"}})
+
+
 def test_parse_config_rejects_unknown_section():
     with pytest.raises(ConfigError, match="unknown config section"):
         parse_config({"potentials": {}})
@@ -216,6 +222,10 @@ def test_cli_lemmas_runs(tmp_path):
     doc = json.loads(open(os.path.join(out, "lemmas.json")).read())
     rows = doc["rows"]
     assert rows and all(r["passed"] for r in rows)
+    # the row keys are the LemmaRow fields: pinned, so that a new field
+    # cannot change the output unnoticed
+    assert all(set(r) == {"lemma_id", "lhs", "rhs", "passed", "detail"} for r in rows)
+    assert set(doc) == {"schema_version", "rows", "skipped", "warnings"}
     # the h = 0.5 input state fails the ||Pu||/||u|| guard (see
     # test_cutoff_lemma_input_guard_flag): the report says so
     assert any("h=0.5" in w for w in doc["warnings"])

@@ -9,11 +9,11 @@ import scipy.sparse.linalg as spla
 
 from landaulab import eigensolve
 from landaulab import (Grid, assemble_sparse, build_operator, cluster,
-                       custom_operator, eigenpairs_near, lowest_eigenpairs,
-                       principal_angles)
+                       eigenpairs_near, lowest_eigenpairs, principal_angles)
 from landaulab.eigensolve import (SolverError, arnoldi_ncv, resolution_warning,
                                   sublattice_blocks)
 from landaulab.grid import GridFunction
+from helpers import custom_operator
 
 
 def _diag_op(grid):
@@ -369,6 +369,19 @@ def test_principal_angles_rank_deficient_raises_solver_error():
     small = _random_basis(np.random.default_rng(7), g, 2)
     for a, b in ((_dependent_basis(g), small), (small, _dependent_basis(g))):
         with pytest.raises(SolverError, match="Cholesky"):
+            principal_angles(a, b)
+
+
+def test_principal_angles_rank_deficient_smaller_basis_raises_solver_error():
+    # e0, e1, e0 + e1 spans 2 dimensions, so its QR's R has a zero on the
+    # diagonal; unchecked, the angles against e0, e1, e40, e41, e42 come out
+    # as [pi/2, 0, 0]
+    g = Grid(extent_L=1.0, n_per_side=9)
+    e = np.eye(g.size, dtype=complex)
+    small = [GridFunction(v, g) for v in (e[0], e[1], e[0] + e[1])]
+    large = [GridFunction(e[j], g) for j in (0, 1, 40, 41, 42)]
+    for a, b in ((small, large), (large, small)):
+        with pytest.raises(SolverError, match="rank-deficient"):
             principal_angles(a, b)
 
 

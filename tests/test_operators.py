@@ -3,10 +3,10 @@ import pytest
 import scipy.sparse as sp
 
 from landaulab import (Grid, GridFunction, assemble_sparse, build_operator,
-                       custom_operator, from_callable, gauge_multiplier,
-                       hermiticity_defect, inner, l2_norm)
+                       gauge_multiplier, inner, l2_norm)
 import landaulab.operators as operators
 from landaulab.operators import OperatorError
+from helpers import custom_operator, from_callable, hermiticity_defect
 from stencils import coeff_mul, d1_stencil, reference_apply
 
 HERMITIAN_LABELS = ["A", "B", "H", "P", "A_tilde_q", "B_tilde_q", "P_tilde_q"]

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from landaulab import Grid, check_derivative_bounds, make_potential
+from landaulab import Grid, make_potential
 from landaulab.potentials import PotentialError, ball_sup
+from helpers import check_derivative_bounds
 
 
 def test_model_values(model):

@@ -4,12 +4,11 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from landaulab import (Grid, assemble_sparse, build_operator,
-                       hermiticity_defect, make_potential)
+from landaulab import Grid, assemble_sparse, build_operator, make_potential
 from landaulab.config import _SECTIONS, ConfigError, parse_config
 from landaulab.eigensolve import sublattice_blocks
-
-KINDS = ("model_quadratic", "quadratic_plus_trig", "quadratic_plus_gaussian_bump")
+from landaulab.potentials import KINDS
+from helpers import hermiticity_defect
 
 
 def _cross_sublattice_entries(mat, n):

@@ -6,7 +6,7 @@ import pytest
 from landaulab import (Grid, GridFunction, check_cutoff_lemma,
                        check_energy_lemma, check_gauge_lemma,
                        ladder_level_clusters, rescale, sweep_bounds)
-from landaulab.verify import VerifyError, _gauge_sups, translate_samples
+from landaulab.verify import LemmaRow, VerifyError, _gauge_sups, translate_samples
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +129,16 @@ def test_translate_samples(model):
         translate_samples(u, (0.05, 0.0))  # half a node: not aligned
 
 
+@pytest.mark.parametrize("q", [(12.1, 0.0), (0.0, -12.1), (20.0, 3.0), (-30.0, -30.0)])
+def test_translate_samples_beyond_the_grid_is_zero(q):
+    # a shift of n nodes or more moves every sample off the grid
+    g = Grid(extent_L=6.0, n_per_side=121)   # spacing 0.1, n = 121
+    u = GridFunction(np.ones(g.size, dtype=complex), g)
+    shifted = translate_samples(u, q)
+    assert shifted.grid == g
+    np.testing.assert_array_equal(shifted.values, np.zeros(g.size))
+
+
 def test_gauge_lemma_rows(model):
     g = Grid(extent_L=6.0, n_per_side=121)
     clusters, _ = ladder_level_clusters(model, g, 0, m_count=1)
@@ -182,6 +192,22 @@ def test_sweep_report_serialization(model):
     assert doc["schema_version"] == 1
     assert doc["theorem1"]["passed"] is True
     assert len(doc["rows"]) == 2
+    # the key sets are pinned, so that a new dataclass field cannot change
+    # bounds.json unnoticed
+    assert set(doc) == {"schema_version", "potential_kind", "params", "grid", "rows",
+                        "theorem1", "theorem2", "lemmas", "warnings"}
+    assert set(doc["grid"]) == {"extent_L", "n_per_side"}
+    assert {tuple(sorted(row)) for row in doc["rows"]} == {(
+        "cluster_dim", "l6_converged", "l6_cut_bound", "l6_hessian_max",
+        "l6_iterations", "l6_nodes_kept", "lambda_sq", "level", "max_residual",
+        "ratio_l6", "ratio_linf", "scaled_l6")}
+    for t in ("theorem1", "theorem2"):
+        assert set(doc[t]) == {"max_value", "bound", "slope", "passed"}
+    report.lemma_rows = [LemmaRow(lemma_id="x", lhs=1.0, rhs=2.0, passed=True,
+                                  detail={"h": 0.5})]
+    lemma = json.loads(report.to_json())["lemmas"][0]
+    assert lemma == {"lemma_id": "x", "lhs": 1.0, "rhs": 2.0, "passed": True,
+                     "detail": {"h": 0.5}}
     for row in doc["rows"]:
         assert row["l6_converged"] is True
         assert isinstance(row["l6_iterations"], int)
