@@ -51,15 +51,11 @@ def run_spectrum(cfg: RunConfig) -> int:
     solver = {}
     pairs = lowest_eigenpairs(H, k=cfg.k, tol=cfg.tol, seed=cfg.seed, info=solver)
     clusters = cluster(pairs, cluster_tol=cfg.cluster_tol)
-    labels = {}
-    for c in clusters:
-        for ev in c.eigenvalues:
-            labels[ev] = c.label
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "eigenvalues": [p[0] for p in pairs],
         "residuals": [p[2] for p in pairs],
-        "cluster_labels": [labels[p[0]] for p in pairs],
+        "cluster_labels": [c.label for c in clusters for _ in c.eigenvalues],
         "solver": solver,
         "warnings": [warn] if warn else [],
     }
@@ -84,14 +80,15 @@ def run_bounds(cfg: RunConfig) -> int:
     for row in report.rows:
         print(f"level {row.level}: lambda^2={row.lambda_sq:+.4f} dim={row.cluster_dim} "
               f"ratio_linf={row.ratio_linf:.5f} scaled_l6={row.scaled_l6:.5f}")
-    t1 = report.theorem1
-    t2 = report.theorem2
-    if t1:
-        print(f"theorem-1 surrogate: max={t1.max_value:.5f} bound={t1.bound:.5f} "
-              f"slope={t1.slope:+.5f} -> {'PASS' if t1.passed else 'FAIL'}")
-    if t2:
-        print(f"theorem-2 surrogate: max={t2.max_value:.5f} bound={t2.bound:.5f} "
-              f"slope={t2.slope:+.5f} -> {'PASS' if t2.passed else 'FAIL'}")
+    for i, t in enumerate((report.theorem1, report.theorem2), 1):
+        if t:
+            print(f"theorem-{i} surrogate: max={t.max_value:.5f} bound={t.bound:.5f} "
+                  f"slope={t.slope:+.5f} -> {'PASS' if t.passed else 'FAIL'}")
+    levels = [r.level for r in report.rows]
+    if levels != list(range(cfg.max_level + 1)):
+        print(f"error: levels 0..{cfg.max_level} requested, the report holds {levels}; "
+              f"missing {sorted(set(range(cfg.max_level + 1)) - set(levels))}", file=sys.stderr)
+        return 2
     return 0 if report.all_passed else 2
 
 

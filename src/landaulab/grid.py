@@ -82,9 +82,6 @@ class GridFunction:
         n = self.grid.n_per_side
         return self.values.reshape(n, n)
 
-    def copy(self) -> "GridFunction":
-        return GridFunction(self.values.copy(), self.grid)
-
 
 def inner(f: GridFunction, g: GridFunction) -> complex:
     """Discrete L^2 inner product, conjugate-linear in the first slot."""

@@ -157,7 +157,6 @@ class AscentResult:
     ratio: float
     coeffs: np.ndarray
     converged: bool
-    restart_index: int
     iterations: int
     cut_bound: float
     nodes_kept: int
@@ -211,13 +210,13 @@ def extremal_l6(cluster, restarts: int = 8, tol: float = 1e-8,
         starts.append(c / np.linalg.norm(c))
 
     best = None
-    for r, c in enumerate(starts):
+    for c in starts:
         res = minimize(f_and_grad, np.concatenate([c.real, c.imag]), jac=True,
                        method="BFGS", options={"gtol": tol, "maxiter": max_iter})
         c = res.x[:k] + 1j * res.x[k:]
         c /= np.linalg.norm(c)
         cur = AscentResult(ratio=_l6_value(c, V, w), coeffs=c,
-                           converged=bool(res.success), restart_index=r,
+                           converged=bool(res.success),
                            iterations=int(res.nit), cut_bound=cut_bound,
                            nodes_kept=nodes_kept)
         if best is None or cur.ratio > best.ratio + 1e-15:

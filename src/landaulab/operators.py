@@ -64,9 +64,6 @@ class OperatorHandle:
             raise OperatorError("grid mismatch between operator and argument")
         return GridFunction(self.apply_array(u.as_2d()).reshape(-1), self.grid)
 
-    def __call__(self, u: GridFunction) -> GridFunction:
-        return self.apply(u)
-
 
 class Factors:
     """The CSR first-order factors A, B of an operator A∘A + B∘B - V and its

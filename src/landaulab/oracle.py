@@ -30,10 +30,8 @@ class OracleError(ValueError):
 
 @dataclass
 class LadderState:
-    level: int
     angular_index: int
     values: GridFunction
-    normalization: float  # analytic L^2 norm of the sampled continuum function
 
 
 def analytic_null_norm(m: int) -> float:
@@ -57,11 +55,8 @@ def null_state(m: int, grid: Grid) -> LadderState:
     check_resolution(m, grid)
     X1, X2 = grid.mesh()
     zbar = X1 - 1j * X2
-    norm = analytic_null_norm(m)
-    vals = zbar**m * np.exp(-(X1**2 + X2**2)) / norm
-    return LadderState(level=0, angular_index=m,
-                       values=GridFunction(vals.reshape(-1), grid),
-                       normalization=norm)
+    vals = zbar**m * np.exp(-(X1**2 + X2**2)) / analytic_null_norm(m)
+    return LadderState(angular_index=m, values=GridFunction(vals.reshape(-1), grid))
 
 
 _model = make_potential("model_quadratic")

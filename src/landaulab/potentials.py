@@ -18,8 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-# the kinds a config can name; "custom" also needs callables, so only
-# make_potential builds it
+# the kinds make_potential builds and a config can name
 KINDS = ("model_quadratic", "quadratic_plus_trig", "quadratic_plus_gaussian_bump")
 
 GRAD_SUP_SAMPLES = 721      # ball_sup mesh of Potential.grad_sup_norm
@@ -123,12 +122,11 @@ def _bump(eps):
     )
 
 
-def make_potential(kind: str, params=(), *, value_fn=None, grad_fn=None,
-                   laplacian_fn=None, deriv_bounds=None) -> Potential:
-    """Build a Potential of the given kind.
+def make_potential(kind: str, params=()) -> Potential:
+    """Build a Potential of one of the KINDS.
 
-    params: for the perturbed kinds, a single amplitude eps >= 0. The custom
-    kind requires value_fn, grad_fn, laplacian_fn and a deriv_bounds dict.
+    params: for the perturbed kinds, a single amplitude eps >= 0. Any other
+    phi is a `Potential(...)` built directly from its callables.
     """
     params = tuple(params)
     if kind == "model_quadratic":
@@ -140,13 +138,7 @@ def make_potential(kind: str, params=(), *, value_fn=None, grad_fn=None,
         if eps < 0:
             raise PotentialError(f"perturbation amplitude must be >= 0, got {eps}")
         return _trig(eps) if kind == "quadratic_plus_trig" else _bump(eps)
-    if kind == "custom":
-        if value_fn is None or grad_fn is None or laplacian_fn is None:
-            raise PotentialError("custom potential requires value_fn, grad_fn and laplacian_fn")
-        return Potential(kind="custom", value_fn=value_fn, grad_fn=grad_fn,
-                         laplacian_fn=laplacian_fn,
-                         deriv_bound_orders=dict(deriv_bounds or {}), params=params)
-    raise PotentialError(f"unknown potential kind {kind!r}; known: {KINDS + ('custom',)}")
+    raise PotentialError(f"unknown potential kind {kind!r}; known: {KINDS}")
 
 
 def _fd_partial(f, x1, x2, i_order, j_order, step):

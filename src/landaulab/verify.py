@@ -20,7 +20,7 @@ import numpy as np
 
 from .cutoffs import (SUPPORT_RADIUS, lattice_window, make_cutoff,
                       overlap_sup_factors)
-from .eigensolve import EigenCluster, gap_groups
+from .eigensolve import EigenCluster, cluster
 from .grid import ENVELOPE_THRESHOLD, Grid, GridFunction, l2_norm, mgs_orthonormalize
 from .norms import extremal_l6, extremal_linf
 from .operators import build_operator, gauge_multiplier
@@ -70,8 +70,8 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
                           m_count: int = 9):
     """Per-level eigenspace clusters from the analytic ladder subspace.
 
-    Returns (clusters, ritz_residuals_by_cluster). Cluster `label` is the
-    Landau level index (mean eigenvalue / 2, rounded).
+    Returns (clusters, [c.residuals for c in clusters]). Cluster `label` is
+    the Landau level index (mean eigenvalue / 2, rounded).
     """
     if max_level < 0:
         raise VerifyError("max_level must be >= 0")
@@ -101,19 +101,11 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
     del HB
     resid = np.sqrt(np.sum(np.abs(ritz_hvecs - evals[:, None] * ritz_vecs) ** 2, axis=1) * w)
 
-    clusters = []
-    residuals = []
-    for g in gap_groups(evals, LEVEL_CLUSTER_TOL):
-        ortho = mgs_orthonormalize([ritz_vecs[i] for i in g], w)
-        mean = float(np.mean(evals[g]))
-        clusters.append(EigenCluster(
-            label=int(round(mean / 2.0)),
-            eigenvalues=[float(evals[i]) for i in g],
-            basis=[GridFunction(v, grid) for v in ortho],
-            residuals=[float(resid[i]) for i in g],
-        ))
-        residuals.append([float(resid[i]) for i in g])
-    return clusters, residuals
+    clusters = cluster([(float(lam), GridFunction(v, grid), float(r))
+                        for lam, v, r in zip(evals, ritz_vecs, resid)], LEVEL_CLUSTER_TOL)
+    for c in clusters:
+        c.label = int(round(c.mean / 2.0))
+    return clusters, [c.residuals for c in clusters]
 
 
 # ---------------------------------------------------------------------------
@@ -161,28 +153,23 @@ class BoundReport:
     rows: list
     theorem1: TrendCheck | None = None
     theorem2: TrendCheck | None = None
-    lemma_rows: list = field(default_factory=list)
     warnings: list = field(default_factory=list)
-    schema_version: int = SCHEMA_VERSION
 
     @property
     def all_passed(self) -> bool:
-        checks = [t.passed for t in (self.theorem1, self.theorem2) if t is not None]
-        checks += [r.passed for r in self.lemma_rows]
-        return all(checks) if checks else True
+        return all(t.passed for t in (self.theorem1, self.theorem2) if t is not None)
 
     def to_json(self) -> str:
         def trend(t):
             return None if t is None else asdict(t)
         doc = {
-            "schema_version": self.schema_version,
+            "schema_version": SCHEMA_VERSION,
             "potential_kind": self.potential_kind,
             "params": list(self.params),
             "grid": {"extent_L": self.extent_L, "n_per_side": self.n_per_side},
             "rows": [asdict(r) for r in self.rows],
             "theorem1": trend(self.theorem1),
             "theorem2": trend(self.theorem2),
-            "lemmas": [asdict(r) for r in self.lemma_rows],
             "warnings": list(self.warnings),
         }
         return json.dumps(doc, indent=2, sort_keys=True) + "\n"
@@ -214,7 +201,8 @@ def sweep_bounds(potential: Potential, grid: Grid, max_level: int,
     Levels whose worst Ritz residual exceeds RESIDUAL_GUARD are excluded from
     the report with a warning (never silently); a level whose L^6 ascent did
     not converge, or whose winner's tangent Hessian is not negative definite,
-    is reported with a warning.
+    is reported with a warning. So are a label held by several clusters and a
+    label above max_level: rounding can mislabel an under-resolved level.
     """
     clusters, _ = ladder_level_clusters(potential, grid, max_level, m_count=m_count)
     rows = []
@@ -224,8 +212,15 @@ def sweep_bounds(potential: Potential, grid: Grid, max_level: int,
         warns.append(msg)
         warnings.warn(msg)
 
+    labels = [c.label for c in clusters]
+    for level in sorted({lab for lab in labels if labels.count(lab) > 1}):
+        warn(f"label {level} is held by the clusters at mean eigenvalues "
+             f"{[round(c.mean, 3) for c in clusters if c.label == level]}: a level "
+             "near it is under-resolved")
     for c in clusters:
         if c.label > max_level:
+            warn(f"cluster at mean eigenvalue {c.mean:.3f} dropped: its label "
+                 f"{c.label} is above max_level {max_level}")
             continue
         worst = float(max(c.residuals))
         if worst > RESIDUAL_GUARD:
@@ -250,7 +245,6 @@ def sweep_bounds(potential: Potential, grid: Grid, max_level: int,
                              l6_cut_bound=asc.cut_bound, l6_nodes_kept=asc.nodes_kept,
                              l6_hessian_max=asc.hessian_max))
 
-    rows.sort(key=lambda r: r.level)
     report = BoundReport(potential_kind=potential.kind, params=potential.params,
                          extent_L=grid.extent_L, n_per_side=grid.n_per_side,
                          rows=rows, warnings=warns)

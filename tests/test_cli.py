@@ -49,7 +49,7 @@ def test_parse_config_defaults():
 
 
 def test_parse_config_rejects_unbuildable_potential_kind():
-    # "custom" needs callables that a config cannot give
+    # a config names only make_potential's kinds; "custom" is not one
     with pytest.raises(ConfigError, match="potential.kind"):
         parse_config({"potential": {"kind": "custom"}})
 
@@ -114,7 +114,7 @@ def test_cli_usage_error_exits_1(capsys):
     assert main(["not-a-command"]) == 1
 
 
-def test_cli_bounds_reproducible(tmp_path):
+def test_cli_bounds_reproducible(tmp_path, capsys):
     doc = dict(BASE)
     cfg = _write_config(tmp_path, doc)
     out1 = str(tmp_path / "out1")
@@ -127,6 +127,8 @@ def test_cli_bounds_reproducible(tmp_path):
     doc_json = json.loads(open(os.path.join(out1, "bounds.json")).read())
     assert doc_json["schema_version"] == 1
     assert doc_json["theorem1"]["passed"] is True
+    assert doc_json["warnings"] == []
+    assert capsys.readouterr().err == ""
 
 
 def test_cli_seed_override_changes_nothing_deterministic(tmp_path):
@@ -136,7 +138,7 @@ def test_cli_seed_override_changes_nothing_deterministic(tmp_path):
     assert main(["bounds", "--config", cfg, "--out", out, "--seed", "5"]) == 0
 
 
-def test_cli_bounds_level0_only(tmp_path):
+def test_cli_bounds_level0_only(tmp_path, capsys):
     import math
     doc = dict(BASE)
     doc["sweep"] = {"max_level": 0, "restarts": 8, "m_count": 6}
@@ -145,8 +147,41 @@ def test_cli_bounds_level0_only(tmp_path):
     assert main(["bounds", "--config", cfg, "--out", out]) == 0
     lines = open(os.path.join(out, "bounds.csv")).read().strip().split("\n")
     assert len(lines) == 2  # header + the single level-0 row
+    assert json.loads(open(os.path.join(out, "bounds.json")).read())["warnings"] == []
+    assert capsys.readouterr().err == ""
     ratio_linf = float(lines[1].split(",")[3])
     assert abs(ratio_linf - math.sqrt(2.0 / math.pi)) <= 0.02 * math.sqrt(2.0 / math.pi)
+
+
+TRIG = {"kind": "quadratic_plus_trig", "params": [0.1]}
+
+
+def test_cli_bounds_sweep_workload_reports_every_level(tmp_path, capsys):
+    # the config of the benchmark's sweep workload
+    doc = {"potential": TRIG, "grid": {"extent_L": 6.5, "n_per_side": 129},
+           "sweep": {"max_level": 3, "restarts": 8, "m_count": 9}}
+    cfg = _write_config(tmp_path, doc)
+    out = str(tmp_path / "out")
+    assert main(["bounds", "--config", cfg, "--out", out, "--seed", "3"]) == 0
+    assert json.loads(open(os.path.join(out, "bounds.json")).read())["warnings"] == []
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("n, missing", [(49, [2, 3]), (25, [1, 2, 3])], ids=["n49", "n25"])
+def test_cli_bounds_missing_level_exits_2(tmp_path, capsys, n, missing):
+    # an under-resolved level takes its neighbour's label and is then
+    # excluded by the residual guard; at n = 25 no theorem check fails, so
+    # only the missing levels set the exit code
+    doc = {"potential": TRIG, "grid": {"extent_L": 6.5, "n_per_side": n},
+           "sweep": {"max_level": 3, "restarts": 8, "m_count": 3}}
+    cfg = _write_config(tmp_path, doc)
+    out = str(tmp_path / "out")
+    with pytest.warns(UserWarning, match="is held by the clusters"):
+        code = main(["bounds", "--config", cfg, "--out", out, "--seed", "3"])
+    assert code == 2
+    assert f"missing {missing}" in capsys.readouterr().err
+    rows = json.loads(open(os.path.join(out, "bounds.json")).read())["rows"]
+    assert [r["level"] for r in rows] == [lev for lev in range(4) if lev not in missing]
 
 
 def test_cli_spectrum_manifest(tmp_path):

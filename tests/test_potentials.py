@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from landaulab import Grid, make_potential
-from landaulab.potentials import PotentialError, ball_sup
+from landaulab.potentials import Potential, PotentialError, ball_sup
 from helpers import check_derivative_bounds
 
 
@@ -43,12 +43,13 @@ def test_errors():
 
 
 def test_custom_roundtrip():
-    p = make_potential(
-        "custom",
+    # a phi outside make_potential's kinds is a Potential built directly
+    p = Potential(
+        kind="custom",
         value_fn=lambda x1, x2: x1**2 + x2**2,
         grad_fn=lambda x1, x2: (2 * x1, 2 * x2),
         laplacian_fn=lambda x1, x2: 4.0 + 0 * x1,
-        deriv_bounds={2: 2.0},
+        deriv_bound_orders={2: 2.0},
     )
     assert p.value(1.0, 1.0) == pytest.approx(2.0)
 

@@ -6,7 +6,7 @@ import pytest
 from landaulab import (Grid, GridFunction, check_cutoff_lemma,
                        check_energy_lemma, check_gauge_lemma,
                        ladder_level_clusters, rescale, sweep_bounds)
-from landaulab.verify import LemmaRow, VerifyError, _gauge_sups, translate_samples
+from landaulab.verify import VerifyError, _gauge_sups, translate_samples
 
 
 @pytest.fixture(scope="module")
@@ -195,7 +195,7 @@ def test_sweep_report_serialization(model):
     # the key sets are pinned, so that a new dataclass field cannot change
     # bounds.json unnoticed
     assert set(doc) == {"schema_version", "potential_kind", "params", "grid", "rows",
-                        "theorem1", "theorem2", "lemmas", "warnings"}
+                        "theorem1", "theorem2", "warnings"}
     assert set(doc["grid"]) == {"extent_L", "n_per_side"}
     assert {tuple(sorted(row)) for row in doc["rows"]} == {(
         "cluster_dim", "l6_converged", "l6_cut_bound", "l6_hessian_max",
@@ -203,15 +203,45 @@ def test_sweep_report_serialization(model):
         "ratio_l6", "ratio_linf", "scaled_l6")}
     for t in ("theorem1", "theorem2"):
         assert set(doc[t]) == {"max_value", "bound", "slope", "passed"}
-    report.lemma_rows = [LemmaRow(lemma_id="x", lhs=1.0, rhs=2.0, passed=True,
-                                  detail={"h": 0.5})]
-    lemma = json.loads(report.to_json())["lemmas"][0]
-    assert lemma == {"lemma_id": "x", "lhs": 1.0, "rhs": 2.0, "passed": True,
-                     "detail": {"h": 0.5}}
     for row in doc["rows"]:
         assert row["l6_converged"] is True
         assert isinstance(row["l6_iterations"], int)
     assert doc["warnings"] == []
+
+
+def test_ladder_level_clusters_are_eigensolve_clusters(trig01):
+    g = Grid(extent_L=6.5, n_per_side=97)
+    clusters, residuals = ladder_level_clusters(trig01, g, 3, m_count=3)
+    assert residuals == [c.residuals for c in clusters]
+    assert [c.label for c in clusters] == [0, 1, 2, 3]
+    for c in clusters:
+        V = np.stack([b.values for b in c.basis])
+        assert np.abs((V.conj() @ V.T) * g.weight - np.eye(c.dim)).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n, levels, shared", [(49, [0, 1], [2]), (25, [0], [1, 2])],
+                         ids=["n49", "n25"])
+def test_sweep_warns_when_levels_share_a_label(trig01, n, levels, shared):
+    # on these grids an under-resolved level rounds to its neighbour's label
+    g = Grid(extent_L=6.5, n_per_side=n)
+    with pytest.warns(UserWarning, match="is held by the clusters"):
+        report = sweep_bounds(trig01, g, max_level=3, m_count=3, restarts=8, seed=0)
+    assert [r.level for r in report.rows] == levels
+    assert [w.split()[1] for w in report.warnings
+            if " is held by the clusters " in w] == [str(s) for s in shared]
+
+
+def test_sweep_warns_on_cluster_above_max_level(trig01, monkeypatch):
+    from landaulab import verify
+    ladder = verify.ladder_level_clusters
+    # hand the sweep a cluster labelled max_level + 1
+    monkeypatch.setattr(verify, "ladder_level_clusters",
+                        lambda pot, grid, max_level, **kw: ladder(pot, grid, max_level + 1, **kw))
+    g = Grid(extent_L=6.5, n_per_side=97)
+    with pytest.warns(UserWarning, match="its label 2 is above max_level 1"):
+        report = sweep_bounds(trig01, g, max_level=1, m_count=3, restarts=8, seed=0)
+    assert [r.level for r in report.rows] == [0, 1]
+    assert len(report.warnings) == 1
 
 
 def test_sweep_reports_l6_certificates(trig01):
