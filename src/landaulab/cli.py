@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import asdict
 
 import numpy as np
@@ -216,19 +217,22 @@ def main(argv=None) -> int:
         # failures and reports usage problems as 1
         return 0 if exc.code in (0, None) else 1
 
-    try:
-        cfg = load_config(args.config) if args.config else RunConfig()
-        if args.out is not None:
-            cfg.out_dir = args.out
-        if args.seed is not None:
-            cfg.seed = args.seed
-        return COMMANDS[args.command](cfg)
-    except ValueError as exc:   # the error class of every module but eigensolve
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except SolverError as exc:
-        print(f"solver failure: {exc}", file=sys.stderr)
-        return 2
+    # a warning prints as one "warning: <message>" line; the state is restored on return
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda msg, *_: print(f"warning: {msg}", file=sys.stderr)
+        try:
+            cfg = load_config(args.config) if args.config else RunConfig()
+            if args.out is not None:
+                cfg.out_dir = args.out
+            if args.seed is not None:
+                cfg.seed = args.seed
+            return COMMANDS[args.command](cfg)
+        except ValueError as exc:   # the error class of every module but eigensolve
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
+        except SolverError as exc:
+            print(f"solver failure: {exc}", file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

@@ -86,8 +86,7 @@ def _radial(q, grid: Grid, scale: float = 1.0) -> GridFunction:
 class Cutoff:
     center: tuple
     beta: GridFunction        # beta_q on the grid
-    sup_d1: float             # sup |D1 beta| = sup |d1 beta|
-    sup_d2: float
+    sup_grad: float           # sup |d1 beta| = sup |d2 beta| = sup |grad beta|
     sup_lap: float            # sup |Delta beta|
 
     @cached_property
@@ -102,7 +101,7 @@ def make_cutoff(q, grid: Grid) -> Cutoff:
     center = (float(q[0]), float(q[1]))
     # |d_j beta| = |psi'(r)| |x_j - q_j| / r <= |psi'(r)|, attained on the axis
     return Cutoff(center=center, beta=_radial(center, grid),
-                  sup_d1=sup_grad, sup_d2=sup_grad, sup_lap=sup_lap)
+                  sup_grad=sup_grad, sup_lap=sup_lap)
 
 
 def lattice_window(grid: Grid, margin: float = SUPPORT_RADIUS):

@@ -283,12 +283,14 @@ class EigenCluster:
 
 
 def cluster(pairs, cluster_tol: float = 0.25) -> list[EigenCluster]:
-    """Group sorted eigenpairs into maximal runs with consecutive gaps
-    <= cluster_tol; each cluster basis is re-orthonormalized."""
+    """Group sorted (eigenvalue, GridFunction, residual) triples into maximal runs
+    with consecutive gaps <= cluster_tol; each cluster basis is re-orthonormalized."""
     if not pairs:
         raise SolverError("cannot cluster an empty eigenpair list")
     if cluster_tol <= 0:
         raise SolverError(f"cluster_tol must be positive, got {cluster_tol}")
+    if any(len(p) != 3 or not isinstance(p[1], GridFunction) for p in pairs):
+        raise SolverError("each eigenpair must be a (eigenvalue, GridFunction, residual) triple")
     vals = [p[0] for p in pairs]
     if any(vals[i + 1] < vals[i] for i in range(len(vals) - 1)):
         raise SolverError("eigenpairs must be sorted by eigenvalue")
@@ -301,7 +303,7 @@ def cluster(pairs, cluster_tol: float = 0.25) -> list[EigenCluster]:
             label=idx,
             eigenvalues=[p[0] for p in g],
             basis=[GridFunction(v, grid) for v in ortho],
-            residuals=[p[2] if len(p) > 2 else float("nan") for p in g],
+            residuals=[p[2] for p in g],
         ))
     return out
 

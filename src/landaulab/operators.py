@@ -17,8 +17,9 @@ Discretization:
     diagonal multiplications.
 
 Every built handle is defined by its two first-order factors A, B, stored as
-CSR factor matrices over the flattened grid, and one zeroth-order diagonal V;
-the factors are built on the handle's first apply or assembly. A and B apply
+CSR factor matrices over the flattened grid, and one zeroth-order diagonal V,
+built with the handle. Unscaled handles (A, B, H, D, D_star) over one potential
+object and equal grids share one set (see `build_operator`). A and B apply
 as one CSR matvec each, D = iA + B and D* = -iA + B as two, and H, P and P~
 as A(Au) + B(Bu) - V u. `assemble_sparse` composes the same factors,
 A@A + B@B - V. All Hermitian-flagged handles are exactly Hermitian in the
@@ -43,6 +44,7 @@ LABELS = ("A", "B", "H", "P", "A_tilde_q", "B_tilde_q", "P_tilde_q",
 
 SEMICLASSICAL_LABELS = ("P", "A_tilde_q", "B_tilde_q", "P_tilde_q")
 TILDE_LABELS = ("A_tilde_q", "B_tilde_q", "P_tilde_q")
+_unscaled = None   # Factors of the last unscaled handle built; build_operator reuses them
 
 
 class OperatorError(ValueError):
@@ -66,20 +68,12 @@ class OperatorHandle:
 
 
 class Factors:
-    """The CSR first-order factors A, B of an operator A∘A + B∘B - V and its
-    (n, n) diagonal V, built by `build` on first use. `key` names the inputs
-    they depend on: (potential, grid, h, q, averaged_coefficients)."""
+    """`mats` = (A, B, V): the CSR first-order factors of A∘A + B∘B - V and its (n, n)
+    diagonal V, built from `key` = (potential, grid, h, q, averaged_coefficients)."""
 
-    def __init__(self, key: tuple, build: Callable):
+    def __init__(self, key: tuple, mats: tuple):
         self.key = key
-        self._build = build
-        self._mats = None
-
-    @property
-    def mats(self):
-        if self._mats is None:
-            self._mats, self._build = self._build(), None
-        return self._mats
+        self.mats = mats
 
     def A(self, u):
         return (self.mats[0] @ u.reshape(-1)).reshape(u.shape)
@@ -131,18 +125,13 @@ def _factor(grid: Grid, axis: int, coeff, scale: float, const: float = 0.0,
 # coefficient fields
 
 def _fields(potential, grid, h):
-    """Gradient and Laplacian fields for the (possibly h-rescaled) potential.
-
-    For h=None the Section-3 operators use (d phi)(x) directly; otherwise the
-    semiclassical phi_h(x) = phi(x / sqrt(h)) gives
+    """Gradient and Laplacian fields of the semiclassical potential
+    phi_h(x) = phi(x / sqrt(h)):
       (d_j phi_h)(x) = h^{-1/2} (d_j phi)(h^{-1/2} x),
       (lap phi_h)(x) = h^{-1}   (lap phi)(h^{-1/2} x).
+    h = 1 gives the unscaled fields exactly.
     """
     X1, X2 = grid.mesh()
-    if h is None:
-        g1, g2 = potential.grad(X1, X2)
-        lap = potential.laplacian(X1, X2)
-        return g1, g2, lap
     s = np.sqrt(h)
     g1, g2 = potential.grad(X1 / s, X2 / s)
     lap = potential.laplacian(X1 / s, X2 / s)
@@ -160,54 +149,52 @@ def _shifted_grad(potential, grid, h, q):
 
 # ---------------------------------------------------------------------------
 
+def _build_mats(label, potential, grid, h, q, avg):
+    """(A, B, V) with A = (s/2)(D1 - d2 phi_s), B = (s/2)(D2 + d1 phi_s): s = h and
+    V = h^2 lap(phi_h)/4 + 1 for the semiclassical labels, s = 1 and V = lap(phi)/4 else."""
+    semi = label in SEMICLASSICAL_LABELS
+    s = h if semi else 1.0
+    g1, g2, lap = _fields(potential, grid, s)
+    V = (h * h / 4.0) * lap + 1.0 if semi else lap / 4.0
+    if label not in TILDE_LABELS:
+        return (_factor(grid, 1, -g2, s / 2.0, averaged=avg),
+                _factor(grid, 2, g1, s / 2.0, averaged=avg), V)
+    # translated: (d phi_h)(x + q) - (d phi_h)(q); the constant rides the
+    # same axis average so that the quadratic-potential identity
+    # A_tilde_q = A holds exactly on the lattice
+    g1s, g2s, g1q, g2q = _shifted_grad(potential, grid, h, q)
+    return (_factor(grid, 1, -g2s, h / 2.0, g2q, averaged=avg),
+            _factor(grid, 2, g1s, h / 2.0, -g1q, averaged=avg), V)
+
+
 def build_operator(label: str, potential: Potential, grid: Grid,
                    h: float | None = None, q: tuple | None = None,
-                   averaged_coefficients: bool = True,
-                   factors: Factors | None = None) -> OperatorHandle:
-    """Construct a handle for one of the named operators; its CSR factors are
-    built on first apply or assembly, not here.
+                   averaged_coefficients: bool = True) -> OperatorHandle:
+    """Construct a handle for one of the named operators, with its CSR factors.
 
-    `factors`, the `factors` of another handle over the same inputs, shares
-    them instead: A, B, H, D and D_star over (potential, grid) have the same
-    factors, and so have A~_q, B~_q and P~_q over (potential, grid, h, q)."""
+    An unscaled handle (A, B, H, D, D_star) reuses the factors of the last
+    unscaled handle built when its potential is the same object and its grid
+    and `averaged_coefficients` are equal; a semiclassical handle (P and the
+    tilde labels) always builds its own. The record holds one set, so any
+    unscaled build by any caller over other inputs replaces it."""
+    global _unscaled
     if label not in LABELS or label == "T_q":
         raise OperatorError(f"unknown or non-constructible label {label!r}")
-    if label in SEMICLASSICAL_LABELS:
+    semi = label in SEMICLASSICAL_LABELS
+    if semi:
         if h is None:
             raise OperatorError(f"{label} requires the semiclassical parameter h")
         if not h > 0:
             raise OperatorError(f"h must be positive, got {h}")
     if label in TILDE_LABELS and q is None:
         raise OperatorError(f"{label} requires a translation center q")
-    avg = averaged_coefficients
-    key = (potential, grid, h if label in SEMICLASSICAL_LABELS else None,
-           tuple(map(float, q)) if label in TILDE_LABELS else None, avg)
-
-    def build():
-        if label not in SEMICLASSICAL_LABELS:
-            # A = D1/2 - (d2 phi)/2, B = D2/2 + (d1 phi)/2, V = lap(phi)/4
-            g1, g2, lap = _fields(potential, grid, None)
-            return (_factor(grid, 1, -g2, 0.5, averaged=avg),
-                    _factor(grid, 2, g1, 0.5, averaged=avg), lap / 4.0)
-        # the semiclassical factors carry h/2 and phi_h; V = h^2 lap(phi_h)/4 + 1
-        g1, g2, lap = _fields(potential, grid, h)
-        zero_order = (h * h / 4.0) * lap + 1.0
-        if label == "P":
-            return (_factor(grid, 1, -g2, h / 2.0, averaged=avg),
-                    _factor(grid, 2, g1, h / 2.0, averaged=avg), zero_order)
-        # translated: (d phi_h)(x + q) - (d phi_h)(q); the constant rides the
-        # same axis average so that the quadratic-potential identity
-        # A_tilde_q = A holds exactly on the lattice
-        g1s, g2s, g1q, g2q = _shifted_grad(potential, grid, h, q)
-        return (_factor(grid, 1, -g2s, h / 2.0, g2q, averaged=avg),
-                _factor(grid, 2, g1s, h / 2.0, -g1q, averaged=avg), zero_order)
-
-    if factors is None:
-        f = Factors(key, build)
-    elif factors.key != key:
-        raise OperatorError(f"{label} cannot share factors built for other inputs")
-    else:
-        f = factors
+    key = (potential, grid, h if semi else None,
+           tuple(map(float, q)) if label in TILDE_LABELS else None, averaged_coefficients)
+    f = _unscaled
+    if f is None or f.key[0] is not potential or f.key[1:] != key[1:]:
+        f = Factors(key, _build_mats(label, potential, grid, h, q, averaged_coefficients))
+        if not semi:
+            _unscaled = f
     if label in ("A", "A_tilde_q"):
         apply, sparse = f.A, lambda: f.mats[0].copy()
     elif label in ("B", "B_tilde_q"):

@@ -45,25 +45,6 @@ class VerifyError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# handles over the unscaled factors, shared across checks
-
-_shared_factors = None   # the Factors of the last unscaled handle built here
-
-
-def _unscaled_operator(label: str, potential: Potential, grid: Grid):
-    """A handle over the averaged unscaled factors of (potential, grid). The
-    ladder, energy and gauge handles over one potential and grid share one
-    set of factors, built once; the last set is kept."""
-    global _shared_factors
-    f = _shared_factors
-    if f is not None and f.key[0] is potential and f.key[1] == grid:
-        return build_operator(label, potential, grid, factors=f)
-    op = build_operator(label, potential, grid)
-    _shared_factors = op.factors
-    return op
-
-
-# ---------------------------------------------------------------------------
 # ladder + Rayleigh-Ritz level bases (any shipped potential)
 
 def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
@@ -81,8 +62,8 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
             f"{ENVELOPE_THRESHOLD:g} on the boundary")
 
     w = grid.weight
-    dstar = _unscaled_operator("D_star", potential, grid)
-    H = _unscaled_operator("H", potential, grid)
+    dstar = build_operator("D_star", potential, grid)
+    H = build_operator("H", potential, grid)
     tiers = ladder_tiers(potential, dstar, m_count, max_level)
 
     # the ladder tiers stream into MGS, whose output is stacked at once
@@ -272,8 +253,8 @@ def check_energy_lemma(potential: Potential, grid: Grid, cluster: EigenCluster,
     rows = []
     w = grid.weight
     if h is None:
-        A = _unscaled_operator("A", potential, grid)
-        B = _unscaled_operator("B", potential, grid)
+        A = build_operator("A", potential, grid)
+        B = build_operator("B", potential, grid)
         X1, X2 = grid.mesh()
         lap4 = potential.laplacian(X1, X2).reshape(-1) / 4.0
         for lam, u in zip(cluster.eigenvalues, cluster.basis):
@@ -327,7 +308,7 @@ def check_cutoff_lemma(potential: Potential, grid: Grid, u: GridFunction,
         cut = make_cutoff(q, grid)
         lhs = l2_norm(P.apply(GridFunction(cut.beta.values * u.values, grid)))
         rhs = h * (h / 4.0 * cut.sup_lap
-                   + energy_factor * (cut.sup_d1 + cut.sup_d2)) * nu
+                   + energy_factor * 2.0 * cut.sup_grad) * nu
         rows.append(LemmaRow(lemma_id="cutoff_sup_q", lhs=lhs, rhs=rhs,
                              passed=bool(lhs <= LEMMA_SLACK * rhs),
                              detail={"q": [float(q[0]), float(q[1])], "h": h,
@@ -390,7 +371,7 @@ def check_gauge_lemma(potential: Potential, grid: Grid, u: GridFunction, q) -> l
     (and symmetrically for B with d1 phi)."""
     if max(abs(q[0]), abs(q[1])) > grid.extent_L - SUPPORT_RADIUS:
         raise VerifyError(f"center {q} violates the interior margin {SUPPORT_RADIUS:g}")
-    H = _unscaled_operator("H", potential, grid)
+    H = build_operator("H", potential, grid)
     nu = l2_norm(u)
     hu = H.apply(u)
     lam_est = float(np.vdot(u.values, hu.values).real * grid.weight / nu**2)
@@ -398,8 +379,8 @@ def check_gauge_lemma(potential: Potential, grid: Grid, u: GridFunction, q) -> l
     if res > H_RESIDUAL_GUARD:
         warnings.warn(f"input has ||Hu - lambda u||/||u|| = {res:.3f} above "
                       f"guard {H_RESIDUAL_GUARD}")
-    A = _unscaled_operator("A", potential, grid)
-    B = _unscaled_operator("B", potential, grid)
+    A = build_operator("A", potential, grid)
+    B = build_operator("B", potential, grid)
     Tq = gauge_multiplier(potential, grid, h=1.0, q=q)
     u_minus_q = translate_samples(u, q)          # u(x + q)
     beta0 = make_cutoff((0.0, 0.0), grid).beta

@@ -176,10 +176,12 @@ def test_cli_bounds_missing_level_exits_2(tmp_path, capsys, n, missing):
            "sweep": {"max_level": 3, "restarts": 8, "m_count": 3}}
     cfg = _write_config(tmp_path, doc)
     out = str(tmp_path / "out")
-    with pytest.warns(UserWarning, match="is held by the clusters"):
-        code = main(["bounds", "--config", cfg, "--out", out, "--seed", "3"])
+    code = main(["bounds", "--config", cfg, "--out", out, "--seed", "3"])
     assert code == 2
-    assert f"missing {missing}" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert any(line.startswith("warning: label ") and "is held by the clusters" in line
+               for line in err.splitlines())
+    assert f"missing {missing}" in err
     rows = json.loads(open(os.path.join(out, "bounds.json")).read())["rows"]
     assert [r["level"] for r in rows] == [lev for lev in range(4) if lev not in missing]
 
@@ -280,6 +282,24 @@ def test_cli_lemmas_reproducible(tmp_path):
     assert any(r["lemma_id"].startswith("gauge") for r in json.loads(a)["rows"])
 
 
+def test_cli_lemmas_factor_builds(tmp_path, monkeypatch):
+    # the ~20 unscaled handles of one run (ladder, energy and gauge checks)
+    # share one factor set, and the one P handle builds its own: 2 + 2
+    # _factor calls. A change in call order that broke the sharing shows here.
+    from landaulab import operators
+    built = []
+    factor = operators._factor
+    monkeypatch.setattr(operators, "_factor",
+                        lambda *a, **k: built.append(1) or factor(*a, **k))
+    monkeypatch.setattr(operators, "_unscaled", None)
+    doc = dict(BASE)
+    doc["grid"] = {"extent_L": 6.0, "n_per_side": 97}
+    doc["lemmas"] = {"h_list": [0.5, 0.25], "q_list": [[1.5, 0.0]]}
+    cfg = _write_config(tmp_path, doc)
+    assert main(["lemmas", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert len(built) == 4
+
+
 def test_cli_lemmas_records_skipped_rows(tmp_path, capsys):
     # q = (1.5, 0) is not a node of the n = 97 grid (spacing 13/96), so the
     # gauge rows are skipped; the run still exits 0 but says so
@@ -293,6 +313,19 @@ def test_cli_lemmas_records_skipped_rows(tmp_path, capsys):
     assert gauge[0]["q"] == [1.5, 0.0]
     assert "not on a grid node" in gauge[0]["reason"]
     assert "not on a grid node" in capsys.readouterr().err
+
+
+def test_cli_warnings_print_one_line_without_path(tmp_path, capsys):
+    # the h = 0.5 input state of BASE fails the ||Pu||/||u|| guard; the
+    # library's warning reaches stderr as one line, with no source location
+    cfg = _write_config(tmp_path, BASE)
+    assert main(["lemmas", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    err = capsys.readouterr().err
+    lines = [line for line in err.splitlines() if "||Pu||/||u||" in line]
+    assert len(lines) == 1
+    assert lines[0].startswith("warning: input state has ||Pu||/||u|| = ")
+    assert "landaulab" not in err and ".py" not in err
+    assert all(line.startswith("warning: ") for line in err.splitlines())
 
 
 def test_cli_oracle_compare_small(tmp_path):

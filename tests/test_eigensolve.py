@@ -119,6 +119,16 @@ def test_cluster_empty_rejected():
         cluster([], cluster_tol=0.1)
 
 
+def test_cluster_rejects_pairs_that_are_not_triples():
+    # a pair must carry its residual, and its vector as a GridFunction
+    g = Grid(extent_L=1.0, n_per_side=9)
+    v = GridFunction(np.ones(g.size) + 0j, g)
+    for pairs in ([(0.0, v)], [(0.0, v, 0.0), (0.05, v)], [(0.0, v.values, 0.0)],
+                  [(0.0, v, 0.0, 0.0)]):
+        with pytest.raises(SolverError, match="triple"):
+            cluster(pairs, cluster_tol=0.1)
+
+
 def test_resolution_warning_triggers(model):
     assert resolution_warning(model, Grid(extent_L=6.0, n_per_side=129)) is not None
     assert resolution_warning(model, Grid(extent_L=5.0, n_per_side=513)) is None

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -96,19 +98,27 @@ def test_sparse_matches_matrix_free(label, model, trig01, rng):
                 assert np.linalg.norm(a.reshape(-1) - b) <= 1e-13 * np.linalg.norm(a)
 
 
-@pytest.mark.parametrize("label", HERMITIAN_LABELS + ["D", "D_star"])
-def test_build_operator_does_not_assemble(label, model, monkeypatch):
-    # the CSR factors are built on the first apply or assembly, once
+def _count_factor_builds(monkeypatch):
+    """Start from an empty shared slot; the returned list grows by one per
+    CSR factor built."""
     built = []
     factor = operators._factor
     monkeypatch.setattr(operators, "_factor",
                         lambda *a, **k: built.append(1) or factor(*a, **k))
+    monkeypatch.setattr(operators, "_unscaled", None)
+    return built
+
+
+@pytest.mark.parametrize("label", HERMITIAN_LABELS + ["D", "D_star"])
+def test_build_operator_does_not_assemble(label, model, monkeypatch):
+    # build_operator builds the handle's two CSR factors, once, and composes
+    # nothing from them; apply and assembly build no further factor
+    built = _count_factor_builds(monkeypatch)
     g = Grid(extent_L=5.0, n_per_side=33)
     op = build_operator(label, model, g, **_kwargs(label))
-    assert built == []
+    assert len(built) == 2
     u = np.ones((33, 33), dtype=complex)
     op.apply_array(u)
-    assert len(built) == 2
     op.apply_array(u)
     assemble_sparse(op)
     assert len(built) == 2
@@ -117,34 +127,41 @@ def test_build_operator_does_not_assemble(label, model, monkeypatch):
 @pytest.mark.parametrize("labels", [("A", "B", "H", "D", "D_star"),
                                     ("A_tilde_q", "B_tilde_q", "P_tilde_q")])
 def test_shared_factors_match_own_factors(labels, trig01, rng, monkeypatch):
-    built = []
-    factor = operators._factor
-    monkeypatch.setattr(operators, "_factor",
-                        lambda *a, **k: built.append(1) or factor(*a, **k))
+    # the unscaled labels over one potential and grid share one set, the
+    # tilde labels each build their own; either way each label gives bit for
+    # bit what it gives built alone
+    built = _count_factor_builds(monkeypatch)
     g = Grid(extent_L=5.0, n_per_side=33)
     u = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
-    first = _build(labels[0], trig01, g)
-    first.apply_array(u)
-    outs = {label: build_operator(label, trig01, g, factors=first.factors,
-                                  **_kwargs(label)).apply_array(u)
-            for label in labels[1:]}
-    assert len(built) == 2
+    outs = {label: _build(label, trig01, g).apply_array(u) for label in labels}
+    shared = 2 if labels[0] == "A" else 2 * len(labels)
+    assert len(built) == shared
     for label, out in outs.items():
+        monkeypatch.setattr(operators, "_unscaled", None)
         assert np.array_equal(out, _build(label, trig01, g).apply_array(u))
+    assert len(built) == shared + 2 * len(labels)
 
 
-def test_shared_factors_reject_other_inputs(model, trig01):
+def test_shared_factors_reject_other_inputs(model, trig01, monkeypatch):
+    # another potential, even an equal but distinct object, another grid,
+    # pointwise coefficients and every semiclassical label build their own set
     g = Grid(extent_L=5.0, n_per_side=33)
-    f = build_operator("H", model, g).factors
+    twin = dataclasses.replace(model)
+    assert twin == model and twin is not model
     for label, potential, grid, kwargs in (
-            ("A", trig01, g, {}), ("H", model, Grid(extent_L=5.0, n_per_side=35), {}),
+            ("A", trig01, g, {}), ("A", twin, g, {}),
+            ("H", model, Grid(extent_L=5.0, n_per_side=35), {}),
             ("H", model, g, {"averaged_coefficients": False}),
             ("P", model, g, {"h": 0.5}), ("P_tilde_q", model, g, _kwargs("P_tilde_q"))):
-        with pytest.raises(OperatorError, match="cannot share factors"):
-            build_operator(label, potential, grid, factors=f, **kwargs)
+        built = _count_factor_builds(monkeypatch)
+        first = build_operator("H", model, g)
+        assert len(built) == 2
+        assert build_operator(label, potential, grid, **kwargs).factors is not first.factors
+        assert len(built) == 4
+    # a semiclassical label never reuses a set, not even its own inputs'
     P = build_operator("P", model, g, h=0.5)
-    with pytest.raises(OperatorError, match="cannot share factors"):
-        build_operator("P", model, g, h=0.25, factors=P.factors)
+    assert build_operator("P", model, g, h=0.5).factors is not P.factors
+    assert len(built) == 8
 
 
 def test_assembly_guard(model):

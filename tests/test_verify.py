@@ -274,12 +274,12 @@ def test_sweep_warns_on_uncertified_maximum(trig01, monkeypatch):
 
 
 def test_lemma_handles_share_unscaled_factors(trig01, monkeypatch):
-    from landaulab import operators, verify
+    from landaulab import operators
     built = []
     factor = operators._factor
     monkeypatch.setattr(operators, "_factor",
                         lambda *a, **k: built.append(1) or factor(*a, **k))
-    monkeypatch.setattr(verify, "_shared_factors", None)
+    monkeypatch.setattr(operators, "_unscaled", None)
     g = Grid(extent_L=6.5, n_per_side=65)
     clusters, _ = ladder_level_clusters(trig01, g, 1, m_count=2)
     assert len(built) == 2
