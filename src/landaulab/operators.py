@@ -138,13 +138,15 @@ def _fields(potential, grid, h):
     return g1 / s, g2 / s, lap / h
 
 
-def _shifted_grad(potential, grid, h, q):
-    """(d phi_h)(x + q) fields and (d phi_h)(q) constants."""
+def _tilde_fields(potential, grid, h, q):
+    """(d phi_h)(x + q) fields, (d phi_h)(q) constants and the unshifted
+    (lap phi_h)(x) field: the tilde factors use no unshifted gradient."""
     X1, X2 = grid.mesh()
     s = np.sqrt(h)
     g1s, g2s = potential.grad((X1 + q[0]) / s, (X2 + q[1]) / s)
     g1q, g2q = potential.grad(q[0] / s, q[1] / s)
-    return g1s / s, g2s / s, float(g1q) / s, float(g2q) / s
+    lap = potential.laplacian(X1 / s, X2 / s)
+    return g1s / s, g2s / s, float(g1q) / s, float(g2q) / s, lap / h
 
 
 # ---------------------------------------------------------------------------
@@ -154,17 +156,18 @@ def _build_mats(label, potential, grid, h, q, avg):
     V = h^2 lap(phi_h)/4 + 1 for the semiclassical labels, s = 1 and V = lap(phi)/4 else."""
     semi = label in SEMICLASSICAL_LABELS
     s = h if semi else 1.0
+    if label in TILDE_LABELS:
+        # translated: (d phi_h)(x + q) - (d phi_h)(q); the constant rides the
+        # same axis average so that the quadratic-potential identity
+        # A_tilde_q = A holds exactly on the lattice
+        g1s, g2s, g1q, g2q, lap = _tilde_fields(potential, grid, h, q)
+        return (_factor(grid, 1, -g2s, h / 2.0, g2q, averaged=avg),
+                _factor(grid, 2, g1s, h / 2.0, -g1q, averaged=avg),
+                (h * h / 4.0) * lap + 1.0)
     g1, g2, lap = _fields(potential, grid, s)
     V = (h * h / 4.0) * lap + 1.0 if semi else lap / 4.0
-    if label not in TILDE_LABELS:
-        return (_factor(grid, 1, -g2, s / 2.0, averaged=avg),
-                _factor(grid, 2, g1, s / 2.0, averaged=avg), V)
-    # translated: (d phi_h)(x + q) - (d phi_h)(q); the constant rides the
-    # same axis average so that the quadratic-potential identity
-    # A_tilde_q = A holds exactly on the lattice
-    g1s, g2s, g1q, g2q = _shifted_grad(potential, grid, h, q)
-    return (_factor(grid, 1, -g2s, h / 2.0, g2q, averaged=avg),
-            _factor(grid, 2, g1s, h / 2.0, -g1q, averaged=avg), V)
+    return (_factor(grid, 1, -g2, s / 2.0, averaged=avg),
+            _factor(grid, 2, g1, s / 2.0, averaged=avg), V)
 
 
 def build_operator(label: str, potential: Potential, grid: Grid,

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,10 +10,11 @@ import pytest
 from landaulab import (EigenCluster, Grid, GridFunction, extremal_l6,
                        extremal_linf, ladder_level_clusters, norm_triple,
                        null_state, orthonormal_level_basis)
-from landaulab.norms import (SUPPORT_CUT, AscentResult, NormError,
-                             _basis_matrix, l6_log_hessian,
-                             l6_objective_and_gradient, l6_support,
-                             tangent_hessian_max)
+from landaulab import norms
+from landaulab.norms import (MOMENT_PANEL, SUPPORT_CUT, AscentResult,
+                             NormError, _basis_matrix, l6_log_hessian,
+                             l6_moment_objective, l6_objective_and_gradient,
+                             l6_support, tangent_hessian_max)
 
 
 def _cluster_from_basis(basis, grid, lam=0.0):
@@ -195,12 +197,61 @@ def _uncut_reference_ascent(cluster, restarts, seed, tol=1e-8, max_iter=500):
     return best
 
 
-def test_cut_ascent_matches_uncut_reference(trig_level1):
-    res = extremal_l6(trig_level1, restarts=4, seed=0)
-    ratio, converged = _uncut_reference_ascent(trig_level1, restarts=4, seed=0)
-    assert res.converged and converged
-    assert res.ratio == pytest.approx(ratio, rel=1e-12)
-    assert 0 < res.nodes_kept < trig_level1.basis[0].grid.size
+@pytest.fixture(scope="module")
+def coarse_level1(trig01):
+    # 9 states on 49^2 nodes: D^2 = 165^2 exceeds 9 * 2401, so the ascent
+    # evaluates the objective on the basis matrix
+    g = Grid(extent_L=6.5, n_per_side=49)
+    clusters, _ = ladder_level_clusters(trig01, g, 1, m_count=9)
+    return clusters[1]
+
+
+def test_cut_ascent_matches_uncut_reference(trig_level1, coarse_level1, monkeypatch):
+    built = []
+    moment = norms.l6_moment_objective
+    monkeypatch.setattr(norms, "l6_moment_objective",
+                        lambda V, w: built.append(V.shape) or moment(V, w))
+    for cluster, uses_moments in ((trig_level1, True), (coarse_level1, False)):
+        built.clear()
+        res = extremal_l6(cluster, restarts=4, seed=0)
+        k = cluster.dim
+        assert (math.comb(k + 2, 3) ** 2 <= k * res.nodes_kept) == uses_moments
+        assert built == ([(k, res.nodes_kept)] if uses_moments else [])
+        ratio, converged = _uncut_reference_ascent(cluster, restarts=4, seed=0)
+        assert res.converged and converged
+        assert res.ratio == pytest.approx(ratio, rel=1e-12)
+        assert 0 < res.nodes_kept < cluster.basis[0].grid.size
+
+
+@pytest.mark.parametrize("k", [1, 2, 4, 9])
+def test_moment_objective_matches_basis_matrix_objective(k, trig01, rng):
+    # 65^2 nodes: two full moment panels and a partial one
+    g = Grid(extent_L=6.5, n_per_side=65)
+    clusters, _ = ladder_level_clusters(trig01, g, 1, m_count=k)
+    V = _basis_matrix(clusters[1])
+    assert V.shape == (k, g.size)
+    objective = l6_moment_objective(V, g.weight)
+    for _ in range(10):
+        c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+        c /= np.linalg.norm(c)
+        J, G = objective(c)
+        J_ref, G_ref = l6_objective_and_gradient(c, V, g.weight)
+        assert J == pytest.approx(J_ref, rel=1e-13)
+        assert np.linalg.norm(G - G_ref) <= 1e-13 * np.linalg.norm(G_ref)
+
+
+def test_moment_build_peak_memory_is_set_by_the_panel(grid_medium, rng):
+    # the (D, N) cube of a 129^2 basis would take 44 MB; the build holds
+    # about two (D, MOMENT_PANEL) panels at a time
+    shape, D = (9, grid_medium.size), math.comb(11, 3)
+    V = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    tracemalloc.start()
+    try:
+        l6_moment_objective(V, grid_medium.weight)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * D * MOMENT_PANEL * 16
 
 
 def test_l6_support_drops_only_nodes_below_the_cut(trig_level1):

@@ -164,6 +164,22 @@ def test_shared_factors_reject_other_inputs(model, trig01, monkeypatch):
     assert len(built) == 8
 
 
+@pytest.mark.parametrize("label", ["A_tilde_q", "B_tilde_q", "P_tilde_q"])
+def test_tilde_build_evaluates_one_full_mesh_gradient(label, trig01):
+    # the tilde factors take their gradients from the translated mesh only;
+    # the unshifted fields give them just the Laplacian
+    g = Grid(extent_L=5.0, n_per_side=33)
+    calls = []
+
+    def grad_fn(x1, x2):
+        if np.size(x1) == g.size:
+            calls.append(1)
+        return trig01.grad_fn(x1, x2)
+
+    _build(label, dataclasses.replace(trig01, grad_fn=grad_fn), g)
+    assert len(calls) == 1
+
+
 def test_assembly_guard(model):
     g = Grid(extent_L=5.0, n_per_side=33)
     op = build_operator("H", model, g)
