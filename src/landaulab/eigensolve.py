@@ -27,11 +27,11 @@ supported on one sublattice. `lowest_eigenpairs` keeps one block: at sigma
 spends thousands of solves on pairs deep inside the band; skipping such a
 block needs an eigenvalue count (an inertia certificate) first.
 
-Memory: once the solver facts are read, the LUs and the assembled matrix are
-freed before any full-grid eigenvector is built, and each block's Arnoldi
-output goes as soon as that block's vectors are embedded. `principal_angles`
-reads the larger basis one parity class at a time instead of stacking it on
-the full grid.
+Memory: one block LU is alive at a time. The assembled matrix is freed once
+the blocks are sliced, each LU once its Arnoldi run is read, and a block
+solved again refactors. A proper block's eigenvectors are
+`SublatticeFunction`s stored on its parity class, certified one full-grid
+array at a time; `principal_angles` reads them one parity class at a time.
 
 Caution for coarse grids: when the largest coefficient momentum |grad phi|/2
 on the box approaches the grid's resolvable band (|grad phi| * spacing / 2 of
@@ -50,7 +50,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import GridFunction, l2_norm, mgs_orthonormalize
+from .grid import GridFunction, SublatticeFunction, l2_norm, mgs_orthonormalize
 from .operators import OperatorHandle, assemble_sparse
 
 MAX_K = 200
@@ -110,11 +110,14 @@ def sublattice_blocks(mat, n_side: int) -> list:
 
 
 class _ShiftInvert:
-    """ARPACK shift-invert on one matrix, whose H - sigma I is factored once
-    with SuperLU under the minimum-degree ordering of A^T + A."""
+    """ARPACK shift-invert for the k eigenpairs of one matrix nearest sigma,
+    whose H - sigma I is factored once with SuperLU under the minimum-degree
+    ordering of A^T + A. The output rows are allocated first, below the LU
+    and the Arnoldi basis in the heap, so a next solve reuses their space."""
 
-    def __init__(self, mat, sigma: float, seed: int):
+    def __init__(self, mat, sigma: float, seed: int, k: int):
         n = mat.shape[0]
+        self.rows = np.empty((k, n), dtype=complex)
         try:
             self.lu = spla.splu((mat - sigma * sp.identity(n, format="csr")).tocsc(),
                                 permc_spec="MMD_AT_PLUS_A")
@@ -127,21 +130,23 @@ class _ShiftInvert:
         self.solves += 1
         return self.lu.solve(x)
 
-    def eigenpairs(self, k: int):
-        """The k eigenpairs nearest sigma, from the Krylov start vector of
+    def eigenpairs(self):
+        """(eigenvalues, eigenvector rows) from the Krylov start vector of
         `RandomState(seed)`, with an `arnoldi_ncv(k, n)` basis."""
-        n = self.mat.shape[0]
+        k, n = self.rows.shape
         v0 = np.random.RandomState(self.seed).standard_normal(n)
         try:
-            return spla.eigsh(self.mat, k=k, sigma=self.sigma, which="LM", v0=v0,
-                              ncv=arnoldi_ncv(k, n),
-                              OPinv=spla.LinearOperator(self.mat.shape, matvec=self._apply,
-                                                        dtype=self.mat.dtype))
+            vals, vecs = spla.eigsh(
+                self.mat, k=k, sigma=self.sigma, which="LM", v0=v0, ncv=arnoldi_ncv(k, n),
+                OPinv=spla.LinearOperator(self.mat.shape, matvec=self._apply,
+                                          dtype=self.mat.dtype))
         except spla.ArpackNoConvergence as exc:
             raise SolverError(
                 f"eigensolver did not converge within the iteration budget: {exc}") from exc
         except (RuntimeError, MemoryError) as exc:
             raise SolverError(f"shift-invert eigensolve failed: {exc}") from exc
+        self.rows[:] = vecs.T
+        return vals, self.rows
 
 
 # pairs asked of each block beyond its share of k when the matrix splits
@@ -161,15 +166,19 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
     if k >= n - 1:
         raise SolverError("k too large for the grid")
     blocks = sublattice_blocks(mat, op.grid.n_per_side) if split else [np.arange(n)]
+    # slice every block, then let the assembled matrix go
+    subs = [mat] if len(blocks) == 1 else [mat[idx][:, idx] for idx in blocks]
+    del mat
 
-    solvers, found, facts = [], [], []
-    for idx in blocks:
-        nb = len(idx)
-        sub = mat if nb == n else mat[idx][:, idx]
+    found, facts = [], []
+    for sub in subs:
+        nb = sub.shape[0]
         kb = k if nb == n else min(math.ceil(k * nb / n) + BLOCK_MARGIN, nb - 2)
-        solvers.append(_ShiftInvert(sub, sigma, seed))
-        found.append(solvers[-1].eigenpairs(kb))
-        facts.append({"size": nb, "k": kb, "resolves": 0})
+        solver = _ShiftInvert(sub, sigma, seed, kb)
+        found.append(solver.eigenpairs())
+        facts.append({"size": nb, "k": kb, "resolves": 0, "op_solves": solver.solves,
+                      "lu_fill_nnz": int(solver.lu.nnz)})
+        del solver   # before the next block is factored
     # keep the k eigenvalues nearest sigma over all blocks; a block whose
     # farthest returned eigenvalue is not beyond the k-th distance may hold
     # more inside it, so it is asked for k + BLOCK_MARGIN pairs, once
@@ -187,50 +196,51 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
                 raise SolverError(
                     f"block {b} of {len(blocks)} may hold more of the {k} eigenvalues "
                     f"nearest {sigma:g} than the {facts[b]['k']} it returned")
-            found[b] = solvers[b].eigenpairs(kb)
-            facts[b].update(k=kb, resolves=1)
+            solver = _ShiftInvert(subs[b], sigma, seed, kb)
+            found[b] = solver.eigenpairs()
+            facts[b].update(k=kb, resolves=1, op_solves=facts[b]["op_solves"] + solver.solves)
+            del solver
     dist = np.abs(np.concatenate([v for v, _ in found]) - sigma)
     kept = np.zeros(len(dist), dtype=bool)
     kept[np.argsort(dist, kind="stable")[:k]] = True
     if info is not None:
-        for f, solver in zip(facts, solvers):
-            f.update(ncv=arnoldi_ncv(f["k"], f["size"]), op_solves=solver.solves,
-                     lu_fill_nnz=int(solver.lu.nnz))
+        for f in facts:
+            f["ncv"] = arnoldi_ncv(f["k"], f["size"])
         info.update(ncv=max(f["ncv"] for f in facts),
                     op_solves=sum(f["op_solves"] for f in facts),
                     lu_fill_nnz=sum(f["lu_fill_nnz"] for f in facts), blocks=facts)
-    # the factors and the assembled matrix are no longer needed: free them
-    # before the full-grid eigenvectors are built
-    del solvers, mat, sub
 
     # ARPACK leaves the vectors of a (near-)multiple eigenvalue unit but not
     # mutually orthogonal: orthonormalize them within each block (vectors of
     # different blocks have disjoint supports) before certifying them
-    w = op.grid.weight
+    grid = op.grid
     pairs = []
     start = 0
     for b, idx in enumerate(blocks):
         vals, vecs = found[b]
-        found[b] = None   # so this block's Arnoldi output goes with `vecs`
+        found[b] = None   # so this block's output goes with `vecs`
         mine = np.flatnonzero(kept[start:start + len(vals)])
         start += len(vals)
         order = mine[np.argsort(vals[mine])]
         vals = vals[order]
-        vecs = vecs[:, order].astype(complex, copy=False)
+        rows = vecs[order]
+        del vecs
         for g in gap_groups(vals, tol * np.maximum(1.0, np.abs(vals))):
             if len(g) > 1:
-                vecs[:, g] = np.stack(mgs_orthonormalize(vecs[:, g].T, w), axis=1)
-        full = np.zeros((len(vals), n), dtype=complex)
-        full[:, idx] = vecs.T
-        del vecs
-        pairs += zip(vals, [GridFunction(v, op.grid) for v in full])
+                rows[g] = mgs_orthonormalize(rows[g], grid.weight)
+        parity = divmod(int(idx[0]), grid.n_per_side)   # a class's first node is (p, q)
+        fs = [GridFunction(r, grid) if len(idx) == n else SublatticeFunction(r, parity, grid)
+              for r in rows]
+        for r, f in zip(rows, fs):
+            r /= l2_norm(f)   # the full-grid norm, divided out of the stored values
+        pairs += zip(vals, fs)
 
     out = []
     for i in np.argsort([lam for lam, _ in pairs], kind="stable"):
         lam, gf = pairs[i]
-        gf.values /= l2_norm(gf)
+        u = gf.as_2d()
         resid = l2_norm(GridFunction(
-            op.apply_array(gf.as_2d()).reshape(-1) - lam * gf.values, op.grid))
+            op.apply_array(u).reshape(-1) - lam * u.reshape(-1), grid))
         bound = tol * max(1.0, abs(lam))
         if resid > bound:
             raise SolverError(
@@ -249,9 +259,10 @@ def lowest_eigenpairs(op: OperatorHandle, k: int, tol: float = 1e-6,
     A dict passed as `info` receives the solver facts `ncv` (the largest
     Krylov basis size), `op_solves` (shift-invert solves) and `lu_fill_nnz`
     (the entries SuperLU stores for L and U), summed over the solved blocks,
-    and `blocks`: per block its `size`, `k`, `ncv`, `op_solves`,
-    `lu_fill_nnz` and `resolves` (0 or 1). This solve uses one block of all
-    nodes (see the module docstring).
+    and `blocks`: per block its `size`, `k`, `ncv`, `op_solves` (over both
+    runs of a block solved again), `lu_fill_nnz` (of one factor) and
+    `resolves` (0 or 1). This solve uses one block of all nodes (see the
+    module docstring).
     """
     return _solve(op, k, tol, seed, -1.0, info, split=False)
 
@@ -260,7 +271,8 @@ def eigenpairs_near(op: OperatorHandle, k: int, sigma: float,
                     tol: float = 1e-6, seed: int = 0, info: dict | None = None):
     """k certified eigenpairs nearest the shift sigma (used by oracle
     comparison, where the physical band sits at a known location), solved
-    per invariant sublattice block; `info` as for `lowest_eigenpairs`."""
+    per invariant sublattice block; `info` as for `lowest_eigenpairs`. The
+    eigenvectors of a proper block are `SublatticeFunction`s."""
     return _solve(op, k, tol, seed, sigma, info, split=True)
 
 
@@ -323,14 +335,12 @@ def principal_angles(basis_a, basis_b) -> np.ndarray:
     not numerically positive definite fails the Cholesky factorization and
     raises `SolverError`.
 
-    The larger basis is never stacked on the full grid. It is read one node
-    parity class (i mod 2, j mod 2) at a time, each panel holding that
-    class's rows of only the vectors that are nonzero there, and A^H A,
-    A^H Qb and the residual Qb - A S are summed or stacked over the four
-    panels. A vector that is zero on a class contributes exactly zero there,
-    so this is exact for any basis. For the sublattice-supported eigenvectors
-    of `eigenpairs_near` each panel holds about a quarter of the vectors on a
-    quarter of the rows.
+    The larger basis is never stacked on the full grid: A^H A, A^H Qb and the
+    residual Qb - A S are summed or stacked over the four node parity classes
+    (i mod 2, j mod 2), each panel holding the class values (`on_class`) of
+    only the vectors nonzero there, which is exact for any basis. For the
+    `SublatticeFunction`s of `eigenpairs_near` each panel holds about a
+    quarter of the vectors on a quarter of the rows, with no scan.
     """
     if len(basis_a) < len(basis_b):
         basis_a, basis_b = basis_b, basis_a
@@ -347,8 +357,8 @@ def principal_angles(basis_a, basis_b) -> np.ndarray:
         class as Fortran-ordered columns, the class rows of Qb)."""
         for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
             Qc = Qb[p::2, q::2].reshape(-1, Qb.shape[2])
-            rows = [a.as_2d()[p::2, q::2] for a in basis_a]
-            on = [i for i, r in enumerate(rows) if r.any()]
+            rows = [a.on_class(p, q) for a in basis_a]
+            on = [i for i, r in enumerate(rows) if r is not None]
             panel = (np.stack([rows[i] for i in on]).reshape(len(on), -1) if on
                      else np.zeros((0, len(Qc)), dtype=complex))
             yield on, panel.T, Qc

@@ -82,6 +82,40 @@ class GridFunction:
         n = self.grid.n_per_side
         return self.values.reshape(n, n)
 
+    def on_class(self, p: int, q: int):
+        """Values on the node parity class (i mod 2, j mod 2) = (p, q), or
+        None where they are all zero."""
+        rows = self.as_2d()[p::2, q::2]
+        return rows if rows.any() else None
+
+
+class SublatticeFunction(GridFunction):
+    """A grid function that is zero off the node parity class (p, q), stored
+    only there: `rows` holds its values at (i, j) = (p + 2a, q + 2b).
+    `.values` and `.as_2d()` return a fresh zero-padded full-grid array,
+    read-only so that an in-place write fails instead of going into a copy."""
+
+    def __init__(self, rows, parity: tuple, grid: Grid):
+        p, q = parity
+        n = grid.n_per_side
+        self.rows = np.asarray(rows, dtype=complex).reshape(
+            len(range(p, n, 2)), len(range(q, n, 2)))
+        self.parity, self.grid = (p, q), grid
+
+    @property
+    def values(self) -> np.ndarray:
+        return self.as_2d().reshape(-1)
+
+    def as_2d(self) -> np.ndarray:
+        n = self.grid.n_per_side
+        full = np.zeros((n, n), dtype=complex)
+        full[self.parity[0]::2, self.parity[1]::2] = self.rows
+        full.flags.writeable = False
+        return full
+
+    def on_class(self, p: int, q: int):
+        return self.rows if (p, q) == self.parity else None
+
 
 def inner(f: GridFunction, g: GridFunction) -> complex:
     """Discrete L^2 inner product, conjugate-linear in the first slot."""

@@ -12,7 +12,7 @@ from landaulab import (Grid, assemble_sparse, build_operator, cluster,
                        eigenpairs_near, lowest_eigenpairs, principal_angles)
 from landaulab.eigensolve import (SolverError, arnoldi_ncv, resolution_warning,
                                   sublattice_blocks)
-from landaulab.grid import GridFunction
+from landaulab.grid import GridFunction, SublatticeFunction
 from helpers import custom_operator
 
 
@@ -235,18 +235,50 @@ def _one_sublattice_diag_op(g, cls):
         sparse_builder=lambda: sp.diags(d).tocsr()), labels
 
 
-def test_split_resolves_a_short_block():
+def _track_factors(monkeypatch):
+    """Patch `_ShiftInvert` to record, holding no factor alive, how many
+    factors are alive as each one is built, and (matrix, solves, LU fill)
+    after each Arnoldi run."""
+    alive, alive_at_build, runs = weakref.WeakSet(), [], []
+
+    class Tracked(eigensolve._ShiftInvert):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            alive.add(self)
+            alive_at_build.append(len(alive))
+
+        def eigenpairs(self):
+            found = super().eigenpairs()
+            runs.append((self.mat, self.solves, self.lu.nnz))
+            return found
+
+    monkeypatch.setattr(eigensolve, "_ShiftInvert", Tracked)
+    return alive_at_build, runs
+
+
+def test_split_resolves_a_short_block(monkeypatch):
     # all 8 eigenvalues nearest sigma sit on sublattice (0, 0): its first
     # request (its share of k plus the margin) returns exactly them, so
     # it is solved again for more pairs
+    alive_at_build, runs = _track_factors(monkeypatch)
     g = Grid(extent_L=1.0, n_per_side=9)
     op, labels = _one_sublattice_diag_op(g, 0)
     info = {}
     pairs = eigenpairs_near(op, k=8, sigma=0.5, tol=1e-8, seed=0, info=info)
     assert [p[0] for p in pairs] == pytest.approx(np.arange(1.0, 9.0), abs=1e-9)
     assert all(labels[np.argmax(np.abs(p[1].values))] == 0 for p in pairs)
-    assert [b["resolves"] for b in info["blocks"]] == [1, 0, 0, 0]
-    assert info["blocks"][0]["k"] > 8
+    blocks = info["blocks"]
+    assert [b["resolves"] for b in blocks] == [1, 0, 0, 0]
+    assert blocks[0]["k"] > 8
+    # blocks 0-3, then block 0 again on a fresh factor of its kept matrix
+    assert alive_at_build == [1] * 5
+    (mat, first, nnz), *others, (mat_again, again, nnz_again) = runs
+    assert mat_again is mat
+    assert blocks[0]["op_solves"] == first + again
+    assert blocks[0]["lu_fill_nnz"] == nnz == nnz_again
+    assert [(b["op_solves"], b["lu_fill_nnz"]) for b in blocks[1:]] == [r[1:] for r in others]
+    assert info["op_solves"] == sum(r[1] for r in runs)
+    assert info["lu_fill_nnz"] == sum(r[2] for r in runs[:4])
 
 
 def test_split_short_block_at_its_size_limit_raises():
@@ -319,6 +351,13 @@ def _assert_angles_match_scipy(a, b):
         np.testing.assert_allclose(principal_angles(x, y), ref, rtol=0, atol=1e-10)
 
 
+def _compact(f, c):
+    """f, zero off the parity class c = 2 (i mod 2) + (j mod 2), stored on
+    that class only."""
+    p, q = divmod(c, 2)
+    return SublatticeFunction(f.as_2d()[p::2, q::2], (p, q), f.grid)
+
+
 def test_principal_angles_class_panels_match_scipy():
     # the larger basis is read one parity class at a time
     g = Grid(extent_L=1.0, n_per_side=17)
@@ -348,6 +387,18 @@ def test_principal_angles_class_panels_match_scipy():
     _assert_angles_match_scipy(inside, one_class)
     tiny = principal_angles(inside, one_class)
     assert np.all((tiny > 1e-8) & (tiny < 1e-5))
+    # the one-class vectors stored on their class, as `eigenpairs_near`
+    # returns them, alone or next to a vector spread over several classes:
+    # the angles of plain copies of their values, and scipy's
+    compact = [_compact(v, c % 4) for c, v in enumerate(one_class)]
+    spread_one = _on_classes(rng, g, [0, 2, 3])
+    for large in (compact, compact[:5] + [spread_one] + compact[5:]):
+        for small in (spread, inside, compact[1:4]):
+            _assert_angles_match_scipy(large, small)
+            for a, b in ((large, small), (small, large)):
+                plain = [GridFunction(v.values.copy(), g) for v in a]
+                np.testing.assert_array_equal(principal_angles(a, b),
+                                              principal_angles(plain, b))
 
 
 def test_principal_angles_peak_memory():
@@ -422,3 +473,41 @@ def test_no_factor_alive_when_vectors_are_built(model, monkeypatch, split):
     assert len(made) == (4 if split else 1)
     assert len(pairs) == 8 and len(seen) >= 8
     assert seen == [0] * len(seen)
+
+
+def test_one_factor_alive_at_a_time(model, monkeypatch):
+    alive_at_build, _ = _track_factors(monkeypatch)
+    H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
+    eigenpairs_near(H, k=8, sigma=0.02, seed=0)
+    assert alive_at_build == [1] * 4
+
+
+def test_eigenpairs_near_vectors_stay_on_their_class(model):
+    # a full-grid copy of every vector would retain k N complex entries
+    g = Grid(extent_L=5.0, n_per_side=65)
+    H = build_operator("H", model, g)
+    k = 40
+    tracemalloc.start()
+    try:
+        pairs = eigenpairs_near(H, k=k, sigma=0.02, seed=0)
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert retained < 0.35 * k * g.size * 16
+    labels = _sublattice(g).reshape(g.n_per_side, g.n_per_side)
+    for _, vec, _ in pairs:
+        assert isinstance(vec, SublatticeFunction)
+        p, q = vec.parity
+        full = np.zeros((g.n_per_side, g.n_per_side), dtype=complex)
+        full[p::2, q::2] = vec.rows
+        np.testing.assert_array_equal(vec.values, full.reshape(-1))
+        np.testing.assert_array_equal(vec.as_2d(), full)
+        assert np.all(labels[full != 0] == 2 * p + q)
+    # an in-place write fails loudly instead of going into a copy
+    vec = pairs[0][1]
+    before = vec.rows.copy()
+    with pytest.raises(ValueError):
+        vec.values[0] = 1.0
+    with pytest.raises(ValueError):
+        vec.as_2d()[vec.parity] *= 2.0
+    np.testing.assert_array_equal(vec.rows, before)
