@@ -37,7 +37,7 @@ for lam, vec, resid in pairs:
     print(f"  lambda^2 = {lam:+.5f}   residual = {resid:.1e}   <r> = {r_mean:.2f}")
 
 print("\n-- interior band at the lowest Landau level --")
-u0 = null_state(0, grid).values
+u0 = null_state(0, grid)
 sigma = inner(u0, H.apply(u0)).real / l2_norm(u0) ** 2
 band = eigenpairs_near(H, k=12, sigma=sigma, tol=1e-6, seed=0)
 vals = [p[0] for p in band]

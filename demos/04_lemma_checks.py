@@ -32,7 +32,7 @@ lhs_per_h = []
 for h in (0.5, 0.25, 0.125):
     level = round(1.0 / (2.0 * h))
     cl, _ = ladder_level_clusters(model, src, level, m_count=1)
-    uh = rescale(cl[-1].basis[0], h, "to_semiclassical")
+    uh = rescale(cl[-1].basis[0], h)
     rows = check_cutoff_lemma(model, uh.grid, uh, h, centers=[(1.5, 0.0)],
                               p_residual_guard=0.1)
     sup = [r for r in rows if r.lemma_id == "cutoff_sup_q"][0]

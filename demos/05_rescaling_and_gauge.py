@@ -39,7 +39,7 @@ u = GridFunction(rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size),
 base = norm_triple(u)
 print("rescaling identities on a random field:")
 for h in (1.0, 0.25, 1.0 / 16.0):
-    t = norm_triple(rescale(u, h, "to_semiclassical"))
+    t = norm_triple(rescale(u, h))
     print(f"  h={h:<7.4f} l2 ratio err {abs(t.l2/base.l2 - h**0.5):.2e}   "
           f"l6 ratio err {abs(t.l6/base.l6 - h**(1/6)):.2e}   "
           f"linf err {abs(t.linf - base.linf):.2e}")
@@ -50,10 +50,10 @@ for n in (65, 129, 257):
     h, q = 0.5, (0.6, 0.8)
     gg = Grid(extent_L=np.sqrt(h) * 4.0, n_per_side=n)
     At = build_operator("A_tilde_q", model, gg, h=h, q=q)
-    T = gauge_multiplier(model, gg, h=h, q=q)
+    phase = gauge_multiplier(model, gg, h=h, q=q)     # T_q; T_q^{-1} is its conjugate
     X1, X2 = gg.mesh()
     test = np.exp(-(X1**2 + X2**2))
-    lhs = T.meta["inverse"](At.apply_array(T.apply_array(test)))
+    lhs = np.conj(phase) * At.apply_array(phase * test)
     s = np.sqrt(h)
     coeff = model.grad((X1 + q[0]) / s, (X2 + q[1]) / s)[1] / s
     rhs = translated_factor(test, coeff, h, gg.spacing)

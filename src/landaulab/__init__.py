@@ -9,32 +9,31 @@ the supporting energy, cutoff, gauge and rescaling identities.
 __version__ = "0.1.0"
 
 from .config import ConfigError, RunConfig, load_config, parse_config
-from .cutoffs import Cutoff, bump_profile, make_cutoff, smooth_step
+from .cutoffs import bump_profile, make_cutoff, smooth_step
 from .eigensolve import (EigenCluster, SolverError, cluster, eigenpairs_near,
                          lowest_eigenpairs, principal_angles)
-from .grid import (Grid, GridFunction, inner, l2_norm, load_grid_function,
-                   rescale, save_grid_function)
+from .grid import (Grid, GridFunction, inner, l2_norm, rescale,
+                   save_grid_function)
 from .norms import NormTriple, extremal_l6, extremal_linf, norm_triple
 from .operators import (OperatorHandle, assemble_sparse, build_operator,
                         gauge_multiplier)
-from .oracle import (LadderState, analytic_null_norm, kernel_diagonal,
-                     null_state, orthonormal_level_basis)
+from .oracle import (analytic_null_norm, kernel_diagonal, null_state,
+                     orthonormal_level_basis)
 from .potentials import Potential, make_potential
 from .verify import (BoundReport, LemmaRow, LevelRow, check_cutoff_lemma,
                      check_energy_lemma, check_gauge_lemma,
                      ladder_level_clusters, sweep_bounds)
 
 __all__ = [
-    "BoundReport", "ConfigError", "Cutoff", "EigenCluster", "Grid",
-    "GridFunction", "LadderState", "LemmaRow", "LevelRow", "NormTriple",
-    "OperatorHandle", "Potential", "RunConfig", "SolverError",
-    "analytic_null_norm", "assemble_sparse", "build_operator",
-    "bump_profile", "check_cutoff_lemma", "check_energy_lemma",
-    "check_gauge_lemma", "cluster", "eigenpairs_near", "extremal_l6",
-    "extremal_linf", "gauge_multiplier", "inner", "kernel_diagonal",
-    "l2_norm", "ladder_level_clusters", "load_config",
-    "load_grid_function", "lowest_eigenpairs", "make_cutoff",
-    "make_potential", "norm_triple", "null_state", "orthonormal_level_basis",
-    "parse_config", "principal_angles", "rescale",
-    "save_grid_function", "smooth_step", "sweep_bounds",
+    "BoundReport", "ConfigError", "EigenCluster", "Grid", "GridFunction",
+    "LemmaRow", "LevelRow", "NormTriple", "OperatorHandle", "Potential",
+    "RunConfig", "SolverError", "analytic_null_norm", "assemble_sparse",
+    "build_operator", "bump_profile", "check_cutoff_lemma",
+    "check_energy_lemma", "check_gauge_lemma", "cluster", "eigenpairs_near",
+    "extremal_l6", "extremal_linf", "gauge_multiplier", "inner",
+    "kernel_diagonal", "l2_norm", "ladder_level_clusters", "load_config",
+    "lowest_eigenpairs", "make_cutoff", "make_potential", "norm_triple",
+    "null_state", "orthonormal_level_basis", "parse_config",
+    "principal_angles", "rescale", "save_grid_function", "smooth_step",
+    "sweep_bounds",
 ]

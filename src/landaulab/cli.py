@@ -18,7 +18,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, RunConfig, load_config
+from .config import ConfigError, RunConfig, load_config, set_field
 from .cutoffs import SUPPORT_RADIUS
 from .eigensolve import (SolverError, cluster, eigenpairs_near,
                          lowest_eigenpairs, principal_angles,
@@ -123,7 +123,7 @@ def run_lemmas(cfg: RunConfig) -> int:
     for h in cfg.h_list:
         level = max(1, round(1.0 / (2.0 * h)))
         cl, _ = ladder_level_clusters(potential, grid, level, m_count=1)
-        uh = rescale(cl[-1].basis[0], h, "to_semiclassical")
+        uh = rescale(cl[-1].basis[0], h)
         centers = [q for q in cfg.q_list if admissible(q, uh.grid, check="cutoff", h=h)]
         if centers:
             rows += check_cutoff_lemma(potential, uh.grid, uh, h, centers)
@@ -149,20 +149,19 @@ def run_lemmas(cfg: RunConfig) -> int:
 
 
 def run_oracle_compare(cfg: RunConfig) -> int:
-    potential, grid = _setup(cfg)
     if cfg.potential_kind != "model_quadratic":
         raise ConfigError("oracle-compare requires potential.kind = model_quadratic")
+    potential, grid = _setup(cfg)
     H = build_operator("H", potential, grid)
-    oracle_states = [null_state(m, grid) for m in range(cfg.compare_m_max + 1)]
-    oracle_basis = [s.values for s in oracle_states]
+    oracle_basis = [null_state(m, grid) for m in range(cfg.compare_m_max + 1)]
     # oracle residuals against the discrete operator
     oracle_rows = []
-    for s in oracle_states:
-        hu = H.apply(s.values)
-        nrm = l2_norm(s.values)
-        ray = float(np.vdot(s.values.values, hu.values).real * grid.weight / nrm**2)
-        res = l2_norm(GridFunction(hu.values - ray * s.values.values, grid)) / nrm
-        oracle_rows.append({"m": s.angular_index, "rayleigh": ray, "residual": res})
+    for m, u in enumerate(oracle_basis):
+        hu = H.apply(u)
+        nrm = l2_norm(u)
+        ray = float(np.vdot(u.values, hu.values).real * grid.weight / nrm**2)
+        res = l2_norm(GridFunction(hu.values - ray * u.values, grid)) / nrm
+        oracle_rows.append({"m": m, "rayleigh": ray, "residual": res})
     # center the shift on the oracle band so the window covers its content
     sigma = cfg.compare_sigma
     if sigma == "auto":
@@ -225,7 +224,7 @@ def main(argv=None) -> int:
             if args.out is not None:
                 cfg.out_dir = args.out
             if args.seed is not None:
-                cfg.seed = args.seed
+                set_field(cfg, "solve.seed", args.seed)
             return COMMANDS[args.command](cfg)
         except ValueError as exc:   # the error class of every module but eigensolve
             print(f"error: {exc}", file=sys.stderr)

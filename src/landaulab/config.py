@@ -6,6 +6,7 @@ field, so a config typo can never silently change an experiment.
 
 from __future__ import annotations
 
+import contextlib
 import json
 import math
 from dataclasses import dataclass
@@ -45,13 +46,16 @@ def _require(cond, message):
 
 
 def _number(cast):
-    """Parser of one number for a named field: an int, or a finite float."""
+    """Parser of one JSON number for a named field, never a bool or a string:
+    an integral value for an int field, a finite one for a float field."""
     def parse(value, name):
-        try:
-            out = cast(value)
-        except (TypeError, ValueError, OverflowError):
-            raise ConfigError(f"{name} must be a number, got {value!r}") from None
-        _require(cast is int or math.isfinite(out), f"{name} must be finite, got {value!r}")
+        out = None
+        if type(value) in (int, float):
+            with contextlib.suppress(ValueError, OverflowError):  # int(inf), float(10**400)
+                out = cast(value)
+        _require(out is not None and (out == value if cast is int else math.isfinite(out)),
+                 f"{name} must be a number ({'integral' if cast is int else 'finite'}), "
+                 f"got {value!r}")
         return out
     return parse
 
@@ -85,7 +89,8 @@ _FIELDS = (
      (lambda v: v >= 9 and v % 2 == 1, "must be odd and >= 9")),
     ("solve", "k", "k", _INT, (lambda v: 1 <= v <= MAX_K, f"must be in [1, {MAX_K}]")),
     ("solve", "tol", "tol", _FLOAT, (lambda v: v >= MIN_TOL, f"must be >= {MIN_TOL:g}")),
-    ("solve", "seed", "seed", _INT, None),
+    ("solve", "seed", "seed", _INT,
+     (lambda v: 0 <= v <= 2**32 - 1, "must be in [0, 2^32 - 1]")),
     ("solve", "cluster_tol", "cluster_tol", _FLOAT, (lambda v: v > 0, "must be positive")),
     ("sweep", "max_level", "max_level", _INT, (lambda v: v >= 0, "must be >= 0")),
     ("sweep", "restarts", "restarts", _INT, (lambda v: v >= 8, "must be >= 8")),
@@ -115,13 +120,20 @@ def parse_config(doc: dict) -> RunConfig:
         _require(not bad, f"unknown key(s) in {section}: {sorted(bad)}")
 
     cfg = RunConfig()
-    for section, key, name, parse, rule in _FIELDS:
+    for section, key, *_ in _FIELDS:
         if key in doc.get(section, {}):
-            value = parse(doc[section][key], f"{section}.{key}")
-            if rule is not None:
-                _require(rule[0](value), f"{section}.{key} {rule[1]}")
-            setattr(cfg, name, value)
+            set_field(cfg, f"{section}.{key}", doc[section][key])
     return cfg
+
+
+def set_field(cfg: RunConfig, key: str, value) -> None:
+    """Parse `value` as the config key "section.key" does, check its rule and
+    set the matching RunConfig field."""
+    name, parse, rule = next(f[2:] for f in _FIELDS if f"{f[0]}.{f[1]}" == key)
+    value = parse(value, key)
+    if rule is not None:
+        _require(rule[0](value), f"{key} {rule[1]}")
+    setattr(cfg, name, value)
 
 
 def load_config(path: str) -> RunConfig:

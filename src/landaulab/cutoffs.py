@@ -1,17 +1,15 @@
 """Smooth radial cutoffs: beta = 1 on the unit disk, 0 outside radius 2.
 
 The radial profile is the standard exp(-1/t) glue, so beta is C^infinity,
-radially non-increasing, and 0 <= beta <= 1. The wide variant
-beta_tilde(x) = beta(x/2) equals 1 on the support of beta. The profile's
-first two derivatives have a closed form; the derivative sup norms sample it
-on a fine one-dimensional mesh, and the summed overlap factors evaluate it on
-the grid.
+radially non-increasing, and 0 <= beta <= 1. The profile's first two
+derivatives have a closed form; the derivative sup norms, the same for every
+cutoff, sample it on a fine one-dimensional mesh, and the summed overlap
+factors evaluate it on the grid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
@@ -75,46 +73,21 @@ def profile_sup_norms():
     return float(np.abs(d1).max()), float(np.abs(d2 + d1 / r).max())
 
 
-def _radial(q, grid: Grid, scale: float = 1.0) -> GridFunction:
-    """bump_profile(|x - q| / scale) on the grid's nodes."""
+def make_cutoff(q, grid: Grid) -> GridFunction:
+    """beta_q = bump_profile(|x - q|) on the grid's nodes."""
     x = grid.axis()
     r = np.sqrt((x[:, None] - q[0]) ** 2 + (x[None, :] - q[1]) ** 2)
-    return GridFunction(bump_profile(r / scale).astype(complex).reshape(-1), grid)
+    return GridFunction(bump_profile(r).astype(complex).reshape(-1), grid)
 
 
-@dataclass
-class Cutoff:
-    center: tuple
-    beta: GridFunction        # beta_q on the grid
-    sup_grad: float           # sup |d1 beta| = sup |d2 beta| = sup |grad beta|
-    sup_lap: float            # sup |Delta beta|
-
-    @cached_property
-    def beta_tilde(self) -> GridFunction:
-        """beta_tilde_q = beta((x - q)/2), evaluated on first access."""
-        return _radial(self.center, self.beta.grid, 2.0)
+def lattice_window(grid: Grid):
+    """Integer lattice points q with dist(q, boundary) >= SUPPORT_RADIUS."""
+    reach = int(np.floor(grid.extent_L - SUPPORT_RADIUS))
+    span = range(-reach, reach + 1)
+    return [(float(q1), float(q2)) for q1 in span for q2 in span]
 
 
-def make_cutoff(q, grid: Grid) -> Cutoff:
-    """Cutoff centered at q, built from bump_profile."""
-    sup_grad, sup_lap = profile_sup_norms()
-    center = (float(q[0]), float(q[1]))
-    # |d_j beta| = |psi'(r)| |x_j - q_j| / r <= |psi'(r)|, attained on the axis
-    return Cutoff(center=center, beta=_radial(center, grid),
-                  sup_grad=sup_grad, sup_lap=sup_lap)
-
-
-def lattice_window(grid: Grid, margin: float = SUPPORT_RADIUS):
-    """Integer lattice points q with dist(q, boundary) >= margin."""
-    reach = int(np.floor(grid.extent_L - margin))
-    pts = []
-    for q1 in range(-reach, reach + 1):
-        for q2 in range(-reach, reach + 1):
-            pts.append((float(q1), float(q2)))
-    return pts
-
-
-def overlap_square_sums(grid: Grid, margin: float = SUPPORT_RADIUS):
+def overlap_square_sums(grid: Grid):
     """The (n, n) fields sum_q |Delta beta_q|^2, sum_q |d_1 beta_q|^2 and
     sum_q |d_2 beta_q|^2 over the integer-lattice window, from the bump's
     closed-form derivatives.
@@ -127,7 +100,7 @@ def overlap_square_sums(grid: Grid, margin: float = SUPPORT_RADIUS):
     s_lap = np.zeros((n, n))
     s_d1 = np.zeros((n, n))
     s_d2 = np.zeros((n, n))
-    for q in lattice_window(grid, margin):
+    for q in lattice_window(grid):
         lo1, hi1, lo2, hi2 = np.searchsorted(
             x, [q[0] - SUPPORT_RADIUS, q[0] + SUPPORT_RADIUS,
                 q[1] - SUPPORT_RADIUS, q[1] + SUPPORT_RADIUS])
@@ -143,7 +116,7 @@ def overlap_square_sums(grid: Grid, margin: float = SUPPORT_RADIUS):
     return s_lap, s_d1, s_d2
 
 
-def overlap_sup_factors(grid: Grid, margin: float = SUPPORT_RADIUS):
+def overlap_sup_factors(grid: Grid):
     """Finite-overlap factors for the summed cutoff inequality: the sup
     norms of the square roots of the `overlap_square_sums` fields."""
-    return tuple(float(np.sqrt(s.max())) for s in overlap_square_sums(grid, margin))
+    return tuple(float(np.sqrt(s.max())) for s in overlap_square_sums(grid))

@@ -151,11 +151,9 @@ def mgs_orthonormalize(vectors, weight: float):
 # ---------------------------------------------------------------------------
 # semiclassical rescaling: exact sample relabeling, no interpolation
 
-def rescale(u: GridFunction, h: float, direction: str = "to_semiclassical") -> GridFunction:
-    """Relabel samples of u(x) as u_h(x) = u(x / sqrt(h)) on the scaled grid.
-
-    to_semiclassical shrinks the extent to sqrt(h) * L; from_semiclassical
-    grows it by 1/sqrt(h). Nodes map exactly (same sample values, new
+def rescale(u: GridFunction, h: float) -> GridFunction:
+    """Relabel samples of u(x) as u_h(x) = u(x / sqrt(h)) on the grid of
+    extent sqrt(h) * L. Nodes map exactly (same sample values, new
     coordinates and quadrature weight), so the norm identities
       ||u_h||_2 = h^{1/2} ||u||_2,  ||u_h||_6 = h^{1/6} ||u||_6,
       ||u_h||_inf = ||u||_inf
@@ -163,19 +161,12 @@ def rescale(u: GridFunction, h: float, direction: str = "to_semiclassical") -> G
     """
     if not h > 0:
         raise GridError(f"h must be positive, got {h}")
-    if direction not in ("to_semiclassical", "from_semiclassical"):
-        raise GridError(f"unknown rescale direction {direction!r}")
-    scale = np.sqrt(h) if direction == "to_semiclassical" else 1.0 / np.sqrt(h)
-    new_grid = Grid(extent_L=u.grid.extent_L * scale, n_per_side=u.grid.n_per_side)
+    new_grid = Grid(extent_L=u.grid.extent_L * np.sqrt(h), n_per_side=u.grid.n_per_side)
     return GridFunction(u.values.copy(), new_grid)
 
 
 # ---------------------------------------------------------------------------
 # serialization: CSV of (x1, x2, Re u, Im u) + JSON sidecar
-
-def _sidecar_path(path: str) -> str:
-    return path + ".meta.json"
-
 
 def save_grid_function(u: GridFunction, path: str) -> None:
     X1, X2 = u.grid.mesh()
@@ -187,17 +178,7 @@ def save_grid_function(u: GridFunction, path: str) -> None:
     atomic_write_text(path, "x1,x2,re_u,im_u\n"
                       + (line * len(rows)) % tuple(rows.ravel().tolist()))
     meta = {"extent_L": u.grid.extent_L, "n_per_side": u.grid.n_per_side, "format": "csv"}
-    atomic_write_text(_sidecar_path(path), json.dumps(meta, sort_keys=True) + "\n")
-
-
-def load_grid_function(path: str) -> GridFunction:
-    with open(_sidecar_path(path)) as fh:
-        meta = json.load(fh)
-    grid = Grid(extent_L=float(meta["extent_L"]), n_per_side=int(meta["n_per_side"]))
-    rows = np.loadtxt(path, delimiter=",", skiprows=1)
-    if rows.shape[0] != grid.size:
-        raise GridError(f"file row count {rows.shape[0]} does not match sidecar grid")
-    return GridFunction(rows[:, 2] + 1j * rows[:, 3], grid)
+    atomic_write_text(path + ".meta.json", json.dumps(meta, sort_keys=True) + "\n")
 
 
 def atomic_write_text(path: str, text: str) -> None:

@@ -220,15 +220,18 @@ class AscentResult:
     hessian_max: float | None = None
 
 
-def extremal_l6(cluster, restarts: int = 8, tol: float = 1e-8,
-                seed: int = 0, max_iter: int = 500) -> AscentResult:
+ASCENT_TOL = 1e-8        # BFGS gradient tolerance of the L^6 ascent
+ASCENT_MAX_ITER = 500    # BFGS iteration cap of each restart
+
+
+def extremal_l6(cluster, restarts: int = 8, seed: int = 0) -> AscentResult:
     """Multistart BFGS maximization of the L^6/L^2 ratio over the cluster's
     eigenspace.
 
     Minimizes the scale-invariant f(x) = -log J(c) + log|c| over
-    x = (Re c, Im c), so no sphere constraint is needed; tol is the BFGS
-    gradient tolerance and max_iter its iteration cap. Deterministic for a
-    fixed seed; ties between restarts break toward the lowest restart index.
+    x = (Re c, Im c), so no sphere constraint is needed; BFGS stops at
+    gradient ASCENT_TOL or after ASCENT_MAX_ITER iterations. Deterministic for
+    a fixed seed; ties between restarts break toward the lowest restart index.
 
     The ascent runs on the nodes that `l6_support` keeps; the dropped nodes
     change J^6 by at most the result's cut_bound; BFGS evaluates J in the
@@ -273,7 +276,7 @@ def extremal_l6(cluster, restarts: int = 8, tol: float = 1e-8,
     best = None
     for c in starts:
         res = minimize(f_and_grad, np.concatenate([c.real, c.imag]), jac=True,
-                       method="BFGS", options={"gtol": tol, "maxiter": max_iter})
+                       method="BFGS", options={"gtol": ASCENT_TOL, "maxiter": ASCENT_MAX_ITER})
         c = res.x[:k] + 1j * res.x[k:]
         c /= np.linalg.norm(c)
         cur = AscentResult(ratio=_l6_value(c, V, w), coeffs=c,

@@ -30,7 +30,7 @@ eigenpairs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -40,7 +40,7 @@ from .grid import Grid, GridFunction
 from .potentials import Potential
 
 LABELS = ("A", "B", "H", "P", "A_tilde_q", "B_tilde_q", "P_tilde_q",
-          "D", "D_star", "T_q")
+          "D", "D_star")
 
 SEMICLASSICAL_LABELS = ("P", "A_tilde_q", "B_tilde_q", "P_tilde_q")
 TILDE_LABELS = ("A_tilde_q", "B_tilde_q", "P_tilde_q")
@@ -58,7 +58,6 @@ class OperatorHandle:
     apply_array: Callable  # (n, n) complex array -> (n, n) complex array
     is_hermitian: bool
     sparse_builder: Optional[Callable] = None
-    meta: dict = field(default_factory=dict)
     factors: Optional["Factors"] = None
 
     def apply(self, u: GridFunction) -> GridFunction:
@@ -181,8 +180,8 @@ def build_operator(label: str, potential: Potential, grid: Grid,
     tilde labels) always builds its own. The record holds one set, so any
     unscaled build by any caller over other inputs replaces it."""
     global _unscaled
-    if label not in LABELS or label == "T_q":
-        raise OperatorError(f"unknown or non-constructible label {label!r}")
+    if label not in LABELS:
+        raise OperatorError(f"unknown label {label!r}")
     semi = label in SEMICLASSICAL_LABELS
     if semi:
         if h is None:
@@ -231,8 +230,9 @@ def assemble_sparse(op: OperatorHandle):
     return op.sparse_builder()
 
 
-def gauge_multiplier(potential: Potential, grid: Grid, h: float, q: tuple) -> OperatorHandle:
-    """Unitary multiplication by exp(i sigma(x, h^{-1/2} grad phi(h^{-1/2} q))).
+def gauge_multiplier(potential: Potential, grid: Grid, h: float, q: tuple) -> np.ndarray:
+    """The (n, n) phase exp(i sigma(x, h^{-1/2} grad phi(h^{-1/2} q))) of the
+    unitary multiplication T_q; T_q^{-1} multiplies by its conjugate.
 
     sigma(x, xi) = x2 xi1 - x1 xi2. With h = 1 this is the small-eigenvalue
     variant exp(i sigma(x, grad phi(q))).
@@ -243,9 +243,4 @@ def gauge_multiplier(potential: Potential, grid: Grid, h: float, q: tuple) -> Op
     g1q, g2q = potential.grad(q[0] / s, q[1] / s)
     xi = (float(g1q) / s, float(g2q) / s)
     X1, X2 = grid.mesh()
-    phase = np.exp(1j * (X2 * xi[0] - X1 * xi[1]))
-    return OperatorHandle(label="T_q", grid=grid, apply_array=lambda u: phase * u,
-                          is_hermitian=False,
-                          sparse_builder=lambda: sp.diags(phase.ravel()).tocsr(),
-                          meta={"inverse": lambda u: np.conj(phase) * u, "phase": phase})
-
+    return np.exp(1j * (X2 * xi[0] - X1 * xi[1]))

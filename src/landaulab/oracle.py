@@ -11,7 +11,6 @@ potential; the Rayleigh-Ritz level bases of `verify` start from it too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,12 +27,6 @@ class OracleError(ValueError):
     pass
 
 
-@dataclass
-class LadderState:
-    angular_index: int
-    values: GridFunction
-
-
 def analytic_null_norm(m: int) -> float:
     """L^2 norm of conj(z)^m exp(-|z|^2) over the plane."""
     return math.sqrt(math.pi * math.factorial(m) / 2.0 ** (m + 1))
@@ -48,7 +41,7 @@ def check_resolution(m: int, grid: Grid) -> None:
             f"state m={m} unresolved on extent {L}: boundary amplitude {boundary:.2e}")
 
 
-def null_state(m: int, grid: Grid) -> LadderState:
+def null_state(m: int, grid: Grid) -> GridFunction:
     """Sampled, analytically normalized null-space state conj(z)^m e^{-|z|^2}."""
     if m < 0:
         raise OracleError(f"angular index must be >= 0, got {m}")
@@ -56,7 +49,7 @@ def null_state(m: int, grid: Grid) -> LadderState:
     X1, X2 = grid.mesh()
     zbar = X1 - 1j * X2
     vals = zbar**m * np.exp(-(X1**2 + X2**2)) / analytic_null_norm(m)
-    return LadderState(angular_index=m, values=GridFunction(vals.reshape(-1), grid))
+    return GridFunction(vals.reshape(-1), grid)
 
 
 _model = make_potential("model_quadratic")

@@ -19,7 +19,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .cutoffs import (SUPPORT_RADIUS, lattice_window, make_cutoff,
-                      overlap_sup_factors)
+                      overlap_sup_factors, profile_sup_norms)
 from .eigensolve import EigenCluster, cluster
 from .grid import ENVELOPE_THRESHOLD, Grid, GridFunction, l2_norm, mgs_orthonormalize
 from .norms import extremal_l6, extremal_linf
@@ -30,7 +30,6 @@ from .potentials import Potential, _fd_partial, ball_sup
 SCHEMA_VERSION = 1          # of every JSON report the package writes
 
 LEVEL_CLUSTER_TOL = 0.5     # largest eigenvalue gap inside one level's cluster
-ASCENT_TOL = 1e-8           # BFGS gradient tolerance of the sweep's L^6 ascent
 RESIDUAL_GUARD = 0.5        # worst Ritz residual above which a level is excluded
 # bounded no growth: the later levels at most TREND_SLACK times the largest
 # of the first two, and a fitted slope at most SLOPE_LIMIT
@@ -209,7 +208,7 @@ def sweep_bounds(potential: Potential, grid: Grid, max_level: int,
                  f"exceeds guard {RESIDUAL_GUARD}")
             continue
         ratio_linf, _ = extremal_linf(c)
-        asc = extremal_l6(c, restarts=restarts, tol=ASCENT_TOL, seed=seed)
+        asc = extremal_l6(c, restarts=restarts, seed=seed)
         if not asc.converged:
             warn(f"level {c.label}: L^6 ascent stopped after {asc.iterations} "
                  "iterations without converging; ratio_l6 is a looser lower bound")
@@ -301,14 +300,16 @@ def check_cutoff_lemma(potential: Potential, grid: Grid, u: GridFunction,
                       f"guard {p_residual_guard}; the check may be polluted")
     lap_sup = potential.laplacian_sup_norm()
     energy_factor = float(np.sqrt(h / 4.0 * lap_sup + 1.0))
+    # sup |d_j beta_q| <= sup |grad beta_q| = sup_grad, attained on the axes
+    sup_grad, sup_lap = profile_sup_norms()
     rows = []
     for q in centers:
         if max(abs(q[0]), abs(q[1])) > grid.extent_L - SUPPORT_RADIUS:
             raise VerifyError(f"center {q} violates the interior margin {SUPPORT_RADIUS:g}")
-        cut = make_cutoff(q, grid)
-        lhs = l2_norm(P.apply(GridFunction(cut.beta.values * u.values, grid)))
-        rhs = h * (h / 4.0 * cut.sup_lap
-                   + energy_factor * 2.0 * cut.sup_grad) * nu
+        beta = make_cutoff(q, grid)
+        lhs = l2_norm(P.apply(GridFunction(beta.values * u.values, grid)))
+        rhs = h * (h / 4.0 * sup_lap
+                   + energy_factor * 2.0 * sup_grad) * nu
         rows.append(LemmaRow(lemma_id="cutoff_sup_q", lhs=lhs, rhs=rhs,
                              passed=bool(lhs <= LEMMA_SLACK * rhs),
                              detail={"q": [float(q[0]), float(q[1])], "h": h,
@@ -319,8 +320,8 @@ def check_cutoff_lemma(potential: Potential, grid: Grid, u: GridFunction,
     if window:
         total = 0.0
         for q in window:
-            cut = make_cutoff(q, grid)
-            total += l2_norm(P.apply(GridFunction(cut.beta.values * u.values, grid))) ** 2
+            beta = make_cutoff(q, grid)
+            total += l2_norm(P.apply(GridFunction(beta.values * u.values, grid))) ** 2
         lhs_sum = float(np.sqrt(total))
         s_lap, s_d1, s_d2 = overlap_sup_factors(grid)
         rhs_sum = h * (h / 4.0 * s_lap + energy_factor * (s_d1 + s_d2)) * nu
@@ -381,11 +382,11 @@ def check_gauge_lemma(potential: Potential, grid: Grid, u: GridFunction, q) -> l
                       f"guard {H_RESIDUAL_GUARD}")
     A = build_operator("A", potential, grid)
     B = build_operator("B", potential, grid)
-    Tq = gauge_multiplier(potential, grid, h=1.0, q=q)
+    phase = gauge_multiplier(potential, grid, h=1.0, q=q)
     u_minus_q = translate_samples(u, q)          # u(x + q)
-    beta0 = make_cutoff((0.0, 0.0), grid).beta
-    twisted = GridFunction(Tq.meta["phase"].reshape(-1) * beta0.values * u_minus_q.values, grid)
-    beta_q = make_cutoff(q, grid).beta
+    beta0 = make_cutoff((0.0, 0.0), grid)
+    twisted = GridFunction(phase.reshape(-1) * beta0.values * u_minus_q.values, grid)
+    beta_q = make_cutoff(q, grid)
     local = GridFunction(beta_q.values * u.values, grid)
 
     rows = []

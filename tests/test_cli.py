@@ -73,10 +73,37 @@ def test_parse_config_validates_fields():
         parse_config({"lemmas": {"h_list": []}})
 
 
-# config texts whose values are not numbers where numbers are due; 1e400
-# parses to inf
+def test_parse_config_rejects_seed_outside_randomstate_range():
+    for seed in (-1, 2**32):
+        with pytest.raises(ConfigError, match="solve.seed"):
+            parse_config({"solve": {"seed": seed}})
+    assert parse_config({"solve": {"seed": 2**32 - 1}}).seed == 2**32 - 1
+
+
+# config texts whose values are not numbers where numbers are due: 1e400
+# parses to inf, an int field takes no fractional value, and no field takes
+# a bool or a numeric string
 NON_NUMBERS = ['{"solve": {"k": null}}', '{"compare": {"sigma": null}}',
-               '{"potential": {"params": [null]}}', '{"sweep": {"max_level": 1e400}}']
+               '{"potential": {"params": [null]}}', '{"sweep": {"max_level": 1e400}}',
+               '{"grid": {"n_per_side": 65.9}}', '{"sweep": {"max_level": 1.7}}',
+               '{"solve": {"k": true}}', '{"grid": {"n_per_side": "129"}}',
+               '{"grid": {"extent_L": "6.5"}}', '{"lemmas": {"h_list": [false]}}',
+               '{"compare": {"sigma": "0.5"}}']
+
+
+def test_parse_config_accepts_integral_floats():
+    cfg = parse_config({"grid": {"n_per_side": 65.0, "extent_L": 6}})
+    assert cfg.n_per_side == 65 and type(cfg.n_per_side) is int
+    assert cfg.extent_L == 6.0 and type(cfg.extent_L) is float
+
+
+def _run_cli(args):
+    """The CLI in a subprocess, importing the package from this checkout."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + "/src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-m", "landaulab.cli", *args],
+                          capture_output=True, text=True, env=env)
 
 
 @pytest.mark.parametrize("text", NON_NUMBERS)
@@ -90,15 +117,32 @@ def test_cli_bad_config_exits_1_without_traceback(tmp_path, text):
     path = tmp_path / "cfg.json"
     if text is not None:     # None: the config file does not exist
         path.write_text(text)
-    src = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + "/src"
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    out = subprocess.run([sys.executable, "-m", "landaulab.cli", "bounds", "--config",
-                          str(path), "--out", str(tmp_path / "out")],
-                         capture_output=True, text=True, env=env)
+    out = _run_cli(["bounds", "--config", str(path), "--out", str(tmp_path / "out")])
     assert out.returncode == 1
     assert "Traceback" not in out.stderr
     assert out.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("command, seed", [("bounds", "-1"), ("spectrum", str(2**32))])
+def test_cli_bad_seed_exits_1_before_any_work(tmp_path, command, seed):
+    out_dir = tmp_path / "out"
+    out = _run_cli([command, "--out", str(out_dir), "--seed", seed])
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr.startswith("error: solve.seed must be in")
+    assert not out_dir.exists()
+
+
+def test_cli_oracle_compare_non_model_exits_1_before_any_work(tmp_path):
+    path = _write_config(tmp_path, {"potential": {"kind": "quadratic_plus_trig",
+                                                  "params": [0.1]}})
+    out_dir = tmp_path / "out"
+    out = _run_cli(["oracle-compare", "--config", path, "--out", str(out_dir)])
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr == ("error: oracle-compare requires potential.kind = "
+                          "model_quadratic\n")
+    assert not out_dir.exists()
 
 
 def test_cli_empty_h_list_exits_1(tmp_path, capsys):
@@ -244,9 +288,10 @@ def test_cli_spectrum_writes_eigenfunctions(tmp_path):
     cfg = _write_config(tmp_path, doc)
     out = str(tmp_path / "dump_out")
     assert main(["spectrum", "--config", cfg, "--out", out]) == 0
-    from landaulab import load_grid_function
-    gf = load_grid_function(os.path.join(out, "eig_000.csv"))
-    assert gf.grid.n_per_side == 65
+    rows = np.loadtxt(os.path.join(out, "eig_000.csv"), delimiter=",", skiprows=1)
+    assert rows.shape == (65 * 65, 4)
+    meta = json.loads(open(os.path.join(out, "eig_000.csv.meta.json")).read())
+    assert meta == {"extent_L": 5.0, "n_per_side": 65, "format": "csv"}
 
 
 def test_cli_lemmas_runs(tmp_path):

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from landaulab import Grid, bump_profile, make_cutoff, smooth_step
-import landaulab.cutoffs as cutoffs
 from landaulab.cutoffs import (bump_derivatives, lattice_window,
                                overlap_square_sums, overlap_sup_factors,
                                profile_sup_norms)
@@ -34,20 +33,15 @@ def test_bump_monotone_on_transition():
 def test_cutoff_values(model):
     g = Grid(extent_L=6.0, n_per_side=121)
     q = (1.0, 0.0)
-    cut = make_cutoff(q, g)
-    beta = cut.beta.as_2d().real
+    beta = make_cutoff(q, g).as_2d()
+    assert np.all(beta.imag == 0.0)
+    beta = beta.real
     x = g.axis()
     iq = np.argmin(np.abs(x - 1.0))
     i0 = np.argmin(np.abs(x - 0.0))
     assert beta[iq, i0] == 1.0                       # beta_q(q) = 1
     i25 = np.argmin(np.abs(x - 3.5))                 # distance 2.5 from q
     assert beta[i25, i0] == 0.0
-    # beta_tilde = 1 at distance 1.9 (it is 1 out to distance 2)
-    bt = cut.beta_tilde.as_2d().real
-    i19 = np.argmin(np.abs(x - 2.9))
-    assert bt[i19, i0] == 1.0
-    # beta_tilde = 1 on supp beta
-    assert np.all(bt[beta > 0] == 1.0)
     assert np.all((beta >= 0) & (beta <= 1))
 
 
@@ -95,7 +89,7 @@ def test_bump_derivatives_vanish_off_the_transition():
 
 def test_lattice_window(model):
     g = Grid(extent_L=6.0, n_per_side=21)
-    pts = lattice_window(g, margin=2.0)
+    pts = lattice_window(g)
     assert (0.0, 0.0) in pts
     assert all(max(abs(p[0]), abs(p[1])) <= 4.0 for p in pts)
     assert len(pts) == 81  # 9 x 9 integer points
@@ -111,14 +105,14 @@ def test_overlap_sup_factors_finite(model):
     assert abs(s_d1 - s_d2) < 1e-6
 
 
-def _overlap_square_sums_full_grid(grid, margin=2.0):
+def _overlap_square_sums_full_grid(grid):
     """Reference: the three summed fields, every lattice center evaluated
     on the whole grid."""
     X1, X2 = grid.mesh()
     s_lap = np.zeros_like(X1)
     s_d1 = np.zeros_like(X1)
     s_d2 = np.zeros_like(X1)
-    for q in lattice_window(grid, margin):
+    for q in lattice_window(grid):
         rr = np.maximum(np.sqrt((X1 - q[0]) ** 2 + (X2 - q[1]) ** 2), 1.0)
         dpsi, d2psi = bump_derivatives(rr)
         s_lap += (d2psi + dpsi / rr) ** 2
@@ -127,7 +121,7 @@ def _overlap_square_sums_full_grid(grid, margin=2.0):
     return s_lap, s_d1, s_d2
 
 
-def _overlap_sup_factors_by_differences(grid, margin=2.0):
+def _overlap_sup_factors_by_differences(grid):
     """Independent reference: derivatives of bump_profile by central
     differences of step 1e-6 on the whole grid."""
     X1, X2 = grid.mesh()
@@ -135,7 +129,7 @@ def _overlap_sup_factors_by_differences(grid, margin=2.0):
     s_d1 = np.zeros_like(X1)
     s_d2 = np.zeros_like(X1)
     dr = 1e-6
-    for q in lattice_window(grid, margin):
+    for q in lattice_window(grid):
         rr = np.maximum(np.sqrt((X1 - q[0]) ** 2 + (X2 - q[1]) ** 2), 1e-9)
         dpsi = (bump_profile(rr + dr) - bump_profile(rr - dr)) / (2 * dr)
         d2psi = (bump_profile(rr + dr) - 2 * bump_profile(rr) + bump_profile(rr - dr)) / dr**2
@@ -165,25 +159,3 @@ def test_overlap_sup_factors_match_differences(extent, n):
     g = Grid(extent_L=extent, n_per_side=n)
     np.testing.assert_allclose(overlap_sup_factors(g),
                                _overlap_sup_factors_by_differences(g), rtol=1e-5)
-
-
-def test_beta_tilde_evaluated_on_first_access(model, monkeypatch):
-    g = Grid(extent_L=6.0, n_per_side=41)
-    ref = make_cutoff((1.0, -0.5), g)
-    ref_tilde = ref.beta_tilde
-    grid_calls = []
-
-    def spy(r):
-        if np.ndim(r) == 2:
-            grid_calls.append(r.copy())
-        return bump_profile(r)
-
-    monkeypatch.setattr(cutoffs, "bump_profile", spy)
-    cut = make_cutoff((1.0, -0.5), g)
-    assert len(grid_calls) == 1
-    assert np.array_equal(cut.beta.values, ref.beta.values)
-    bt = cut.beta_tilde
-    assert len(grid_calls) == 2
-    assert np.array_equal(grid_calls[1], grid_calls[0] / 2.0)
-    assert np.array_equal(bt.values, ref_tilde.values)
-    assert cut.beta_tilde is bt and len(grid_calls) == 2

@@ -83,7 +83,7 @@ def test_variational_sanity(model):
     g = Grid(extent_L=6.0, n_per_side=65)
     H = build_operator("H", model, g)
     pairs = lowest_eigenpairs(H, k=1, tol=1e-6, seed=0)
-    u0 = null_state(0, g).values
+    u0 = null_state(0, g)
     rayleigh = inner(u0, H.apply(u0)).real / l2_norm(u0) ** 2
     assert pairs[0][0] <= rayleigh + 1e-6
 

@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from landaulab import (Grid, GridFunction, inner, l2_norm,
-                       load_grid_function, norm_triple, rescale,
-                       save_grid_function)
+from landaulab import (Grid, GridFunction, inner, l2_norm, norm_triple,
+                       rescale, save_grid_function)
 from landaulab.grid import GridError, mgs_orthonormalize
 from helpers import from_callable
 
@@ -34,7 +33,7 @@ def test_gridfunction_length_guard():
 def test_rescale_identity(rng):
     g = Grid(extent_L=3.0, n_per_side=17)
     u = GridFunction(rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size), g)
-    same = rescale(rescale(u, 1.0, "to_semiclassical"), 1.0, "from_semiclassical")
+    same = rescale(u, 1.0)
     assert same.grid == u.grid
     np.testing.assert_array_equal(same.values, u.values)
 
@@ -43,13 +42,13 @@ def test_rescale_identity(rng):
 def test_rescale_norm_identities(h, rng):
     g = Grid(extent_L=3.0, n_per_side=33)
     u = GridFunction(rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size), g)
-    uh = rescale(u, h, "to_semiclassical")
+    uh = rescale(u, h)
     a, b = norm_triple(u), norm_triple(uh)
     assert b.l2 / a.l2 == pytest.approx(h**0.5, rel=1e-13)
     assert b.l6 / a.l6 == pytest.approx(h ** (1.0 / 6.0), rel=1e-13)
     assert b.linf == a.linf
-    # round trip restores the grid exactly enough for the norms
-    back = rescale(uh, h, "from_semiclassical")
+    # h and 1/h undo each other up to round-off in the extent
+    back = rescale(uh, 1.0 / h)
     assert back.grid.extent_L == pytest.approx(g.extent_L, rel=1e-15)
 
 
@@ -60,18 +59,6 @@ def test_rescale_rejects_bad_h(rng):
         rescale(u, 0.0)
     with pytest.raises(GridError):
         rescale(u, -1.0)
-    with pytest.raises(GridError):
-        rescale(u, 1.0, "sideways")
-
-
-def test_serialization_roundtrip(tmp_path, rng):
-    g = Grid(extent_L=2.0, n_per_side=11)
-    u = GridFunction(rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size), g)
-    path = str(tmp_path / "state.csv")
-    save_grid_function(u, path)
-    v = load_grid_function(path)
-    assert v.grid == u.grid
-    np.testing.assert_allclose(v.values, u.values, rtol=0, atol=1e-12)
 
 
 def test_csv_bytes_match_savetxt(tmp_path, rng):

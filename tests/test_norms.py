@@ -35,7 +35,7 @@ def test_norm_triple_constant_field():
 
 
 def test_gaussian_linf_over_l2(grid_medium):
-    u = null_state(0, grid_medium).values
+    u = null_state(0, grid_medium)
     t = norm_triple(u)
     assert t.linf / t.l2 == pytest.approx(math.sqrt(2.0 / math.pi), abs=1e-3)
 
@@ -49,7 +49,7 @@ def test_holder_interpolation(rng):
 
 
 def test_extremal_linf_single_vector(grid_medium):
-    u = null_state(0, grid_medium).values
+    u = null_state(0, grid_medium)
     c = _cluster_from_basis([u.values], grid_medium)
     ratio, point = extremal_linf(c)
     t = norm_triple(u)
@@ -88,7 +88,7 @@ def test_extremal_ratios_scale_invariant():
 
 
 def test_extremal_l6_single_vector(grid_medium):
-    u = null_state(0, grid_medium).values
+    u = null_state(0, grid_medium)
     c = _cluster_from_basis([u.values], grid_medium)
     for seed in (0, 7):
         res = extremal_l6(c, restarts=2, seed=seed)
@@ -347,7 +347,7 @@ def test_tangent_hessian_certifies_the_ascent_maximum(trig_level1, rng):
 
 
 def test_tangent_hessian_undefined_on_one_dimensional_space(grid_medium):
-    u = null_state(0, grid_medium).values
+    u = null_state(0, grid_medium)
     c = _cluster_from_basis([u.values], grid_medium)
     res = extremal_l6(c, restarts=1, seed=0)
     assert isinstance(res, AscentResult) and res.hessian_max is None

@@ -18,13 +18,13 @@ def test_analytic_norms():
 def test_null_state_discretely_unit(grid_medium):
     for m in (0, 1, 3):
         s = null_state(m, grid_medium)
-        assert l2_norm(s.values) == pytest.approx(1.0, abs=1e-8)
+        assert l2_norm(s) == pytest.approx(1.0, abs=1e-8)
 
 
 def test_null_states_orthogonal(grid_medium):
     s0 = null_state(0, grid_medium)
     s1 = null_state(1, grid_medium)
-    assert abs(inner(s0.values, s1.values)) < 1e-10
+    assert abs(inner(s0, s1)) < 1e-10
 
 
 def test_resolution_guard():
@@ -41,7 +41,7 @@ def test_null_state_H_residual_rate(model):
         worst = 0.0
         for m in (0, 4, 8):
             s = null_state(m, g)
-            r = l2_norm(H.apply(s.values)) / l2_norm(s.values)
+            r = l2_norm(H.apply(s)) / l2_norm(s)
             worst = max(worst, r)
         res[n] = worst
     assert 3.6 <= res[129] / res[257] <= 4.4
@@ -80,7 +80,7 @@ def test_ladder_tiers_discretely_unit(model, grid_medium):
 def test_ladder_tier0_is_the_null_state(model, grid_medium):
     (tier0,) = _ladder(model, grid_medium, 4, 0)
     for m, u in enumerate(tier0):
-        ref = null_state(m, grid_medium).values.values
+        ref = null_state(m, grid_medium).values
         np.testing.assert_allclose(u.values, ref, atol=1e-12)
 
 

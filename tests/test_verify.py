@@ -57,7 +57,7 @@ def test_energy_bound_semiclassical(model):
     g = Grid(extent_L=6.5, n_per_side=129)
     clusters, _ = ladder_level_clusters(model, g, 1, m_count=2)
     lvl1 = clusters[1]
-    uh = rescale(lvl1.basis[0], 0.5, "to_semiclassical")
+    uh = rescale(lvl1.basis[0], 0.5)
     from landaulab import EigenCluster
     ch = EigenCluster(label=1, eigenvalues=lvl1.eigenvalues[:1], basis=[uh],
                       residuals=[0.0])
@@ -71,7 +71,7 @@ def _cutoff_state(model, h, L=9.0, n=193):
     g = Grid(extent_L=L, n_per_side=n)
     clusters, _ = ladder_level_clusters(model, g, level, m_count=1)
     u = clusters[-1].basis[0]
-    return rescale(u, h, "to_semiclassical")
+    return rescale(u, h)
 
 
 def test_cutoff_lemma_rows_pass(model):
@@ -293,9 +293,8 @@ def test_lemma_handles_share_unscaled_factors(trig01, monkeypatch):
 
 
 def test_sweep_warns_on_unconverged_ascent(trig01, monkeypatch):
-    from landaulab import norms, verify
-    monkeypatch.setattr(verify, "extremal_l6",
-                        lambda c, **kw: norms.extremal_l6(c, max_iter=1, **kw))
+    from landaulab import norms
+    monkeypatch.setattr(norms, "ASCENT_MAX_ITER", 1)
     g = Grid(extent_L=6.5, n_per_side=97)
     with pytest.warns(UserWarning, match="L\\^6 ascent stopped"):
         report = sweep_bounds(trig01, g, max_level=1, m_count=3, restarts=2, seed=0)
