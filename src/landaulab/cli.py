@@ -39,7 +39,10 @@ def _dump_json(doc, path):
 def _setup(cfg: RunConfig):
     potential = make_potential(cfg.potential_kind, cfg.potential_params)
     grid = Grid(extent_L=cfg.extent_L, n_per_side=cfg.n_per_side)
-    os.makedirs(cfg.out_dir, exist_ok=True)
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"output directory {cfg.out_dir!r} cannot be created: {exc}") from exc
     return potential, grid
 
 
@@ -222,7 +225,7 @@ def main(argv=None) -> int:
         try:
             cfg = load_config(args.config) if args.config else RunConfig()
             if args.out is not None:
-                cfg.out_dir = args.out
+                set_field(cfg, "output.directory", args.out)
             if args.seed is not None:
                 set_field(cfg, "solve.seed", args.seed)
             return COMMANDS[args.command](cfg)

@@ -101,7 +101,8 @@ _FIELDS = (
     ("compare", "sigma", "compare_sigma",
      lambda v, name: v if v == "auto" else _FLOAT(v, name), None),
     ("compare", "m_max", "compare_m_max", _INT, (lambda v: v >= 0, "must be >= 0")),
-    ("output", "directory", "out_dir", lambda v, name: str(v), None),
+    ("output", "directory", "out_dir", lambda v, name: v,
+     (lambda v: isinstance(v, str) and v != "", "must be a non-empty string")),
     ("output", "formats", "formats", _list(lambda v, name: v),
      (lambda v: all(f in ("json", "csv") for f in v), "entries must be 'json' or 'csv'")),
 )

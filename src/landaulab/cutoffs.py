@@ -73,11 +73,16 @@ def profile_sup_norms():
     return float(np.abs(d1).max()), float(np.abs(d2 + d1 / r).max())
 
 
+def cutoff_rows(q, grid: Grid, r0: int, r1: int) -> np.ndarray:
+    """beta_q = bump_profile(|x - q|) on grid rows r0:r1, a real (r1 - r0, n) array."""
+    x = grid.axis()
+    r = np.sqrt((x[r0:r1, None] - q[0]) ** 2 + (x[None, :] - q[1]) ** 2)
+    return bump_profile(r)
+
+
 def make_cutoff(q, grid: Grid) -> GridFunction:
     """beta_q = bump_profile(|x - q|) on the grid's nodes."""
-    x = grid.axis()
-    r = np.sqrt((x[:, None] - q[0]) ** 2 + (x[None, :] - q[1]) ** 2)
-    return GridFunction(bump_profile(r).astype(complex).reshape(-1), grid)
+    return GridFunction(cutoff_rows(q, grid, 0, grid.n_per_side).astype(complex).reshape(-1), grid)
 
 
 def lattice_window(grid: Grid):

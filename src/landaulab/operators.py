@@ -86,6 +86,13 @@ class Factors:
         x = u.reshape(-1)
         return (A @ (A @ x) + B @ (B @ x)).reshape(u.shape) - V * u
 
+    def strip(self, r0: int, r1: int) -> "Factors":
+        """A[s, s], B[s, s] and V[r0:r1], s = slice(r0 n, r1 n): the factors on
+        grid rows r0:r1, each kept row's stored entries in their order."""
+        A, B, V = self.mats
+        s = slice(r0 * V.shape[1], r1 * V.shape[1])
+        return Factors(self.key, (A[s, s], B[s, s], V[r0:r1]))
+
     def square_matrix(self):
         A, B, V = self.mats
         return (A @ A + B @ B - sp.diags(V.ravel())).tocsr()

@@ -91,6 +91,18 @@ NON_NUMBERS = ['{"solve": {"k": null}}', '{"compare": {"sigma": null}}',
                '{"compare": {"sigma": "0.5"}}']
 
 
+# config texts whose output directory is not a non-empty string; str() used
+# to turn them into the directories 'None', '5', "['a']" and ''
+BAD_DIRECTORIES = ['{"output": {"directory": null}}', '{"output": {"directory": 5}}',
+                   '{"output": {"directory": ["a"]}}', '{"output": {"directory": ""}}']
+
+
+@pytest.mark.parametrize("text", BAD_DIRECTORIES)
+def test_parse_config_rejects_bad_output_directory(text):
+    with pytest.raises(ConfigError, match="output.directory must be a non-empty string"):
+        parse_config(json.loads(text))
+
+
 def test_parse_config_accepts_integral_floats():
     cfg = parse_config({"grid": {"n_per_side": 65.0, "extent_L": 6}})
     assert cfg.n_per_side == 65 and type(cfg.n_per_side) is int
@@ -112,7 +124,7 @@ def test_parse_config_rejects_non_numbers(text):
         parse_config(json.loads(text))
 
 
-@pytest.mark.parametrize("text", NON_NUMBERS + [None])
+@pytest.mark.parametrize("text", NON_NUMBERS + BAD_DIRECTORIES + [None])
 def test_cli_bad_config_exits_1_without_traceback(tmp_path, text):
     path = tmp_path / "cfg.json"
     if text is not None:     # None: the config file does not exist
@@ -131,6 +143,20 @@ def test_cli_bad_seed_exits_1_before_any_work(tmp_path, command, seed):
     assert "Traceback" not in out.stderr
     assert out.stderr.startswith("error: solve.seed must be in")
     assert not out_dir.exists()
+
+
+def test_cli_empty_out_exits_1(capsys):
+    assert main(["spectrum", "--out", ""]) == 1
+    assert capsys.readouterr().err.startswith("error: output.directory must be")
+
+
+def test_cli_out_on_a_file_exits_1_without_traceback(tmp_path, capsys):
+    path = tmp_path / "taken"
+    path.write_text("")
+    assert main(["spectrum", "--out", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: output directory {str(path)!r} cannot be created")
+    assert "Traceback" not in err
 
 
 def test_cli_oracle_compare_non_model_exits_1_before_any_work(tmp_path):

@@ -270,6 +270,31 @@ def test_build_operator_argument_guards(model):
         build_operator("nonsense", model, g)
 
 
+# the cutoff check's strip: support rows |x1 - q1| < SUPPORT_RADIUS of an
+# interior center and of two centers whose strips are clamped at the grid edge
+@pytest.mark.parametrize("q1", [0.5, 4.0, -4.0])
+def test_factors_strip_square_equals_full_square(trig01, grid_small, rng, q1):
+    n = grid_small.n_per_side
+    F = build_operator("P", trig01, grid_small, h=0.5).factors
+    lo, hi = np.searchsorted(grid_small.axis(), [q1 - 2.0, q1 + 2.0])
+    r0, r1 = max(lo - 2, 0), min(hi + 2, n)
+    assert bool(r0 == 0 or r1 == n) is (abs(q1) == 4.0)
+    v = np.zeros((r1 - r0, n), dtype=complex)
+    v[lo - r0:hi - r0] = rng.standard_normal((hi - lo, n)) + 1j * rng.standard_normal((hi - lo, n))
+    padded = np.zeros((n, n), dtype=complex)
+    padded[r0:r1] = v
+    full = F.square(padded)
+    assert np.all(F.strip(r0, r1).square(v) == full[r0:r1])
+    assert not full[:r0].any() and not full[r1:].any()
+
+
+def test_factors_full_strip_is_square(trig01, grid_small, rng):
+    n = grid_small.n_per_side
+    F = build_operator("P", trig01, grid_small, h=0.5).factors
+    u = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    assert np.all(F.strip(0, n).square(u) == F.square(u))
+
+
 def test_gauge_multiplier_trivial_at_origin(model):
     g = Grid(extent_L=2.0, n_per_side=17)
     T = gauge_multiplier(model, g, h=1.0, q=(0.0, 0.0))

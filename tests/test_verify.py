@@ -3,9 +3,10 @@ import warnings
 import numpy as np
 import pytest
 
-from landaulab import (Grid, GridFunction, check_cutoff_lemma,
-                       check_energy_lemma, check_gauge_lemma,
-                       ladder_level_clusters, rescale, sweep_bounds)
+from landaulab import (Grid, GridFunction, build_operator, check_cutoff_lemma,
+                       check_energy_lemma, check_gauge_lemma, l2_norm,
+                       ladder_level_clusters, make_cutoff, rescale, sweep_bounds)
+from landaulab.cutoffs import lattice_window
 from landaulab.verify import VerifyError, _gauge_sups, translate_samples
 
 
@@ -114,6 +115,54 @@ def test_cutoff_lemma_margin_guard(model):
     L = uh.grid.extent_L
     with pytest.raises(VerifyError):
         check_cutoff_lemma(model, uh.grid, uh, h, centers=[(L - 1.0, 0.0)])
+
+
+def _random_state(grid, seed=7):
+    rng = np.random.default_rng(seed)
+    shape = grid.n_per_side, grid.n_per_side
+    return GridFunction(rng.standard_normal(shape) + 1j * rng.standard_normal(shape), grid)
+
+
+def test_cutoff_lemma_lhs_equals_full_grid_apply(trig01):
+    # the strip applies give every lhs bit for bit: reference P(beta_q u) on
+    # the whole grid, summed over the window in its order
+    g = Grid(extent_L=6.0, n_per_side=65)
+    h = 0.5
+    u = _random_state(g)
+    centers = [(0.5, -1.0), (4.0, 4.0), (-4.0, 0.0), (0.5, 2.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")   # a random u fails the ||Pu|| guard
+        rows = check_cutoff_lemma(trig01, g, u, h, centers)
+    P = build_operator("P", trig01, g, h=h)
+
+    def ref(q):
+        return l2_norm(P.apply(GridFunction(make_cutoff(q, g).values * u.values, g)))
+
+    assert [r.lhs for r in rows[:-1]] == [ref(q) for q in centers]
+    total = 0.0
+    for q in lattice_window(g):
+        total += ref(q) ** 2
+    assert rows[-1].lemma_id == "cutoff_l2_q" and rows[-1].lhs == float(np.sqrt(total))
+
+
+def test_cutoff_lemma_applies_P_once_on_the_full_grid(trig01, monkeypatch):
+    # only the input guard applies P to a full grid; each cutoff apply runs
+    # on its strip of rows
+    import landaulab.verify as verify
+    calls = []
+
+    def counting_build(*args, **kwargs):
+        op = build_operator(*args, **kwargs)
+        apply = op.apply_array
+        op.apply_array = lambda u: calls.append(op.label) or apply(u)
+        return op
+
+    monkeypatch.setattr(verify, "build_operator", counting_build)
+    g = Grid(extent_L=6.0, n_per_side=65)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = check_cutoff_lemma(trig01, g, _random_state(g), 0.5, [(1.5, 0.0)])
+    assert len(rows) == 2 and calls == ["P"]
 
 
 def test_translate_samples(model):
