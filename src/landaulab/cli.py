@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, set_field
 from .cutoffs import SUPPORT_RADIUS
-from .eigensolve import (SolverError, cluster, eigenpairs_near,
+from .eigensolve import (SolverError, eigenpairs_near, gap_groups,
                          lowest_eigenpairs, principal_angles,
                          resolution_warning)
 from .grid import (Grid, GridFunction, atomic_write_text, l2_norm, rescale,
@@ -54,12 +54,12 @@ def run_spectrum(cfg: RunConfig) -> int:
         print(f"warning: {warn}", file=sys.stderr)
     solver = {}
     pairs = lowest_eigenpairs(H, k=cfg.k, tol=cfg.tol, seed=cfg.seed, info=solver)
-    clusters = cluster(pairs, cluster_tol=cfg.cluster_tol)
+    groups = gap_groups([p[0] for p in pairs], cfg.cluster_tol)
     manifest = {
         "schema_version": SCHEMA_VERSION,
         "eigenvalues": [p[0] for p in pairs],
         "residuals": [p[2] for p in pairs],
-        "cluster_labels": [c.label for c in clusters for _ in c.eigenvalues],
+        "cluster_labels": [label for label, run in enumerate(groups) for _ in run],
         "solver": solver,
         "warnings": [warn] if warn else [],
     }
@@ -67,7 +67,7 @@ def run_spectrum(cfg: RunConfig) -> int:
     if "csv" in cfg.formats:
         for i, (_, gf, _) in enumerate(pairs):
             save_grid_function(gf, os.path.join(cfg.out_dir, f"eig_{i:03d}.csv"))
-    print(f"spectrum: {cfg.k} eigenpairs in {len(clusters)} cluster(s); "
+    print(f"spectrum: {cfg.k} eigenpairs in {len(groups)} cluster(s); "
           f"eigenvalue range [{pairs[0][0]:.6g}, {pairs[-1][0]:.6g}]")
     return 0
 

@@ -169,14 +169,15 @@ def rescale(u: GridFunction, h: float) -> GridFunction:
 # serialization: CSV of (x1, x2, Re u, Im u) + JSON sidecar
 
 def save_grid_function(u: GridFunction, path: str) -> None:
-    X1, X2 = u.grid.mesh()
-    v = u.values
-    rows = np.column_stack([X1.ravel(), X2.ravel(), v.real, v.imag])
-    # the bytes np.savetxt writes (header, then "%.18e" rows), from one
-    # format over all rows instead of its per-row loop
-    line = ",".join(["%.18e"] * rows.shape[1]) + "\n"
-    atomic_write_text(path, "x1,x2,re_u,im_u\n"
-                      + (line * len(rows)) % tuple(rows.ravel().tolist()))
+    # the bytes np.savetxt writes (header, then "%.18e" rows). Row i1*n + i2
+    # has x1, x2 = axis[i1], axis[i2], so the n axis values are formatted once
+    # into the row template and one % fills in only (Re u, Im u). The rows of
+    # one x1 are x1 + x1.join(tails): n strings, not n^2
+    ax = ["%.18e" % x for x in u.grid.axis().tolist()]
+    tails = [f",{x2},%.18e,%.18e\n" for x2 in ax]
+    template = "".join([x1 + x1.join(tails) for x1 in ax])
+    re_im = np.ascontiguousarray(u.values).view(np.float64)
+    atomic_write_text(path, "x1,x2,re_u,im_u\n" + template % tuple(re_im.tolist()))
     meta = {"extent_L": u.grid.extent_L, "n_per_side": u.grid.n_per_side, "format": "csv"}
     atomic_write_text(path + ".meta.json", json.dumps(meta, sort_keys=True) + "\n")
 

@@ -14,6 +14,7 @@ share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -63,7 +64,11 @@ class Potential:
     def laplacian_sup_norm(self) -> float:
         """sup |lap phi| over the ball of radius LAP_SUP_RADIUS, sampled by
         `ball_sup`: a lower estimate of the global sup (trig eps = 0.1 reads
-        4.2 - O(1e-6) against the exact 4 + 2 eps)."""
+        4.2 - O(1e-6) against the exact 4 + 2 eps). Sampled once per object."""
+        return self._laplacian_sup
+
+    @cached_property
+    def _laplacian_sup(self) -> float:
         return ball_sup(self.laplacian, LAP_SUP_RADIUS, LAP_SUP_SAMPLES)
 
 

@@ -260,6 +260,9 @@ def test_cli_spectrum_manifest(tmp_path):
     doc = dict(BASE)
     doc["grid"] = {"extent_L": 5.0, "n_per_side": 65}
     doc["output"] = {"formats": ["json"]}
+    # splits the 6 eigenvalues into two clusters (a 0.17 gap), so the labels
+    # are not all equal
+    doc["solve"] = {**BASE["solve"], "cluster_tol": 0.1}
     cfg = _write_config(tmp_path, doc)
     out = str(tmp_path / "spec_out")
     assert main(["spectrum", "--config", cfg, "--out", out]) == 0
@@ -267,7 +270,11 @@ def test_cli_spectrum_manifest(tmp_path):
     assert manifest["schema_version"] == 1
     assert len(manifest["eigenvalues"]) == 6
     assert all(r <= 1e-6 for r in manifest["residuals"])
-    assert len(manifest["cluster_labels"]) == 6
+    vals, labels = manifest["eigenvalues"], manifest["cluster_labels"]
+    # a new label starts exactly where the gap to the previous eigenvalue
+    # exceeds cluster_tol
+    assert labels[0] == 0 and labels[-1] > 0
+    assert np.diff(labels).tolist() == [int(b - a > 0.1) for a, b in zip(vals, vals[1:])]
 
 
 def test_cli_spectrum_reproducible(tmp_path):
@@ -369,6 +376,26 @@ def test_cli_lemmas_factor_builds(tmp_path, monkeypatch):
     cfg = _write_config(tmp_path, doc)
     assert main(["lemmas", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
     assert len(built) == 4
+
+
+def test_cli_lemmas_samples_laplacian_sup_once(tmp_path, monkeypatch):
+    # the sup |lap phi| of the cutoff bound does not depend on h, so one run
+    # with 3 h values samples its ball once
+    from landaulab import potentials
+    radii = []
+    ball_sup = potentials.ball_sup
+    monkeypatch.setattr(potentials, "ball_sup", lambda fn, radius, samples:
+                        radii.append(radius) or ball_sup(fn, radius, samples))
+    doc = dict(BASE)
+    doc["potential"] = {"kind": "quadratic_plus_trig", "params": [0.1]}
+    doc["grid"] = {"extent_L": 10.0, "n_per_side": 65}
+    doc["lemmas"] = {"h_list": [0.5, 0.25, 0.125], "q_list": [[1.25, 0.0]]}
+    out = str(tmp_path / "out")
+    main(["lemmas", "--config", _write_config(tmp_path, doc), "--out", out])
+    rows = json.loads(open(os.path.join(out, "lemmas.json")).read())["rows"]
+    assert {r["detail"]["h"] for r in rows if r["lemma_id"].startswith("cutoff")} \
+        == {0.5, 0.25, 0.125}
+    assert radii.count(potentials.LAP_SUP_RADIUS) == 1
 
 
 def test_cli_lemmas_records_skipped_rows(tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 
 from landaulab import (Grid, GridFunction, inner, l2_norm, norm_triple,
                        rescale, save_grid_function)
-from landaulab.grid import GridError, mgs_orthonormalize
+from landaulab.grid import GridError, SublatticeFunction, mgs_orthonormalize
 from helpers import from_callable
 
 
@@ -61,17 +61,45 @@ def test_rescale_rejects_bad_h(rng):
         rescale(u, -1.0)
 
 
-def test_csv_bytes_match_savetxt(tmp_path, rng):
-    g = Grid(extent_L=2.0, n_per_side=11)
+def _random_state(g, rng):
     v = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
     v[::5] = 0.0
     v[1::7] = v[1::7].real
     v[2] = -0.0
-    u = GridFunction(v, g)
+    return GridFunction(v, g)
+
+
+def _sublattice_state(g, rng):
+    n = g.n_per_side
+    shape = (len(range(1, n, 2)), len(range(0, n, 2)))
+    return SublatticeFunction(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
+                              (1, 0), g)
+
+
+def _special_state(g, rng):
+    # signed zero, the smallest subnormal, a three-digit exponent, inf and nan
+    special = np.array([-0.0, 5e-324, 1e100, np.inf, -np.inf, np.nan])
+    v = np.empty(g.size, dtype=complex)
+    v.real, v.imag = np.resize(special, g.size), np.resize(special[::-1], g.size)
+    return GridFunction(v, g)
+
+
+@pytest.mark.parametrize("extent_L, n, make", [
+    (2.0, 11, _random_state),
+    (6.0, 9, _random_state),
+    (6.0, 11, _random_state),
+    (6.0, 129, _random_state),   # the spectrum default grid
+    (6.0, 11, _sublattice_state),
+    (6.0, 9, _special_state),
+], ids=["L2-n11", "L6-n9", "L6-n11", "L6-n129", "sublattice", "special-values"])
+def test_csv_bytes_match_savetxt(tmp_path, rng, extent_L, n, make):
+    g = Grid(extent_L=extent_L, n_per_side=n)
+    u = make(g, rng)
     path = str(tmp_path / "state.csv")
     save_grid_function(u, path)
     ref = str(tmp_path / "ref.csv")
     X1, X2 = g.mesh()
+    v = u.values
     np.savetxt(ref, np.column_stack([X1.ravel(), X2.ravel(), v.real, v.imag]),
                delimiter=",", header="x1,x2,re_u,im_u", comments="")
     assert open(path, "rb").read() == open(ref, "rb").read()
