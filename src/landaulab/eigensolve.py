@@ -4,13 +4,19 @@ The solver assembles the operator once and shift-inverts at a real sigma
 (`lowest_eigenpairs` uses -1: the discrete operator is bounded below by -1 up
 to discretization). It factors H - sigma I itself, once, with SuperLU under
 the minimum-degree ordering of A^T + A (the stencil matrix is structurally
-symmetric, and this ordering has far less fill than the default COLAMD), and
-hands the factor's solve to ARPACK. A complex operator runs general Arnoldi
-(scipy's `eigsh` passes complex input to `eigs`); a real one runs Lanczos.
-The Krylov basis holds `arnoldi_ncv(k, N)` vectors. Every returned pair is
-certified by recomputing its residual through the handle's apply, which
-composes the CSR factor matvecs and is independent of the LU. Results are
-deterministic for a fixed seed (the seed fixes the Krylov start vector).
+symmetric, and this ordering has far less fill than the default COLAMD) in
+its symmetric mode, which pivots on the diagonal unless a diagonal entry is
+below 0.001 of its column's largest, and hands the factor's solve to ARPACK.
+Diagonal pivots keep the Hermitian structure (less fill than partial
+pivoting), and only with them does U's diagonal carry the inertia of
+H - sigma I; the `diagonal_pivots` fact says whether every pivot stayed there.
+A complex operator runs general Arnoldi (scipy's `eigsh` passes complex
+input to `eigs`); a real one runs Lanczos. The Krylov basis holds
+`arnoldi_ncv(k, N)` vectors. Every returned pair is certified by recomputing
+its residual on the assembled matrix of its block, all of a block's pairs in
+one sparse product, on the stored rows; this is independent of the LU and of
+ARPACK. Results are deterministic for a fixed seed (the seed fixes the
+Krylov start vector).
 
 `eigenpairs_near` solves each invariant block of the assembled matrix on its
 own. When the matrix stores no entry linking two of the four node parity
@@ -30,8 +36,9 @@ block needs an eigenvalue count (an inertia certificate) first.
 Memory: one block LU is alive at a time. The assembled matrix is freed once
 the blocks are sliced, each LU once its Arnoldi run is read, and a block
 solved again refactors. A proper block's eigenvectors are
-`SublatticeFunction`s stored on its parity class, certified one full-grid
-array at a time; `principal_angles` reads them one parity class at a time.
+`SublatticeFunction`s stored on its parity class, normalized and certified
+there, so no full-grid copy of one is made; `principal_angles` reads them one
+parity class at a time.
 
 Caution for coarse grids: when the largest coefficient momentum |grad phi|/2
 on the box approaches the grid's resolvable band (|grad phi| * spacing / 2 of
@@ -50,7 +57,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import GridFunction, SublatticeFunction, l2_norm, mgs_orthonormalize
+from .grid import GridFunction, SublatticeFunction, mgs_orthonormalize
 from .operators import OperatorHandle, assemble_sparse
 
 MAX_K = 200
@@ -82,11 +89,19 @@ def gap_groups(values, gap):
 def arnoldi_ncv(k: int, n: int) -> int:
     """Krylov basis size for k eigenpairs of an n x n matrix.
 
-    scipy's default max(2k+1, 20) up to k = 63; beyond that k + 64, because
-    at large k the dense Arnoldi work, which grows with the basis, costs more
-    than the extra restarts a smaller basis needs. Never more than n.
+    scipy's default max(2k+1, 20) up to k = 15; beyond that k + 16, because
+    a larger basis costs more dense Arnoldi work without saving solves. A
+    scan of the constant c in k + c over the split shift-invert solves of the
+    model potential on [-5.2, 5.2]^2 (sigma at the mean Rayleigh quotient of
+    the oracle states, seed 3) counted these shift-invert solves:
+
+        grid, k            c = 12   c = 16   c = 20   2k+1 (k <= 63, else k+64)
+        257^2, k = 130     228      220      236      312
+        161^2, k = 100     245      229      245      250
+
+    Never more than n.
     """
-    return min(max(min(2 * k + 1, k + 64), 20), n)
+    return min(max(min(2 * k + 1, k + 16), 20), n)
 
 
 def sublattice_blocks(mat, n_side: int) -> list:
@@ -112,7 +127,7 @@ def sublattice_blocks(mat, n_side: int) -> list:
 class _ShiftInvert:
     """ARPACK shift-invert for the k eigenpairs of one matrix nearest sigma,
     whose H - sigma I is factored once with SuperLU under the minimum-degree
-    ordering of A^T + A. The output rows are allocated first, below the LU
+    ordering of A^T + A, in symmetric mode. The output rows are allocated first, below the LU
     and the Arnoldi basis in the heap, so a next solve reuses their space."""
 
     def __init__(self, mat, sigma: float, seed: int, k: int):
@@ -120,7 +135,8 @@ class _ShiftInvert:
         self.rows = np.empty((k, n), dtype=complex)
         try:
             self.lu = spla.splu((mat - sigma * sp.identity(n, format="csr")).tocsc(),
-                                permc_spec="MMD_AT_PLUS_A")
+                                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.001,
+                                options={"SymmetricMode": True})
         except (RuntimeError, MemoryError) as exc:
             raise SolverError(f"LU factorization of H - {sigma:g} I failed: {exc}") from exc
         self.mat, self.sigma, self.seed = mat, sigma, seed
@@ -177,7 +193,9 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         solver = _ShiftInvert(sub, sigma, seed, kb)
         found.append(solver.eigenpairs())
         facts.append({"size": nb, "k": kb, "resolves": 0, "op_solves": solver.solves,
-                      "lu_fill_nnz": int(solver.lu.nnz)})
+                      "lu_fill_nnz": int(solver.lu.nnz),
+                      "diagonal_pivots": bool(np.array_equal(solver.lu.perm_r,
+                                                             solver.lu.perm_c))})
         del solver   # before the next block is factored
     # keep the k eigenvalues nearest sigma over all blocks; a block whose
     # farthest returned eigenvalue is not beyond the k-th distance may hold
@@ -212,9 +230,10 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
 
     # ARPACK leaves the vectors of a (near-)multiple eigenvalue unit but not
     # mutually orthogonal: orthonormalize them within each block (vectors of
-    # different blocks have disjoint supports) before certifying them
+    # different blocks have disjoint supports), then certify the block's pairs
+    # at once on its assembled matrix, which is independent of the LU
     grid = op.grid
-    pairs = []
+    lams, fs, resids = [], [], []
     start = 0
     for b, idx in enumerate(blocks):
         vals, vecs = found[b]
@@ -228,26 +247,21 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         for g in gap_groups(vals, tol * np.maximum(1.0, np.abs(vals))):
             if len(g) > 1:
                 rows[g] = mgs_orthonormalize(rows[g], grid.weight)
+        rows /= np.sqrt(grid.weight * np.sum(np.abs(rows) ** 2, axis=1))[:, None]
+        resid = np.sqrt(grid.weight * np.sum(
+            np.abs(subs[b] @ rows.T - rows.T * vals) ** 2, axis=0))
+        bound = tol * np.maximum(1.0, np.abs(vals))
+        for lam, r, bd in zip(vals, resid, bound):
+            if r > bd:
+                raise SolverError(
+                    f"recomputed residual {r:.2e} exceeds {bd:.2e} "
+                    f"for eigenvalue {lam:.6g}")
         parity = divmod(int(idx[0]), grid.n_per_side)   # a class's first node is (p, q)
-        fs = [GridFunction(r, grid) if len(idx) == n else SublatticeFunction(r, parity, grid)
-              for r in rows]
-        for r, f in zip(rows, fs):
-            r /= l2_norm(f)   # the full-grid norm, divided out of the stored values
-        pairs += zip(vals, fs)
-
-    out = []
-    for i in np.argsort([lam for lam, _ in pairs], kind="stable"):
-        lam, gf = pairs[i]
-        u = gf.as_2d()
-        resid = l2_norm(GridFunction(
-            op.apply_array(u).reshape(-1) - lam * u.reshape(-1), grid))
-        bound = tol * max(1.0, abs(lam))
-        if resid > bound:
-            raise SolverError(
-                f"recomputed residual {resid:.2e} exceeds {bound:.2e} "
-                f"for eigenvalue {lam:.6g}")
-        out.append((float(lam), gf, float(resid)))
-    return out
+        fs += [GridFunction(r, grid) if len(idx) == n else SublatticeFunction(r, parity, grid)
+               for r in rows]
+        lams += vals.tolist()
+        resids += resid.tolist()
+    return [(lams[i], fs[i], resids[i]) for i in np.argsort(lams, kind="stable")]
 
 
 def lowest_eigenpairs(op: OperatorHandle, k: int, tol: float = 1e-6,
@@ -260,9 +274,10 @@ def lowest_eigenpairs(op: OperatorHandle, k: int, tol: float = 1e-6,
     Krylov basis size), `op_solves` (shift-invert solves) and `lu_fill_nnz`
     (the entries SuperLU stores for L and U), summed over the solved blocks,
     and `blocks`: per block its `size`, `k`, `ncv`, `op_solves` (over both
-    runs of a block solved again), `lu_fill_nnz` (of one factor) and
-    `resolves` (0 or 1). This solve uses one block of all nodes (see the
-    module docstring).
+    runs of a block solved again), `lu_fill_nnz` (of one factor),
+    `diagonal_pivots` (whether SuperLU kept every pivot on the diagonal,
+    `perm_r == perm_c`) and `resolves` (0 or 1). This solve uses one block of
+    all nodes (see the module docstring).
     """
     return _solve(op, k, tol, seed, -1.0, info, split=False)
 

@@ -33,7 +33,8 @@ def _assert_solver_blocks(solver, size, n_blocks):
     assert len(blocks) == n_blocks
     assert sum(b["size"] for b in blocks) == size
     for b in blocks:
-        assert set(b) == {"size", "k", "ncv", "op_solves", "lu_fill_nnz", "resolves"}
+        assert set(b) == {"size", "k", "ncv", "op_solves", "lu_fill_nnz", "resolves",
+                          "diagonal_pivots"}
         assert b["ncv"] == arnoldi_ncv(b["k"], b["size"])
         assert b["op_solves"] >= b["ncv"] - 1
         assert b["lu_fill_nnz"] > 0
@@ -109,10 +110,11 @@ def test_parse_config_accepts_integral_floats():
     assert cfg.extent_L == 6.0 and type(cfg.extent_L) is float
 
 
-def _run_cli(args):
-    """The CLI in a subprocess, importing the package from this checkout."""
+def _run_cli(args, **env_vars):
+    """The CLI in a subprocess, importing the package from this checkout,
+    with `env_vars` added to its environment."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + "/src"
-    env = {**os.environ,
+    env = {**os.environ, **env_vars,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     return subprocess.run([sys.executable, "-m", "landaulab.cli", *args],
                           capture_output=True, text=True, env=env)
@@ -295,6 +297,8 @@ def test_cli_spectrum_reproducible(tmp_path):
     # the lowest-eigenpair solve stays on one block of all nodes
     _assert_solver_blocks(solver, 33 * 33, n_blocks=1)
     assert solver["blocks"][0]["k"] == 6
+    # SuperLU's symmetric mode kept every pivot on the diagonal
+    assert solver["blocks"][0]["diagonal_pivots"] is True
 
 
 
@@ -458,6 +462,27 @@ def test_cli_oracle_compare_reproducible(tmp_path):
     assert codes[0] == codes[1]
     a, b = (open(os.path.join(out, "oracle_compare.json"), "rb").read() for out in outs)
     assert a == b
+
+
+def test_cli_oracle_compare_auto_sigma_independent_of_blas_threads(tmp_path):
+    # at 129^2 an oracle row holds 16,641 entries, enough for a BLAS dot
+    # product to split its sum by thread count
+    doc = {
+        "grid": {"extent_L": 5.2, "n_per_side": 129},
+        "solve": {"k": 12, "tol": 1e-6, "seed": 3},
+        "compare": {"sigma": "auto", "m_max": 2},
+    }
+    cfg = _write_config(tmp_path, doc)
+    docs = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"oc{threads}")
+        proc = _run_cli(["oracle-compare", "--config", cfg, "--out", out],
+                        OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        assert proc.returncode in (0, 2), proc.stderr
+        docs.append(json.loads(open(os.path.join(out, "oracle_compare.json")).read()))
+    a, b = docs
+    assert a["solver"]["sigma"] == b["solver"]["sigma"]
+    assert a["oracle"] == b["oracle"]
 
 
 def test_cli_oracle_compare_rank_deficient_span_exits_2(tmp_path, monkeypatch, capsys):

@@ -291,9 +291,11 @@ def test_split_short_block_at_its_size_limit_raises():
 
 
 def test_arnoldi_ncv_rule():
-    for k in range(1, 64):
+    for k in range(1, 16):
         assert arnoldi_ncv(k, 10**6) == max(2 * k + 1, 20)
-    assert arnoldi_ncv(130, 66049) == 194
+    # a band block (k = 38 of 16,641 nodes), a one-block band solve
+    assert arnoldi_ncv(38, 16641) == 54
+    assert arnoldi_ncv(130, 66049) == 146
     for n in (12, 40, 300):
         for k in range(1, n - 1):
             ncv = arnoldi_ncv(k, n)
@@ -459,12 +461,15 @@ def test_no_factor_alive_when_vectors_are_built(model, monkeypatch, split):
 
     seen = []
 
-    def grid_function(*args, **kwargs):
-        seen.append(len(alive))
-        return GridFunction(*args, **kwargs)
+    def counted(cls):
+        def build(*args, **kwargs):
+            seen.append(len(alive))
+            return cls(*args, **kwargs)
+        return build
 
     monkeypatch.setattr(eigensolve, "_ShiftInvert", Tracked)
-    monkeypatch.setattr(eigensolve, "GridFunction", grid_function)
+    monkeypatch.setattr(eigensolve, "GridFunction", counted(GridFunction))
+    monkeypatch.setattr(eigensolve, "SublatticeFunction", counted(SublatticeFunction))
     H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
     if split:
         pairs = eigenpairs_near(H, k=8, sigma=0.02, seed=0)
@@ -473,6 +478,32 @@ def test_no_factor_alive_when_vectors_are_built(model, monkeypatch, split):
     assert len(made) == (4 if split else 1)
     assert len(pairs) == 8 and len(seen) >= 8
     assert seen == [0] * len(seen)
+
+
+@pytest.mark.parametrize("split", [True, False])
+def test_certificate_rejects_a_perturbed_pair(model, monkeypatch, split):
+    # the vector nearest sigma of the last Arnoldi run, off by 1e-4 of its
+    # size in a random direction, is no longer an eigenvector to tol; split,
+    # the last block (sublattice (1, 1)) holds the eigenvalue nearest sigma
+    arnoldi = eigensolve._ShiftInvert.eigenpairs
+    runs = []
+
+    def perturbed(self):
+        vals, rows = arnoldi(self)
+        runs.append(None)
+        if len(runs) == (4 if split else 1):
+            i = np.argmin(np.abs(vals - self.sigma))
+            noise = np.random.RandomState(1).standard_normal(rows.shape[1])
+            rows[i] += 1e-4 * np.linalg.norm(rows[i]) / np.linalg.norm(noise) * noise
+        return vals, rows
+
+    monkeypatch.setattr(eigensolve._ShiftInvert, "eigenpairs", perturbed)
+    H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
+    with pytest.raises(SolverError, match="recomputed residual"):
+        if split:
+            eigenpairs_near(H, k=8, sigma=0.02, seed=0)
+        else:
+            lowest_eigenpairs(H, k=8, seed=0)
 
 
 def test_one_factor_alive_at_a_time(model, monkeypatch):
