@@ -20,7 +20,7 @@ model = make_potential("model_quadratic")
 
 print("-- energy identity on Ritz eigenpairs (levels 0..2) --")
 grid = Grid(extent_L=6.5, n_per_side=129)
-clusters, _ = ladder_level_clusters(model, grid, 2, m_count=4)
+clusters = ladder_level_clusters(model, grid, 2, m_count=4)
 for c in clusters:
     rows = check_energy_lemma(model, grid, c)
     worst = max(r.detail["rel_err"] for r in rows)
@@ -31,7 +31,7 @@ src = Grid(extent_L=10.0, n_per_side=257)
 lhs_per_h = []
 for h in (0.5, 0.25, 0.125):
     level = round(1.0 / (2.0 * h))
-    cl, _ = ladder_level_clusters(model, src, level, m_count=1)
+    cl = ladder_level_clusters(model, src, level, m_count=1)
     uh = rescale(cl[-1].basis[0], h)
     rows = check_cutoff_lemma(model, uh.grid, uh, h, centers=[(1.5, 0.0)],
                               p_residual_guard=0.1)
@@ -45,7 +45,7 @@ print(f"  log-log slope in h: {slope:.3f} (the lemma's O(h) rate)")
 
 print("\n-- translation-gauge bound at q = (2, 0) --")
 g2 = Grid(extent_L=6.0, n_per_side=121)
-cl0, _ = ladder_level_clusters(model, g2, 0, m_count=1)
+cl0 = ladder_level_clusters(model, g2, 0, m_count=1)
 ground = cl0[0].basis[0]
 for row in check_gauge_lemma(model, g2, ground, (2.0, 0.0)):
     print(f"  {row.lemma_id}: lhs={row.lhs:.4f} <= chain={row.rhs:.4f} "

@@ -11,20 +11,40 @@ the physical Landau band, at every grid resolution.
 
 Applying the coefficient through the symmetrized neighbor average along the
 differentiation axis makes the modulation flip BOTH terms, so the alias
-sectors see the same magnetic structure and the cloud disappears. This demo
-solves both variants side by side.
+sectors see the same magnetic structure and the cloud disappears. The
+package builds only the averaged scheme; this demo assembles the pointwise
+one itself and solves both side by side.
 """
 
 import numpy as np
+import scipy.sparse as sp
 
-from landaulab import Grid, build_operator, lowest_eigenpairs, make_potential
+from landaulab import (Grid, OperatorHandle, build_operator, lowest_eigenpairs,
+                       make_potential)
 
 model = make_potential("model_quadratic")
 grid = Grid(extent_L=6.0, n_per_side=129)
 
-for averaged, name in ((False, "pointwise coefficients (textbook stencil)"),
-                       (True, "averaged coefficients (shipped scheme)")):
-    H = build_operator("H", model, grid, averaged_coefficients=averaged)
+
+def pointwise_H(potential, grid):
+    """The textbook stencil: A = (D1 - d2 phi)/2 and B = (D2 + d1 phi)/2 with
+    pointwise coefficients, H = A^2 + B^2 - lap(phi)/4, as a handle."""
+    n = grid.n_per_side
+    X1, X2 = grid.mesh()
+    g1, g2 = potential.grad(X1, X2)
+    # -i d/dx by the centered difference, zeros outside the grid
+    D = sp.diags([1j, -1j], [-1, 1], shape=(n, n)) / (2.0 * grid.spacing)
+    eye = sp.identity(n)
+    A = 0.5 * (sp.kron(D, eye) - sp.diags(g2.ravel()))
+    B = 0.5 * (sp.kron(eye, D) + sp.diags(g1.ravel()))
+    H = (A @ A + B @ B - sp.diags(potential.laplacian(X1, X2).ravel() / 4.0)).tocsr()
+    return OperatorHandle(label="H", grid=grid, is_hermitian=True,
+                          apply_array=lambda u: (H @ u.reshape(-1)).reshape(u.shape),
+                          sparse_builder=lambda: H)
+
+
+for H, name in ((pointwise_H(model, grid), "pointwise coefficients (textbook stencil)"),
+                (build_operator("H", model, grid), "averaged coefficients (shipped scheme)")):
     pairs = lowest_eigenpairs(H, k=8, tol=1e-6, seed=0)
     vals = np.array([p[0] for p in pairs])
     print(f"\n{name}:")

@@ -63,9 +63,8 @@ def run_spectrum(cfg: RunConfig) -> int:
         "warnings": [warn] if warn else [],
     }
     _dump_json(manifest, os.path.join(cfg.out_dir, "spectrum.json"))
-    if "csv" in cfg.formats:
-        for i, (_, gf, _) in enumerate(pairs):
-            save_grid_function(gf, os.path.join(cfg.out_dir, f"eig_{i:03d}.csv"))
+    for i, (_, gf, _) in enumerate(pairs):
+        save_grid_function(gf, os.path.join(cfg.out_dir, f"eig_{i:03d}.csv"))
     print(f"spectrum: {cfg.k} eigenpairs in {len(groups)} cluster(s); "
           f"eigenvalue range [{pairs[0][0]:.6g}, {pairs[-1][0]:.6g}]")
     return 0
@@ -76,10 +75,8 @@ def run_bounds(cfg: RunConfig) -> int:
     report = sweep_bounds(potential, grid, cfg.max_level,
                           m_count=cfg.m_count, restarts=cfg.restarts,
                           seed=cfg.seed)
-    if "json" in cfg.formats:
-        atomic_write_text(os.path.join(cfg.out_dir, "bounds.json"), report.to_json())
-    if "csv" in cfg.formats:
-        atomic_write_text(os.path.join(cfg.out_dir, "bounds.csv"), report.to_csv())
+    _dump_json(report.to_dict(), os.path.join(cfg.out_dir, "bounds.json"))
+    atomic_write_text(os.path.join(cfg.out_dir, "bounds.csv"), report.to_csv())
     for row in report.rows:
         print(f"level {row.level}: lambda^2={row.lambda_sq:+.4f} dim={row.cluster_dim} "
               f"ratio_linf={row.ratio_linf:.5f} scaled_l6={row.scaled_l6:.5f}")
@@ -117,20 +114,20 @@ def run_lemmas(cfg: RunConfig) -> int:
         return False
 
     # energy identity on ladder clusters of the unscaled operator
-    clusters, _ = ladder_level_clusters(potential, grid, min(cfg.max_level, 2),
-                                        m_count=min(cfg.m_count, 6))
+    clusters = ladder_level_clusters(potential, grid, min(cfg.max_level, 2),
+                                     m_count=min(cfg.m_count, 6))
     for c in clusters:
         rows += check_energy_lemma(potential, grid, c)
     # semiclassical cutoff rows: level 1/(2h) ladder state, rescaled
     for h in cfg.h_list:
         level = max(1, round(1.0 / (2.0 * h)))
-        cl, _ = ladder_level_clusters(potential, grid, level, m_count=1)
+        cl = ladder_level_clusters(potential, grid, level, m_count=1)
         uh = rescale(cl[-1].basis[0], h)
         centers = [q for q in cfg.q_list if admissible(q, uh.grid, check="cutoff", h=h)]
         if centers:
             rows += check_cutoff_lemma(potential, uh.grid, uh, h, centers)
     # gauge rows on the ground state for node-aligned centers
-    cl0, _ = ladder_level_clusters(potential, grid, 0, m_count=1)
+    cl0 = ladder_level_clusters(potential, grid, 0, m_count=1)
     ground = cl0[0].basis[0]
     for q in cfg.q_list:
         if admissible(q, grid, on_node=True, check="gauge"):

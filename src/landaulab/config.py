@@ -35,7 +35,6 @@ class RunConfig:
     h_list: tuple = (0.5, 0.25, 0.125)
     q_list: tuple = ((1.5, 0.0),)
     out_dir: str = "out"
-    formats: tuple = ("json", "csv")
     compare_sigma: float | str = "auto"
     compare_m_max: int = 5
 
@@ -103,8 +102,6 @@ _FIELDS = (
     ("compare", "m_max", "compare_m_max", _INT, (lambda v: v >= 0, "must be >= 0")),
     ("output", "directory", "out_dir", lambda v, name: v,
      (lambda v: isinstance(v, str) and v != "", "must be a non-empty string")),
-    ("output", "formats", "formats", _list(lambda v, name: v),
-     (lambda v: all(f in ("json", "csv") for f in v), "entries must be 'json' or 'csv'")),
 )
 
 _SECTIONS = {s: {k for s2, k, *_ in _FIELDS if s2 == s} for s, *_ in _FIELDS}

@@ -20,8 +20,8 @@ Krylov start vector).
 
 `eigenpairs_near` solves each invariant block of the assembled matrix on its
 own. When the matrix stores no entry linking two of the four node parity
-classes (i mod 2, j mod 2), which holds for every averaged-coefficient
-operator, H is block-diagonal over them and its spectrum is the union of the
+classes (i mod 2, j mod 2), which holds for every `build_operator` handle,
+H is block-diagonal over them and its spectrum is the union of the
 four block spectra (`sublattice_blocks`). Each block gets its own LU and a
 quarter-size Arnoldi basis, is asked for its share of k plus `BLOCK_MARGIN`
 pairs, and the k eigenvalues nearest sigma over all blocks are kept. A block
@@ -124,45 +124,41 @@ def sublattice_blocks(mat, n_side: int) -> list:
     return [np.flatnonzero(labels == c) for c in range(4)]
 
 
-class _ShiftInvert:
-    """ARPACK shift-invert for the k eigenpairs of one matrix nearest sigma,
-    whose H - sigma I is factored once with SuperLU under the minimum-degree
-    ordering of A^T + A, in symmetric mode. The output rows are allocated first, below the LU
-    and the Arnoldi basis in the heap, so a next solve reuses their space."""
+def _shift_invert(mat, sigma: float, seed: int, k: int):
+    """(eigenvalues, eigenvector rows, solve facts) of the k eigenpairs of `mat`
+    nearest sigma, by ARPACK shift-invert from the Krylov start vector of
+    `RandomState(seed)` with an `arnoldi_ncv(k, n)` basis. H - sigma I is factored
+    once with SuperLU under the minimum-degree ordering of A^T + A, in symmetric
+    mode, and the factor is freed on return. The output rows are allocated first,
+    below the LU and the Arnoldi basis in the heap, so a next solve reuses their space."""
+    n = mat.shape[0]
+    rows = np.empty((k, n), dtype=complex)
+    try:
+        lu = spla.splu((mat - sigma * sp.identity(n, format="csr")).tocsc(),
+                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.001,
+                       options={"SymmetricMode": True})
+    except (RuntimeError, MemoryError) as exc:
+        raise SolverError(f"LU factorization of H - {sigma:g} I failed: {exc}") from exc
+    solves = 0
 
-    def __init__(self, mat, sigma: float, seed: int, k: int):
-        n = mat.shape[0]
-        self.rows = np.empty((k, n), dtype=complex)
-        try:
-            self.lu = spla.splu((mat - sigma * sp.identity(n, format="csr")).tocsc(),
-                                permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.001,
-                                options={"SymmetricMode": True})
-        except (RuntimeError, MemoryError) as exc:
-            raise SolverError(f"LU factorization of H - {sigma:g} I failed: {exc}") from exc
-        self.mat, self.sigma, self.seed = mat, sigma, seed
-        self.solves = 0
+    def apply(x):
+        nonlocal solves
+        solves += 1
+        return lu.solve(x)
 
-    def _apply(self, x):
-        self.solves += 1
-        return self.lu.solve(x)
-
-    def eigenpairs(self):
-        """(eigenvalues, eigenvector rows) from the Krylov start vector of
-        `RandomState(seed)`, with an `arnoldi_ncv(k, n)` basis."""
-        k, n = self.rows.shape
-        v0 = np.random.RandomState(self.seed).standard_normal(n)
-        try:
-            vals, vecs = spla.eigsh(
-                self.mat, k=k, sigma=self.sigma, which="LM", v0=v0, ncv=arnoldi_ncv(k, n),
-                OPinv=spla.LinearOperator(self.mat.shape, matvec=self._apply,
-                                          dtype=self.mat.dtype))
-        except spla.ArpackNoConvergence as exc:
-            raise SolverError(
-                f"eigensolver did not converge within the iteration budget: {exc}") from exc
-        except (RuntimeError, MemoryError) as exc:
-            raise SolverError(f"shift-invert eigensolve failed: {exc}") from exc
-        self.rows[:] = vecs.T
-        return vals, self.rows
+    v0 = np.random.RandomState(seed).standard_normal(n)
+    try:
+        vals, vecs = spla.eigsh(
+            mat, k=k, sigma=sigma, which="LM", v0=v0, ncv=arnoldi_ncv(k, n),
+            OPinv=spla.LinearOperator(mat.shape, matvec=apply, dtype=mat.dtype))
+    except spla.ArpackNoConvergence as exc:
+        raise SolverError(
+            f"eigensolver did not converge within the iteration budget: {exc}") from exc
+    except (RuntimeError, MemoryError) as exc:
+        raise SolverError(f"shift-invert eigensolve failed: {exc}") from exc
+    rows[:] = vecs.T
+    return vals, rows, {"op_solves": solves, "lu_fill_nnz": int(lu.nnz),
+                        "diagonal_pivots": bool(np.array_equal(lu.perm_r, lu.perm_c))}
 
 
 # pairs asked of each block beyond its share of k when the matrix splits
@@ -190,13 +186,9 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
     for sub in subs:
         nb = sub.shape[0]
         kb = k if nb == n else min(math.ceil(k * nb / n) + BLOCK_MARGIN, nb - 2)
-        solver = _ShiftInvert(sub, sigma, seed, kb)
-        found.append(solver.eigenpairs())
-        facts.append({"size": nb, "k": kb, "resolves": 0, "op_solves": solver.solves,
-                      "lu_fill_nnz": int(solver.lu.nnz),
-                      "diagonal_pivots": bool(np.array_equal(solver.lu.perm_r,
-                                                             solver.lu.perm_c))})
-        del solver   # before the next block is factored
+        vals, rows, f = _shift_invert(sub, sigma, seed, kb)
+        found.append((vals, rows))
+        facts.append({"size": nb, "k": kb, "resolves": 0, **f})
     # keep the k eigenvalues nearest sigma over all blocks; a block whose
     # farthest returned eigenvalue is not beyond the k-th distance may hold
     # more inside it, so it is asked for k + BLOCK_MARGIN pairs, once
@@ -214,10 +206,9 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
                 raise SolverError(
                     f"block {b} of {len(blocks)} may hold more of the {k} eigenvalues "
                     f"nearest {sigma:g} than the {facts[b]['k']} it returned")
-            solver = _ShiftInvert(subs[b], sigma, seed, kb)
-            found[b] = solver.eigenpairs()
-            facts[b].update(k=kb, resolves=1, op_solves=facts[b]["op_solves"] + solver.solves)
-            del solver
+            vals, rows, f = _shift_invert(subs[b], sigma, seed, kb)
+            found[b] = (vals, rows)
+            facts[b].update(k=kb, resolves=1, op_solves=facts[b]["op_solves"] + f["op_solves"])
     dist = np.abs(np.concatenate([v for v, _ in found]) - sigma)
     kept = np.zeros(len(dist), dtype=bool)
     kept[np.argsort(dist, kind="stable")[:k]] = True

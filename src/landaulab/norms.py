@@ -103,11 +103,6 @@ def _l6_terms(coeffs, V, weight):
     return u, a2, a4, float(np.sum(a4 * a2) * weight)
 
 
-def _l6_value(coeffs, V, weight):
-    S = _l6_terms(coeffs, V, weight)[3]
-    return S ** (1.0 / 6.0) if S > 0.0 else 0.0
-
-
 def l6_objective_and_gradient(coeffs, V, weight, Vc=None):
     """J(c) = ||sum_j c_j u_j||_6 for orthonormal rows of V, with the complex
     gradient vector G such that dJ = Re <G, dc> on the coefficient space.
@@ -279,7 +274,7 @@ def extremal_l6(cluster, restarts: int = 8, seed: int = 0) -> AscentResult:
                        method="BFGS", options={"gtol": ASCENT_TOL, "maxiter": ASCENT_MAX_ITER})
         c = res.x[:k] + 1j * res.x[k:]
         c /= np.linalg.norm(c)
-        cur = AscentResult(ratio=_l6_value(c, V, w), coeffs=c,
+        cur = AscentResult(ratio=_l6_terms(c, V, w)[3] ** (1.0 / 6.0), coeffs=c,
                            converged=bool(res.success),
                            iterations=int(res.nit), cut_bound=cut_bound,
                            nodes_kept=nodes_kept)

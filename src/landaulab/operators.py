@@ -10,9 +10,9 @@ Discretization:
     modulation an exact symmetry of the operator. With plain pointwise
     coefficients that modulation maps the operator onto a companion whose
     factors commute, and the discrete spectrum picks up a dense cloud of
-    spurious states filling [-1, 0] at every resolution (see
-    demos/06_discretization_pathology.py). The pointwise variant stays
-    available via averaged_coefficients=False.
+    spurious states filling [-1, 0] at every resolution;
+    demos/06_discretization_pathology.py assembles that pointwise stencil
+    and shows the cloud.
   * zeroth-order terms (Delta phi / 4, the semiclassical -1) are plain
     diagonal multiplications.
 
@@ -68,7 +68,7 @@ class OperatorHandle:
 
 class Factors:
     """`mats` = (A, B, V): the CSR first-order factors of A∘A + B∘B - V and its (n, n)
-    diagonal V, built from `key` = (potential, grid, h, q, averaged_coefficients)."""
+    diagonal V, built from `key` = (potential, grid, h, q)."""
 
     def __init__(self, key: tuple, mats: tuple):
         self.key = key
@@ -98,94 +98,77 @@ class Factors:
         return (A @ A + B @ B - sp.diags(V.ravel())).tocsr()
 
 
-def _factor(grid: Grid, axis: int, coeff, scale: float, const: float = 0.0,
-            averaged: bool = True):
+def _factor(grid: Grid, axis: int, coeff, scale: float, const: float):
     """scale * (D_axis + c) as a CSR matrix over the flattened grid.
 
-    c multiplies by the field `coeff` plus the constant `const`: through the
-    symmetrized neighbor average along `axis` when averaged (each neighbor
-    pair (k, l) carries (coeff_k + coeff_l)/4 + const/2), pointwise on the
-    diagonal otherwise. Neighbors along axis 1 (x1) are n nodes apart, along
-    axis 2 one node apart within a row. No explicit zero is stored.
+    c multiplies by the field `coeff` plus the constant `const` through the
+    symmetrized neighbor average along `axis`: each neighbor pair (k, l)
+    carries (coeff_k + coeff_l)/4 + const/2. Neighbors along axis 1 (x1) are
+    n nodes apart, along axis 2 one node apart within a row. No explicit zero
+    is stored.
     """
     n = grid.n_per_side
     size = n * n
     off = n if axis == 1 else 1
     c = coeff.ravel()
     d = -1j / (2.0 * grid.spacing)
-    if averaged:
-        mix = 0.25 * (c[:-off] + c[off:]) + 0.5 * const   # pairs (k, k + off)
-        diagonals = [scale * (mix - d), scale * (d + mix)]
-    else:
-        diagonals = [np.full(size - off, -scale * d), scale * (c + const),
-                     np.full(size - off, scale * d)]
+    mix = 0.25 * (c[:-off] + c[off:]) + 0.5 * const   # pairs (k, k + off)
+    lower, upper = scale * (mix - d), scale * (d + mix)
     if axis == 2:
-        for v in (diagonals[0], diagonals[-1]):
+        for v in (lower, upper):
             v[n - 1::n] = 0.0   # (k, k + 1) across a row end is not a pair
-    offsets = [-off, off] if averaged else [-off, 0, off]
     # the DIA to CSR conversion drops the zeros
-    return sp.diags(diagonals, offsets, shape=(size, size), format="csr")
+    return sp.diags([lower, upper], [-off, off], shape=(size, size), format="csr")
 
 
 # ---------------------------------------------------------------------------
-# coefficient fields
+# coefficient fields of the semiclassical potential phi_h(x) = phi(x / sqrt(h)):
+#   (d_j phi_h)(x) = h^{-1/2} (d_j phi)(h^{-1/2} x),
+#   (lap phi_h)(x) = h^{-1}   (lap phi)(h^{-1/2} x);
+# h = 1 gives the unscaled fields exactly.
 
-def _fields(potential, grid, h):
-    """Gradient and Laplacian fields of the semiclassical potential
-    phi_h(x) = phi(x / sqrt(h)):
-      (d_j phi_h)(x) = h^{-1/2} (d_j phi)(h^{-1/2} x),
-      (lap phi_h)(x) = h^{-1}   (lap phi)(h^{-1/2} x).
-    h = 1 gives the unscaled fields exactly.
-    """
+def _fields(potential, grid, h, q):
+    """The (d phi_h)(x + q) fields and the unshifted (lap phi_h)(x) field."""
     X1, X2 = grid.mesh()
     s = np.sqrt(h)
-    g1, g2 = potential.grad(X1 / s, X2 / s)
+    g1, g2 = potential.grad((X1 + q[0]) / s, (X2 + q[1]) / s)
     lap = potential.laplacian(X1 / s, X2 / s)
     return g1 / s, g2 / s, lap / h
 
 
-def _tilde_fields(potential, grid, h, q):
-    """(d phi_h)(x + q) fields, (d phi_h)(q) constants and the unshifted
-    (lap phi_h)(x) field: the tilde factors use no unshifted gradient."""
-    X1, X2 = grid.mesh()
+def _grad_at(potential, q, h):
+    """(d phi_h)(q) as two floats."""
     s = np.sqrt(h)
-    g1s, g2s = potential.grad((X1 + q[0]) / s, (X2 + q[1]) / s)
-    g1q, g2q = potential.grad(q[0] / s, q[1] / s)
-    lap = potential.laplacian(X1 / s, X2 / s)
-    return g1s / s, g2s / s, float(g1q) / s, float(g2q) / s, lap / h
+    g1, g2 = potential.grad(q[0] / s, q[1] / s)
+    return float(g1) / s, float(g2) / s
 
 
 # ---------------------------------------------------------------------------
 
-def _build_mats(label, potential, grid, h, q, avg):
+def _build_mats(label, potential, grid, h, q):
     """(A, B, V) with A = (s/2)(D1 - d2 phi_s), B = (s/2)(D2 + d1 phi_s): s = h and
-    V = h^2 lap(phi_h)/4 + 1 for the semiclassical labels, s = 1 and V = lap(phi)/4 else."""
+    V = h^2 lap(phi_h)/4 + 1 for the semiclassical labels, s = 1 and V = lap(phi)/4 else.
+    A translated label takes (d phi_h)(x + q) - (d phi_h)(q) for d phi_s; the
+    constant rides the same axis average so that the quadratic-potential
+    identity A_tilde_q = A holds exactly on the lattice."""
     semi = label in SEMICLASSICAL_LABELS
     s = h if semi else 1.0
-    if label in TILDE_LABELS:
-        # translated: (d phi_h)(x + q) - (d phi_h)(q); the constant rides the
-        # same axis average so that the quadratic-potential identity
-        # A_tilde_q = A holds exactly on the lattice
-        g1s, g2s, g1q, g2q, lap = _tilde_fields(potential, grid, h, q)
-        return (_factor(grid, 1, -g2s, h / 2.0, g2q, averaged=avg),
-                _factor(grid, 2, g1s, h / 2.0, -g1q, averaged=avg),
-                (h * h / 4.0) * lap + 1.0)
-    g1, g2, lap = _fields(potential, grid, s)
+    tilde = label in TILDE_LABELS
+    g1, g2, lap = _fields(potential, grid, s, q if tilde else (0.0, 0.0))
+    k1, k2 = _grad_at(potential, q, h) if tilde else (0.0, 0.0)
     V = (h * h / 4.0) * lap + 1.0 if semi else lap / 4.0
-    return (_factor(grid, 1, -g2, s / 2.0, averaged=avg),
-            _factor(grid, 2, g1, s / 2.0, averaged=avg), V)
+    return (_factor(grid, 1, -g2, s / 2.0, k2), _factor(grid, 2, g1, s / 2.0, -k1), V)
 
 
 def build_operator(label: str, potential: Potential, grid: Grid,
-                   h: float | None = None, q: tuple | None = None,
-                   averaged_coefficients: bool = True) -> OperatorHandle:
+                   h: float | None = None, q: tuple | None = None) -> OperatorHandle:
     """Construct a handle for one of the named operators, with its CSR factors.
 
     An unscaled handle (A, B, H, D, D_star) reuses the factors of the last
     unscaled handle built when its potential is the same object and its grid
-    and `averaged_coefficients` are equal; a semiclassical handle (P and the
-    tilde labels) always builds its own. The record holds one set, so any
-    unscaled build by any caller over other inputs replaces it."""
+    is equal; a semiclassical handle (P and the tilde labels) always builds
+    its own. The record holds one set, so any unscaled build by any caller
+    over other inputs replaces it."""
     global _unscaled
     if label not in LABELS:
         raise OperatorError(f"unknown label {label!r}")
@@ -198,10 +181,10 @@ def build_operator(label: str, potential: Potential, grid: Grid,
     if label in TILDE_LABELS and q is None:
         raise OperatorError(f"{label} requires a translation center q")
     key = (potential, grid, h if semi else None,
-           tuple(map(float, q)) if label in TILDE_LABELS else None, averaged_coefficients)
+           tuple(map(float, q)) if label in TILDE_LABELS else None)
     f = _unscaled
     if f is None or f.key[0] is not potential or f.key[1:] != key[1:]:
-        f = Factors(key, _build_mats(label, potential, grid, h, q, averaged_coefficients))
+        f = Factors(key, _build_mats(label, potential, grid, h, q))
         if not semi:
             _unscaled = f
     if label in ("A", "A_tilde_q"):
@@ -246,8 +229,6 @@ def gauge_multiplier(potential: Potential, grid: Grid, h: float, q: tuple) -> np
     """
     if not h > 0:
         raise OperatorError(f"h must be positive, got {h}")
-    s = np.sqrt(h)
-    g1q, g2q = potential.grad(q[0] / s, q[1] / s)
-    xi = (float(g1q) / s, float(g2q) / s)
+    xi1, xi2 = _grad_at(potential, q, h)
     X1, X2 = grid.mesh()
-    return np.exp(1j * (X2 * xi[0] - X1 * xi[1]))
+    return np.exp(1j * (X2 * xi1 - X1 * xi2))

@@ -12,7 +12,6 @@ practical k.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import asdict, dataclass, field
 from functools import reduce
@@ -52,8 +51,8 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
                           m_count: int = 9):
     """Per-level eigenspace clusters from the analytic ladder subspace.
 
-    Returns (clusters, [c.residuals for c in clusters]). Cluster `label` is
-    the Landau level index (mean eigenvalue / 2, rounded).
+    Cluster `label` is the Landau level index (mean eigenvalue / 2, rounded);
+    each cluster carries its Ritz residuals.
     """
     if max_level < 0:
         raise VerifyError("max_level must be >= 0")
@@ -87,7 +86,7 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
                         for lam, v, r in zip(evals, ritz_vecs, resid)], LEVEL_CLUSTER_TOL)
     for c in clusters:
         c.label = int(round(c.mean / 2.0))
-    return clusters, [c.residuals for c in clusters]
+    return clusters
 
 
 # ---------------------------------------------------------------------------
@@ -141,10 +140,10 @@ class BoundReport:
     def all_passed(self) -> bool:
         return all(t.passed for t in (self.theorem1, self.theorem2) if t is not None)
 
-    def to_json(self) -> str:
+    def to_dict(self) -> dict:
         def trend(t):
             return None if t is None else asdict(t)
-        doc = {
+        return {
             "schema_version": SCHEMA_VERSION,
             "potential_kind": self.potential_kind,
             "params": list(self.params),
@@ -154,7 +153,6 @@ class BoundReport:
             "theorem2": trend(self.theorem2),
             "warnings": list(self.warnings),
         }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
         lines = ["level,lambda_sq,cluster_dim,ratio_linf,ratio_l6,scaled_l6"]
@@ -186,7 +184,7 @@ def sweep_bounds(potential: Potential, grid: Grid, max_level: int,
     is reported with a warning. So are a label held by several clusters and a
     label above max_level: rounding can mislabel an under-resolved level.
     """
-    clusters, _ = ladder_level_clusters(potential, grid, max_level, m_count=m_count)
+    clusters = ladder_level_clusters(potential, grid, max_level, m_count=m_count)
     rows = []
     warns = []
 

@@ -43,16 +43,14 @@ def avg2_stencil(u):
     return out
 
 
-def coeff_mul(coeff, axis, averaged=True):
+def coeff_mul(coeff, axis):
     """Multiplication by a real field: sym(c)u = (c avg(u) + avg(c u)) / 2
-    along the given axis, or pointwise."""
-    if not averaged:
-        return lambda u: coeff * u
+    along the given axis."""
     avg = avg1_stencil if axis == 1 else avg2_stencil
     return lambda u: 0.5 * (coeff * avg(u) + avg(coeff * u))
 
 
-def reference_apply(label, potential, grid, h=None, q=None, averaged=True):
+def reference_apply(label, potential, grid, h=None, q=None):
     """The stencil form of the named operator, as an (n, n) -> (n, n) map."""
     X1, X2 = grid.mesh()
     tilde = label.endswith("tilde_q")
@@ -69,12 +67,10 @@ def reference_apply(label, potential, grid, h=None, q=None, averaged=True):
     # the translated factors subtract (d phi_h)(q) through the same average
     k1, k2 = ((float(g) / r for g in potential.grad(p[0] / r, p[1] / r))
               if tilde else (0.0, 0.0))
-    mul2, mul1 = coeff_mul(g2, 1, averaged), coeff_mul(g1, 2, averaged)
-    avg1 = avg1_stencil if averaged else (lambda u: u)
-    avg2 = avg2_stencil if averaged else (lambda u: u)
+    mul2, mul1 = coeff_mul(g2, 1), coeff_mul(g1, 2)
     delta = grid.spacing
-    A = lambda u: s * (d1_stencil(u, delta) - mul2(u) + k2 * avg1(u))
-    B = lambda u: s * (d2_stencil(u, delta) + mul1(u) - k1 * avg2(u))
+    A = lambda u: s * (d1_stencil(u, delta) - mul2(u) + k2 * avg1_stencil(u))
+    B = lambda u: s * (d2_stencil(u, delta) + mul1(u) - k1 * avg2_stencil(u))
     return {
         "A": A, "A_tilde_q": A, "B": B, "B_tilde_q": B,
         "D": lambda u: 1j * A(u) + B(u),

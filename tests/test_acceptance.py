@@ -161,7 +161,7 @@ def _conjugation_discrepancy(model, n, h, q):
     s = np.sqrt(h)
     g2s = model.grad((X1 + q[0]) / s, (X2 + q[1]) / s)[1] / s
     from stencils import coeff_mul, d1_stencil
-    mul = coeff_mul(g2s, 1, True)
+    mul = coeff_mul(g2s, 1)
     rhs = (h / 2.0) * d1_stencil(test.astype(complex), g.spacing) - (h / 2.0) * mul(test)
     return float(np.max(np.abs(lhs - rhs)))
 
@@ -203,7 +203,7 @@ def test_criterion_8_cutoff_lemma_rate():
     hs = (0.5, 0.25, 0.125)
     for h in hs:
         level = round(1.0 / (2.0 * h))
-        clusters, _ = ladder_level_clusters(model, src, level, m_count=1)
+        clusters = ladder_level_clusters(model, src, level, m_count=1)
         uh = rescale(clusters[-1].basis[0], h)
         rows = check_cutoff_lemma(model, uh.grid, uh, h, centers=[(1.5, 0.0)],
                                   p_residual_guard=0.1)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,7 +9,7 @@ import pytest
 
 import landaulab.cli as cli
 from landaulab.cli import main
-from landaulab.config import ConfigError, parse_config
+from landaulab.config import ConfigError, RunConfig, parse_config
 from landaulab.eigensolve import arnoldi_ncv
 from landaulab.grid import GridFunction
 
@@ -186,6 +187,14 @@ def test_cli_usage_error_exits_1(capsys):
     assert main(["not-a-command"]) == 1
 
 
+def test_output_formats_is_not_a_config_key(tmp_path, capsys):
+    # every command writes all of its files; there is no format switch
+    assert "formats" not in {f.name for f in dataclasses.fields(RunConfig)}
+    cfg = _write_config(tmp_path, {"output": {"formats": ["json"]}})
+    assert main(["spectrum", "--config", cfg, "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "error: unknown key(s) in output: ['formats']\n"
+
+
 def test_cli_bounds_reproducible(tmp_path, capsys):
     doc = dict(BASE)
     cfg = _write_config(tmp_path, doc)
@@ -261,7 +270,6 @@ def test_cli_bounds_missing_level_exits_2(tmp_path, capsys, n, missing):
 def test_cli_spectrum_manifest(tmp_path):
     doc = dict(BASE)
     doc["grid"] = {"extent_L": 5.0, "n_per_side": 65}
-    doc["output"] = {"formats": ["json"]}
     # splits the 6 eigenvalues into two clusters (a 0.17 gap), so the labels
     # are not all equal
     doc["solve"] = {**BASE["solve"], "cluster_tol": 0.1}

@@ -217,9 +217,14 @@ def test_split_solve_matches_eigsh(potential, request):
     assert np.max(np.abs(gram - np.eye(12))) <= 1e-8
 
 
-def test_pointwise_coefficients_solve_one_block(model):
+def test_parity_linking_matrix_solves_one_block():
+    # the offset-1 diagonal stores entries linking node (i, j) to (i, j + 1),
+    # another parity class, so the matrix is one block of all nodes
     g = Grid(extent_L=4.0, n_per_side=33)
-    H = build_operator("H", model, g, averaged_coefficients=False)
+    link = np.full(g.size - 1, 0.3)
+    mat = sp.diags([link, np.linspace(0.0, 4.0, g.size), link], [-1, 0, 1]).tocsr()
+    H = custom_operator(g, lambda u: (mat @ u.reshape(-1)).reshape(u.shape), True,
+                        sparse_builder=mat.copy)
     assert len(sublattice_blocks(assemble_sparse(H), g.n_per_side)) == 1
     _, info = _near_vs_eigsh(H, k=8, sigma=0.0)
     assert [b["size"] for b in info["blocks"]] == [g.size]
@@ -235,32 +240,45 @@ def _one_sublattice_diag_op(g, cls):
         sparse_builder=lambda: sp.diags(d).tocsr()), labels
 
 
+class _TrackedLU:
+    """A SuperLU factor behind a proxy, because SuperLU objects reject weak
+    references."""
+
+    def __init__(self, lu):
+        self.lu = lu
+
+    def __getattr__(self, name):
+        return getattr(self.lu, name)
+
+
 def _track_factors(monkeypatch):
-    """Patch `_ShiftInvert` to record, holding no factor alive, how many
-    factors are alive as each one is built, and (matrix, solves, LU fill)
-    after each Arnoldi run."""
+    """Patch `splu` and `_shift_invert` to record, holding no factor alive,
+    the set of live factors, how many are alive as each one is built, and
+    (matrix, solves, LU fill) after each Arnoldi run."""
     alive, alive_at_build, runs = weakref.WeakSet(), [], []
+    splu, shift_invert = spla.splu, eigensolve._shift_invert
 
-    class Tracked(eigensolve._ShiftInvert):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            alive.add(self)
-            alive_at_build.append(len(alive))
+    def tracked_splu(*args, **kwargs):
+        lu = _TrackedLU(splu(*args, **kwargs))
+        alive.add(lu)
+        alive_at_build.append(len(alive))
+        return lu
 
-        def eigenpairs(self):
-            found = super().eigenpairs()
-            runs.append((self.mat, self.solves, self.lu.nnz))
-            return found
+    def tracked_shift_invert(mat, *args):
+        vals, rows, facts = shift_invert(mat, *args)
+        runs.append((mat, facts["op_solves"], facts["lu_fill_nnz"]))
+        return vals, rows, facts
 
-    monkeypatch.setattr(eigensolve, "_ShiftInvert", Tracked)
-    return alive_at_build, runs
+    monkeypatch.setattr(eigensolve.spla, "splu", tracked_splu)
+    monkeypatch.setattr(eigensolve, "_shift_invert", tracked_shift_invert)
+    return alive, alive_at_build, runs
 
 
 def test_split_resolves_a_short_block(monkeypatch):
     # all 8 eigenvalues nearest sigma sit on sublattice (0, 0): its first
     # request (its share of k plus the margin) returns exactly them, so
     # it is solved again for more pairs
-    alive_at_build, runs = _track_factors(monkeypatch)
+    _, alive_at_build, runs = _track_factors(monkeypatch)
     g = Grid(extent_L=1.0, n_per_side=9)
     op, labels = _one_sublattice_diag_op(g, 0)
     info = {}
@@ -450,15 +468,7 @@ def test_principal_angles_rank_deficient_smaller_basis_raises_solver_error():
 
 @pytest.mark.parametrize("split", [True, False])
 def test_no_factor_alive_when_vectors_are_built(model, monkeypatch, split):
-    alive = weakref.WeakSet()
-    made = []
-
-    class Tracked(eigensolve._ShiftInvert):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            alive.add(self)
-            made.append(None)
-
+    alive, built, _ = _track_factors(monkeypatch)
     seen = []
 
     def counted(cls):
@@ -467,7 +477,6 @@ def test_no_factor_alive_when_vectors_are_built(model, monkeypatch, split):
             return cls(*args, **kwargs)
         return build
 
-    monkeypatch.setattr(eigensolve, "_ShiftInvert", Tracked)
     monkeypatch.setattr(eigensolve, "GridFunction", counted(GridFunction))
     monkeypatch.setattr(eigensolve, "SublatticeFunction", counted(SublatticeFunction))
     H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
@@ -475,7 +484,7 @@ def test_no_factor_alive_when_vectors_are_built(model, monkeypatch, split):
         pairs = eigenpairs_near(H, k=8, sigma=0.02, seed=0)
     else:
         pairs = lowest_eigenpairs(H, k=8, seed=0)
-    assert len(made) == (4 if split else 1)
+    assert len(built) == (4 if split else 1)
     assert len(pairs) == 8 and len(seen) >= 8
     assert seen == [0] * len(seen)
 
@@ -485,19 +494,19 @@ def test_certificate_rejects_a_perturbed_pair(model, monkeypatch, split):
     # the vector nearest sigma of the last Arnoldi run, off by 1e-4 of its
     # size in a random direction, is no longer an eigenvector to tol; split,
     # the last block (sublattice (1, 1)) holds the eigenvalue nearest sigma
-    arnoldi = eigensolve._ShiftInvert.eigenpairs
+    shift_invert = eigensolve._shift_invert
     runs = []
 
-    def perturbed(self):
-        vals, rows = arnoldi(self)
+    def perturbed(mat, sigma, seed, k):
+        vals, rows, facts = shift_invert(mat, sigma, seed, k)
         runs.append(None)
         if len(runs) == (4 if split else 1):
-            i = np.argmin(np.abs(vals - self.sigma))
+            i = np.argmin(np.abs(vals - sigma))
             noise = np.random.RandomState(1).standard_normal(rows.shape[1])
             rows[i] += 1e-4 * np.linalg.norm(rows[i]) / np.linalg.norm(noise) * noise
-        return vals, rows
+        return vals, rows, facts
 
-    monkeypatch.setattr(eigensolve._ShiftInvert, "eigenpairs", perturbed)
+    monkeypatch.setattr(eigensolve, "_shift_invert", perturbed)
     H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
     with pytest.raises(SolverError, match="recomputed residual"):
         if split:
@@ -507,7 +516,7 @@ def test_certificate_rejects_a_perturbed_pair(model, monkeypatch, split):
 
 
 def test_one_factor_alive_at_a_time(model, monkeypatch):
-    alive_at_build, _ = _track_factors(monkeypatch)
+    _, alive_at_build, _ = _track_factors(monkeypatch)
     H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
     eigenpairs_near(H, k=8, sigma=0.02, seed=0)
     assert alive_at_build == [1] * 4

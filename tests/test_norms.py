@@ -146,7 +146,7 @@ def test_l6_gradient_matches_finite_differences(rng):
 
 def test_extremal_l6_converges_on_trig_level(trig01):
     g = Grid(extent_L=6.5, n_per_side=65)
-    clusters, _ = ladder_level_clusters(trig01, g, 1, m_count=4)
+    clusters = ladder_level_clusters(trig01, g, 1, m_count=4)
     c = clusters[1]
     res = extremal_l6(c, restarts=4, seed=0)
     assert res.converged
@@ -161,7 +161,7 @@ def test_extremal_l6_converges_on_trig_level(trig01):
 @pytest.fixture(scope="module")
 def trig_level1(trig01):
     g = Grid(extent_L=6.5, n_per_side=65)
-    clusters, _ = ladder_level_clusters(trig01, g, 1, m_count=4)
+    clusters = ladder_level_clusters(trig01, g, 1, m_count=4)
     return clusters[1]
 
 
@@ -202,7 +202,7 @@ def coarse_level1(trig01):
     # 9 states on 49^2 nodes: D^2 = 165^2 exceeds 9 * 2401, so the ascent
     # evaluates the objective on the basis matrix
     g = Grid(extent_L=6.5, n_per_side=49)
-    clusters, _ = ladder_level_clusters(trig01, g, 1, m_count=9)
+    clusters = ladder_level_clusters(trig01, g, 1, m_count=9)
     return clusters[1]
 
 
@@ -227,7 +227,7 @@ def test_cut_ascent_matches_uncut_reference(trig_level1, coarse_level1, monkeypa
 def test_moment_objective_matches_basis_matrix_objective(k, trig01, rng):
     # 65^2 nodes: two full moment panels and a partial one
     g = Grid(extent_L=6.5, n_per_side=65)
-    clusters, _ = ladder_level_clusters(trig01, g, 1, m_count=k)
+    clusters = ladder_level_clusters(trig01, g, 1, m_count=k)
     V = _basis_matrix(clusters[1])
     assert V.shape == (k, g.size)
     objective = l6_moment_objective(V, g.weight)

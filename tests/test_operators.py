@@ -1,4 +1,5 @@
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
@@ -81,21 +82,18 @@ def test_assemble_A_is_hermitian_matrix(model):
 @pytest.mark.parametrize("label", HERMITIAN_LABELS + ["D", "D_star"])
 def test_sparse_matches_matrix_free(label, model, trig01, rng):
     # each handle's factor composition against the independent stencil
-    # reference of the tests, and its assembled matrix against its apply,
-    # for both coefficient variants
+    # reference of the tests, and its assembled matrix against its apply
     g = Grid(extent_L=5.0, n_per_side=33)
     for potential in (model, trig01):
-        for averaged in (True, False):
-            op = build_operator(label, potential, g, averaged_coefficients=averaged,
-                                **_kwargs(label))
-            ref = reference_apply(label, potential, g, averaged=averaged, **_kwargs(label))
-            mat = assemble_sparse(op)
-            for _ in range(20):
-                u = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
-                a = op.apply_array(u)
-                assert np.linalg.norm(a - ref(u)) <= 1e-13 * np.linalg.norm(a)
-                b = mat @ u.reshape(-1)
-                assert np.linalg.norm(a.reshape(-1) - b) <= 1e-13 * np.linalg.norm(a)
+        op = build_operator(label, potential, g, **_kwargs(label))
+        ref = reference_apply(label, potential, g, **_kwargs(label))
+        mat = assemble_sparse(op)
+        for _ in range(20):
+            u = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
+            a = op.apply_array(u)
+            assert np.linalg.norm(a - ref(u)) <= 1e-13 * np.linalg.norm(a)
+            b = mat @ u.reshape(-1)
+            assert np.linalg.norm(a.reshape(-1) - b) <= 1e-13 * np.linalg.norm(a)
 
 
 def _count_factor_builds(monkeypatch):
@@ -143,15 +141,14 @@ def test_shared_factors_match_own_factors(labels, trig01, rng, monkeypatch):
 
 
 def test_shared_factors_reject_other_inputs(model, trig01, monkeypatch):
-    # another potential, even an equal but distinct object, another grid,
-    # pointwise coefficients and every semiclassical label build their own set
+    # another potential, even an equal but distinct object, another grid and
+    # every semiclassical label build their own set
     g = Grid(extent_L=5.0, n_per_side=33)
     twin = dataclasses.replace(model)
     assert twin == model and twin is not model
     for label, potential, grid, kwargs in (
             ("A", trig01, g, {}), ("A", twin, g, {}),
             ("H", model, Grid(extent_L=5.0, n_per_side=35), {}),
-            ("H", model, g, {"averaged_coefficients": False}),
             ("P", model, g, {"h": 0.5}), ("P_tilde_q", model, g, _kwargs("P_tilde_q"))):
         built = _count_factor_builds(monkeypatch)
         first = build_operator("H", model, g)
@@ -178,6 +175,11 @@ def test_tilde_build_evaluates_one_full_mesh_gradient(label, trig01):
 
     _build(label, dataclasses.replace(trig01, grad_fn=grad_fn), g)
     assert len(calls) == 1
+
+
+def test_build_operator_has_one_discretization():
+    # the pointwise stencil lives in demos/06_discretization_pathology.py only
+    assert "averaged_coefficients" not in inspect.signature(build_operator).parameters
 
 
 def test_assembly_guard(model):
@@ -324,7 +326,7 @@ def _conjugation_discrepancy(model, n, h, q):
     # rhs operator: (h/2) D1 - (h/2)(d2 phi_h)(x + q), realized identically
     s = np.sqrt(h)
     g2s = model.grad((X1 + q[0]) / s, (X2 + q[1]) / s)[1] / s
-    mul = coeff_mul(g2s, 1, True)
+    mul = coeff_mul(g2s, 1)
     rhs = (h / 2.0) * d1_stencil(test.astype(complex), g.spacing) - (h / 2.0) * mul(test)
     return float(np.max(np.abs(lhs - rhs)))
 

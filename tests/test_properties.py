@@ -29,16 +29,11 @@ def test_averaged_assembly_splits_over_sublattices(kind, eps, n, extent, label, 
     potential = make_potential(kind, [] if kind == "model_quadratic" else [eps])
     grid = Grid(extent_L=extent, n_per_side=n)
     kwargs = {"h": h} if label == "P" else {}
-    averaged = build_operator(label, potential, grid, **kwargs)
-    pointwise = build_operator(label, potential, grid, averaged_coefficients=False, **kwargs)
-    mat = assemble_sparse(averaged)
+    op = build_operator(label, potential, grid, **kwargs)
+    mat = assemble_sparse(op)
     assert _cross_sublattice_entries(mat, n) == 0
     assert len(sublattice_blocks(mat, n)) == 4
-    mat_pw = assemble_sparse(pointwise)
-    assert _cross_sublattice_entries(mat_pw, n) > 0
-    assert len(sublattice_blocks(mat_pw, n)) == 1
-    for op in (averaged, pointwise):
-        assert hermiticity_defect(op, trials=3) <= 1e-12
+    assert hermiticity_defect(op, trials=3) <= 1e-12
 
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()

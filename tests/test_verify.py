@@ -7,13 +7,14 @@ from landaulab import (Grid, GridFunction, build_operator, check_cutoff_lemma,
                        check_energy_lemma, check_gauge_lemma, l2_norm,
                        ladder_level_clusters, make_cutoff, rescale, sweep_bounds)
 from landaulab.cutoffs import lattice_window
+from landaulab.eigensolve import EigenCluster
 from landaulab.verify import VerifyError, _gauge_sups, translate_samples
 
 
 @pytest.fixture(scope="module")
 def model_clusters(model):
     g = Grid(extent_L=6.5, n_per_side=129)
-    clusters, _ = ladder_level_clusters(model, g, 2, m_count=5)
+    clusters = ladder_level_clusters(model, g, 2, m_count=5)
     return g, clusters
 
 
@@ -21,7 +22,7 @@ def test_ladder_clusters_hit_landau_levels(model):
     # the per-level Ritz dip scales like spacing^2 * level^2; 257 nodes keep
     # levels 0..2 within 0.05 of the Landau values
     g = Grid(extent_L=6.5, n_per_side=257)
-    clusters, _ = ladder_level_clusters(model, g, 2, m_count=4)
+    clusters = ladder_level_clusters(model, g, 2, m_count=4)
     assert [c.label for c in clusters] == [0, 1, 2]
     for c in clusters:
         assert c.mean == pytest.approx(2.0 * c.label, abs=0.05)
@@ -30,7 +31,7 @@ def test_ladder_clusters_hit_landau_levels(model):
 
 def test_ladder_clusters_perturbed(trig01):
     g = Grid(extent_L=6.5, n_per_side=129)
-    clusters, _ = ladder_level_clusters(trig01, g, 1, m_count=4)
+    clusters = ladder_level_clusters(trig01, g, 1, m_count=4)
     assert [c.label for c in clusters] == [0, 1]
     assert clusters[1].mean == pytest.approx(2.0, abs=0.15)
 
@@ -56,7 +57,7 @@ def test_energy_identity_rejects_non_unit(model, model_clusters):
 
 def test_energy_bound_semiclassical(model):
     g = Grid(extent_L=6.5, n_per_side=129)
-    clusters, _ = ladder_level_clusters(model, g, 1, m_count=2)
+    clusters = ladder_level_clusters(model, g, 1, m_count=2)
     lvl1 = clusters[1]
     uh = rescale(lvl1.basis[0], 0.5)
     from landaulab import EigenCluster
@@ -70,7 +71,7 @@ def test_energy_bound_semiclassical(model):
 def _cutoff_state(model, h, L=9.0, n=193):
     level = round(1.0 / (2.0 * h))
     g = Grid(extent_L=L, n_per_side=n)
-    clusters, _ = ladder_level_clusters(model, g, level, m_count=1)
+    clusters = ladder_level_clusters(model, g, level, m_count=1)
     u = clusters[-1].basis[0]
     return rescale(u, h)
 
@@ -190,7 +191,7 @@ def test_translate_samples_beyond_the_grid_is_zero(q):
 
 def test_gauge_lemma_rows(model):
     g = Grid(extent_L=6.0, n_per_side=121)
-    clusters, _ = ladder_level_clusters(model, g, 0, m_count=1)
+    clusters = ladder_level_clusters(model, g, 0, m_count=1)
     ground = clusters[0].basis[0]
     rows = check_gauge_lemma(model, g, ground, (2.0, 0.0))
     assert {r.lemma_id for r in rows} == {"gauge_translate_A", "gauge_translate_B"}
@@ -202,7 +203,7 @@ def test_gauge_lemma_rows(model):
 
 def test_gauge_lemma_trivial_phase_at_origin(model):
     g = Grid(extent_L=6.0, n_per_side=121)
-    clusters, _ = ladder_level_clusters(model, g, 0, m_count=1)
+    clusters = ladder_level_clusters(model, g, 0, m_count=1)
     ground = clusters[0].basis[0]
     rows = check_gauge_lemma(model, g, ground, (0.0, 0.0))
     assert all(r.passed for r in rows)
@@ -237,7 +238,8 @@ def test_sweep_report_serialization(model):
     assert lines[0] == "level,lambda_sq,cluster_dim,ratio_linf,ratio_l6,scaled_l6"
     assert len(lines) == 3
     import json
-    doc = json.loads(report.to_json())
+    # as cli.run_bounds writes it
+    doc = json.loads(json.dumps(report.to_dict(), indent=2, sort_keys=True))
     assert doc["schema_version"] == 1
     assert doc["theorem1"]["passed"] is True
     assert len(doc["rows"]) == 2
@@ -260,8 +262,8 @@ def test_sweep_report_serialization(model):
 
 def test_ladder_level_clusters_are_eigensolve_clusters(trig01):
     g = Grid(extent_L=6.5, n_per_side=97)
-    clusters, residuals = ladder_level_clusters(trig01, g, 3, m_count=3)
-    assert residuals == [c.residuals for c in clusters]
+    clusters = ladder_level_clusters(trig01, g, 3, m_count=3)
+    assert all(isinstance(c, EigenCluster) and len(c.residuals) == c.dim for c in clusters)
     assert [c.label for c in clusters] == [0, 1, 2, 3]
     for c in clusters:
         V = np.stack([b.values for b in c.basis])
@@ -271,9 +273,11 @@ def test_ladder_level_clusters_are_eigensolve_clusters(trig01):
 @pytest.mark.parametrize("n, levels, shared", [(49, [0, 1], [2]), (25, [0], [1, 2])],
                          ids=["n49", "n25"])
 def test_sweep_warns_when_levels_share_a_label(trig01, n, levels, shared):
-    # on these grids an under-resolved level rounds to its neighbour's label
+    # on these grids an under-resolved level rounds to its neighbour's label,
+    # and the clusters that miss the residual guard are excluded
     g = Grid(extent_L=6.5, n_per_side=n)
-    with pytest.warns(UserWarning, match="is held by the clusters"):
+    with pytest.warns(UserWarning, match="is held by the clusters"), \
+            pytest.warns(UserWarning, match="excluded: worst Ritz residual"):
         report = sweep_bounds(trig01, g, max_level=3, m_count=3, restarts=8, seed=0)
     assert [r.level for r in report.rows] == levels
     assert [w.split()[1] for w in report.warnings
@@ -296,8 +300,7 @@ def test_sweep_warns_on_cluster_above_max_level(trig01, monkeypatch):
 def test_sweep_reports_l6_certificates(trig01):
     g = Grid(extent_L=6.5, n_per_side=97)
     report = sweep_bounds(trig01, g, max_level=1, m_count=3, restarts=8, seed=0)
-    import json
-    rows = json.loads(report.to_json())["rows"]
+    rows = report.to_dict()["rows"]
     assert len(rows) == 2
     for row in rows:
         assert 0.0 < row["l6_cut_bound"] <= 1e-40
@@ -330,11 +333,14 @@ def test_lemma_handles_share_unscaled_factors(trig01, monkeypatch):
                         lambda *a, **k: built.append(1) or factor(*a, **k))
     monkeypatch.setattr(operators, "_unscaled", None)
     g = Grid(extent_L=6.5, n_per_side=65)
-    clusters, _ = ladder_level_clusters(trig01, g, 1, m_count=2)
+    clusters = ladder_level_clusters(trig01, g, 1, m_count=2)
     assert len(built) == 2
     check_energy_lemma(trig01, g, clusters[0])
     ladder_level_clusters(trig01, g, 0, m_count=1)
-    check_gauge_lemma(trig01, g, clusters[0].basis[0], (4 * g.spacing, 0.0))
+    # a Ritz vector of this coarse ladder is not an eigenvector to the gauge
+    # input's guard
+    with pytest.warns(UserWarning, match="above guard"):
+        check_gauge_lemma(trig01, g, clusters[0].basis[0], (4 * g.spacing, 0.0))
     assert len(built) == 2
     # another grid gets its own factors
     ladder_level_clusters(trig01, Grid(extent_L=6.5, n_per_side=67), 0, m_count=1)
@@ -345,7 +351,9 @@ def test_sweep_warns_on_unconverged_ascent(trig01, monkeypatch):
     from landaulab import norms
     monkeypatch.setattr(norms, "ASCENT_MAX_ITER", 1)
     g = Grid(extent_L=6.5, n_per_side=97)
-    with pytest.warns(UserWarning, match="L\\^6 ascent stopped"):
+    # one BFGS step leaves level 1's winner short of a certified maximum too
+    with pytest.warns(UserWarning, match="L\\^6 ascent stopped"), \
+            pytest.warns(UserWarning, match="tangent Hessian"):
         report = sweep_bounds(trig01, g, max_level=1, m_count=3, restarts=2, seed=0)
     assert [r.level for r in report.rows] == [0, 1]
     assert not report.rows[1].l6_converged
