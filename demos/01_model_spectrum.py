@@ -10,7 +10,7 @@ per unit area). On a truncated box two things happen at desk scale:
     the coefficient momentum |grad phi|/2 exceeds what the grid can carry.
 
 This demo certifies both kinds of eigenpairs (residuals are recomputed
-through the operator's CSR factors) and shows how the interior band recovers the Landau structure.
+through the operator's CSR matrix) and shows how the interior band recovers the Landau structure.
 """
 
 import numpy as np

@@ -38,9 +38,7 @@ def pointwise_H(potential, grid):
     A = 0.5 * (sp.kron(D, eye) - sp.diags(g2.ravel()))
     B = 0.5 * (sp.kron(eye, D) + sp.diags(g1.ravel()))
     H = (A @ A + B @ B - sp.diags(potential.laplacian(X1, X2).ravel() / 4.0)).tocsr()
-    return OperatorHandle(label="H", grid=grid, is_hermitian=True,
-                          apply_array=lambda u: (H @ u.reshape(-1)).reshape(u.shape),
-                          sparse_builder=lambda: H)
+    return OperatorHandle(label="H", grid=grid, matrix=H, is_hermitian=True)
 
 
 for H, name in ((pointwise_H(model, grid), "pointwise coefficients (textbook stencil)"),

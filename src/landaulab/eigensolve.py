@@ -33,12 +33,12 @@ supported on one sublattice. `lowest_eigenpairs` keeps one block: at sigma
 spends thousands of solves on pairs deep inside the band; skipping such a
 block needs an eigenvalue count (an inertia certificate) first.
 
-Memory: one block LU is alive at a time. The assembled matrix is freed once
-the blocks are sliced, each LU once its Arnoldi run is read, and a block
-solved again refactors. A proper block's eigenvectors are
-`SublatticeFunction`s stored on its parity class, normalized and certified
-there, so no full-grid copy of one is made; `principal_angles` reads them one
-parity class at a time.
+Memory: one block LU is alive at a time. The handle keeps its own matrix;
+the assembled copy is freed once the blocks are sliced, each LU once its
+Arnoldi run is read, and a block solved again refactors. A proper block's
+eigenvectors are `SublatticeFunction`s stored on its parity class, normalized
+and certified there, so no full-grid copy of one is made; `principal_angles`
+reads them one parity class at a time.
 
 Caution for coarse grids: when the largest coefficient momentum |grad phi|/2
 on the box approaches the grid's resolvable band (|grad phi| * spacing / 2 of

@@ -1,4 +1,4 @@
-"""Magnetic-Laplacian operators on truncated grids, defined by CSR factors.
+"""Magnetic-Laplacian operators on truncated grids, each one CSR matrix.
 
 Discretization:
   * D_j = -i * second-order centered difference along axis j, Dirichlet
@@ -16,22 +16,21 @@ Discretization:
   * zeroth-order terms (Delta phi / 4, the semiclassical -1) are plain
     diagonal multiplications.
 
-Every built handle is defined by its two first-order factors A, B, stored as
-CSR factor matrices over the flattened grid, and one zeroth-order diagonal V,
-built with the handle. Unscaled handles (A, B, H, D, D_star) over one potential
-object and equal grids share one set (see `build_operator`). A and B apply
-as one CSR matvec each, D = iA + B and D* = -iA + B as two, and H, P and P~
-as A(Au) + B(Bu) - V u. `assemble_sparse` composes the same factors,
-A@A + B@B - V. All Hermitian-flagged handles are exactly Hermitian in the
-uniform-weight discrete inner product, and H = A∘A + B∘B - (Delta phi / 4)
-holds as composed maps, so energy identities hold to round-off for computed
-eigenpairs.
+Every handle is its matrix over the flattened grid, composed once when the
+handle is built from two first-order CSR factors A, B and one zeroth-order
+diagonal V: A and B are the factors themselves, D = iA + B and D* = -iA + B,
+and H, P and P~ are A@A + B@B - V. A handle applies as one CSR matvec, and
+`assemble_sparse` returns a copy of the same matrix. Unscaled handles
+(A, B, H, D, D_star) over one potential object and equal grids share their
+matrices (see `build_operator`). All Hermitian-flagged handles are exactly
+Hermitian in the uniform-weight discrete inner product, and
+H = A@A + B@B - (Delta phi / 4) holds as matrices, so energy identities hold
+to round-off for computed eigenpairs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
@@ -44,7 +43,7 @@ LABELS = ("A", "B", "H", "P", "A_tilde_q", "B_tilde_q", "P_tilde_q",
 
 SEMICLASSICAL_LABELS = ("P", "A_tilde_q", "B_tilde_q", "P_tilde_q")
 TILDE_LABELS = ("A_tilde_q", "B_tilde_q", "P_tilde_q")
-_unscaled = None   # Factors of the last unscaled handle built; build_operator reuses them
+_unscaled = None   # (potential, grid, {label: matrix}) of the last unscaled handles built
 
 
 class OperatorError(ValueError):
@@ -55,47 +54,17 @@ class OperatorError(ValueError):
 class OperatorHandle:
     label: str
     grid: Grid
-    apply_array: Callable  # (n, n) complex array -> (n, n) complex array
+    matrix: sp.csr_matrix   # over the flattened grid
     is_hermitian: bool
-    sparse_builder: Optional[Callable] = None
-    factors: Optional["Factors"] = None
+
+    def apply_array(self, u):
+        """(n, n) complex array -> (n, n) complex array, one matvec."""
+        return (self.matrix @ u.reshape(-1)).reshape(u.shape)
 
     def apply(self, u: GridFunction) -> GridFunction:
         if u.grid != self.grid:
             raise OperatorError("grid mismatch between operator and argument")
         return GridFunction(self.apply_array(u.as_2d()).reshape(-1), self.grid)
-
-
-class Factors:
-    """`mats` = (A, B, V): the CSR first-order factors of A∘A + B∘B - V and its (n, n)
-    diagonal V, built from `key` = (potential, grid, h, q)."""
-
-    def __init__(self, key: tuple, mats: tuple):
-        self.key = key
-        self.mats = mats
-
-    def A(self, u):
-        return (self.mats[0] @ u.reshape(-1)).reshape(u.shape)
-
-    def B(self, u):
-        return (self.mats[1] @ u.reshape(-1)).reshape(u.shape)
-
-    def square(self, u):
-        """A(Au) + B(Bu) - V u."""
-        A, B, V = self.mats
-        x = u.reshape(-1)
-        return (A @ (A @ x) + B @ (B @ x)).reshape(u.shape) - V * u
-
-    def strip(self, r0: int, r1: int) -> "Factors":
-        """A[s, s], B[s, s] and V[r0:r1], s = slice(r0 n, r1 n): the factors on
-        grid rows r0:r1, each kept row's stored entries in their order."""
-        A, B, V = self.mats
-        s = slice(r0 * V.shape[1], r1 * V.shape[1])
-        return Factors(self.key, (A[s, s], B[s, s], V[r0:r1]))
-
-    def square_matrix(self):
-        A, B, V = self.mats
-        return (A @ A + B @ B - sp.diags(V.ravel())).tocsr()
 
 
 def _factor(grid: Grid, axis: int, coeff, scale: float, const: float):
@@ -145,9 +114,10 @@ def _grad_at(potential, q, h):
 
 # ---------------------------------------------------------------------------
 
-def _build_mats(label, potential, grid, h, q):
-    """(A, B, V) with A = (s/2)(D1 - d2 phi_s), B = (s/2)(D2 + d1 phi_s): s = h and
-    V = h^2 lap(phi_h)/4 + 1 for the semiclassical labels, s = 1 and V = lap(phi)/4 else.
+def _compose(label, potential, grid, h, q):
+    """The label's CSR matrix, composed from A = (s/2)(D1 - d2 phi_s),
+    B = (s/2)(D2 + d1 phi_s) and the diagonal V: s = h and V = h^2 lap(phi_h)/4 + 1
+    for the semiclassical labels, s = 1 and V = lap(phi)/4 else.
     A translated label takes (d phi_h)(x + q) - (d phi_h)(q) for d phi_s; the
     constant rides the same axis average so that the quadratic-potential
     identity A_tilde_q = A holds exactly on the lattice."""
@@ -156,19 +126,29 @@ def _build_mats(label, potential, grid, h, q):
     tilde = label in TILDE_LABELS
     g1, g2, lap = _fields(potential, grid, s, q if tilde else (0.0, 0.0))
     k1, k2 = _grad_at(potential, q, h) if tilde else (0.0, 0.0)
+    A, B = _factor(grid, 1, -g2, s / 2.0, k2), _factor(grid, 2, g1, s / 2.0, -k1)
+    if label in ("A", "A_tilde_q"):
+        return A
+    if label in ("B", "B_tilde_q"):
+        return B
+    if label in ("D", "D_star"):
+        # annihilation factor D = iA + B = d_z + (d_z phi), which kills
+        # e^{-phi} F(conj z); creation factor D_star = -iA + B, its formal
+        # adjoint, so H = D_star ∘ D
+        return ((1j if label == "D" else -1j) * A + B).tocsr()
     V = (h * h / 4.0) * lap + 1.0 if semi else lap / 4.0
-    return (_factor(grid, 1, -g2, s / 2.0, k2), _factor(grid, 2, g1, s / 2.0, -k1), V)
+    return (A @ A + B @ B - sp.diags(V.ravel())).tocsr()
 
 
 def build_operator(label: str, potential: Potential, grid: Grid,
                    h: float | None = None, q: tuple | None = None) -> OperatorHandle:
-    """Construct a handle for one of the named operators, with its CSR factors.
+    """Construct a handle for one of the named operators, with its CSR matrix.
 
-    An unscaled handle (A, B, H, D, D_star) reuses the factors of the last
-    unscaled handle built when its potential is the same object and its grid
-    is equal; a semiclassical handle (P and the tilde labels) always builds
-    its own. The record holds one set, so any unscaled build by any caller
-    over other inputs replaces it."""
+    An unscaled handle (A, B, H, D, D_star) reuses the matrix of its label
+    from the last unscaled handles built when its potential is the same
+    object and its grid is equal; a semiclassical handle (P and the tilde
+    labels) always composes its own. The record holds one potential and grid,
+    so any unscaled build by any caller over other inputs replaces it."""
     global _unscaled
     if label not in LABELS:
         raise OperatorError(f"unknown label {label!r}")
@@ -180,29 +160,17 @@ def build_operator(label: str, potential: Potential, grid: Grid,
             raise OperatorError(f"h must be positive, got {h}")
     if label in TILDE_LABELS and q is None:
         raise OperatorError(f"{label} requires a translation center q")
-    key = (potential, grid, h if semi else None,
-           tuple(map(float, q)) if label in TILDE_LABELS else None)
-    f = _unscaled
-    if f is None or f.key[0] is not potential or f.key[1:] != key[1:]:
-        f = Factors(key, _build_mats(label, potential, grid, h, q))
-        if not semi:
-            _unscaled = f
-    if label in ("A", "A_tilde_q"):
-        apply, sparse = f.A, lambda: f.mats[0].copy()
-    elif label in ("B", "B_tilde_q"):
-        apply, sparse = f.B, lambda: f.mats[1].copy()
-    elif label in ("D", "D_star"):
-        # annihilation factor D = iA + B = d_z + (d_z phi), which kills
-        # e^{-phi} F(conj z); creation factor D_star = -iA + B, its formal
-        # adjoint, so H = D_star ∘ D
-        c = 1j if label == "D" else -1j
-        apply = lambda u: c * f.A(u) + f.B(u)
-        sparse = lambda: (c * f.mats[0] + f.mats[1]).tocsr()
+    if semi:
+        matrix = _compose(label, potential, grid, h, q)
     else:
-        apply, sparse = f.square, f.square_matrix
-    return OperatorHandle(label=label, grid=grid, apply_array=apply,
-                          is_hermitian=label not in ("D", "D_star"),
-                          sparse_builder=sparse, factors=f)
+        if _unscaled is None or _unscaled[0] is not potential or _unscaled[1] != grid:
+            _unscaled = (potential, grid, {})
+        mats = _unscaled[2]
+        if label not in mats:
+            mats[label] = _compose(label, potential, grid, h, q)
+        matrix = mats[label]
+    return OperatorHandle(label=label, grid=grid, matrix=matrix,
+                          is_hermitian=label not in ("D", "D_star"))
 
 
 # ---------------------------------------------------------------------------
@@ -211,13 +179,11 @@ MAX_ASSEMBLE_N = 2049
 
 
 def assemble_sparse(op: OperatorHandle):
-    """Sparse matrix representation of a handle (guarded by grid size)."""
+    """A copy of the handle's matrix, owned by the caller (guarded by grid size)."""
     if op.grid.n_per_side > MAX_ASSEMBLE_N:
         raise OperatorError(
             f"n_per_side {op.grid.n_per_side} exceeds assembly guard {MAX_ASSEMBLE_N}")
-    if op.sparse_builder is None:
-        raise OperatorError(f"handle {op.label!r} carries no sparse builder")
-    return op.sparse_builder()
+    return op.matrix.copy()
 
 
 def gauge_multiplier(potential: Potential, grid: Grid, h: float, q: tuple) -> np.ndarray:

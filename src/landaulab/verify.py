@@ -39,6 +39,9 @@ SLOPE_LIMIT = 0.01
 ENERGY_REL_TOL = 1e-3       # relative tolerance of the energy identity
 LEMMA_SLACK = 1.05          # cutoff and gauge rows pass when lhs <= slack * rhs
 H_RESIDUAL_GUARD = 0.05     # gauge input's ||Hu - lambda u||/||u|| warned above
+# largest tangent-Hessian eigenvalue that certifies a strict maximum: on a flat
+# direction it is round-off of either sign, ~1e-15, that moves with the grid
+HESSIAN_CERT_MAX = -1e-10
 
 class VerifyError(ValueError):
     pass
@@ -71,8 +74,8 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
     B = np.stack(mgs_orthonormalize((u.reshape(-1) for tier in tiers for u in tier),
                                     w))  # (basis size, N)
     HB = np.empty_like(B)
-    for b, hb in zip(B, HB):
-        hb[:] = H.apply_array(b.reshape(n, n)).reshape(-1)
+    for i in range(len(B)):   # a row view in a loop variable would keep B, HB past `del`
+        HB[i] = H.apply_array(B[i].reshape(n, n)).reshape(-1)
     M = (B.conj() @ HB.T) * w
     M = 0.5 * (M + M.conj().T)
     evals, evecs = np.linalg.eigh(M)
@@ -80,7 +83,8 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
     del B
     ritz_hvecs = evecs.T @ HB
     del HB
-    resid = np.sqrt(np.sum(np.abs(ritz_hvecs - evals[:, None] * ritz_vecs) ** 2, axis=1) * w)
+    ritz_hvecs -= evals[:, None] * ritz_vecs   # the residual vectors, in place
+    resid = np.sqrt(np.sum(np.abs(ritz_hvecs) ** 2, axis=1) * w)
 
     clusters = cluster([(float(lam), GridFunction(v, grid), float(r))
                         for lam, v, r in zip(evals, ritz_vecs, resid)], LEVEL_CLUSTER_TOL)
@@ -180,9 +184,10 @@ def sweep_bounds(potential: Potential, grid: Grid, max_level: int,
 
     Levels whose worst Ritz residual exceeds RESIDUAL_GUARD are excluded from
     the report with a warning (never silently); a level whose L^6 ascent did
-    not converge, or whose winner's tangent Hessian is not negative definite,
-    is reported with a warning. So are a label held by several clusters and a
-    label above max_level: rounding can mislabel an under-resolved level.
+    not converge, or whose winner's tangent Hessian has an eigenvalue at or
+    above HESSIAN_CERT_MAX, is reported with a warning. So are a label held
+    by several clusters and a label above max_level: rounding can mislabel an
+    under-resolved level.
     """
     clusters = ladder_level_clusters(potential, grid, max_level, m_count=m_count)
     rows = []
@@ -212,10 +217,10 @@ def sweep_bounds(potential: Potential, grid: Grid, max_level: int,
         if not asc.converged:
             warn(f"level {c.label}: L^6 ascent stopped after {asc.iterations} "
                  "iterations without converging; ratio_l6 is a looser lower bound")
-        if asc.hessian_max is not None and not asc.hessian_max < 0.0:
+        if asc.hessian_max is not None and not asc.hessian_max < HESSIAN_CERT_MAX:
             warn(f"level {c.label}: the L^6 ascent's tangent Hessian has largest "
-                 f"eigenvalue {asc.hessian_max:.3g} >= 0; the winner is not "
-                 "certified as a strict local maximum")
+                 f"eigenvalue {asc.hessian_max:.3g} >= {HESSIAN_CERT_MAX:g}; the "
+                 "winner is not certified as a strict local maximum")
         lam2 = c.mean
         scaled = asc.ratio * lam2 ** (1.0 / 6.0) if c.label >= 1 else asc.ratio
         rows.append(LevelRow(level=c.label, lambda_sq=lam2, cluster_dim=c.dim,
@@ -241,46 +246,30 @@ def sweep_bounds(potential: Potential, grid: Grid, max_level: int,
 # ---------------------------------------------------------------------------
 # Lemma checks. Every check recomputes both sides from primitives.
 
-def check_energy_lemma(potential: Potential, grid: Grid, cluster: EigenCluster,
-                       h: float | None = None) -> list[LemmaRow]:
-    """Energy identity / energy bound for each cluster basis vector.
-
-    h absent: ||Au||^2 + ||Bu||^2 = <(lap phi / 4 + lambda^2) u, u> within
-    ENERGY_REL_TOL (exact for true discrete eigenpairs). h given: the semiclassical
-    bound ||A u||, ||B u|| <= sqrt(h/4 ||lap phi||_inf + 1) ||u|| + slack.
+def check_energy_lemma(potential: Potential, grid: Grid,
+                       cluster: EigenCluster) -> list[LemmaRow]:
+    """Energy identity for each cluster basis vector:
+    ||Au||^2 + ||Bu||^2 = <(lap phi / 4 + lambda^2) u, u> within
+    ENERGY_REL_TOL (exact for true discrete eigenpairs).
     """
     rows = []
     w = grid.weight
-    if h is None:
-        A = build_operator("A", potential, grid)
-        B = build_operator("B", potential, grid)
-        X1, X2 = grid.mesh()
-        lap4 = potential.laplacian(X1, X2).reshape(-1) / 4.0
-        for lam, u in zip(cluster.eigenvalues, cluster.basis):
-            if u.grid != grid:
-                raise VerifyError("cluster grid does not match the supplied grid")
-            nrm2 = np.vdot(u.values, u.values).real * w
-            if not 0.5 < nrm2 < 2.0:
-                raise VerifyError("cluster basis vector is not unit-normalized")
-            lhs = (l2_norm(A.apply(u)) ** 2 + l2_norm(B.apply(u)) ** 2)
-            rhs = float(np.vdot(u.values, (lap4 + lam) * u.values).real * w)
-            rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
-            rows.append(LemmaRow(lemma_id="energy_identity", lhs=lhs, rhs=rhs,
-                                 passed=bool(rel <= ENERGY_REL_TOL),
-                                 detail={"lambda_sq": lam, "rel_err": rel}))
-        return rows
-
-    factors = build_operator("P", potential, grid, h=h).factors
-    lap_sup = potential.laplacian_sup_norm()
-    bound_factor = float(np.sqrt(h / 4.0 * lap_sup + 1.0))
+    A = build_operator("A", potential, grid)
+    B = build_operator("B", potential, grid)
+    X1, X2 = grid.mesh()
+    lap4 = potential.laplacian(X1, X2).reshape(-1) / 4.0
     for lam, u in zip(cluster.eigenvalues, cluster.basis):
-        nu = l2_norm(u)
-        for name, op in (("A", factors.A), ("B", factors.B)):
-            lhs = l2_norm(GridFunction(op(u.as_2d()).reshape(-1), grid))
-            rhs = bound_factor * nu + 1e-3
-            rows.append(LemmaRow(lemma_id=f"energy_bound_{name}", lhs=lhs, rhs=rhs,
-                                 passed=bool(lhs <= rhs),
-                                 detail={"lambda_sq": lam, "h": h}))
+        if u.grid != grid:
+            raise VerifyError("cluster grid does not match the supplied grid")
+        nrm2 = np.vdot(u.values, u.values).real * w
+        if not 0.5 < nrm2 < 2.0:
+            raise VerifyError("cluster basis vector is not unit-normalized")
+        lhs = (l2_norm(A.apply(u)) ** 2 + l2_norm(B.apply(u)) ** 2)
+        rhs = float(np.vdot(u.values, (lap4 + lam) * u.values).real * w)
+        rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
+        rows.append(LemmaRow(lemma_id="energy_identity", lhs=lhs, rhs=rhs,
+                             passed=bool(rel <= ENERGY_REL_TOL),
+                             detail={"lambda_sq": lam, "rel_err": rel}))
     return rows
 
 
@@ -293,9 +282,11 @@ def check_cutoff_lemma(potential: Potential, grid: Grid, u: GridFunction,
     within `p_residual_guard`, above which the check may be polluted.
 
     P(beta_q u) is applied only on the grid rows |x1 - q1| < SUPPORT_RADIUS
-    and 2 more on each side (`Factors.strip`): A and B move data one row along
-    x1, so it vanishes off them. Written into a zero grid, each norm sums in
-    the full-grid order, so every lhs equals the full-grid apply's bit for bit."""
+    and 2 more on each side, by P.matrix[s, s] with s the nodes of those rows:
+    P moves data at most two rows along x1, so it vanishes off them. Each kept
+    row holds its stored entries in the full matrix's order, and the dropped
+    columns multiply zeros. Written into a zero grid, each norm sums in the
+    full-grid order, so every lhs equals the full-grid apply's bit for bit."""
     P = build_operator("P", potential, grid, h=h)
     nu = l2_norm(u)
     p_res = l2_norm(P.apply(u)) / nu
@@ -311,13 +302,15 @@ def check_cutoff_lemma(potential: Potential, grid: Grid, u: GridFunction,
             raise VerifyError(f"center {q} violates the interior margin {SUPPORT_RADIUS:g}")
     n, x = grid.n_per_side, grid.axis()
 
-    def norms(qs):   # ||P(beta_q u)||_2, one strip per run of centers with one q1
+    def norms(qs):   # ||P(beta_q u)||_2, one row block per run of centers with one q1
         for q1, group in groupby(qs, key=lambda q: q[0]):
             lo, hi = np.searchsorted(x, [q1 - SUPPORT_RADIUS, q1 + SUPPORT_RADIUS])
             r0, r1 = max(lo - 2, 0), min(hi + 2, n)
-            strip, full = P.factors.strip(r0, r1), np.zeros((n, n), dtype=complex)
+            P_rows = P.matrix[r0 * n:r1 * n, r0 * n:r1 * n]
+            full = np.zeros((n, n), dtype=complex)
             for q in group:
-                full[r0:r1] = strip.square(cutoff_rows(q, grid, r0, r1) * u.as_2d()[r0:r1])
+                v = cutoff_rows(q, grid, r0, r1) * u.as_2d()[r0:r1]
+                full[r0:r1] = (P_rows @ v.reshape(-1)).reshape(v.shape)
                 yield l2_norm(GridFunction(full, grid))
 
     rhs = h * (h / 4.0 * sup_lap + energy_factor * 2.0 * sup_grad) * nu

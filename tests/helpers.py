@@ -1,5 +1,5 @@
 """Test-only helpers around the package's API: sampled grid functions,
-handles over arbitrary maps, a random-pair Hermiticity probe and a sampled
+handles over arbitrary matrices, a random-pair Hermiticity probe and a sampled
 check of each potential's stored derivative bounds."""
 
 from dataclasses import dataclass
@@ -15,10 +15,9 @@ def from_callable(fn, grid: Grid) -> GridFunction:
     return GridFunction(np.asarray(fn(X1, X2), dtype=complex).reshape(-1), grid)
 
 
-def custom_operator(grid: Grid, apply_array, is_hermitian: bool,
-                    sparse_builder=None) -> OperatorHandle:
-    return OperatorHandle(label="custom", grid=grid, apply_array=apply_array,
-                          is_hermitian=is_hermitian, sparse_builder=sparse_builder)
+def custom_operator(grid: Grid, matrix, is_hermitian: bool) -> OperatorHandle:
+    return OperatorHandle(label="custom", grid=grid, matrix=matrix,
+                          is_hermitian=is_hermitian)
 
 
 def hermiticity_defect(op: OperatorHandle, trials: int = 50, seed: int = 0) -> float:

@@ -18,12 +18,7 @@ from helpers import custom_operator
 
 def _diag_op(grid):
     d = np.arange(1.0, grid.size + 1.0)
-    return custom_operator(
-        grid,
-        lambda u: (d.reshape(grid.n_per_side, grid.n_per_side)) * u,
-        True,
-        sparse_builder=lambda: sp.diags(d).tocsr(),
-    )
+    return custom_operator(grid, sp.diags(d).tocsr(), True)
 
 
 def test_diagonal_operator_exact():
@@ -223,8 +218,7 @@ def test_parity_linking_matrix_solves_one_block():
     g = Grid(extent_L=4.0, n_per_side=33)
     link = np.full(g.size - 1, 0.3)
     mat = sp.diags([link, np.linspace(0.0, 4.0, g.size), link], [-1, 0, 1]).tocsr()
-    H = custom_operator(g, lambda u: (mat @ u.reshape(-1)).reshape(u.shape), True,
-                        sparse_builder=mat.copy)
+    H = custom_operator(g, mat, True)
     assert len(sublattice_blocks(assemble_sparse(H), g.n_per_side)) == 1
     _, info = _near_vs_eigsh(H, k=8, sigma=0.0)
     assert [b["size"] for b in info["blocks"]] == [g.size]
@@ -235,9 +229,7 @@ def _one_sublattice_diag_op(g, cls):
     labels = _sublattice(g)
     d = 100.0 + np.arange(g.size)
     d[labels == cls] = np.arange(1.0, np.sum(labels == cls) + 1.0)
-    return custom_operator(
-        g, lambda u: d.reshape(u.shape) * u, True,
-        sparse_builder=lambda: sp.diags(d).tocsr()), labels
+    return custom_operator(g, sp.diags(d).tocsr(), True), labels
 
 
 class _TrackedLU:

@@ -67,10 +67,10 @@ def test_ladder_relation_dense(model):
 
 def test_assemble_identity_custom():
     g = Grid(extent_L=1.0, n_per_side=9)
-    op = custom_operator(g, lambda u: u, True,
-                         sparse_builder=lambda: sp.identity(g.size, format="csr"))
-    mat = assemble_sparse(op).toarray()
-    np.testing.assert_array_equal(mat, np.eye(g.size))
+    op = custom_operator(g, sp.identity(g.size, format="csr"), True)
+    mat = assemble_sparse(op)
+    np.testing.assert_array_equal(mat.toarray(), np.eye(g.size))
+    assert mat is not op.matrix   # the caller owns the assembled copy
 
 
 def test_assemble_A_is_hermitian_matrix(model):
@@ -81,8 +81,8 @@ def test_assemble_A_is_hermitian_matrix(model):
 
 @pytest.mark.parametrize("label", HERMITIAN_LABELS + ["D", "D_star"])
 def test_sparse_matches_matrix_free(label, model, trig01, rng):
-    # each handle's factor composition against the independent stencil
-    # reference of the tests, and its assembled matrix against its apply
+    # each handle's matrix against the independent stencil reference of the
+    # tests, and its assembled matrix against its apply
     g = Grid(extent_L=5.0, n_per_side=33)
     for potential in (model, trig01):
         op = build_operator(label, potential, g, **_kwargs(label))
@@ -96,53 +96,54 @@ def test_sparse_matches_matrix_free(label, model, trig01, rng):
             assert np.linalg.norm(a.reshape(-1) - b) <= 1e-13 * np.linalg.norm(a)
 
 
-def _count_factor_builds(monkeypatch):
-    """Start from an empty shared slot; the returned list grows by one per
-    CSR factor built."""
-    built = []
-    factor = operators._factor
-    monkeypatch.setattr(operators, "_factor",
-                        lambda *a, **k: built.append(1) or factor(*a, **k))
+def _count_compositions(monkeypatch):
+    """Start from an empty shared record; the returned list gets the label of
+    each matrix composed."""
+    composed = []
+    compose = operators._compose
+    monkeypatch.setattr(operators, "_compose",
+                        lambda label, *a: composed.append(label) or compose(label, *a))
     monkeypatch.setattr(operators, "_unscaled", None)
-    return built
+    return composed
 
 
 @pytest.mark.parametrize("label", HERMITIAN_LABELS + ["D", "D_star"])
 def test_build_operator_does_not_assemble(label, model, monkeypatch):
-    # build_operator builds the handle's two CSR factors, once, and composes
-    # nothing from them; apply and assembly build no further factor
-    built = _count_factor_builds(monkeypatch)
+    # build_operator composes the handle's matrix once; apply and assembly
+    # compose nothing further
+    composed = _count_compositions(monkeypatch)
     g = Grid(extent_L=5.0, n_per_side=33)
     op = build_operator(label, model, g, **_kwargs(label))
-    assert len(built) == 2
+    assert composed == [label]
     u = np.ones((33, 33), dtype=complex)
     op.apply_array(u)
     op.apply_array(u)
     assemble_sparse(op)
-    assert len(built) == 2
+    assert composed == [label]
 
 
 @pytest.mark.parametrize("labels", [("A", "B", "H", "D", "D_star"),
                                     ("A_tilde_q", "B_tilde_q", "P_tilde_q")])
 def test_shared_factors_match_own_factors(labels, trig01, rng, monkeypatch):
-    # the unscaled labels over one potential and grid share one set, the
-    # tilde labels each build their own; either way each label gives bit for
-    # bit what it gives built alone
-    built = _count_factor_builds(monkeypatch)
+    # each unscaled label over one potential and grid is composed once and
+    # then shared, each tilde label on every build; either way each label
+    # gives bit for bit what it gives built alone
+    composed = _count_compositions(monkeypatch)
     g = Grid(extent_L=5.0, n_per_side=33)
     u = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
-    outs = {label: _build(label, trig01, g).apply_array(u) for label in labels}
-    shared = 2 if labels[0] == "A" else 2 * len(labels)
-    assert len(built) == shared
+    for _ in range(2):   # the second pass builds every label again
+        outs = {label: _build(label, trig01, g).apply_array(u) for label in labels}
+    shared = list(labels) if labels[0] == "A" else 2 * list(labels)
+    assert composed == shared
     for label, out in outs.items():
         monkeypatch.setattr(operators, "_unscaled", None)
         assert np.array_equal(out, _build(label, trig01, g).apply_array(u))
-    assert len(built) == shared + 2 * len(labels)
+    assert composed == shared + list(labels)
 
 
 def test_shared_factors_reject_other_inputs(model, trig01, monkeypatch):
     # another potential, even an equal but distinct object, another grid and
-    # every semiclassical label build their own set
+    # every semiclassical label compose their own matrix
     g = Grid(extent_L=5.0, n_per_side=33)
     twin = dataclasses.replace(model)
     assert twin == model and twin is not model
@@ -150,15 +151,17 @@ def test_shared_factors_reject_other_inputs(model, trig01, monkeypatch):
             ("A", trig01, g, {}), ("A", twin, g, {}),
             ("H", model, Grid(extent_L=5.0, n_per_side=35), {}),
             ("P", model, g, {"h": 0.5}), ("P_tilde_q", model, g, _kwargs("P_tilde_q"))):
-        built = _count_factor_builds(monkeypatch)
-        first = build_operator("H", model, g)
-        assert len(built) == 2
-        assert build_operator(label, potential, grid, **kwargs).factors is not first.factors
-        assert len(built) == 4
-    # a semiclassical label never reuses a set, not even its own inputs'
+        composed = _count_compositions(monkeypatch)
+        first = build_operator(label, model, g, **kwargs)
+        assert build_operator(label, potential, grid, **kwargs).matrix is not first.matrix
+        assert composed == [label, label]
+    # an unscaled label over the same inputs shares its matrix, a
+    # semiclassical label never does, not even over its own inputs
+    H = build_operator("H", model, g)
+    assert build_operator("H", model, g).matrix is H.matrix
     P = build_operator("P", model, g, h=0.5)
-    assert build_operator("P", model, g, h=0.5).factors is not P.factors
-    assert len(built) == 8
+    assert build_operator("P", model, g, h=0.5).matrix is not P.matrix
+    assert composed == ["P_tilde_q"] * 2 + ["H", "P", "P"]
 
 
 @pytest.mark.parametrize("label", ["A_tilde_q", "B_tilde_q", "P_tilde_q"])
@@ -209,11 +212,10 @@ def test_factorization_identities(model, rng):
     X1, X2 = g.mesh()
     lap4 = model.laplacian(X1, X2) / 4.0
 
-    u = rng.standard_normal((65, 65)) + 1j * rng.standard_normal((65, 65))
-    # composed-path identity is exact: same code path
-    lhs = H.apply_array(u)
-    rhs = A.apply_array(A.apply_array(u)) + B.apply_array(B.apply_array(u)) - lap4 * u
-    assert np.max(np.abs(lhs - rhs)) == 0.0
+    # the composed matrix identity is exact, entry for entry
+    ref = (A.matrix @ A.matrix + B.matrix @ B.matrix - sp.diags(lap4.ravel())).tocsr()
+    for attr in ("indptr", "indices", "data"):
+        assert np.array_equal(getattr(H.matrix, attr), getattr(ref, attr))
 
     # D and D_star are exact adjoints of each other
     f = GridFunction((rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)), g)
@@ -272,31 +274,6 @@ def test_build_operator_argument_guards(model):
         build_operator("nonsense", model, g)
 
 
-# the cutoff check's strip: support rows |x1 - q1| < SUPPORT_RADIUS of an
-# interior center and of two centers whose strips are clamped at the grid edge
-@pytest.mark.parametrize("q1", [0.5, 4.0, -4.0])
-def test_factors_strip_square_equals_full_square(trig01, grid_small, rng, q1):
-    n = grid_small.n_per_side
-    F = build_operator("P", trig01, grid_small, h=0.5).factors
-    lo, hi = np.searchsorted(grid_small.axis(), [q1 - 2.0, q1 + 2.0])
-    r0, r1 = max(lo - 2, 0), min(hi + 2, n)
-    assert bool(r0 == 0 or r1 == n) is (abs(q1) == 4.0)
-    v = np.zeros((r1 - r0, n), dtype=complex)
-    v[lo - r0:hi - r0] = rng.standard_normal((hi - lo, n)) + 1j * rng.standard_normal((hi - lo, n))
-    padded = np.zeros((n, n), dtype=complex)
-    padded[r0:r1] = v
-    full = F.square(padded)
-    assert np.all(F.strip(r0, r1).square(v) == full[r0:r1])
-    assert not full[:r0].any() and not full[r1:].any()
-
-
-def test_factors_full_strip_is_square(trig01, grid_small, rng):
-    n = grid_small.n_per_side
-    F = build_operator("P", trig01, grid_small, h=0.5).factors
-    u = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    assert np.all(F.strip(0, n).square(u) == F.square(u))
-
-
 def test_gauge_multiplier_trivial_at_origin(model):
     g = Grid(extent_L=2.0, n_per_side=17)
     T = gauge_multiplier(model, g, h=1.0, q=(0.0, 0.0))
@@ -340,10 +317,10 @@ def test_gauge_conjugation_identity_second_order(model):
 
 def test_tilde_equals_plain_for_quadratic_potential(model, rng):
     # for the model potential the translated operator coincides with the
-    # untranslated one on the lattice
+    # untranslated one (A_tilde_q at q = 0, which is A_h) on the lattice
     g = Grid(extent_L=3.0, n_per_side=33)
     h = 0.5
     At = build_operator("A_tilde_q", model, g, h=h, q=(1.0, 0.5))
-    Ah = build_operator("P", model, g, h=h).factors.A
+    Ah = build_operator("A_tilde_q", model, g, h=h, q=(0.0, 0.0))
     u = rng.standard_normal((33, 33)) + 1j * rng.standard_normal((33, 33))
-    np.testing.assert_allclose(At.apply_array(u), Ah(u), atol=1e-12)
+    np.testing.assert_allclose(At.apply_array(u), Ah.apply_array(u), atol=1e-12)

@@ -55,19 +55,6 @@ def test_energy_identity_rejects_non_unit(model, model_clusters):
         check_energy_lemma(model, g, broken)
 
 
-def test_energy_bound_semiclassical(model):
-    g = Grid(extent_L=6.5, n_per_side=129)
-    clusters = ladder_level_clusters(model, g, 1, m_count=2)
-    lvl1 = clusters[1]
-    uh = rescale(lvl1.basis[0], 0.5)
-    from landaulab import EigenCluster
-    ch = EigenCluster(label=1, eigenvalues=lvl1.eigenvalues[:1], basis=[uh],
-                      residuals=[0.0])
-    rows = check_energy_lemma(model, uh.grid, ch, h=0.5)
-    assert len(rows) == 2
-    assert all(r.passed for r in rows)
-
-
 def _cutoff_state(model, h, L=9.0, n=193):
     level = round(1.0 / (2.0 * h))
     g = Grid(extent_L=L, n_per_side=n)
@@ -125,8 +112,9 @@ def _random_state(grid, seed=7):
 
 
 def test_cutoff_lemma_lhs_equals_full_grid_apply(trig01):
-    # the strip applies give every lhs bit for bit: reference P(beta_q u) on
-    # the whole grid, summed over the window in its order
+    # the row-block applies give every lhs bit for bit, the blocks of
+    # q1 = 4 and q1 = -4 clamped at the grid edges included: reference
+    # P(beta_q u) on the whole grid, summed over the window in its order
     g = Grid(extent_L=6.0, n_per_side=65)
     h = 0.5
     u = _random_state(g)
@@ -327,24 +315,39 @@ def test_sweep_warns_on_uncertified_maximum(trig01, monkeypatch):
 
 def test_lemma_handles_share_unscaled_factors(trig01, monkeypatch):
     from landaulab import operators
-    built = []
-    factor = operators._factor
-    monkeypatch.setattr(operators, "_factor",
-                        lambda *a, **k: built.append(1) or factor(*a, **k))
+    composed = []
+    compose = operators._compose
+    monkeypatch.setattr(operators, "_compose",
+                        lambda label, *a: composed.append(label) or compose(label, *a))
     monkeypatch.setattr(operators, "_unscaled", None)
     g = Grid(extent_L=6.5, n_per_side=65)
     clusters = ladder_level_clusters(trig01, g, 1, m_count=2)
-    assert len(built) == 2
+    assert composed == ["D_star", "H"]
     check_energy_lemma(trig01, g, clusters[0])
     ladder_level_clusters(trig01, g, 0, m_count=1)
     # a Ritz vector of this coarse ladder is not an eigenvector to the gauge
     # input's guard
     with pytest.warns(UserWarning, match="above guard"):
         check_gauge_lemma(trig01, g, clusters[0].basis[0], (4 * g.spacing, 0.0))
-    assert len(built) == 2
-    # another grid gets its own factors
+    assert composed == ["D_star", "H", "A", "B"]
+    # another grid gets its own matrices
     ladder_level_clusters(trig01, Grid(extent_L=6.5, n_per_side=67), 0, m_count=1)
-    assert len(built) == 4
+    assert composed == ["D_star", "H", "A", "B", "D_star", "H"]
+
+
+def test_hessian_verdict_does_not_follow_round_off(model):
+    # the model's level-0 winner has a flat magnetic-translation direction, so
+    # its largest tangent-Hessian eigenvalue is round-off whose sign moves
+    # with the grid; the certificate's verdict must not
+    verdicts = set()
+    for n in (95, 97, 99):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            report = sweep_bounds(model, Grid(extent_L=6.5, n_per_side=n),
+                                  max_level=0, m_count=6, restarts=8, seed=0)
+        assert abs(report.rows[0].l6_hessian_max) < 1e-12
+        verdicts.add(tuple("not certified" in w for w in report.warnings))
+    assert len(verdicts) == 1
 
 
 def test_sweep_warns_on_unconverged_ascent(trig01, monkeypatch):
