@@ -17,8 +17,7 @@ from .grid import (Grid, GridFunction, inner, l2_norm, rescale,
 from .norms import NormTriple, extremal_l6, extremal_linf, norm_triple
 from .operators import (OperatorHandle, assemble_sparse, build_operator,
                         gauge_multiplier)
-from .oracle import (analytic_null_norm, kernel_diagonal, null_state,
-                     orthonormal_level_basis)
+from .oracle import analytic_null_norm, null_state
 from .potentials import Potential, make_potential
 from .verify import (BoundReport, LemmaRow, LevelRow, check_cutoff_lemma,
                      check_energy_lemma, check_gauge_lemma,
@@ -31,9 +30,9 @@ __all__ = [
     "build_operator", "bump_profile", "check_cutoff_lemma",
     "check_energy_lemma", "check_gauge_lemma", "cluster", "eigenpairs_near",
     "extremal_l6", "extremal_linf", "gauge_multiplier", "inner",
-    "kernel_diagonal", "l2_norm", "ladder_level_clusters", "load_config",
+    "l2_norm", "ladder_level_clusters", "load_config",
     "lowest_eigenpairs", "make_cutoff", "make_potential", "norm_triple",
-    "null_state", "orthonormal_level_basis", "parse_config",
+    "null_state", "parse_config",
     "principal_angles", "rescale", "save_grid_function", "smooth_step",
     "sweep_bounds",
 ]

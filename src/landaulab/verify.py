@@ -4,7 +4,9 @@ The level sweep builds the eigenspace bases analytically rather than by a
 blind sparse solve: for every shipped potential the null space contains
 exp(-phi) conj(z)^m exactly, and the higher levels are generated by the
 creation factor and refined by a Rayleigh-Ritz projection of H onto the
-ladder subspace. At desk scale this is the only route to levels beyond the
+ladder subspace. `ladder_tiers` builds the tiers and `ladder_level_clusters`,
+the package's one builder of level bases, orthonormalizes them and runs the
+projection. At desk scale this is the only route to levels beyond the
 first: the truncated box carries ~ (2/pi) * area near-degenerate states per
 Landau level, so a lowest-k eigensolve never reaches level 1 with any
 practical k.
@@ -22,10 +24,10 @@ import numpy as np
 from .cutoffs import (SUPPORT_RADIUS, cutoff_rows, lattice_window, make_cutoff,
                       overlap_sup_factors, profile_sup_norms)
 from .eigensolve import EigenCluster, cluster
-from .grid import ENVELOPE_THRESHOLD, Grid, GridFunction, l2_norm, mgs_orthonormalize
+from .grid import (ENVELOPE_THRESHOLD, Grid, GridError, GridFunction, l2_norm,
+                   mgs_orthonormalize)
 from .norms import extremal_l6, extremal_linf
 from .operators import build_operator, gauge_multiplier
-from .oracle import ladder_tiers
 from .potentials import Potential, _fd_partial, ball_sup
 
 SCHEMA_VERSION = 1          # of every JSON report the package writes
@@ -50,6 +52,24 @@ class VerifyError(ValueError):
 # ---------------------------------------------------------------------------
 # ladder + Rayleigh-Ritz level bases (any shipped potential)
 
+def ladder_tiers(potential, dstar, m_count: int, max_level: int):
+    """Yield the ladder tiers 0..max_level of `potential` on dstar's grid, each
+    a list of m_count (n, n) arrays: tier 0 is conj(z)^m e^{-phi}, m < m_count,
+    and each next tier is dstar applied to the last. Every vector is
+    normalized discretely. dstar is the D_star handle over potential."""
+    grid = dstar.grid
+    X1, X2 = grid.mesh()
+    zbar = X1 - 1j * X2
+    env = np.exp(-potential.value(X1, X2)).astype(complex)
+    w = grid.weight
+    tier = [zbar**m * env for m in range(m_count)]
+    for level in range(max_level + 1):
+        if level:
+            tier = [dstar.apply_array(u) for u in tier]
+        tier = [u / np.sqrt(np.vdot(u, u).real * w) for u in tier]
+        yield tier
+
+
 def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
                           m_count: int = 9):
     """Per-level eigenspace clusters from the analytic ladder subspace.
@@ -71,8 +91,14 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
 
     # the ladder tiers stream into MGS, whose output is stacked at once
     n = grid.n_per_side
-    B = np.stack(mgs_orthonormalize((u.reshape(-1) for tier in tiers for u in tier),
-                                    w))  # (basis size, N)
+    try:
+        B = np.stack(mgs_orthonormalize((u.reshape(-1) for tier in tiers for u in tier),
+                                        w))  # (basis size, N)
+    except GridError as exc:
+        raise VerifyError(
+            f"ladder basis of m_count {m_count} and max_level {max_level} is "
+            f"rank-deficient on n_per_side {n}: lower m_count or max_level, or "
+            "refine the grid") from exc
     HB = np.empty_like(B)
     for i in range(len(B)):   # a row view in a loop variable would keep B, HB past `del`
         HB[i] = H.apply_array(B[i].reshape(n, n)).reshape(-1)

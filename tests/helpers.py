@@ -1,12 +1,14 @@
 """Test-only helpers around the package's API: sampled grid functions,
-handles over arbitrary matrices, a random-pair Hermiticity probe and a sampled
-check of each potential's stored derivative bounds."""
+handles over arbitrary matrices, the model potential's level clusters, a
+random-pair Hermiticity probe and a sampled check of each potential's stored
+derivative bounds."""
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from landaulab import Grid, GridFunction, OperatorHandle
+from landaulab import (Grid, GridFunction, OperatorHandle, ladder_level_clusters,
+                       make_potential)
 from landaulab.potentials import Potential, PotentialError, _fd_partial
 
 
@@ -18,6 +20,15 @@ def from_callable(fn, grid: Grid) -> GridFunction:
 def custom_operator(grid: Grid, matrix, is_hermitian: bool) -> OperatorHandle:
     return OperatorHandle(label="custom", grid=grid, matrix=matrix,
                           is_hermitian=is_hermitian)
+
+
+def model_level_cluster(grid: Grid, level: int, m_count: int):
+    """The model potential's Rayleigh-Ritz cluster of `level`, from the ladder
+    tiers 0..level of m_count states each."""
+    clusters = ladder_level_clusters(make_potential("model_quadratic"), grid, level,
+                                     m_count=m_count)
+    (c,) = [c for c in clusters if c.label == level]
+    return c
 
 
 def hermiticity_defect(op: OperatorHandle, trials: int = 50, seed: int = 0) -> float:

@@ -183,6 +183,27 @@ def test_cli_empty_h_list_exits_1(tmp_path, capsys):
     assert "lemmas.h_list" in capsys.readouterr().err
 
 
+# valid configs whose ladder outgrows the grid: h = 0.001 asks the lemmas
+# for a level-500 ladder, and 100 states per tier do not fit on 9^2 nodes
+RANK_DEFICIENT = [
+    ("lemmas", {"grid": {"extent_L": 6.0, "n_per_side": 33},
+                "lemmas": {"h_list": [0.001], "q_list": [[1.5, 0.0]]}},
+     "m_count 1 and max_level 500 is rank-deficient on n_per_side 33"),
+    ("bounds", {"grid": {"n_per_side": 9}, "sweep": {"m_count": 100}},
+     "m_count 100 and max_level 5 is rank-deficient on n_per_side 9"),
+]
+
+
+@pytest.mark.parametrize("command, doc, names", RANK_DEFICIENT, ids=["lemmas", "bounds"])
+def test_cli_rank_deficient_ladder_says_what_to_change(tmp_path, command, doc, names):
+    cfg = _write_config(tmp_path, doc)
+    out = _run_cli([command, "--config", cfg, "--out", str(tmp_path / "out")])
+    assert out.returncode == 1
+    assert "Traceback" not in out.stderr
+    assert out.stderr == (f"error: ladder basis of {names}: lower m_count or "
+                          "max_level, or refine the grid\n")
+
+
 def test_cli_usage_error_exits_1(capsys):
     assert main(["not-a-command"]) == 1
 

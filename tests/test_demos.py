@@ -1,5 +1,6 @@
 """Each script under demos/ runs to completion in a fresh interpreter."""
 
+import math
 import os
 import pathlib
 import subprocess
@@ -26,8 +27,21 @@ def _shows_the_pointwise_cloud(out):
     assert averaged > -0.6
 
 
+def _shows_the_kernel_plateau(out):
+    # the level-0 kernel diagonal is 2/pi at the origin for every basis size,
+    # and each level's extremal ratio is near sqrt(2/pi) (-2.7% at level 2)
+    origins = [float(line.split("value(0) = ")[1].split()[0])
+               for line in out.splitlines() if "value(0) = " in line]
+    ratios = [float(line.split("ratio = ")[1].split()[0])
+              for line in out.splitlines() if "ratio = " in line]
+    assert len(origins) == 5 and len(ratios) == 3
+    assert all(abs(v - 2.0 / math.pi) <= 1e-4 for v in origins)
+    assert all(abs(r / math.sqrt(2.0 / math.pi) - 1.0) <= 0.05 for r in ratios)
+
+
 # what a demo's standard output must show, beyond a clean exit
-STDOUT_CHECKS = {"06_discretization_pathology.py": _shows_the_pointwise_cloud}
+STDOUT_CHECKS = {"02_kernel_plateau.py": _shows_the_kernel_plateau,
+                 "06_discretization_pathology.py": _shows_the_pointwise_cloud}
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.name)

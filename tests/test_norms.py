@@ -9,12 +9,13 @@ import pytest
 
 from landaulab import (EigenCluster, Grid, GridFunction, extremal_l6,
                        extremal_linf, ladder_level_clusters, norm_triple,
-                       null_state, orthonormal_level_basis)
+                       null_state)
 from landaulab import norms
 from landaulab.norms import (MOMENT_PANEL, SUPPORT_CUT, AscentResult,
                              NormError, _basis_matrix, l6_log_hessian,
                              l6_moment_objective, l6_objective_and_gradient,
                              l6_support, tangent_hessian_max)
+from helpers import model_level_cluster
 
 
 def _cluster_from_basis(basis, grid, lam=0.0):
@@ -59,15 +60,13 @@ def test_extremal_linf_single_vector(grid_medium):
 
 def test_extremal_linf_level0_anchor():
     g = Grid(extent_L=6.5, n_per_side=129)
-    basis, _ = orthonormal_level_basis(0, 12, g)
-    c = _cluster_from_basis(basis, g)
-    ratio, _ = extremal_linf(c)
+    ratio, _ = extremal_linf(model_level_cluster(g, 0, 12))
     assert ratio == pytest.approx(math.sqrt(2.0 / math.pi), rel=0.02)
 
 
 def test_extremal_linf_rotation_invariance(rng):
     g = Grid(extent_L=6.0, n_per_side=65)
-    basis, _ = orthonormal_level_basis(0, 4, g)
+    basis = [b.values for b in model_level_cluster(g, 0, 4).basis]
     c = _cluster_from_basis(basis, g)
     r1, _ = extremal_linf(c)
     U = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
@@ -78,7 +77,7 @@ def test_extremal_linf_rotation_invariance(rng):
 
 def test_extremal_ratios_scale_invariant():
     g = Grid(extent_L=6.0, n_per_side=65)
-    basis, _ = orthonormal_level_basis(0, 3, g)
+    basis = [b.values for b in model_level_cluster(g, 0, 3).basis]
     a = _cluster_from_basis(basis, g)
     b = _cluster_from_basis([7.3 * v for v in basis], g)
     assert extremal_linf(a)[0] == pytest.approx(extremal_linf(b)[0], rel=1e-12)
@@ -98,7 +97,7 @@ def test_extremal_l6_single_vector(grid_medium):
 
 def test_extremal_l6_rotation_invariance(rng):
     g = Grid(extent_L=6.0, n_per_side=65)
-    basis, _ = orthonormal_level_basis(1, 2, g)
+    basis = [b.values for b in model_level_cluster(g, 1, 2).basis]
     c1 = _cluster_from_basis(basis, g)
     U = np.linalg.qr(rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2)))[0]
     mixed = [sum(U[j, i] * basis[j] for j in range(2)) for i in range(2)]
@@ -110,7 +109,7 @@ def test_extremal_l6_rotation_invariance(rng):
 
 def test_extremal_l6_dominates_samples(rng):
     g = Grid(extent_L=6.0, n_per_side=65)
-    basis, _ = orthonormal_level_basis(0, 5, g)
+    basis = [b.values for b in model_level_cluster(g, 0, 5).basis]
     c = _cluster_from_basis(basis, g)
     best = extremal_l6(c, restarts=8, seed=0).ratio
     V = np.stack(basis)
@@ -127,7 +126,7 @@ def test_extremal_l6_dominates_samples(rng):
 
 def test_l6_gradient_matches_finite_differences(rng):
     g = Grid(extent_L=6.0, n_per_side=65)
-    basis, _ = orthonormal_level_basis(0, 4, g)
+    basis = [b.values for b in model_level_cluster(g, 0, 4).basis]
     V = np.stack(basis)
     w = g.weight
     step = 1e-5
@@ -298,7 +297,7 @@ def test_ratio_is_evaluated_on_every_node(trig_level1, monkeypatch):
 
 def test_l6_log_hessian_matches_finite_differences(rng):
     g = Grid(extent_L=6.0, n_per_side=65)
-    basis, _ = orthonormal_level_basis(1, 3, g)
+    basis = [b.values for b in model_level_cluster(g, 1, 3).basis]
     V = np.stack(basis)
     w = g.weight
     k = V.shape[0]

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from landaulab import (Grid, GridFunction, analytic_null_norm, build_operator,
-                       inner, kernel_diagonal, l2_norm, null_state,
-                       orthonormal_level_basis)
-from landaulab.oracle import OracleError, ladder_tiers
+                       inner, l2_norm, null_state)
+from landaulab.grid import mgs_orthonormalize
+from landaulab.oracle import OracleError
+from landaulab.verify import ladder_tiers
+from helpers import model_level_cluster
 
 
 def test_analytic_norms():
@@ -84,35 +86,46 @@ def test_ladder_tier0_is_the_null_state(model, grid_medium):
         np.testing.assert_allclose(u.values, ref, atol=1e-12)
 
 
-def test_level_basis_gram_condition(grid_medium):
-    _, cond = orthonormal_level_basis(0, 8, grid_medium)
-    assert cond < 1e3
-    with pytest.raises(OracleError):
-        orthonormal_level_basis(-1, 8, grid_medium)
+def _kernel_diagonal(basis, grid):
+    """x -> sum_j |u_j(x)|^2 over flat orthonormal arrays, as an (n, n) array."""
+    return np.sum(np.abs(np.stack(basis)) ** 2, axis=0).reshape(grid.n_per_side, -1)
+
+
+def _cluster_diagonal(grid, level, m_count):
+    basis = [b.values for b in model_level_cluster(grid, level, m_count).basis]
+    return _kernel_diagonal(basis, grid)
 
 
 def test_level_basis_sits_on_its_level(model, grid_medium):
     H = build_operator("H", model, grid_medium)
     for level in (0, 1, 2):
-        basis, _ = orthonormal_level_basis(level, 4, grid_medium)
-        for v in basis:
-            u = GridFunction(v, grid_medium)
+        for u in model_level_cluster(grid_medium, level, 4).basis:
             # the discrete levels dip below 2 * level by O(spacing^2 level^2)
             assert inner(u, H.apply(u)).real == pytest.approx(2.0 * level, abs=0.2)
 
 
+@pytest.mark.parametrize("L, n, m", [(6.0, 65, 4), (6.5, 129, 12), (6.0, 129, 8)])
+def test_level0_cluster_spans_the_null_states(L, n, m):
+    # the ladder's level-0 cluster and the sampled closed-form null states
+    # span one space: their kernel diagonals agree
+    g = Grid(extent_L=L, n_per_side=n)
+    nulls = mgs_orthonormalize([null_state(j, g).values for j in range(m)], g.weight)
+    np.testing.assert_allclose(_cluster_diagonal(g, 0, m), _kernel_diagonal(nulls, g),
+                               rtol=0, atol=1e-12)
+
+
 def test_kernel_diagonal_single_state(grid_medium):
-    kd = kernel_diagonal(0, 1, grid_medium)
+    kd = _cluster_diagonal(grid_medium, 0, 1)
     # |u_0(0)|^2 = 2/pi for the normalized Gaussian
     n = grid_medium.n_per_side
-    origin = kd.as_2d()[n // 2, n // 2].real
+    origin = kd[n // 2, n // 2]
     assert origin == pytest.approx(2.0 / math.pi, rel=1e-3)
-    assert np.all(kd.values.real >= 0.0)
+    assert np.all(kd >= 0.0)
 
 
 def test_kernel_diagonal_plateau():
     g = Grid(extent_L=6.5, n_per_side=129)
-    kd = kernel_diagonal(0, 12, g).as_2d().real
+    kd = _cluster_diagonal(g, 0, 12)
     X1, X2 = g.mesh()
     inside = np.sqrt(X1**2 + X2**2) <= 1.0
     plateau = kd[inside]
@@ -126,7 +139,7 @@ def test_kernel_diagonal_plateau():
 
 def test_kernel_diagonal_level1():
     g = Grid(extent_L=6.5, n_per_side=129)
-    kd = kernel_diagonal(1, 8, g).as_2d().real
+    kd = _cluster_diagonal(g, 1, 8)
     assert np.all(kd >= -1e-15)
     n = g.n_per_side
     # level-1 diagonal also plateaus near 2/pi at the origin

@@ -10,10 +10,10 @@ PUBLIC = [
     "analytic_null_norm", "assemble_sparse", "build_operator",
     "bump_profile", "check_cutoff_lemma", "check_energy_lemma",
     "check_gauge_lemma", "cluster", "eigenpairs_near", "extremal_l6",
-    "extremal_linf", "gauge_multiplier", "inner", "kernel_diagonal",
+    "extremal_linf", "gauge_multiplier", "inner",
     "l2_norm", "ladder_level_clusters", "load_config",
     "lowest_eigenpairs", "make_cutoff",
-    "make_potential", "norm_triple", "null_state", "orthonormal_level_basis",
+    "make_potential", "norm_triple", "null_state",
     "parse_config", "principal_angles", "rescale",
     "save_grid_function", "smooth_step", "sweep_bounds",
 ]
