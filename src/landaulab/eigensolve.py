@@ -10,20 +10,35 @@ below 0.001 of its column's largest, and hands the factor's solve to ARPACK.
 Diagonal pivots keep the Hermitian structure (less fill than partial
 pivoting), and only with them does U's diagonal carry the inertia of
 H - sigma I; the `diagonal_pivots` fact says whether every pivot stayed there.
-A complex operator runs general Arnoldi (scipy's `eigsh` passes complex
-input to `eigs`); a real one runs Lanczos. The Krylov basis holds
-`arnoldi_ncv(k, N)` vectors. Every returned pair is certified by recomputing
-its residual on the assembled matrix of its block, all of a block's pairs in
-one sparse product, on the stored rows; this is independent of the LU and of
-ARPACK. Results are deterministic for a fixed seed (the seed fixes the
-Krylov start vector).
+The Krylov basis holds `arnoldi_ncv(k, N)` vectors. Every returned pair is
+certified by recomputing its residual on the assembled complex matrix of its
+block, all of a block's pairs in one sparse product, on the stored rows;
+this is independent of the LU and of ARPACK. Results are deterministic for a
+fixed seed (the seed fixes the Krylov start vector).
+
+Real symmetric form. The magnetic field breaks complex conjugation K as a
+symmetry of H, but when phi(x1, -x2) = phi(x1, x2), as for every shipped
+kind, the antiunitary T = R∘K, with R the reflection x2 -> -x2, has T^2 = 1
+and commutes with H: H is in the orthogonal class of Dyson's threefold way.
+In the coordinates of the T-invariant vectors (`_fold`: e_a on the axis,
+(e_a + e_Ra)/sqrt 2 and i (e_a - e_Ra)/sqrt 2 for a node pair) a block is a
+real symmetric matrix S = Re(Q^H H Q). Such a block gets a real LU and
+ARPACK's symmetric Lanczos driver, and its eigenvectors come back as Q x,
+with the phase convention u(x1, -x2) = conj(u(x1, x2)). Lanczos Ritz vectors
+are orthonormal, and the complex inner product of two T-invariant vectors is
+real, so Q keeps them orthonormal: a folded block skips the gap-group MGS.
+A block without the symmetry (R conj(H) R differs from H by more than
+`FOLD_TOL` of its largest entry) keeps the complex path: complex LU,
+general Arnoldi (scipy's `eigsh` passes complex input to `eigs`), whose
+vectors of a (near-)multiple eigenvalue are unit but not mutually
+orthogonal, so MGS orthonormalizes each gap group.
 
 `eigenpairs_near` solves each invariant block of the assembled matrix on its
 own. When the matrix stores no entry linking two of the four node parity
 classes (i mod 2, j mod 2), which holds for every `build_operator` handle,
 H is block-diagonal over them and its spectrum is the union of the
 four block spectra (`sublattice_blocks`). Each block gets its own LU and a
-quarter-size Arnoldi basis, is asked for its share of k plus `BLOCK_MARGIN`
+quarter-size Krylov basis, is asked for its share of k plus `BLOCK_MARGIN`
 pairs, and the k eigenvalues nearest sigma over all blocks are kept. A block
 whose farthest returned eigenvalue is not beyond the k-th distance may hold
 more of them, so it is solved once more for k + `BLOCK_MARGIN` pairs; if
@@ -31,14 +46,23 @@ that still falls short the solve raises `SolverError`. Each eigenvector is
 supported on one sublattice. `lowest_eigenpairs` keeps one block: at sigma
 = -1 a block can hold no state below the physical band, and ARPACK then
 spends thousands of solves on pairs deep inside the band; skipping such a
-block needs an eigenvalue count (an inertia certificate) first.
+block needs an eigenvalue count for every block first.
+
+Missed copies. A single-vector Krylov solve can skip copies of an exactly
+degenerate eigenvalue. `lowest_eigenpairs` therefore counts the eigenvalues
+below a shift tau in the gap under its top returned `gap_groups` run, by
+Sylvester's law of inertia (`_inertia`) on one more factor per sublattice
+block, solves again once for max(count, k) + `BLOCK_MARGIN` pairs when fewer
+came back, and raises `SolverError` when the count still differs. The top
+run itself is not covered by the count.
 
 Memory: one block LU is alive at a time. The handle keeps its own matrix;
-the assembled copy is freed once the blocks are sliced, each LU once its
-Arnoldi run is read, and a block solved again refactors. A proper block's
-eigenvectors are `SublatticeFunction`s stored on its parity class, normalized
-and certified there, so no full-grid copy of one is made; `principal_angles`
-reads them one parity class at a time.
+the assembled copy is freed once the blocks are sliced, each LU (and real
+form) once its Krylov run is read, before the rows are unfolded, and a block
+solved again refactors. A proper block's eigenvectors are
+`SublatticeFunction`s stored on its parity class, normalized and certified
+there, so no full-grid copy of one is made; `principal_angles` reads them one
+parity class at a time.
 
 Caution for coarse grids: when the largest coefficient momentum |grad phi|/2
 on the box approaches the grid's resolvable band (|grad phi| * spacing / 2 of
@@ -62,6 +86,9 @@ from .operators import OperatorHandle, assemble_sparse
 
 MAX_K = 200
 MIN_TOL = 1e-8
+# largest |R conj(H) R - H| over the largest |H| entry for which a block is
+# solved in real form (np.linspace's last-bit asymmetry gives about 2e-16)
+FOLD_TOL = 1e-12
 
 
 class SolverError(RuntimeError):
@@ -96,8 +123,12 @@ def arnoldi_ncv(k: int, n: int) -> int:
     the oracle states, seed 3) counted these shift-invert solves:
 
         grid, k            c = 12   c = 16   c = 20   2k+1 (k <= 63, else k+64)
+        complex Arnoldi:
         257^2, k = 130     228      220      236      312
         161^2, k = 100     245      229      245      250
+        Lanczos on the real symmetric form:
+        257^2, k = 130     228      220      236
+        161^2, k = 100     245      237      245
 
     Never more than n.
     """
@@ -124,21 +155,68 @@ def sublattice_blocks(mat, n_side: int) -> list:
     return [np.flatnonzero(labels == c) for c in range(4)]
 
 
-def _shift_invert(mat, sigma: float, seed: int, k: int):
+def _fold(mat, nodes, n_side: int):
+    """The isometry Q from real coordinates onto the vectors that T = R∘K
+    fixes, when T commutes with the block matrix `mat` over the sorted grid
+    `nodes` (all nodes, or one parity class); None otherwise.
+
+    R reflects x2 -> -x2, (i, j) -> (i, n-1-j), and maps every parity class
+    onto itself because n is odd. T commutes with `mat` when R conj(mat) R =
+    mat, tested to FOLD_TOL of the largest entry. The columns that R keeps
+    come first: e_a for a node on the axis j = (n-1)/2 and (e_a + e_Ra)/sqrt 2
+    for a pair a < Ra, in node order; then i (e_a - e_Ra)/sqrt 2 for each
+    pair. Q is square and unitary, and Q^H mat Q is real symmetric.
+    """
+    i, j = np.divmod(nodes, n_side)
+    r = np.searchsorted(nodes, i * n_side + n_side - 1 - j)
+    if abs(mat[r][:, r] - mat.conj()).max() > FOLD_TOL * abs(mat).max():
+        return None
+    first = np.flatnonzero(np.arange(len(nodes)) <= r)
+    col = np.arange(len(first))
+    pair = first < r[first]
+    lo, at = first[pair], col[pair]
+    odd = len(first) + np.arange(len(lo))
+    s = np.full(len(lo), np.sqrt(0.5))
+    return sp.csr_matrix(
+        (np.concatenate([np.ones(len(first) - len(lo)), s, s, 1j * s, -1j * s]),
+         (np.concatenate([first[~pair], lo, r[lo], lo, r[lo]]),
+          np.concatenate([col[~pair], at, at, odd, odd]))),
+        shape=mat.shape)
+
+
+def _real_form(mat, fold):
+    """S = Re(Q^H mat Q), real symmetric for a T-symmetric `mat`, holding no
+    view of the complex product."""
+    prod = fold.conj().T @ mat @ fold
+    return sp.csr_matrix((prod.data.real.copy(), prod.indices, prod.indptr), shape=mat.shape)
+
+
+def _factor(mat, shift: float):
+    """SuperLU factor of mat - shift I under the minimum-degree ordering of
+    A^T + A, in symmetric mode (diagonal pivots unless a diagonal entry is
+    below 0.001 of its column's largest)."""
+    try:
+        return spla.splu((mat - shift * sp.identity(mat.shape[0], format="csr")).tocsc(),
+                         permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.001,
+                         options={"SymmetricMode": True})
+    except (RuntimeError, MemoryError) as exc:
+        raise SolverError(f"LU factorization of H - {shift:g} I failed: {exc}") from exc
+
+
+def _shift_invert(mat, sigma: float, seed: int, k: int, fold):
     """(eigenvalues, eigenvector rows, solve facts) of the k eigenpairs of `mat`
     nearest sigma, by ARPACK shift-invert from the Krylov start vector of
-    `RandomState(seed)` with an `arnoldi_ncv(k, n)` basis. H - sigma I is factored
-    once with SuperLU under the minimum-degree ordering of A^T + A, in symmetric
-    mode, and the factor is freed on return. The output rows are allocated first,
-    below the LU and the Arnoldi basis in the heap, so a next solve reuses their space."""
+    `RandomState(seed)` with an `arnoldi_ncv(k, n)` basis. With a `fold` Q
+    (see `_fold`) it solves the real symmetric S = Re(Q^H mat Q) by Lanczos
+    and returns the rows Q x; without one, `mat` itself. The output rows are
+    allocated first, below the LU and the Krylov basis in the heap, so a next
+    solve reuses their space; the LU and S are freed before the rows are
+    unfolded, one at a time."""
     n = mat.shape[0]
     rows = np.empty((k, n), dtype=complex)
-    try:
-        lu = spla.splu((mat - sigma * sp.identity(n, format="csr")).tocsc(),
-                       permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.001,
-                       options={"SymmetricMode": True})
-    except (RuntimeError, MemoryError) as exc:
-        raise SolverError(f"LU factorization of H - {sigma:g} I failed: {exc}") from exc
+    if fold is not None:
+        mat = _real_form(mat, fold)
+    lu = _factor(mat, sigma)
     solves = 0
 
     def apply(x):
@@ -156,9 +234,48 @@ def _shift_invert(mat, sigma: float, seed: int, k: int):
             f"eigensolver did not converge within the iteration budget: {exc}") from exc
     except (RuntimeError, MemoryError) as exc:
         raise SolverError(f"shift-invert eigensolve failed: {exc}") from exc
-    rows[:] = vecs.T
-    return vals, rows, {"op_solves": solves, "lu_fill_nnz": int(lu.nnz),
-                        "diagonal_pivots": bool(np.array_equal(lu.perm_r, lu.perm_c))}
+    facts = {"op_solves": solves, "lu_fill_nnz": int(lu.nnz),
+             "diagonal_pivots": bool(np.array_equal(lu.perm_r, lu.perm_c)),
+             "real_form": fold is not None}
+    del lu, mat
+    if fold is None:
+        rows[:] = vecs.T
+    else:
+        for i in range(k):
+            rows[i] = fold @ vecs[:, i]
+    return vals, rows, facts
+
+
+def _inertia(parts, vals, sigma: float, tol: float) -> dict:
+    """{tau, count, certified}: the number of eigenvalues below a shift tau
+    midway in the gap under the top `gap_groups` run of `vals`, of the matrix
+    whose invariant blocks are `parts`, by Sylvester's law of inertia: the
+    negative diagonal entries of U in a factor of each part - tau I, summed.
+    The count holds only when every pivot stayed on the diagonal (`perm_r ==
+    perm_c`), so tau moves to a quarter and three quarters of the gap before
+    the count is given up as uncertified (`count` None). One factor is alive
+    at a time."""
+    vals = np.sort(vals)
+    top = gap_groups(vals, tol * np.maximum(1.0, np.abs(vals)))[-1][0]
+    lo, hi = (vals[top - 1] if top else sigma), vals[top]
+    if not lo < hi:
+        return {"tau": None, "count": None, "certified": False}
+    for frac in (0.5, 0.25, 0.75):
+        tau = float(lo + frac * (hi - lo))
+        count = 0
+        for part in parts:
+            try:
+                lu = _factor(part, tau)
+            except SolverError:   # tau on an eigenvalue: an exactly singular factor
+                break
+            diagonal = np.array_equal(lu.perm_r, lu.perm_c)
+            count += int(np.sum(lu.U.diagonal().real < 0)) if diagonal else 0
+            del lu
+            if not diagonal:
+                break
+        else:
+            return {"tau": tau, "count": count, "certified": True}
+    return {"tau": tau, "count": None, "certified": False}
 
 
 # pairs asked of each block beyond its share of k when the matrix splits
@@ -182,13 +299,21 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
     subs = [mat] if len(blocks) == 1 else [mat[idx][:, idx] for idx in blocks]
     del mat
 
+    folds = [_fold(sub, idx, op.grid.n_per_side) for sub, idx in zip(subs, blocks)]
     found, facts = [], []
-    for sub in subs:
+    for sub, fold in zip(subs, folds):
         nb = sub.shape[0]
         kb = k if nb == n else min(math.ceil(k * nb / n) + BLOCK_MARGIN, nb - 2)
-        vals, rows, f = _shift_invert(sub, sigma, seed, kb)
+        vals, rows, f = _shift_invert(sub, sigma, seed, kb, fold)
         found.append((vals, rows))
         facts.append({"size": nb, "k": kb, "resolves": 0, **f})
+
+    def resolve(b, kb):
+        found[b] = None
+        vals, rows, f = _shift_invert(subs[b], sigma, seed, kb, folds[b])
+        found[b] = (vals, rows)
+        facts[b].update(k=kb, resolves=1, op_solves=facts[b]["op_solves"] + f["op_solves"])
+
     # keep the k eigenvalues nearest sigma over all blocks; a block whose
     # farthest returned eigenvalue is not beyond the k-th distance may hold
     # more inside it, so it is asked for k + BLOCK_MARGIN pairs, once
@@ -206,9 +331,29 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
                 raise SolverError(
                     f"block {b} of {len(blocks)} may hold more of the {k} eigenvalues "
                     f"nearest {sigma:g} than the {facts[b]['k']} it returned")
-            vals, rows, f = _shift_invert(subs[b], sigma, seed, kb)
-            found[b] = (vals, rows)
-            facts[b].update(k=kb, resolves=1, op_solves=facts[b]["op_solves"] + f["op_solves"])
+            resolve(b, kb)
+    # Krylov solves can skip copies of a degenerate eigenvalue: count the
+    # eigenvalues below a shift tau under the top returned run, per
+    # sublattice block in real form where it folds (a quarter-size factor and
+    # copy of its U at a time), and when fewer came back ask for that many
+    # plus BLOCK_MARGIN pairs, once
+    if not split:
+        parts = []
+        for idx in sublattice_blocks(subs[0], op.grid.n_per_side):
+            part = subs[0][idx][:, idx]
+            fold = _fold(part, idx, op.grid.n_per_side)
+            parts.append(part if fold is None else _real_form(part, fold))
+        inertia = facts[0]["inertia"] = _inertia(parts, found[0][0], sigma, tol)
+        del parts
+        if inertia["certified"]:
+            count, tau = inertia["count"], inertia["tau"]
+            if count > np.sum(found[0][0] < tau):
+                resolve(0, min(max(count, k) + BLOCK_MARGIN, n - 2))
+            below = int(np.sum(found[0][0] < tau))
+            if count != below:
+                raise SolverError(
+                    f"H - {tau:.6g} I has {count} negative pivots, but the solve "
+                    f"returned {below} eigenvalues below {tau:.6g}")
     dist = np.abs(np.concatenate([v for v, _ in found]) - sigma)
     kept = np.zeros(len(dist), dtype=bool)
     kept[np.argsort(dist, kind="stable")[:k]] = True
@@ -219,10 +364,11 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
                     op_solves=sum(f["op_solves"] for f in facts),
                     lu_fill_nnz=sum(f["lu_fill_nnz"] for f in facts), blocks=facts)
 
-    # ARPACK leaves the vectors of a (near-)multiple eigenvalue unit but not
-    # mutually orthogonal: orthonormalize them within each block (vectors of
-    # different blocks have disjoint supports), then certify the block's pairs
-    # at once on its assembled matrix, which is independent of the LU
+    # complex Arnoldi leaves the vectors of a (near-)multiple eigenvalue unit
+    # but not mutually orthogonal: orthonormalize them within each block
+    # (vectors of different blocks have disjoint supports); Lanczos Ritz
+    # vectors are orthonormal, and Q keeps them so. Then certify the block's
+    # pairs at once on its assembled matrix, which is independent of the LU
     grid = op.grid
     lams, fs, resids = [], [], []
     start = 0
@@ -235,9 +381,10 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         vals = vals[order]
         rows = vecs[order]
         del vecs
-        for g in gap_groups(vals, tol * np.maximum(1.0, np.abs(vals))):
-            if len(g) > 1:
-                rows[g] = mgs_orthonormalize(rows[g], grid.weight)
+        if folds[b] is None:
+            for g in gap_groups(vals, tol * np.maximum(1.0, np.abs(vals))):
+                if len(g) > 1:
+                    rows[g] = mgs_orthonormalize(rows[g], grid.weight)
         rows /= np.sqrt(grid.weight * np.sum(np.abs(rows) ** 2, axis=1))[:, None]
         resid = np.sqrt(grid.weight * np.sum(
             np.abs(subs[b] @ rows.T - rows.T * vals) ** 2, axis=0))
@@ -263,12 +410,18 @@ def lowest_eigenpairs(op: OperatorHandle, k: int, tol: float = 1e-6,
     eigenvalue order, with orthonormal eigenvectors in the discrete L^2.
     A dict passed as `info` receives the solver facts `ncv` (the largest
     Krylov basis size), `op_solves` (shift-invert solves) and `lu_fill_nnz`
-    (the entries SuperLU stores for L and U), summed over the solved blocks,
+    (the entries SuperLU stores for L and U: real entries on a block solved
+    in real form, complex ones otherwise), summed over the solved blocks,
     and `blocks`: per block its `size`, `k`, `ncv`, `op_solves` (over both
     runs of a block solved again), `lu_fill_nnz` (of one factor),
     `diagonal_pivots` (whether SuperLU kept every pivot on the diagonal,
-    `perm_r == perm_c`) and `resolves` (0 or 1). This solve uses one block of
-    all nodes (see the module docstring).
+    `perm_r == perm_c`), `real_form` (whether the block was solved as a real
+    symmetric matrix) and `resolves` (0 or 1). This solve uses one block of
+    all nodes (see the module docstring), whose entry also holds `inertia`:
+    the shift `tau`, the `count` of eigenvalues below it, and `certified`,
+    false (with `count` None) when no factor at the tried shifts kept its
+    pivots on the diagonal or no gap lies under the top returned run; a
+    certified count always equals the returned eigenvalues below tau.
     """
     return _solve(op, k, tol, seed, -1.0, info, split=False)
 
@@ -346,12 +499,15 @@ def principal_angles(basis_a, basis_b) -> np.ndarray:
     (i mod 2, j mod 2), each panel holding the class values (`on_class`) of
     only the vectors nonzero there, which is exact for any basis. For the
     `SublatticeFunction`s of `eigenpairs_near` each panel holds about a
-    quarter of the vectors on a quarter of the rows, with no scan.
+    quarter of the vectors on a quarter of the rows, with no scan. One panel
+    is alive at a time, and the QR of the smaller basis overwrites its stack.
     """
     if len(basis_a) < len(basis_b):
         basis_a, basis_b = basis_b, basis_a
     n = basis_a[0].grid.n_per_side
-    Qb, Rb = np.linalg.qr(np.stack([b.values for b in basis_b], axis=1))
+    # the transpose of the row stack is Fortran-ordered, so LAPACK needs no copy
+    Qb, Rb = sla.qr(np.stack([b.values for b in basis_b]).T, mode="economic",
+                    overwrite_a=True)
     d = np.abs(np.diag(Rb))
     if d.min() <= 1e-10 * d.max():
         raise SolverError(f"QR of the {len(d)}-vector basis has |R_ii| down to {d.min():.1e} "
@@ -360,14 +516,15 @@ def principal_angles(basis_a, basis_b) -> np.ndarray:
 
     def panels():
         """(indices of the vectors nonzero on the class, their rows of the
-        class as Fortran-ordered columns, the class rows of Qb)."""
+        class as Fortran-ordered columns, the class rows of Qb). The
+        generator keeps no panel, and its loops drop each one before the
+        next is stacked."""
         for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
             Qc = Qb[p::2, q::2].reshape(-1, Qb.shape[2])
             rows = [a.on_class(p, q) for a in basis_a]
             on = [i for i, r in enumerate(rows) if r is not None]
-            panel = (np.stack([rows[i] for i in on]).reshape(len(on), -1) if on
-                     else np.zeros((0, len(Qc)), dtype=complex))
-            yield on, panel.T, Qc
+            yield on, (np.stack([rows[i] for i in on]).reshape(len(on), -1).T if on
+                       else np.zeros((len(Qc), 0), dtype=complex)), Qc
 
     dim = len(basis_a)
     gram = np.zeros((dim, dim), dtype=complex)
@@ -377,6 +534,7 @@ def principal_angles(basis_a, basis_b) -> np.ndarray:
             # upper triangle of A^H A, with no conjugated copy of A
             gram[np.ix_(on, on)] += sla.blas.zherk(1.0, A, trans=2)
             aq[on] += (Qc.conj().T @ A).conj().T
+        del A
     try:
         R = sla.cholesky(gram)
     except np.linalg.LinAlgError as exc:
@@ -388,6 +546,10 @@ def principal_angles(basis_a, basis_b) -> np.ndarray:
     cos = sla.svdvals(C)[::-1]
     # the residual's rows in class order: a row permutation keeps its
     # singular values
-    sin = sla.svdvals(np.concatenate([Qc - A @ S[on] for on, A, Qc in panels()]))
+    resid = []
+    for on, A, Qc in panels():
+        resid.append(Qc - A @ S[on])
+        del A
+    sin = sla.svdvals(np.concatenate(resid))
     return np.where(cos ** 2 >= 0.5, np.arcsin(np.clip(sin, -1.0, 1.0)),
                     np.arccos(np.clip(cos, -1.0, 1.0)))

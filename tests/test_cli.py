@@ -33,9 +33,14 @@ def _assert_solver_blocks(solver, size, n_blocks):
     blocks = solver["blocks"]
     assert len(blocks) == n_blocks
     assert sum(b["size"] for b in blocks) == size
+    # the shipped potentials are even in x2: every block is solved in real form
+    lowest = n_blocks == 1
     for b in blocks:
         assert set(b) == {"size", "k", "ncv", "op_solves", "lu_fill_nnz", "resolves",
-                          "diagonal_pivots"}
+                          "diagonal_pivots", "real_form"} | ({"inertia"} if lowest else set())
+        assert b["real_form"] is True
+        if lowest:
+            assert set(b["inertia"]) == {"tau", "count", "certified"}
         assert b["ncv"] == arnoldi_ncv(b["k"], b["size"])
         assert b["op_solves"] >= b["ncv"] - 1
         assert b["lu_fill_nnz"] > 0
@@ -330,9 +335,16 @@ def test_cli_spectrum_reproducible(tmp_path):
     assert set(solver) == {"ncv", "op_solves", "lu_fill_nnz", "blocks"}
     # the lowest-eigenpair solve stays on one block of all nodes
     _assert_solver_blocks(solver, 33 * 33, n_blocks=1)
-    assert solver["blocks"][0]["k"] == 6
-    # SuperLU's symmetric mode kept every pivot on the diagonal
-    assert solver["blocks"][0]["diagonal_pivots"] is True
+    # SuperLU's symmetric mode kept every pivot on the diagonal, and the
+    # inertia count below the top returned run matches the returned values;
+    # the first solve of 6 pairs returns one of the two copies of -0.285523
+    # (and -0.285459 above it), so the count asks for 6 + BLOCK_MARGIN pairs
+    block = solver["blocks"][0]
+    assert block["resolves"] == 1 and block["k"] == 11
+    assert block["diagonal_pivots"] is True
+    vals = json.loads(open(os.path.join(outs[0], "spectrum.json")).read())["eigenvalues"]
+    assert block["inertia"]["certified"] is True
+    assert block["inertia"]["count"] == sum(v < block["inertia"]["tau"] for v in vals)
 
 
 
@@ -518,6 +530,26 @@ def test_cli_oracle_compare_auto_sigma_independent_of_blas_threads(tmp_path):
     a, b = docs
     assert a["solver"]["sigma"] == b["solver"]["sigma"]
     assert a["oracle"] == b["oracle"]
+
+
+def test_cli_spectrum_independent_of_blas_threads(tmp_path):
+    # every byte of spectrum.json and of the eigenvector dumps: the real-form
+    # Lanczos vectors are orthonormal as returned, so no threaded BLAS dot
+    # product (the complex path's MGS) reaches them
+    cfg = _write_config(tmp_path, {"grid": {"extent_L": 6.0, "n_per_side": 65},
+                                   "solve": {"k": 12, "seed": 3}})
+    outs = []
+    for threads in ("1", "2"):
+        outs.append(str(tmp_path / f"sp{threads}"))
+        proc = _run_cli(["spectrum", "--config", cfg, "--out", outs[-1]],
+                        OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+    names = sorted(os.listdir(outs[0]))
+    assert "spectrum.json" in names and "eig_011.csv" in names
+    assert sorted(os.listdir(outs[1])) == names
+    for name in names:
+        a, b = (open(os.path.join(out, name), "rb").read() for out in outs)
+        assert a == b, name
 
 
 def test_cli_oracle_compare_rank_deficient_span_exits_2(tmp_path, monkeypatch, capsys):

@@ -13,6 +13,7 @@ from landaulab import (Grid, assemble_sparse, build_operator, cluster,
 from landaulab.eigensolve import (SolverError, arnoldi_ncv, resolution_warning,
                                   sublattice_blocks)
 from landaulab.grid import GridFunction, SublatticeFunction
+from landaulab.potentials import Potential
 from helpers import custom_operator
 
 
@@ -476,7 +477,8 @@ def test_no_factor_alive_when_vectors_are_built(model, monkeypatch, split):
         pairs = eigenpairs_near(H, k=8, sigma=0.02, seed=0)
     else:
         pairs = lowest_eigenpairs(H, k=8, seed=0)
-    assert len(built) == (4 if split else 1)
+    # lowest: the solve's factor, then the inertia count's, one per sublattice
+    assert built == [1] * (4 if split else 5)
     assert len(pairs) == 8 and len(seen) >= 8
     assert seen == [0] * len(seen)
 
@@ -489,8 +491,8 @@ def test_certificate_rejects_a_perturbed_pair(model, monkeypatch, split):
     shift_invert = eigensolve._shift_invert
     runs = []
 
-    def perturbed(mat, sigma, seed, k):
-        vals, rows, facts = shift_invert(mat, sigma, seed, k)
+    def perturbed(mat, sigma, seed, k, *args):
+        vals, rows, facts = shift_invert(mat, sigma, seed, k, *args)
         runs.append(None)
         if len(runs) == (4 if split else 1):
             i = np.argmin(np.abs(vals - sigma))
@@ -543,3 +545,156 @@ def test_eigenpairs_near_vectors_stay_on_their_class(model):
     with pytest.raises(ValueError):
         vec.as_2d()[vec.parity] *= 2.0
     np.testing.assert_array_equal(vec.rows, before)
+
+
+# --- real symmetric form: H commutes with T = R∘K, R: x2 -> -x2 -------------
+
+def _skew_potential():
+    """phi = |x|^2 + 0.1 sin(x1 + 2 x2): no reflection symmetry in x2."""
+    return Potential(
+        kind="skew",
+        value_fn=lambda x1, x2: x1**2 + x2**2 + 0.1 * np.sin(x1 + 2 * x2),
+        grad_fn=lambda x1, x2: (2 * x1 + 0.1 * np.cos(x1 + 2 * x2),
+                                2 * x2 + 0.2 * np.cos(x1 + 2 * x2)),
+        laplacian_fn=lambda x1, x2: 4.0 - 0.5 * np.sin(x1 + 2 * x2))
+
+
+def _block_matrices(mat, n):
+    """(nodes, matrix) of the one block of all nodes and of each sublattice block."""
+    return [(idx, mat[idx][:, idx]) for idx in [np.arange(n * n)] + sublattice_blocks(mat, n)]
+
+
+@pytest.mark.parametrize("n", [33, 65])
+@pytest.mark.parametrize("potential", ["model", "trig01", "bump01"])
+def test_fold_is_an_isometry_onto_a_real_symmetric_form(potential, n, request):
+    g = Grid(extent_L=5.0, n_per_side=n)
+    mat = assemble_sparse(build_operator("H", request.getfixturevalue(potential), g))
+    for idx, sub in _block_matrices(mat, n):
+        Q = eigensolve._fold(sub, idx, n)
+        assert Q is not None and Q.shape == sub.shape
+        assert abs(Q.conj().T @ Q - sp.identity(len(idx))).max() <= 1e-15
+        assert abs((Q.conj().T @ sub @ Q).imag).max() <= 1e-13 * abs(sub).max()
+        S = eigensolve._real_form(sub, Q)
+        assert S.dtype == np.float64
+        assert abs(S - S.T).max() <= 1e-15 * abs(S).max()
+
+
+def _mgs_calls(monkeypatch):
+    calls = []
+    mgs = eigensolve.mgs_orthonormalize
+
+    def counted(vectors, weight):
+        calls.append(len(vectors))
+        return mgs(vectors, weight)
+
+    monkeypatch.setattr(eigensolve, "mgs_orthonormalize", counted)
+    return calls
+
+
+def _both_solves(H):
+    """(pairs, info) of the lowest 12 and of the 20 nearest 0.02."""
+    low, near = {}, {}
+    return [(lowest_eigenpairs(H, k=12, seed=0, info=low), low),
+            (eigenpairs_near(H, k=20, sigma=0.02, seed=0, info=near), near)]
+
+
+@pytest.mark.parametrize("potential", ["model", "trig01", "bump01"])
+def test_real_form_matches_the_complex_path(potential, request, monkeypatch):
+    g = Grid(extent_L=5.0, n_per_side=65)
+    H = build_operator("H", request.getfixturevalue(potential), g)
+    mgs = _mgs_calls(monkeypatch)
+    real = _both_solves(H)
+    # a folded block runs no MGS: its Lanczos vectors are orthonormal as
+    # returned, and each is fixed by T, u(x1, -x2) = conj(u(x1, x2))
+    assert mgs == []
+    for pairs, info in real:
+        assert all(b["real_form"] for b in info["blocks"])
+        V = np.stack([p[1].values for p in pairs], axis=1)
+        gram = (V.conj().T @ V) * g.weight
+        assert np.max(np.abs(gram - np.eye(len(pairs)))) <= 1e-12
+        for _, f, _ in pairs:
+            u = f.as_2d()
+            assert np.max(np.abs(u[:, ::-1] - u.conj())) <= 1e-12 * np.max(np.abs(u))
+    monkeypatch.setattr(eigensolve, "_fold", lambda *args: None)
+    cplx = _both_solves(H)
+    for (a, _), (b, info) in zip(real, cplx):
+        assert not any(blk["real_form"] for blk in info["blocks"])
+        va, vb = np.array([p[0] for p in a]), np.array([p[0] for p in b])
+        assert np.all(np.abs(va - vb) <= 1e-12 * np.maximum(1.0, np.abs(va)))
+    if potential == "model":
+        # its square symmetry makes degenerate pairs: the complex path runs MGS
+        assert len(mgs) > 0 and min(mgs) >= 2
+
+
+def test_asymmetric_potential_takes_the_complex_path():
+    g = Grid(extent_L=5.0, n_per_side=33)
+    H = build_operator("H", _skew_potential(), g)
+    mat = assemble_sparse(H)
+    assert all(eigensolve._fold(sub, idx, 33) is None for idx, sub in _block_matrices(mat, 33))
+    solves = _both_solves(H)
+    for pairs, info in solves:
+        assert [b["real_form"] for b in info["blocks"]] == [False] * len(info["blocks"])
+        assert max(p[2] for p in pairs) <= 1e-6 * max(1.0, max(abs(p[0]) for p in pairs))
+        V = np.stack([p[1].values for p in pairs], axis=1)
+        assert np.max(np.abs((V.conj().T @ V) * g.weight - np.eye(len(pairs)))) <= 1e-8
+    (low, info), _ = solves
+    inertia = info["blocks"][0]["inertia"]
+    assert inertia["certified"]
+    assert inertia["count"] == sum(p[0] < inertia["tau"] for p in low)
+
+
+def test_lowest_solve_returns_every_copy_of_a_degenerate_eigenvalue(model, monkeypatch):
+    # the lowest 8 eigenvalues end with four copies of -0.335949 (two pairs
+    # 1e-7 apart); a single-vector Krylov solve can return two of them and
+    # two eigenvalues above instead, as complex Arnoldi does at seeds 7 and
+    # 8: the inertia count below the top returned run exposes that, and the
+    # solve is repeated for more pairs
+    g = Grid(extent_L=5.0, n_per_side=65)
+    H = build_operator("H", model, g)
+    mat = assemble_sparse(H)
+    dense = np.sort(np.concatenate([sla.eigvalsh(sub.toarray())
+                                    for _, sub in _block_matrices(mat, 65)[1:]]))
+    assert np.abs(dense[4:8] + 0.335949) == pytest.approx(0.0, abs=1e-6)
+
+    def check(seed):
+        info = {}
+        vals = [p[0] for p in lowest_eigenpairs(H, k=8, seed=seed, info=info)]
+        np.testing.assert_allclose(vals, dense[:8], rtol=0, atol=1e-9)
+        assert info["blocks"][0]["inertia"]["certified"]
+        return info["blocks"][0]
+
+    for seed in range(10):
+        assert check(seed)["real_form"]
+    monkeypatch.setattr(eigensolve, "_fold", lambda *args: None)
+    for seed in (7, 8):
+        block = check(seed)
+        assert not block["real_form"] and block["resolves"] == 1
+        assert block["k"] == block["inertia"]["count"] + eigensolve.BLOCK_MARGIN
+
+
+def test_inertia_moves_its_shift_off_a_pivot_breakdown():
+    # 40 copies of [[0, 1], [1, 0]] and one 5: at tau = 0 every 2 x 2 block
+    # pivots off its (zero) diagonal, so the count moves tau to a quarter of
+    # the gap (-1, 1); a gap too narrow for a diagonal pivot gives no count
+    mat = sp.block_diag([sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]])] * 40 + [sp.csr_matrix([[5.0]])],
+                        format="csr")
+    assert eigensolve._inertia([mat], np.array([-1.0, 1.0]), -2.0, 1e-6) == {
+        "tau": -0.5, "count": 40, "certified": True}
+    assert eigensolve._inertia([mat], np.array([-1e-5, 1e-5]), -2.0, 1e-6) == {
+        "tau": pytest.approx(5e-6), "count": None, "certified": False}
+    # one run of values leaves no gap below it above sigma
+    assert eigensolve._inertia([mat], np.array([-1.0, -1.0]), -1.0, 1e-6) == {
+        "tau": None, "count": None, "certified": False}
+
+
+def test_inertia_mismatch_raises_solver_error(model, monkeypatch):
+    inertia = eigensolve._inertia
+
+    def overcount(*args):
+        out = inertia(*args)
+        return {**out, "count": out["count"] + 1}
+
+    monkeypatch.setattr(eigensolve, "_inertia", overcount)
+    H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
+    with pytest.raises(SolverError, match="negative pivots"):
+        lowest_eigenpairs(H, k=8, seed=0)
