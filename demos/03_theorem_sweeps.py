@@ -9,8 +9,11 @@ by the creation factor and refined by Rayleigh-Ritz, then measures
 
 Boundedness of the first column across levels is the desk-scale content of
 the sup-norm bound; boundedness of the second is the improved-L^6 bound.
-Most of the run time goes to the L^6 extremizer, a multistart BFGS
-maximization; a level where it did not converge is listed under the warnings.
+Most of the run time goes to the L^6 extremizer: a BFGS maximization from
+k + 8 starts per level, advanced together so that each step evaluates every
+running start in one call. A start stops when its gradient is below tolerance,
+after 500 steps, or when its line search can no longer raise the ratio; a
+level whose winning start did not converge is listed under the warnings.
 """
 
 from landaulab import Grid, make_potential, sweep_bounds

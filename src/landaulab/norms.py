@@ -5,15 +5,18 @@ convention). For an orthonormal eigenspace basis {u_j} the extremal
 L^inf/L^2 ratio is exact: it is the square root of the maximum of the
 kernel diagonal sum_j |u_j(x)|^2 (evaluation-functional norm). The extremal
 L^6/L^2 ratio is a smooth optimization over the coefficient sphere, computed
-by multistart BFGS on a scale-invariant objective; the returned value is a
-certified lower bound on the true supremum.
+by multistart BFGS on a scale-invariant objective, all starts advanced
+together (`_bfgs`); the returned value is a certified lower bound on the true
+supremum.
 
-BFGS evaluates the objective in one of two exact forms, picked from the sizes
-alone: on the (k, N) basis matrix of the kept nodes, or, when D^2 <= k N for
-D = C(k + 2, 3), on the (D, D) sixth-moment Gram matrix of
-`l6_moment_objective`, built once per ascent. At N = 11,000 nodes the two cost
-the same per evaluation near k = 14-16. The reported ratio and the Hessian
-certificate are computed from the basis matrix either way.
+BFGS evaluates the objective at a stack of coefficient rows in one of two
+exact forms, picked from the sizes alone: on the (k, N) basis matrix of the
+kept nodes, or, when D^2 <= k N for D = C(k + 2, 3), on the (D, D)
+sixth-moment Gram matrix of `l6_moment_objective`, built once per ascent. At
+N = 11,000 nodes a batched evaluation of k + 8 rows still costs less from
+the Gram matrix at k = 16, where the rule already picks the basis matrix.
+The reported ratio and the Hessian certificate are computed from the basis
+matrix either way.
 """
 
 from __future__ import annotations
@@ -95,25 +98,38 @@ def l6_support(V, weight):
     return keep, float(np.sum(K[~keep] ** 3) * weight)
 
 
-def _l6_terms(coeffs, V, weight):
-    """u = coeffs @ V, |u|^2, |u|^4 and the L^6 sum S = weight * sum |u|^6."""
-    u = coeffs @ V
-    a2 = u.real ** 2 + u.imag ** 2
+def _l6_terms(C, V, weight):
+    """U = C @ V, |U|^2, |U|^4 and the L^6 sums S = weight * sum |U|^6 of the
+    rows of C (one S for a 1-D C)."""
+    U = C @ V
+    a2 = U.real ** 2 + U.imag ** 2
     a4 = a2 * a2
-    return u, a2, a4, float(np.sum(a4 * a2) * weight)
+    return U, a2, a4, np.sum(a4 * a2, axis=-1) * weight
+
+
+def _ratio_and_gradient(S, g, one_row):
+    """J = S^(1/6) and G = S^(-5/6) g row by row, with J = 0 and G = 0 where
+    S <= 0; the first row's J and G when one_row."""
+    pos = S > 0.0
+    S = np.where(pos, S, 1.0)
+    J = np.where(pos, S ** (1.0 / 6.0), 0.0)
+    G = np.where(pos[:, None], S[:, None] ** (-5.0 / 6.0) * g, 0.0)
+    return (J[0], G[0]) if one_row else (J, G)
 
 
 def l6_objective_and_gradient(coeffs, V, weight, Vc=None):
     """J(c) = ||sum_j c_j u_j||_6 for orthonormal rows of V, with the complex
     gradient vector G such that dJ = Re <G, dc> on the coefficient space.
-    Vc, when given, is V.conj()."""
+
+    coeffs is a stack of coefficient rows, (S, k), giving J of shape (S,) and
+    G of shape (S, k); a 1-D c counts as one row and gives one J and G. Vc,
+    when given, is V.conj()."""
     if Vc is None:
         Vc = V.conj()
-    u, _, a4, S = _l6_terms(coeffs, V, weight)
-    if S <= 0.0:
-        return 0.0, np.zeros_like(coeffs)
-    g = (Vc @ (a4 * u)) * weight  # dS/dconj(c) / 3
-    return S ** (1.0 / 6.0), S ** (-5.0 / 6.0) * g
+    C = np.atleast_2d(coeffs)
+    U, _, a4, S = _l6_terms(C, V, weight)
+    g = ((a4 * U) @ Vc.T) * weight  # dS/dconj(c) / 3, one row per c
+    return _ratio_and_gradient(S, g, coeffs.ndim == 1)
 
 
 MOMENT_PANEL = 2048   # nodes per panel of the sixth-moment build
@@ -130,7 +146,9 @@ def l6_moment_objective(V, weight):
     conj(v_a) v_b, a (D, D) matrix for D = C(k + 2, 3). T is summed over
     panels of MOMENT_PANEL nodes, so the build holds two (D, MOMENT_PANEL)
     arrays at a time; afterwards an evaluation costs O(D^2) whatever the node
-    count. Returns c -> (J, G)."""
+    count. Returns C -> (J, G) on a stack of rows C, as
+    `l6_objective_and_gradient`; its (S, D) cubes cost one (S, D)(D, D)
+    product."""
     k, n = V.shape
     trip = np.array(list(combinations_with_replacement(range(k), 3)))
     pairs = np.array(list(combinations_with_replacement(range(k), 2)))
@@ -153,13 +171,13 @@ def l6_moment_objective(V, weight):
     a, b = pairs.T
 
     def objective(coeffs):
-        z = coeffs[t0] * coeffs[t1] * coeffs[t2]
-        Tz = T @ z
-        S = float(np.vdot(z, Tz).real)
-        if S <= 0.0:
-            return 0.0, np.zeros_like(coeffs)
-        g = (coef * Tz[gather]) @ np.conj(coeffs[a] * coeffs[b])  # dS/dconj(c) / 3
-        return S ** (1.0 / 6.0), S ** (-5.0 / 6.0) * g
+        C = np.atleast_2d(coeffs)
+        Z = C[:, t0] * C[:, t1] * C[:, t2]
+        TZ = Z @ T.T  # the rows T z; T is Hermitian
+        S = np.einsum("sd,sd->s", Z.conj(), TZ).real
+        # dS/dconj(c) / 3
+        g = np.einsum("skp,sp->sk", coef * TZ[:, gather], np.conj(C[:, a] * C[:, b]))
+        return _ratio_and_gradient(S, g, coeffs.ndim == 1)
 
     return objective
 
@@ -216,7 +234,117 @@ class AscentResult:
 
 
 ASCENT_TOL = 1e-8        # BFGS gradient tolerance of the L^6 ascent
-ASCENT_MAX_ITER = 500    # BFGS iteration cap of each restart
+ASCENT_MAX_ITER = 500    # BFGS step cap of each start
+WOLFE_C1, WOLFE_C2 = 1e-4, 0.9   # sufficient decrease and curvature of a step
+SEARCH_TRIALS = 20       # trial steps before a line search gives up
+
+
+def _cubic_step(a0, f0, d0, a1, f1, d1):
+    """Minimizer of the cubic with values f and slopes d at a0 and a1
+    (Nocedal & Wright, eq. 3.59), or the midpoint where that is undefined or
+    within a tenth of the interval of either end."""
+    with np.errstate(all="ignore"):
+        e1 = d0 + d1 - 3.0 * (f0 - f1) / (a0 - a1)
+        e2 = np.sign(a1 - a0) * np.sqrt(e1 * e1 - d0 * d1)
+        a = a1 - (a1 - a0) * (d1 + e2 - e1) / (d1 - d0 + 2.0 * e2)
+    lo, hi = np.minimum(a0, a1), np.maximum(a0, a1)
+    inside = (a > lo + 0.1 * (hi - lo)) & (a < hi - 0.1 * (hi - lo))
+    return np.where(inside, a, 0.5 * (a0 + a1))
+
+
+def _bfgs(f_and_grad, X):
+    """Minimizes f from every row of X at once; f_and_grad(X) returns f and
+    its gradient at each row. Returns the final rows, each start's step count
+    and whether it converged.
+
+    Each start keeps its own point, gradient and inverse-Hessian
+    approximation (Nocedal & Wright, Algorithm 6.1) and makes scipy's BFGS
+    choices: the identity as first inverse Hessian, and a first trial step
+    from the last decrease of f. Its line search looks for a strong-Wolfe
+    step by expansion and cubic zoom (Algorithms 3.5 and 3.6). Each call of
+    f_and_grad evaluates the next trial point of every running start.
+
+    A start stops converged when the max-norm of its gradient reaches
+    ASCENT_TOL. It stops not converged after ASCENT_MAX_ITER steps, or when
+    its line search can no longer lower f (scipy's "precision loss"): its
+    direction does not descend, its bracket predicts a change of f below f's
+    rounding, or SEARCH_TRIALS trials found no step.
+    """
+    X = X.copy()
+    n_starts, n = X.shape
+    F, G = f_and_grad(X)
+    H = np.tile(np.eye(n), (n_starts, 1, 1))
+    P = -G
+    slope = -np.einsum("si,si->s", G, G)    # of f along P at the step's start
+    F_old = F + np.sqrt(-slope) / 2         # scipy's: the first trial moves x by ~1
+    steps = np.zeros(n_starts, dtype=int)
+    converged = np.max(np.abs(G), axis=1) <= ASCENT_TOL
+    running = ~converged
+    alpha, trials = np.ones(n_starts), np.zeros(n_starts, dtype=int)
+    # the line-search bracket: lo is the lowest sufficient-decrease trial so
+    # far, hi the other end (inf until a trial overshoots)
+    lo_a, lo_f, lo_d = np.zeros(n_starts), F.copy(), slope.copy()
+    hi_a, hi_f, hi_d = np.full(n_starts, np.inf), np.zeros(n_starts), np.zeros(n_starts)
+
+    def start_search(i):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            a = np.minimum(1.0, 2.02 * (F[i] - F_old[i]) / slope[i])
+        alpha[i] = np.where(a > 0.0, a, 1.0)
+        trials[i] = 0
+        lo_a[i], lo_f[i], lo_d[i], hi_a[i] = 0.0, F[i], slope[i], np.inf
+
+    start_search(np.flatnonzero(running))
+    while running.any():
+        r = np.flatnonzero(running)
+        a = alpha[r]
+        Ft, Gt = f_and_grad(X[r] + a[:, None] * P[r])
+        Dt = np.einsum("si,si->s", Gt, P[r])
+        trials[r] += 1
+        decrease = (Ft <= F[r] + WOLFE_C1 * a * slope[r]) & ~((lo_a[r] > 0.0) & (Ft >= lo_f[r]))
+        wolfe = decrease & (np.abs(Dt) <= -WOLFE_C2 * slope[r])
+        # the bracket of the searches that go on: a trial without enough
+        # decrease ends it; one past the minimum turns lo into its far end;
+        # without a far end the next trial lies 4 times further than the
+        # last one was from lo (as scipy's line search extrapolates)
+        alpha[r] = a + 4.0 * (a - lo_a[r])
+        down = decrease & ~wolfe
+        flip = r[down & np.where(hi_a[r] > lo_a[r], Dt >= 0.0, Dt <= 0.0)]
+        hi_a[flip], hi_f[flip], hi_d[flip] = lo_a[flip], lo_f[flip], lo_d[flip]
+        up = r[~decrease]
+        hi_a[up], hi_f[up], hi_d[up] = a[~decrease], Ft[~decrease], Dt[~decrease]
+        lo_a[r[down]], lo_f[r[down]], lo_d[r[down]] = a[down], Ft[down], Dt[down]
+        stalled = ~wolfe & ((np.abs(hi_a[r] - lo_a[r]) * -slope[r] <= 4.0 * np.spacing(np.abs(F[r])))
+                            | (trials[r] >= SEARCH_TRIALS))
+        running[r[stalled]] = False
+
+        i = r[wolfe]
+        s, y = a[wolfe, None] * P[i], Gt[wolfe] - G[i]
+        F_old[i] = F[i]
+        X[i] += s
+        F[i], G[i] = Ft[wolfe], Gt[wolfe]
+        steps[i] += 1
+        converged[i] = np.max(np.abs(G[i]), axis=1) <= ASCENT_TOL
+        running[i] = ~converged[i] & (steps[i] < ASCENT_MAX_ITER)
+        go = running[i]
+        i, s, y = i[go], s[go], y[go]
+        # the BFGS update H <- (I - rho s y^T) H (I - rho y s^T) + rho s s^T
+        # for rho = 1 / y.s, which is positive at a strong-Wolfe step up to
+        # rounding (a start whose y.s is not keeps its H)
+        ys = np.einsum("si,si->s", y, s)
+        rho = np.divide(1.0, ys, out=np.zeros_like(ys), where=ys > 0.0)
+        Hy = np.einsum("sij,sj->si", H[i], y)
+        sHy = s[:, :, None] * Hy[:, None, :]
+        H[i] += ((rho * (1.0 + rho * np.einsum("si,si->s", y, Hy)))[:, None, None]
+                 * s[:, :, None] * s[:, None, :]
+                 - rho[:, None, None] * (sHy + sHy.transpose(0, 2, 1)))
+        P[i] = -np.einsum("sij,sj->si", H[i], G[i])
+        slope[i] = np.einsum("si,si->s", G[i], P[i])
+        running[i[slope[i] >= 0.0]] = False
+        start_search(i)
+
+        o = r[running[r] & ~wolfe & np.isfinite(hi_a[r])]
+        alpha[o] = _cubic_step(lo_a[o], lo_f[o], lo_d[o], hi_a[o], hi_f[o], hi_d[o])
+    return X, steps, converged
 
 
 def extremal_l6(cluster, restarts: int = 8, seed: int = 0) -> AscentResult:
@@ -224,20 +352,24 @@ def extremal_l6(cluster, restarts: int = 8, seed: int = 0) -> AscentResult:
     eigenspace.
 
     Minimizes the scale-invariant f(x) = -log J(c) + log|c| over
-    x = (Re c, Im c), so no sphere constraint is needed; BFGS stops at
-    gradient ASCENT_TOL or after ASCENT_MAX_ITER iterations. Deterministic for
-    a fixed seed; ties between restarts break toward the lowest restart index.
+    x = (Re c, Im c), so no sphere constraint is needed. The k basis vectors
+    and `restarts` random unit vectors start one batched BFGS (`_bfgs`), which
+    evaluates J at every running start in one call of the objective per
+    step. A start stops converged at gradient max-norm ASCENT_TOL, and not
+    converged after ASCENT_MAX_ITER steps or when its line search can no
+    longer lower f. Deterministic for a fixed seed; ties between starts break
+    toward the lowest start index.
 
     The ascent runs on the nodes that `l6_support` keeps; the dropped nodes
     change J^6 by at most the result's cut_bound; BFGS evaluates J in the
-    form the module docstring's size rule picks. Each restart's ratio is
-    evaluated on all nodes, so the reported ratio is a lower bound whatever
-    the cut. The winner also carries hessian_max (`tangent_hessian_max` on
-    the kept nodes) and nodes_kept.
+    form the module docstring's size rule picks. The ratios of all starts
+    are then evaluated on all nodes in one product, so the reported ratio is
+    a lower bound whatever the cut. The winner's ratio is re-evaluated on its
+    own row, which makes it exactly `l6_objective_and_gradient` at its
+    coeffs. The winner also carries converged, iterations (its accepted
+    steps), hessian_max (`tangent_hessian_max` on the kept nodes) and
+    nodes_kept.
     """
-    # imported here: scipy.optimize costs every command ~0.3 s and ~15 MB
-    from scipy.optimize import minimize
-
     if not cluster.basis:
         raise NormError("empty cluster")
     if restarts < 1:
@@ -251,34 +383,33 @@ def extremal_l6(cluster, restarts: int = 8, seed: int = 0) -> AscentResult:
         objective = l6_moment_objective(Vk, w)
     else:
         Vkc = Vk.conj()
-        objective = lambda c: l6_objective_and_gradient(c, Vk, w, Vkc)
+        objective = lambda C: l6_objective_and_gradient(C, Vk, w, Vkc)
 
-    def f_and_grad(x):
-        c = x[:k] + 1j * x[k:]
-        J, G = objective(c)
-        return (-np.log(J) + 0.5 * np.log(x @ x),
-                -np.concatenate([G.real, G.imag]) / J + x / (x @ x))
+    def f_and_grad(X):
+        J, G = objective(X[:, :k] + 1j * X[:, k:])
+        xx = np.einsum("si,si->s", X, X)
+        return (-np.log(J) + 0.5 * np.log(xx),
+                -np.concatenate([G.real, G.imag], axis=1) / J[:, None] + X / xx[:, None])
 
     # starts at the basis vectors guarantee the result dominates every
     # individual basis ratio (BFGS only accepts decreasing steps); random
     # restarts explore mixed directions
-    starts = [np.eye(k, dtype=complex)[j] for j in range(k)]
+    starts = [np.eye(k, dtype=complex)]
     for r in range(restarts):
         rng = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(r,)))
         c = rng.standard_normal(k) + 1j * rng.standard_normal(k)
-        starts.append(c / np.linalg.norm(c))
-
-    best = None
-    for c in starts:
-        res = minimize(f_and_grad, np.concatenate([c.real, c.imag]), jac=True,
-                       method="BFGS", options={"gtol": ASCENT_TOL, "maxiter": ASCENT_MAX_ITER})
-        c = res.x[:k] + 1j * res.x[k:]
-        c /= np.linalg.norm(c)
-        cur = AscentResult(ratio=_l6_terms(c, V, w)[3] ** (1.0 / 6.0), coeffs=c,
-                           converged=bool(res.success),
-                           iterations=int(res.nit), cut_bound=cut_bound,
-                           nodes_kept=nodes_kept)
-        if best is None or cur.ratio > best.ratio + 1e-15:
-            best = cur
-    best.hessian_max = tangent_hessian_max(best.coeffs, Vk, w)
-    return best
+        starts.append(c[None] / np.linalg.norm(c))
+    C = np.concatenate(starts)
+    X, steps, converged = _bfgs(f_and_grad, np.concatenate([C.real, C.imag], axis=1))
+    C = X[:, :k] + 1j * X[:, k:]
+    C /= np.linalg.norm(C, axis=1, keepdims=True)
+    ratios = _l6_terms(C, V, w)[3] ** (1.0 / 6.0)
+    best = 0
+    for j in range(1, len(C)):
+        if ratios[j] > ratios[best] + 1e-15:
+            best = j
+    c = C[best]
+    return AscentResult(ratio=float(_l6_terms(c, V, w)[3] ** (1.0 / 6.0)), coeffs=c,
+                        converged=bool(converged[best]), iterations=int(steps[best]),
+                        cut_bound=cut_bound, nodes_kept=nodes_kept,
+                        hessian_max=tangent_hessian_max(c, Vk, w))

@@ -39,8 +39,22 @@ def _shows_the_kernel_plateau(out):
     assert all(abs(r / math.sqrt(2.0 / math.pi) - 1.0) <= 0.05 for r in ratios)
 
 
+def _passes_both_bounds_on_every_level(out):
+    # three potentials at levels 0-4: both bounds pass for each, every
+    # extremal L^6 ratio lies in (0.4, 0.75) (0.46-0.72 on this grid), and no
+    # ascent stops unconverged or uncertified
+    lines = out.splitlines()
+    verdicts = [line for line in lines if "->" in line]
+    rows = [line.split() for line in lines if line.split() and line.split()[0].isdigit()]
+    assert len(verdicts) == 6 and all(v.endswith("-> PASS") for v in verdicts)
+    assert len(rows) == 15
+    assert all(0.4 < float(row[4]) < 0.75 for row in rows)
+    assert not any("warning:" in line for line in lines)
+
+
 # what a demo's standard output must show, beyond a clean exit
 STDOUT_CHECKS = {"02_kernel_plateau.py": _shows_the_kernel_plateau,
+                 "03_theorem_sweeps.py": _passes_both_bounds_on_every_level,
                  "06_discretization_pathology.py": _shows_the_pointwise_cloud}
 
 

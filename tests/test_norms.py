@@ -157,11 +157,14 @@ def test_extremal_l6_converges_on_trig_level(trig01):
     assert np.linalg.norm(tangent) <= 1e-6
 
 
+def _level1_at_65(potential):
+    g = Grid(extent_L=6.5, n_per_side=65)
+    return ladder_level_clusters(potential, g, 1, m_count=4)[1]
+
+
 @pytest.fixture(scope="module")
 def trig_level1(trig01):
-    g = Grid(extent_L=6.5, n_per_side=65)
-    clusters = ladder_level_clusters(trig01, g, 1, m_count=4)
-    return clusters[1]
+    return _level1_at_65(trig01)
 
 
 def _uncut_reference_ascent(cluster, restarts, seed, tol=1e-8, max_iter=500):
@@ -205,12 +208,15 @@ def coarse_level1(trig01):
     return clusters[1]
 
 
-def test_cut_ascent_matches_uncut_reference(trig_level1, coarse_level1, monkeypatch):
+def test_cut_ascent_matches_uncut_reference(trig_level1, coarse_level1, model, bump01,
+                                            monkeypatch):
     built = []
     moment = norms.l6_moment_objective
     monkeypatch.setattr(norms, "l6_moment_objective",
                         lambda V, w: built.append(V.shape) or moment(V, w))
-    for cluster, uses_moments in ((trig_level1, True), (coarse_level1, False)):
+    for cluster, uses_moments in ((trig_level1, True), (coarse_level1, False),
+                                  (_level1_at_65(model), True),
+                                  (_level1_at_65(bump01), True)):
         built.clear()
         res = extremal_l6(cluster, restarts=4, seed=0)
         k = cluster.dim
@@ -237,6 +243,16 @@ def test_moment_objective_matches_basis_matrix_objective(k, trig01, rng):
         J_ref, G_ref = l6_objective_and_gradient(c, V, g.weight)
         assert J == pytest.approx(J_ref, rel=1e-13)
         assert np.linalg.norm(G - G_ref) <= 1e-13 * np.linalg.norm(G_ref)
+    # a stack of rows: each row's J and G, from either form
+    C = rng.standard_normal((10, k)) + 1j * rng.standard_normal((10, k))
+    C /= np.linalg.norm(C, axis=1, keepdims=True)
+    rows = [l6_objective_and_gradient(c, V, g.weight) for c in C]
+    J_rows, G_rows = np.array([J for J, _ in rows]), np.stack([G for _, G in rows])
+    for J, G in (objective(C), l6_objective_and_gradient(C, V, g.weight)):
+        assert J.shape == (10,) and G.shape == (10, k)
+        assert np.all(np.abs(J - J_rows) <= 1e-13 * J_rows)
+        assert np.all(np.linalg.norm(G - G_rows, axis=1)
+                      <= 1e-13 * np.linalg.norm(G_rows, axis=1))
 
 
 def test_moment_build_peak_memory_is_set_by_the_panel(grid_medium, rng):
@@ -345,6 +361,17 @@ def test_tangent_hessian_certifies_the_ascent_maximum(trig_level1, rng):
         assert l6_objective_and_gradient(c / np.linalg.norm(c), V, w)[0] < res.ratio
 
 
+def test_stalled_start_stops_before_the_step_cap(trig_level1, monkeypatch):
+    # with a gradient tolerance of 0 no start converges: the winner ends when
+    # its line search can no longer lower f, not at ASCENT_MAX_ITER
+    default = extremal_l6(trig_level1, restarts=4, seed=0)
+    monkeypatch.setattr(norms, "ASCENT_TOL", 0.0)
+    res = extremal_l6(trig_level1, restarts=4, seed=0)
+    assert not res.converged
+    assert res.iterations < norms.ASCENT_MAX_ITER
+    assert res.ratio == pytest.approx(default.ratio, rel=0, abs=1e-14)
+
+
 def test_tangent_hessian_undefined_on_one_dimensional_space(grid_medium):
     u = null_state(0, grid_medium)
     c = _cluster_from_basis([u.values], grid_medium)
@@ -353,14 +380,22 @@ def test_tangent_hessian_undefined_on_one_dimensional_space(grid_medium):
 
 
 def test_import_does_not_load_scipy_optimize():
-    # scipy.optimize adds ~0.3 s and ~15 MB to every command; only the L^6
-    # ascent needs it, and it imports it itself
+    # scipy.optimize would add ~0.3 s and ~15 MB to every command; the L^6
+    # ascent runs its own batched BFGS, so neither the import nor an ascent
+    # loads it
     src = os.path.dirname(os.path.dirname(os.path.abspath(__file__))) + "/src"
-    code = "import sys, landaulab; print('scipy.optimize' in sys.modules)"
+    code = ("import sys\n"
+            "from landaulab import (Grid, extremal_l6, ladder_level_clusters,\n"
+            "                       make_potential)\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "g = Grid(extent_L=6.5, n_per_side=65)\n"
+            "trig = make_potential('quadratic_plus_trig', [0.1])\n"
+            "extremal_l6(ladder_level_clusters(trig, g, 1, m_count=4)[1], restarts=2)\n"
+            "print('scipy.optimize' in sys.modules)\n")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     out = subprocess.run([sys.executable, "-c", code], capture_output=True,
                          text=True, check=True, env={**os.environ, "PYTHONPATH": path})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.split() == ["False", "False"]
 
 
 def test_empty_cluster_rejected():
