@@ -22,16 +22,14 @@ kind, the antiunitary T = R∘K, with R the reflection x2 -> -x2, has T^2 = 1
 and commutes with H: H is in the orthogonal class of Dyson's threefold way.
 In the coordinates of the T-invariant vectors (`_fold`: e_a on the axis,
 (e_a + e_Ra)/sqrt 2 and i (e_a - e_Ra)/sqrt 2 for a node pair) a block is a
-real symmetric matrix S = Re(Q^H H Q). Such a block gets a real LU and
-ARPACK's symmetric Lanczos driver, and its eigenvectors come back as Q x,
-with the phase convention u(x1, -x2) = conj(u(x1, x2)). Lanczos Ritz vectors
-are orthonormal, and the complex inner product of two T-invariant vectors is
-real, so Q keeps them orthonormal: a folded block skips the gap-group MGS.
-A block without the symmetry (R conj(H) R differs from H by more than
-`FOLD_TOL` of its largest entry) keeps the complex path: complex LU,
-general Arnoldi (scipy's `eigsh` passes complex input to `eigs`), whose
-vectors of a (near-)multiple eigenvalue are unit but not mutually
-orthogonal, so MGS orthonormalizes each gap group.
+real symmetric matrix S = Re(Q^H H Q). A block that is already real (K
+itself commutes with it) is its own S, with Q the identity. Every block is
+solved this way: a real LU and ARPACK's symmetric Lanczos driver, whose Ritz
+vectors are orthonormal, and its eigenvectors come back as Q x, which Q
+keeps orthonormal (the complex inner product of two T-invariant vectors is
+real); under T they satisfy u(x1, -x2) = conj(u(x1, x2)). A block with
+neither symmetry (R conj(H) R and conj(H) each differ from H by more than
+`FOLD_TOL` of its largest entry) raises `SolverError` before any factor.
 
 `eigenpairs_near` solves each invariant block of the assembled matrix on its
 own. When the matrix stores no entry linking two of the four node parity
@@ -86,8 +84,9 @@ from .operators import OperatorHandle, assemble_sparse
 
 MAX_K = 200
 MIN_TOL = 1e-8
-# largest |R conj(H) R - H| over the largest |H| entry for which a block is
-# solved in real form (np.linspace's last-bit asymmetry gives about 2e-16)
+# largest |R conj(H) R - H| (or |conj(H) - H|) over the largest |H| entry for
+# which a block has a real symmetric form (np.linspace's last-bit asymmetry
+# gives about 2e-16)
 FOLD_TOL = 1e-12
 
 
@@ -117,16 +116,12 @@ def arnoldi_ncv(k: int, n: int) -> int:
     """Krylov basis size for k eigenpairs of an n x n matrix.
 
     scipy's default max(2k+1, 20) up to k = 15; beyond that k + 16, because
-    a larger basis costs more dense Arnoldi work without saving solves. A
-    scan of the constant c in k + c over the split shift-invert solves of the
-    model potential on [-5.2, 5.2]^2 (sigma at the mean Rayleigh quotient of
-    the oracle states, seed 3) counted these shift-invert solves:
+    a larger basis costs more dense Krylov work without saving solves. A
+    scan of the constant c in k + c over the split Lanczos shift-invert solves
+    of the model potential on [-5.2, 5.2]^2 (sigma at the mean Rayleigh
+    quotient of the oracle states, seed 3) counted these shift-invert solves:
 
-        grid, k            c = 12   c = 16   c = 20   2k+1 (k <= 63, else k+64)
-        complex Arnoldi:
-        257^2, k = 130     228      220      236      312
-        161^2, k = 100     245      229      245      250
-        Lanczos on the real symmetric form:
+        grid, k            c = 12   c = 16   c = 20
         257^2, k = 130     228      220      236
         161^2, k = 100     245      237      245
 
@@ -156,21 +151,33 @@ def sublattice_blocks(mat, n_side: int) -> list:
 
 
 def _fold(mat, nodes, n_side: int):
-    """The isometry Q from real coordinates onto the vectors that T = R∘K
-    fixes, when T commutes with the block matrix `mat` over the sorted grid
-    `nodes` (all nodes, or one parity class); None otherwise.
+    """The isometry Q from real coordinates onto the vectors that a
+    conjugation symmetry of the block matrix `mat` over the sorted grid
+    `nodes` (all nodes, or one parity class) fixes, so that Q^H mat Q is real
+    symmetric; `SolverError` when `mat` has neither symmetry.
 
-    R reflects x2 -> -x2, (i, j) -> (i, n-1-j), and maps every parity class
-    onto itself because n is odd. T commutes with `mat` when R conj(mat) R =
-    mat, tested to FOLD_TOL of the largest entry. The columns that R keeps
-    come first: e_a for a node on the axis j = (n-1)/2 and (e_a + e_Ra)/sqrt 2
-    for a pair a < Ra, in node order; then i (e_a - e_Ra)/sqrt 2 for each
-    pair. Q is square and unitary, and Q^H mat Q is real symmetric.
+    T = R∘K comes first. R reflects x2 -> -x2, (i, j) -> (i, n-1-j), and
+    maps every parity class onto itself because n is odd. T commutes with
+    `mat` when R conj(mat) R = mat, tested to FOLD_TOL of the largest entry.
+    The columns that R keeps come first: e_a for a node on the axis j =
+    (n-1)/2 and (e_a + e_Ra)/sqrt 2 for a pair a < Ra, in node order; then
+    i (e_a - e_Ra)/sqrt 2 for each pair. Q is square and unitary. Otherwise,
+    when K commutes with `mat` (conj(mat) = mat, to the same tolerance), Q is
+    the identity.
     """
     i, j = np.divmod(nodes, n_side)
     r = np.searchsorted(nodes, i * n_side + n_side - 1 - j)
-    if abs(mat[r][:, r] - mat.conj()).max() > FOLD_TOL * abs(mat).max():
-        return None
+    scale = abs(mat).max()
+    t_defect = abs(mat[r][:, r] - mat.conj()).max()
+    if t_defect > FOLD_TOL * scale:
+        k_defect = abs(mat - mat.conj()).max()
+        if k_defect <= FOLD_TOL * scale:
+            return sp.identity(len(nodes), format="csr")
+        raise SolverError(
+            f"the {len(nodes)}-node block commutes with neither T = R∘K "
+            f"(|R conj(H) R - H| / max|H| = {t_defect / scale:.1e}) nor K "
+            f"(|conj(H) - H| / max|H| = {k_defect / scale:.1e}) to FOLD_TOL = {FOLD_TOL:g}: "
+            "the eigensolvers need phi(x1, -x2) = phi(x1, x2) or a real matrix")
     first = np.flatnonzero(np.arange(len(nodes)) <= r)
     col = np.arange(len(first))
     pair = first < r[first]
@@ -184,9 +191,9 @@ def _fold(mat, nodes, n_side: int):
         shape=mat.shape)
 
 
-def _real_form(mat, fold):
-    """S = Re(Q^H mat Q), real symmetric for a T-symmetric `mat`, holding no
-    view of the complex product."""
+def _real_symmetric(mat, fold):
+    """S = Re(Q^H mat Q), real symmetric for the `_fold` Q of `mat`, holding
+    no view of the complex product."""
     prod = fold.conj().T @ mat @ fold
     return sp.csr_matrix((prod.data.real.copy(), prod.indices, prod.indptr), shape=mat.shape)
 
@@ -205,17 +212,15 @@ def _factor(mat, shift: float):
 
 def _shift_invert(mat, sigma: float, seed: int, k: int, fold):
     """(eigenvalues, eigenvector rows, solve facts) of the k eigenpairs of `mat`
-    nearest sigma, by ARPACK shift-invert from the Krylov start vector of
-    `RandomState(seed)` with an `arnoldi_ncv(k, n)` basis. With a `fold` Q
-    (see `_fold`) it solves the real symmetric S = Re(Q^H mat Q) by Lanczos
-    and returns the rows Q x; without one, `mat` itself. The output rows are
-    allocated first, below the LU and the Krylov basis in the heap, so a next
-    solve reuses their space; the LU and S are freed before the rows are
-    unfolded, one at a time."""
+    nearest sigma, by ARPACK's Lanczos shift-invert on the real symmetric
+    S = Re(Q^H mat Q) of its `fold` Q (see `_fold`), from the Krylov start
+    vector of `RandomState(seed)` with an `arnoldi_ncv(k, n)` basis; the rows
+    are Q x. The output rows are allocated first, below the LU and the Krylov
+    basis in the heap, so a next solve reuses their space; the LU and S are
+    freed before the rows are unfolded, one at a time."""
     n = mat.shape[0]
     rows = np.empty((k, n), dtype=complex)
-    if fold is not None:
-        mat = _real_form(mat, fold)
+    mat = _real_symmetric(mat, fold)
     lu = _factor(mat, sigma)
     solves = 0
 
@@ -235,14 +240,10 @@ def _shift_invert(mat, sigma: float, seed: int, k: int, fold):
     except (RuntimeError, MemoryError) as exc:
         raise SolverError(f"shift-invert eigensolve failed: {exc}") from exc
     facts = {"op_solves": solves, "lu_fill_nnz": int(lu.nnz),
-             "diagonal_pivots": bool(np.array_equal(lu.perm_r, lu.perm_c)),
-             "real_form": fold is not None}
+             "diagonal_pivots": bool(np.array_equal(lu.perm_r, lu.perm_c))}
     del lu, mat
-    if fold is None:
-        rows[:] = vecs.T
-    else:
-        for i in range(k):
-            rows[i] = fold @ vecs[:, i]
+    for i in range(k):
+        rows[i] = fold @ vecs[:, i]
     return vals, rows, facts
 
 
@@ -334,15 +335,14 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
             resolve(b, kb)
     # Krylov solves can skip copies of a degenerate eigenvalue: count the
     # eigenvalues below a shift tau under the top returned run, per
-    # sublattice block in real form where it folds (a quarter-size factor and
-    # copy of its U at a time), and when fewer came back ask for that many
-    # plus BLOCK_MARGIN pairs, once
+    # sublattice block in real form (a quarter-size factor and copy of its U
+    # at a time), and when fewer came back ask for that many plus
+    # BLOCK_MARGIN pairs, once
     if not split:
         parts = []
         for idx in sublattice_blocks(subs[0], op.grid.n_per_side):
             part = subs[0][idx][:, idx]
-            fold = _fold(part, idx, op.grid.n_per_side)
-            parts.append(part if fold is None else _real_form(part, fold))
+            parts.append(_real_symmetric(part, _fold(part, idx, op.grid.n_per_side)))
         inertia = facts[0]["inertia"] = _inertia(parts, found[0][0], sigma, tol)
         del parts
         if inertia["certified"]:
@@ -364,11 +364,9 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
                     op_solves=sum(f["op_solves"] for f in facts),
                     lu_fill_nnz=sum(f["lu_fill_nnz"] for f in facts), blocks=facts)
 
-    # complex Arnoldi leaves the vectors of a (near-)multiple eigenvalue unit
-    # but not mutually orthogonal: orthonormalize them within each block
-    # (vectors of different blocks have disjoint supports); Lanczos Ritz
-    # vectors are orthonormal, and Q keeps them so. Then certify the block's
-    # pairs at once on its assembled matrix, which is independent of the LU
+    # certify each block's pairs at once on its assembled matrix, which is
+    # independent of the LU (vectors of different blocks have disjoint
+    # supports, and Q keeps a block's Lanczos vectors orthonormal)
     grid = op.grid
     lams, fs, resids = [], [], []
     start = 0
@@ -381,10 +379,6 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         vals = vals[order]
         rows = vecs[order]
         del vecs
-        if folds[b] is None:
-            for g in gap_groups(vals, tol * np.maximum(1.0, np.abs(vals))):
-                if len(g) > 1:
-                    rows[g] = mgs_orthonormalize(rows[g], grid.weight)
         rows /= np.sqrt(grid.weight * np.sum(np.abs(rows) ** 2, axis=1))[:, None]
         resid = np.sqrt(grid.weight * np.sum(
             np.abs(subs[b] @ rows.T - rows.T * vals) ** 2, axis=0))
@@ -410,13 +404,11 @@ def lowest_eigenpairs(op: OperatorHandle, k: int, tol: float = 1e-6,
     eigenvalue order, with orthonormal eigenvectors in the discrete L^2.
     A dict passed as `info` receives the solver facts `ncv` (the largest
     Krylov basis size), `op_solves` (shift-invert solves) and `lu_fill_nnz`
-    (the entries SuperLU stores for L and U: real entries on a block solved
-    in real form, complex ones otherwise), summed over the solved blocks,
-    and `blocks`: per block its `size`, `k`, `ncv`, `op_solves` (over both
-    runs of a block solved again), `lu_fill_nnz` (of one factor),
+    (the real entries SuperLU stores for L and U), summed over the solved
+    blocks, and `blocks`: per block its `size`, `k`, `ncv`, `op_solves` (over
+    both runs of a block solved again), `lu_fill_nnz` (of one factor),
     `diagonal_pivots` (whether SuperLU kept every pivot on the diagonal,
-    `perm_r == perm_c`), `real_form` (whether the block was solved as a real
-    symmetric matrix) and `resolves` (0 or 1). This solve uses one block of
+    `perm_r == perm_c`) and `resolves` (0 or 1). This solve uses one block of
     all nodes (see the module docstring), whose entry also holds `inertia`:
     the shift `tau`, the `count` of eigenvalues below it, and `certified`,
     false (with `count` None) when no factor at the tried shifts kept its

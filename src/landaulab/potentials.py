@@ -131,7 +131,9 @@ def make_potential(kind: str, params=()) -> Potential:
     """Build a Potential of one of the KINDS.
 
     params: for the perturbed kinds, a single amplitude eps >= 0. Any other
-    phi is a `Potential(...)` built directly from its callables.
+    phi is a `Potential(...)` built directly from its callables; the
+    eigensolvers need it even in x2, phi(x1, -x2) = phi(x1, x2), as every
+    kind here is.
     """
     params = tuple(params)
     if kind == "model_quadratic":

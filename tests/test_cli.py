@@ -33,12 +33,10 @@ def _assert_solver_blocks(solver, size, n_blocks):
     blocks = solver["blocks"]
     assert len(blocks) == n_blocks
     assert sum(b["size"] for b in blocks) == size
-    # the shipped potentials are even in x2: every block is solved in real form
     lowest = n_blocks == 1
     for b in blocks:
         assert set(b) == {"size", "k", "ncv", "op_solves", "lu_fill_nnz", "resolves",
-                          "diagonal_pivots", "real_form"} | ({"inertia"} if lowest else set())
-        assert b["real_form"] is True
+                          "diagonal_pivots"} | ({"inertia"} if lowest else set())
         if lowest:
             assert set(b["inertia"]) == {"tau", "count", "certified"}
         assert b["ncv"] == arnoldi_ncv(b["k"], b["size"])
@@ -534,8 +532,8 @@ def test_cli_oracle_compare_auto_sigma_independent_of_blas_threads(tmp_path):
 
 def test_cli_spectrum_independent_of_blas_threads(tmp_path):
     # every byte of spectrum.json and of the eigenvector dumps: the real-form
-    # Lanczos vectors are orthonormal as returned, so no threaded BLAS dot
-    # product (the complex path's MGS) reaches them
+    # Lanczos vectors are orthonormal as returned, so no Gram-Schmidt pass
+    # of threaded BLAS dot products reaches them
     cfg = _write_config(tmp_path, {"grid": {"extent_L": 6.0, "n_per_side": 65},
                                    "solve": {"k": 12, "seed": 3}})
     outs = []

@@ -142,8 +142,8 @@ def test_eigenpairs_near_targets_band(model):
 
 def test_degenerate_eigenvectors_orthonormal(model):
     # the model H on this square grid has two exactly double eigenvalues
-    # among its lowest 8 (square symmetry); ARPACK alone returns their
-    # vectors unit but far from orthogonal
+    # among its lowest 8 (square symmetry); their vectors come back
+    # orthonormal from Lanczos on the real form, with no Gram-Schmidt pass
     g = Grid(extent_L=4.0, n_per_side=33)
     for seed in (0, 2):
         pairs = lowest_eigenpairs(build_operator("H", model, g), k=8, seed=seed)
@@ -574,21 +574,9 @@ def test_fold_is_an_isometry_onto_a_real_symmetric_form(potential, n, request):
         assert Q is not None and Q.shape == sub.shape
         assert abs(Q.conj().T @ Q - sp.identity(len(idx))).max() <= 1e-15
         assert abs((Q.conj().T @ sub @ Q).imag).max() <= 1e-13 * abs(sub).max()
-        S = eigensolve._real_form(sub, Q)
+        S = eigensolve._real_symmetric(sub, Q)
         assert S.dtype == np.float64
         assert abs(S - S.T).max() <= 1e-15 * abs(S).max()
-
-
-def _mgs_calls(monkeypatch):
-    calls = []
-    mgs = eigensolve.mgs_orthonormalize
-
-    def counted(vectors, weight):
-        calls.append(len(vectors))
-        return mgs(vectors, weight)
-
-    monkeypatch.setattr(eigensolve, "mgs_orthonormalize", counted)
-    return calls
 
 
 def _both_solves(H):
@@ -598,78 +586,129 @@ def _both_solves(H):
             (eigenpairs_near(H, k=20, sigma=0.02, seed=0, info=near), near)]
 
 
+def _dense_spectrum(H):
+    """Every eigenvalue of the assembled H, sorted, from dense `eigvalsh` of
+    its four sublattice blocks."""
+    n = H.grid.n_per_side
+    return np.sort(np.concatenate([sla.eigvalsh(sub.toarray())
+                                   for _, sub in _block_matrices(assemble_sparse(H), n)[1:]]))
+
+
+def _dtype_spy(monkeypatch):
+    """Patch `splu` and `eigsh` to record the dtype of every matrix (and
+    shift-invert operator) they receive."""
+    seen = []
+    splu, eigsh = spla.splu, spla.eigsh
+
+    def spied_splu(A, *args, **kwargs):
+        seen.append(A.dtype)
+        return splu(A, *args, **kwargs)
+
+    def spied_eigsh(A, *args, **kwargs):
+        seen.extend([A.dtype, kwargs["OPinv"].dtype])
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolve.spla, "splu", spied_splu)
+    monkeypatch.setattr(eigensolve.spla, "eigsh", spied_eigsh)
+    return seen
+
+
 @pytest.mark.parametrize("potential", ["model", "trig01", "bump01"])
-def test_real_form_matches_the_complex_path(potential, request, monkeypatch):
+def test_real_form_matches_dense_eigvalsh(potential, request, monkeypatch):
     g = Grid(extent_L=5.0, n_per_side=65)
     H = build_operator("H", request.getfixturevalue(potential), g)
-    mgs = _mgs_calls(monkeypatch)
-    real = _both_solves(H)
-    # a folded block runs no MGS: its Lanczos vectors are orthonormal as
-    # returned, and each is fixed by T, u(x1, -x2) = conj(u(x1, x2))
-    assert mgs == []
-    for pairs, info in real:
-        assert all(b["real_form"] for b in info["blocks"])
+    dense = _dense_spectrum(H)
+    seen = _dtype_spy(monkeypatch)
+    (low, _), (near, _) = _both_solves(H)
+    # every factor and every Lanczos run is real
+    assert seen and all(dtype == np.float64 for dtype in seen)
+    refs = [dense[:12], np.sort(dense[np.argsort(np.abs(dense - 0.02), kind="stable")[:20]])]
+    for pairs, ref in zip((low, near), refs):
+        vals = np.array([p[0] for p in pairs])
+        assert np.all(np.abs(vals - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
+        # Lanczos vectors are orthonormal as returned, and each is fixed by
+        # T, u(x1, -x2) = conj(u(x1, x2))
         V = np.stack([p[1].values for p in pairs], axis=1)
         gram = (V.conj().T @ V) * g.weight
         assert np.max(np.abs(gram - np.eye(len(pairs)))) <= 1e-12
         for _, f, _ in pairs:
             u = f.as_2d()
             assert np.max(np.abs(u[:, ::-1] - u.conj())) <= 1e-12 * np.max(np.abs(u))
-    monkeypatch.setattr(eigensolve, "_fold", lambda *args: None)
-    cplx = _both_solves(H)
-    for (a, _), (b, info) in zip(real, cplx):
-        assert not any(blk["real_form"] for blk in info["blocks"])
-        va, vb = np.array([p[0] for p in a]), np.array([p[0] for p in b])
-        assert np.all(np.abs(va - vb) <= 1e-12 * np.maximum(1.0, np.abs(va)))
-    if potential == "model":
-        # its square symmetry makes degenerate pairs: the complex path runs MGS
-        assert len(mgs) > 0 and min(mgs) >= 2
 
 
-def test_asymmetric_potential_takes_the_complex_path():
+@pytest.mark.parametrize("handle", ["skew", "A"])
+def test_block_with_neither_symmetry_raises_before_any_factor(handle, model, monkeypatch):
+    # the skew phi is not even in x2; the model's A anticommutes with T,
+    # R conj(A) R = -A, and is complex
     g = Grid(extent_L=5.0, n_per_side=33)
-    H = build_operator("H", _skew_potential(), g)
-    mat = assemble_sparse(H)
-    assert all(eigensolve._fold(sub, idx, 33) is None for idx, sub in _block_matrices(mat, 33))
-    solves = _both_solves(H)
-    for pairs, info in solves:
-        assert [b["real_form"] for b in info["blocks"]] == [False] * len(info["blocks"])
-        assert max(p[2] for p in pairs) <= 1e-6 * max(1.0, max(abs(p[0]) for p in pairs))
-        V = np.stack([p[1].values for p in pairs], axis=1)
-        assert np.max(np.abs((V.conj().T @ V) * g.weight - np.eye(len(pairs)))) <= 1e-8
-    (low, info), _ = solves
-    inertia = info["blocks"][0]["inertia"]
-    assert inertia["certified"]
-    assert inertia["count"] == sum(p[0] < inertia["tau"] for p in low)
+    op = (build_operator("H", _skew_potential(), g) if handle == "skew"
+          else build_operator("A", model, g))
+    seen = _dtype_spy(monkeypatch)
+    with pytest.raises(SolverError, match=r"neither T = R∘K .* nor K .* FOLD_TOL"):
+        lowest_eigenpairs(op, k=8, seed=0)
+    with pytest.raises(SolverError, match=r"neither T = R∘K .* nor K .* FOLD_TOL"):
+        eigenpairs_near(op, k=8, sigma=0.02, seed=0)
+    assert seen == []   # no factor, no Lanczos run
 
 
-def test_lowest_solve_returns_every_copy_of_a_degenerate_eigenvalue(model, monkeypatch):
+@pytest.mark.parametrize("size, folds", [(1e-9, False), (1e-14, True)])
+def test_fold_tol_separates_a_perturbed_block(model, size, folds):
+    # a Hermitian perturbation at node (10, 3), off the axis j = 16, breaks
+    # T by `size` of H's largest entry (a little more of a sublattice
+    # block's); the complex H has no K symmetry
+    g = Grid(extent_L=5.0, n_per_side=33)
+    mat = assemble_sparse(build_operator("H", model, g))
+    a = 10 * 33 + 3
+    bump = sp.csr_matrix(([size * abs(mat).max()], ([a], [a])), shape=mat.shape)
+    op = custom_operator(g, (mat + bump).tocsr(), True)
+    if folds:
+        for idx, sub in _block_matrices(op.matrix, 33):
+            Q = eigensolve._fold(sub, idx, 33)
+            assert abs(Q.imag).max() > 0   # T's isometry, not the identity
+        for pairs, _ in _both_solves(op):
+            assert max(p[2] for p in pairs) <= 1e-6 * max(1.0, max(abs(p[0]) for p in pairs))
+    else:
+        for solve in (lambda: lowest_eigenpairs(op, k=8, seed=0),
+                      lambda: eigenpairs_near(op, k=8, sigma=0.02, seed=0)):
+            with pytest.raises(SolverError, match=r"neither T = R∘K \(.* = \d\.\de-09\)"):
+                solve()
+
+
+def test_real_matrix_without_t_symmetry_solves():
+    # diagonal entries 1, 2, ... in node order: R reorders them, K fixes them
+    g = Grid(extent_L=1.0, n_per_side=9)
+    op = _diag_op(g)
+    nodes = np.arange(g.size)
+    i, j = np.divmod(nodes, 9)
+    r = i * 9 + 8 - j
+    assert abs(op.matrix[r][:, r] - op.matrix).max() >= 1.0
+    assert abs(eigensolve._fold(op.matrix, nodes, 9) - sp.identity(g.size)).max() == 0
+    for pairs in (lowest_eigenpairs(op, k=3, tol=1e-8),
+                  eigenpairs_near(op, k=3, sigma=0.5, tol=1e-8)):
+        assert [p[0] for p in pairs] == pytest.approx([1.0, 2.0, 3.0], abs=1e-9)
+
+
+def test_lowest_solve_returns_every_copy_of_a_degenerate_eigenvalue(model, bump01):
     # the lowest 8 eigenvalues end with four copies of -0.335949 (two pairs
-    # 1e-7 apart); a single-vector Krylov solve can return two of them and
-    # two eigenvalues above instead, as complex Arnoldi does at seeds 7 and
-    # 8: the inertia count below the top returned run exposes that, and the
-    # solve is repeated for more pairs
+    # 1e-7 apart, box-corner states that the bump does not reach); a
+    # single-vector Lanczos solve can return two of them and two eigenvalues
+    # above instead, as it does for the bump at seeds 0 and 4: the inertia
+    # count below the top returned run exposes that, and the solve is
+    # repeated for more pairs
     g = Grid(extent_L=5.0, n_per_side=65)
-    H = build_operator("H", model, g)
-    mat = assemble_sparse(H)
-    dense = np.sort(np.concatenate([sla.eigvalsh(sub.toarray())
-                                    for _, sub in _block_matrices(mat, 65)[1:]]))
-    assert np.abs(dense[4:8] + 0.335949) == pytest.approx(0.0, abs=1e-6)
-
-    def check(seed):
-        info = {}
-        vals = [p[0] for p in lowest_eigenpairs(H, k=8, seed=seed, info=info)]
-        np.testing.assert_allclose(vals, dense[:8], rtol=0, atol=1e-9)
-        assert info["blocks"][0]["inertia"]["certified"]
-        return info["blocks"][0]
-
-    for seed in range(10):
-        assert check(seed)["real_form"]
-    monkeypatch.setattr(eigensolve, "_fold", lambda *args: None)
-    for seed in (7, 8):
-        block = check(seed)
-        assert not block["real_form"] and block["resolves"] == 1
-        assert block["k"] == block["inertia"]["count"] + eigensolve.BLOCK_MARGIN
+    for potential, seeds in ((model, range(10)), (bump01, (0, 4))):
+        H = build_operator("H", potential, g)
+        dense = _dense_spectrum(H)
+        assert np.abs(dense[4:8] + 0.335949) == pytest.approx(0.0, abs=1e-6)
+        for seed in seeds:
+            info = {}
+            vals = [p[0] for p in lowest_eigenpairs(H, k=8, seed=seed, info=info)]
+            np.testing.assert_allclose(vals, dense[:8], rtol=0, atol=1e-9)
+            block = info["blocks"][0]
+            assert block["inertia"]["certified"]
+            if potential is bump01:
+                assert block["resolves"] == 1
+                assert block["k"] == block["inertia"]["count"] + eigensolve.BLOCK_MARGIN
 
 
 def test_inertia_moves_its_shift_off_a_pivot_breakdown():
