@@ -31,36 +31,39 @@ real); under T they satisfy u(x1, -x2) = conj(u(x1, x2)). A block with
 neither symmetry (R conj(H) R and conj(H) each differ from H by more than
 `FOLD_TOL` of its largest entry) raises `SolverError` before any factor.
 
-`eigenpairs_near` solves each invariant block of the assembled matrix on its
-own. When the matrix stores no entry linking two of the four node parity
-classes (i mod 2, j mod 2), which holds for every `build_operator` handle,
-H is block-diagonal over them and its spectrum is the union of the
-four block spectra (`sublattice_blocks`). Each block gets its own LU and a
-quarter-size Krylov basis, is asked for its share of k plus `BLOCK_MARGIN`
-pairs, and the k eigenvalues nearest sigma over all blocks are kept. A block
-whose farthest returned eigenvalue is not beyond the k-th distance may hold
-more of them, so it is solved once more for k + `BLOCK_MARGIN` pairs; if
-that still falls short the solve raises `SolverError`. Each eigenvector is
-supported on one sublattice. `lowest_eigenpairs` keeps one block: at sigma
-= -1 a block can hold no state below the physical band, and ARPACK then
-spends thousands of solves on pairs deep inside the band; skipping such a
-block needs an eigenvalue count for every block first.
+Both solvers solve each invariant block of the assembled matrix on its own.
+When the matrix stores no entry linking two of the four node parity classes
+(i mod 2, j mod 2), which holds for every `build_operator` handle, H is
+block-diagonal over them and its spectrum is the union of the four block
+spectra (`sublattice_blocks`). Each solved block gets its own LU and a
+quarter-size Krylov basis, and each eigenvector is supported on one
+sublattice. The solvers differ only in how many pairs each block is asked
+for. `eigenpairs_near` asks each block for its share of k plus
+`BLOCK_MARGIN` pairs and keeps the k eigenvalues nearest sigma over all
+blocks. A block whose farthest returned eigenvalue is not beyond the k-th
+distance may hold more of them, so it is solved once more for k +
+`BLOCK_MARGIN` pairs; if that still falls short the solve raises
+`SolverError`.
 
-Missed copies. A single-vector Krylov solve can skip copies of an exactly
-degenerate eigenvalue. `lowest_eigenpairs` therefore counts the eigenvalues
-below a shift tau in the gap under its top returned `gap_groups` run, by
-Sylvester's law of inertia (`_inertia`) on one more factor per sublattice
-block, solves again once for max(count, k) + `BLOCK_MARGIN` pairs when fewer
-came back, and raises `SolverError` when the count still differs. The top
-run itself is not covered by the count.
+Spectrum slicing. `lowest_eigenpairs` first finds a shift tau below which
+the blocks hold at least k eigenvalues together, counting each block's by
+Sylvester's law of inertia on a factor of its real form S - tau I (`_slice`,
+after Ericsson & Ruhe, Math. Comp. 35, 1980, and Grimes, Lewis & Simon,
+SIMAX 15, 1994). Each block is then asked for exactly its count c of pairs;
+a block with c = 0 gets no factor at sigma and no Krylov run. A
+single-vector Krylov solve can skip copies of an exactly degenerate
+eigenvalue, so a block that returns fewer than c eigenvalues below tau is
+solved once more for c + `BLOCK_MARGIN` pairs, and a block whose count still
+differs raises `SolverError`. The k lowest over all blocks are kept, so every
+returned eigenvalue lies below a counted tau.
 
-Memory: one block LU is alive at a time. The handle keeps its own matrix;
-the assembled copy is freed once the blocks are sliced, each LU (and real
-form) once its Krylov run is read, before the rows are unfolded, and a block
-solved again refactors. A proper block's eigenvectors are
-`SublatticeFunction`s stored on its parity class, normalized and certified
-there, so no full-grid copy of one is made; `principal_angles` reads them one
-parity class at a time.
+Memory: one LU is alive at a time. The handle keeps its own matrix; the
+assembled copy is freed once the blocks are sliced, each count factor once
+its pivots are read, each solve's LU (and real form) once its Krylov run is
+read, before the rows are unfolded, and a block solved again refactors. A
+proper block's eigenvectors are `SublatticeFunction`s stored on its parity
+class, normalized and certified there, so no full-grid copy of one is made;
+`principal_angles` reads them one parity class at a time.
 
 Caution for coarse grids: when the largest coefficient momentum |grad phi|/2
 on the box approaches the grid's resolvable band (|grad phi| * spacing / 2 of
@@ -247,44 +250,65 @@ def _shift_invert(mat, sigma: float, seed: int, k: int, fold):
     return vals, rows, facts
 
 
-def _inertia(parts, vals, sigma: float, tol: float) -> dict:
-    """{tau, count, certified}: the number of eigenvalues below a shift tau
-    midway in the gap under the top `gap_groups` run of `vals`, of the matrix
-    whose invariant blocks are `parts`, by Sylvester's law of inertia: the
-    negative diagonal entries of U in a factor of each part - tau I, summed.
-    The count holds only when every pivot stayed on the diagonal (`perm_r ==
-    perm_c`), so tau moves to a quarter and three quarters of the gap before
-    the count is given up as uncertified (`count` None). One factor is alive
-    at a time."""
-    vals = np.sort(vals)
-    top = gap_groups(vals, tol * np.maximum(1.0, np.abs(vals)))[-1][0]
-    lo, hi = (vals[top - 1] if top else sigma), vals[top]
-    if not lo < hi:
-        return {"tau": None, "count": None, "certified": False}
-    for frac in (0.5, 0.25, 0.75):
-        tau = float(lo + frac * (hi - lo))
-        count = 0
-        for part in parts:
-            try:
-                lu = _factor(part, tau)
-            except SolverError:   # tau on an eigenvalue: an exactly singular factor
-                break
-            diagonal = np.array_equal(lu.perm_r, lu.perm_c)
-            count += int(np.sum(lu.U.diagonal().real < 0)) if diagonal else 0
-            del lu
-            if not diagonal:
-                break
-        else:
-            return {"tau": tau, "count": count, "certified": True}
-    return {"tau": tau, "count": None, "certified": False}
-
-
-# pairs asked of each block beyond its share of k when the matrix splits
+# pairs asked of a block beyond its share of k, or beyond its count when a
+# lowest solve repeats it; the slice stops bisecting within this many per block
 BLOCK_MARGIN = 5
 
 
+def _slice(parts, k: int, sigma: float, tol: float) -> dict:
+    """{tau, counts, factors}: a shift tau above sigma below which the real
+    symmetric blocks `parts` hold at least k eigenvalues together, each
+    block's count and the factors taken. A count is the number of negative
+    diagonal entries of U in a factor of part - tau I (Sylvester's law of
+    inertia), valid only when every pivot stayed on the diagonal (`perm_r ==
+    perm_c`). tau brackets upward from sigma + 1, doubling its distance from
+    sigma, until the counts sum to k, then bisects while the sum exceeds k +
+    `BLOCK_MARGIN` per block and the bracket is wider than tol max(1, |tau|).
+    A shift whose factor fails (tau on an eigenvalue) or leaves the diagonal
+    moves to a quarter, then three quarters, of its bracket; `SolverError`
+    names the bracket when all three do. One factor is alive at a time."""
+    factors = 0
+
+    def counts_below(tau):
+        nonlocal factors
+        counts = []
+        for part in parts:
+            factors += 1
+            try:
+                lu = _factor(part, tau)
+            except SolverError as exc:
+                return None, str(exc)
+            if not np.array_equal(lu.perm_r, lu.perm_c):
+                return None, f"a pivot of the {part.shape[0]}-node block left the diagonal"
+            counts.append(int(np.sum(lu.U.diagonal() < 0)))
+            del lu
+        return counts, None
+
+    def probe(lo, hi, first):
+        for frac in (first, 0.25, 0.75):
+            tau = float(lo + frac * (hi - lo))
+            counts, reason = counts_below(tau)
+            if counts is not None:
+                return tau, counts
+        raise SolverError(f"no factor at the shifts tried in the bracket ({lo:.6g}, {hi:.6g}] "
+                          f"kept its pivots on the diagonal, so no eigenvalue count (last: {reason})")
+
+    lo, step = sigma, 1.0
+    tau, counts = probe(lo, sigma + step, 1.0)
+    while sum(counts) < k:
+        lo, step = tau, 2.0 * step
+        tau, counts = probe(lo, sigma + step, 1.0)
+    while sum(counts) > k + BLOCK_MARGIN * len(parts) and tau - lo > tol * max(1.0, abs(tau)):
+        mid, below = probe(lo, tau, 0.5)
+        if sum(below) >= k:
+            tau, counts = mid, below
+        else:
+            lo = mid
+    return {"tau": tau, "counts": counts, "factors": factors}
+
+
 def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
-           info: dict | None, split: bool):
+           info: dict | None, lowest: bool):
     if not op.is_hermitian:
         raise SolverError(f"operator {op.label!r} is not flagged Hermitian")
     if k < 1 or k > MAX_K:
@@ -295,17 +319,30 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
     n = mat.shape[0]
     if k >= n - 1:
         raise SolverError("k too large for the grid")
-    blocks = sublattice_blocks(mat, op.grid.n_per_side) if split else [np.arange(n)]
+    blocks = sublattice_blocks(mat, op.grid.n_per_side)
     # slice every block, then let the assembled matrix go
     subs = [mat] if len(blocks) == 1 else [mat[idx][:, idx] for idx in blocks]
     del mat
 
     folds = [_fold(sub, idx, op.grid.n_per_side) for sub, idx in zip(subs, blocks)]
+    if lowest:
+        # each block is asked for exactly its eigenvalues below a counted tau
+        parts = [_real_symmetric(sub, fold) for sub, fold in zip(subs, folds)]
+        inertia = _slice(parts, k, sigma, tol)
+        del parts
+        # (a count above what ARPACK can return fails the check below)
+        ks = [min(count, len(idx) - 2) for count, idx in zip(inertia["counts"], blocks)]
+    else:
+        ks = [k if len(idx) == n else min(math.ceil(k * len(idx) / n) + BLOCK_MARGIN, len(idx) - 2)
+              for idx in blocks]
     found, facts = [], []
-    for sub, fold in zip(subs, folds):
+    for sub, fold, kb in zip(subs, folds, ks):
         nb = sub.shape[0]
-        kb = k if nb == n else min(math.ceil(k * nb / n) + BLOCK_MARGIN, nb - 2)
-        vals, rows, f = _shift_invert(sub, sigma, seed, kb, fold)
+        if kb:
+            vals, rows, f = _shift_invert(sub, sigma, seed, kb, fold)
+        else:   # no eigenvalue below tau: no factor, no Krylov run
+            vals, rows = np.empty(0), np.empty((0, nb), dtype=complex)
+            f = {"op_solves": 0, "lu_fill_nnz": 0, "diagonal_pivots": None}
         found.append((vals, rows))
         facts.append({"size": nb, "k": kb, "resolves": 0, **f})
 
@@ -315,54 +352,52 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         found[b] = (vals, rows)
         facts[b].update(k=kb, resolves=1, op_solves=facts[b]["op_solves"] + f["op_solves"])
 
-    # keep the k eigenvalues nearest sigma over all blocks; a block whose
-    # farthest returned eigenvalue is not beyond the k-th distance may hold
-    # more inside it, so it is asked for k + BLOCK_MARGIN pairs, once
-    while len(blocks) > 1:
-        dist = np.sort(np.abs(np.concatenate([v for v, _ in found]) - sigma))
-        if len(dist) < k:
-            raise SolverError(f"the {len(blocks)} invariant blocks hold fewer than k = {k} pairs")
-        short = [b for b, (v, _) in enumerate(found)
-                 if np.max(np.abs(v - sigma)) <= dist[k - 1]]
-        if not short:
-            break
-        for b in short:
-            kb = min(k + BLOCK_MARGIN, facts[b]["size"] - 2)
-            if facts[b]["resolves"] or kb <= facts[b]["k"]:
+    if lowest:
+        # Krylov solves can skip copies of a degenerate eigenvalue: a block
+        # that returned fewer than its count below tau is asked for
+        # BLOCK_MARGIN more pairs, once, and keeps those below tau
+        tau = inertia["tau"]
+        for b, count in enumerate(inertia["counts"]):
+            kb = min(count + BLOCK_MARGIN, facts[b]["size"] - 2)
+            if np.sum(found[b][0] < tau) < count and kb > count:
+                resolve(b, kb)
+            vals, rows = found[b]
+            below = vals < tau
+            if np.sum(below) != count:
                 raise SolverError(
-                    f"block {b} of {len(blocks)} may hold more of the {k} eigenvalues "
-                    f"nearest {sigma:g} than the {facts[b]['k']} it returned")
-            resolve(b, kb)
-    # Krylov solves can skip copies of a degenerate eigenvalue: count the
-    # eigenvalues below a shift tau under the top returned run, per
-    # sublattice block in real form (a quarter-size factor and copy of its U
-    # at a time), and when fewer came back ask for that many plus
-    # BLOCK_MARGIN pairs, once
-    if not split:
-        parts = []
-        for idx in sublattice_blocks(subs[0], op.grid.n_per_side):
-            part = subs[0][idx][:, idx]
-            parts.append(_real_symmetric(part, _fold(part, idx, op.grid.n_per_side)))
-        inertia = facts[0]["inertia"] = _inertia(parts, found[0][0], sigma, tol)
-        del parts
-        if inertia["certified"]:
-            count, tau = inertia["count"], inertia["tau"]
-            if count > np.sum(found[0][0] < tau):
-                resolve(0, min(max(count, k) + BLOCK_MARGIN, n - 2))
-            below = int(np.sum(found[0][0] < tau))
-            if count != below:
-                raise SolverError(
-                    f"H - {tau:.6g} I has {count} negative pivots, but the solve "
-                    f"returned {below} eigenvalues below {tau:.6g}")
-    dist = np.abs(np.concatenate([v for v, _ in found]) - sigma)
-    kept = np.zeros(len(dist), dtype=bool)
-    kept[np.argsort(dist, kind="stable")[:k]] = True
+                    f"block {b} of {len(blocks)}: S - {tau:.6g} I has {count} negative "
+                    f"pivots, but the solve returned {np.sum(below)} eigenvalues below {tau:.6g}")
+            found[b] = (vals[below], rows[below])
+    else:
+        # keep the k eigenvalues nearest sigma over all blocks; a block whose
+        # farthest returned eigenvalue is not beyond the k-th distance may
+        # hold more inside it, so it is asked for k + BLOCK_MARGIN pairs, once
+        while len(blocks) > 1:
+            dist = np.sort(np.abs(np.concatenate([v for v, _ in found]) - sigma))
+            if len(dist) < k:
+                raise SolverError(f"the {len(blocks)} invariant blocks hold fewer than k = {k} pairs")
+            short = [b for b, (v, _) in enumerate(found)
+                     if np.max(np.abs(v - sigma)) <= dist[k - 1]]
+            if not short:
+                break
+            for b in short:
+                kb = min(k + BLOCK_MARGIN, facts[b]["size"] - 2)
+                if facts[b]["resolves"] or kb <= facts[b]["k"]:
+                    raise SolverError(
+                        f"block {b} of {len(blocks)} may hold more of the {k} eigenvalues "
+                        f"nearest {sigma:g} than the {facts[b]['k']} it returned")
+                resolve(b, kb)
+    every = np.concatenate([v for v, _ in found])
+    kept = np.zeros(len(every), dtype=bool)
+    kept[np.argsort(every if lowest else np.abs(every - sigma), kind="stable")[:k]] = True
     if info is not None:
         for f in facts:
-            f["ncv"] = arnoldi_ncv(f["k"], f["size"])
+            f["ncv"] = arnoldi_ncv(f["k"], f["size"]) if f["k"] else 0
         info.update(ncv=max(f["ncv"] for f in facts),
                     op_solves=sum(f["op_solves"] for f in facts),
                     lu_fill_nnz=sum(f["lu_fill_nnz"] for f in facts), blocks=facts)
+        if lowest:
+            info["inertia"] = inertia
 
     # certify each block's pairs at once on its assembled matrix, which is
     # independent of the LU (vectors of different blocks have disjoint
@@ -401,30 +436,31 @@ def lowest_eigenpairs(op: OperatorHandle, k: int, tol: float = 1e-6,
     """k smallest eigenpairs of a Hermitian handle, residual-certified.
 
     Returns (eigenvalue, GridFunction, residual) triples in nondecreasing
-    eigenvalue order, with orthonormal eigenvectors in the discrete L^2.
-    A dict passed as `info` receives the solver facts `ncv` (the largest
-    Krylov basis size), `op_solves` (shift-invert solves) and `lu_fill_nnz`
-    (the real entries SuperLU stores for L and U), summed over the solved
-    blocks, and `blocks`: per block its `size`, `k`, `ncv`, `op_solves` (over
-    both runs of a block solved again), `lu_fill_nnz` (of one factor),
-    `diagonal_pivots` (whether SuperLU kept every pivot on the diagonal,
-    `perm_r == perm_c`) and `resolves` (0 or 1). This solve uses one block of
-    all nodes (see the module docstring), whose entry also holds `inertia`:
-    the shift `tau`, the `count` of eigenvalues below it, and `certified`,
-    false (with `count` None) when no factor at the tried shifts kept its
-    pivots on the diagonal or no gap lies under the top returned run; a
-    certified count always equals the returned eigenvalues below tau.
+    eigenvalue order, with orthonormal eigenvectors in the discrete L^2;
+    those of a proper sublattice block are `SublatticeFunction`s. Each
+    block is asked for the count of its eigenvalues below a shift tau (see
+    the module docstring). A dict passed as `info` receives the solver facts
+    `ncv` (the largest Krylov basis size), `op_solves` (shift-invert solves)
+    and `lu_fill_nnz` (the real entries SuperLU stores for L and U), summed
+    over the solved blocks; `blocks`: per block its `size`, `k`, `ncv`,
+    `op_solves` (over both runs of a block solved again), `lu_fill_nnz` (of
+    one factor), `diagonal_pivots` (whether SuperLU kept every pivot on the
+    diagonal, `perm_r == perm_c`) and `resolves` (0 or 1), with `k`, `ncv`,
+    `op_solves` and `lu_fill_nnz` 0 and `diagonal_pivots` None for a block
+    not solved; and `inertia`: the shift `tau`, the per-block `counts` of
+    eigenvalues below it and the count `factors` taken.
     """
-    return _solve(op, k, tol, seed, -1.0, info, split=False)
+    return _solve(op, k, tol, seed, -1.0, info, lowest=True)
 
 
 def eigenpairs_near(op: OperatorHandle, k: int, sigma: float,
                     tol: float = 1e-6, seed: int = 0, info: dict | None = None):
     """k certified eigenpairs nearest the shift sigma (used by oracle
     comparison, where the physical band sits at a known location), solved
-    per invariant sublattice block; `info` as for `lowest_eigenpairs`. The
-    eigenvectors of a proper block are `SublatticeFunction`s."""
-    return _solve(op, k, tol, seed, sigma, info, split=True)
+    per invariant sublattice block; `info` as for `lowest_eigenpairs`,
+    without `inertia`. The eigenvectors of a proper block are
+    `SublatticeFunction`s."""
+    return _solve(op, k, tol, seed, sigma, info, lowest=False)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 import landaulab.cli as cli
 from landaulab.cli import main
 from landaulab.config import ConfigError, RunConfig, parse_config
-from landaulab.eigensolve import arnoldi_ncv
+from landaulab.eigensolve import BLOCK_MARGIN, arnoldi_ncv
 from landaulab.grid import GridFunction
 
 
@@ -29,22 +29,32 @@ BASE = {
 }
 
 
-def _assert_solver_blocks(solver, size, n_blocks):
+def _assert_solver_blocks(solver, size):
+    # the four sublattice blocks are listed, a block with no pair asked of it
+    # (a lowest-solve block with no eigenvalue below tau) with no factor
     blocks = solver["blocks"]
-    assert len(blocks) == n_blocks
+    assert len(blocks) == 4
     assert sum(b["size"] for b in blocks) == size
-    lowest = n_blocks == 1
     for b in blocks:
         assert set(b) == {"size", "k", "ncv", "op_solves", "lu_fill_nnz", "resolves",
-                          "diagonal_pivots"} | ({"inertia"} if lowest else set())
-        if lowest:
-            assert set(b["inertia"]) == {"tau", "count", "certified"}
-        assert b["ncv"] == arnoldi_ncv(b["k"], b["size"])
-        assert b["op_solves"] >= b["ncv"] - 1
-        assert b["lu_fill_nnz"] > 0
+                          "diagonal_pivots"}
+        if b["k"]:
+            assert b["ncv"] == arnoldi_ncv(b["k"], b["size"])
+            assert b["op_solves"] >= b["ncv"] - 1
+            assert b["lu_fill_nnz"] > 0
+        else:
+            assert (b["ncv"], b["op_solves"], b["lu_fill_nnz"], b["resolves"],
+                    b["diagonal_pivots"]) == (0, 0, 0, 0, None)
     assert solver["ncv"] == max(b["ncv"] for b in blocks)
     assert solver["op_solves"] == sum(b["op_solves"] for b in blocks)
     assert solver["lu_fill_nnz"] == sum(b["lu_fill_nnz"] for b in blocks)
+    if "inertia" in solver:
+        inertia = solver["inertia"]
+        assert set(inertia) == {"tau", "counts", "factors"}
+        # each block is asked for its count, and a block solved again for
+        # BLOCK_MARGIN more
+        assert inertia["counts"] == [b["k"] - BLOCK_MARGIN * b["resolves"] for b in blocks]
+        assert inertia["factors"] >= len(blocks)
 
 
 def test_parse_config_defaults():
@@ -330,19 +340,18 @@ def test_cli_spectrum_reproducible(tmp_path):
         a, b = (open(os.path.join(out, name), "rb").read() for out in outs)
         assert a == b, name
     solver = json.loads(open(os.path.join(outs[0], "spectrum.json")).read())["solver"]
-    assert set(solver) == {"ncv", "op_solves", "lu_fill_nnz", "blocks"}
-    # the lowest-eigenpair solve stays on one block of all nodes
-    _assert_solver_blocks(solver, 33 * 33, n_blocks=1)
-    # SuperLU's symmetric mode kept every pivot on the diagonal, and the
-    # inertia count below the top returned run matches the returned values;
-    # the first solve of 6 pairs returns one of the two copies of -0.285523
-    # (and -0.285459 above it), so the count asks for 6 + BLOCK_MARGIN pairs
-    block = solver["blocks"][0]
-    assert block["resolves"] == 1 and block["k"] == 11
-    assert block["diagonal_pivots"] is True
+    assert set(solver) == {"ncv", "op_solves", "lu_fill_nnz", "blocks", "inertia"}
+    _assert_solver_blocks(solver, 33 * 33)
+    # the count brackets tau = 0 (more than 6 + 4 BLOCK_MARGIN eigenvalues
+    # below it), then bisects to -0.5 (fewer than 6) and -0.25: three shifts
+    # of four factors. Block (1, 1) holds none of the 6 and is not solved;
+    # the two copies of -0.285523 lie on blocks (0, 1) and (1, 0)
+    assert solver["inertia"] == {"tau": -0.25, "counts": [4, 2, 2, 0], "factors": 12}
+    assert [b["resolves"] for b in solver["blocks"]] == [0, 0, 0, 0]
+    assert all(b["diagonal_pivots"] for b in solver["blocks"][:3])
     vals = json.loads(open(os.path.join(outs[0], "spectrum.json")).read())["eigenvalues"]
-    assert block["inertia"]["certified"] is True
-    assert block["inertia"]["count"] == sum(v < block["inertia"]["tau"] for v in vals)
+    assert max(vals) < solver["inertia"]["tau"]
+    assert vals[-1] - vals[-2] <= 1e-12
 
 
 
@@ -489,7 +498,8 @@ def test_cli_oracle_compare_small(tmp_path):
     assert code in (0, 2)  # pass threshold checked in the acceptance suite
     # the averaged-coefficient H splits over the four sublattices
     solver = doc_json["solver"]
-    _assert_solver_blocks(solver, 129 * 129, n_blocks=4)
+    _assert_solver_blocks(solver, 129 * 129)
+    assert "inertia" not in solver
     assert all(b["k"] >= 60 * b["size"] / 129 ** 2 for b in solver["blocks"])
 
 

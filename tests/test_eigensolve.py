@@ -223,6 +223,13 @@ def test_parity_linking_matrix_solves_one_block():
     assert len(sublattice_blocks(assemble_sparse(H), g.n_per_side)) == 1
     _, info = _near_vs_eigsh(H, k=8, sigma=0.0)
     assert [b["size"] for b in info["blocks"]] == [g.size]
+    # the lowest solve slices the one block
+    low = {}
+    pairs = lowest_eigenpairs(H, k=8, seed=0, info=low)
+    np.testing.assert_allclose([p[0] for p in pairs], sla.eigvalsh(mat.toarray())[:8],
+                               rtol=0, atol=1e-10)
+    assert [b["size"] for b in low["blocks"]] == [g.size]
+    assert len(low["inertia"]["counts"]) == 1
 
 
 def _one_sublattice_diag_op(g, cls):
@@ -459,8 +466,15 @@ def test_principal_angles_rank_deficient_smaller_basis_raises_solver_error():
             principal_angles(a, b)
 
 
-@pytest.mark.parametrize("split", [True, False])
-def test_no_factor_alive_when_vectors_are_built(model, monkeypatch, split):
+def _factor_builds(info):
+    """The factors a solve takes by its solver facts: the count factors of
+    the lowest solve, then one per Lanczos run."""
+    runs = sum(1 + b["resolves"] for b in info["blocks"] if b["k"])
+    return info.get("inertia", {}).get("factors", 0) + runs
+
+
+@pytest.mark.parametrize("near", [True, False])
+def test_no_factor_alive_when_vectors_are_built(model, monkeypatch, near):
     alive, built, _ = _track_factors(monkeypatch)
     seen = []
 
@@ -473,28 +487,30 @@ def test_no_factor_alive_when_vectors_are_built(model, monkeypatch, split):
     monkeypatch.setattr(eigensolve, "GridFunction", counted(GridFunction))
     monkeypatch.setattr(eigensolve, "SublatticeFunction", counted(SublatticeFunction))
     H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
-    if split:
-        pairs = eigenpairs_near(H, k=8, sigma=0.02, seed=0)
+    info = {}
+    if near:
+        pairs = eigenpairs_near(H, k=8, sigma=0.02, seed=0, info=info)
     else:
-        pairs = lowest_eigenpairs(H, k=8, seed=0)
-    # lowest: the solve's factor, then the inertia count's, one per sublattice
-    assert built == [1] * (4 if split else 5)
+        pairs = lowest_eigenpairs(H, k=8, seed=0, info=info)
+    # lowest: the count factors of the slice, then one per solved block
+    assert built == [1] * _factor_builds(info)
     assert len(pairs) == 8 and len(seen) >= 8
     assert seen == [0] * len(seen)
 
 
-@pytest.mark.parametrize("split", [True, False])
-def test_certificate_rejects_a_perturbed_pair(model, monkeypatch, split):
+@pytest.mark.parametrize("near", [True, False])
+def test_certificate_rejects_a_perturbed_pair(model, monkeypatch, near):
     # the vector nearest sigma of the last Arnoldi run, off by 1e-4 of its
-    # size in a random direction, is no longer an eigenvector to tol; split,
-    # the last block (sublattice (1, 1)) holds the eigenvalue nearest sigma
+    # size in a random direction, is no longer an eigenvector to tol; near
+    # sigma = 0.02 the last block (sublattice (1, 1)) holds the eigenvalue
+    # nearest sigma, and the lowest solve's first run is block (0, 0)'s
     shift_invert = eigensolve._shift_invert
     runs = []
 
     def perturbed(mat, sigma, seed, k, *args):
         vals, rows, facts = shift_invert(mat, sigma, seed, k, *args)
         runs.append(None)
-        if len(runs) == (4 if split else 1):
+        if len(runs) == (4 if near else 1):
             i = np.argmin(np.abs(vals - sigma))
             noise = np.random.RandomState(1).standard_normal(rows.shape[1])
             rows[i] += 1e-4 * np.linalg.norm(rows[i]) / np.linalg.norm(noise) * noise
@@ -503,7 +519,7 @@ def test_certificate_rejects_a_perturbed_pair(model, monkeypatch, split):
     monkeypatch.setattr(eigensolve, "_shift_invert", perturbed)
     H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
     with pytest.raises(SolverError, match="recomputed residual"):
-        if split:
+        if near:
             eigenpairs_near(H, k=8, sigma=0.02, seed=0)
         else:
             lowest_eigenpairs(H, k=8, seed=0)
@@ -514,6 +530,11 @@ def test_one_factor_alive_at_a_time(model, monkeypatch):
     H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
     eigenpairs_near(H, k=8, sigma=0.02, seed=0)
     assert alive_at_build == [1] * 4
+    # the lowest solve's count factors and its block solves
+    info = {}
+    lowest_eigenpairs(H, k=8, seed=0, info=info)
+    assert alive_at_build == [1] * (4 + _factor_builds(info))
+    assert info["inertia"]["factors"] >= len(info["blocks"])
 
 
 def test_eigenpairs_near_vectors_stay_on_their_class(model):
@@ -586,12 +607,16 @@ def _both_solves(H):
             (eigenpairs_near(H, k=20, sigma=0.02, seed=0, info=near), near)]
 
 
-def _dense_spectrum(H):
-    """Every eigenvalue of the assembled H, sorted, from dense `eigvalsh` of
-    its four sublattice blocks."""
+def _dense_blocks(H):
+    """Every eigenvalue of each of the four sublattice blocks of the
+    assembled H, from dense `eigvalsh`."""
     n = H.grid.n_per_side
-    return np.sort(np.concatenate([sla.eigvalsh(sub.toarray())
-                                   for _, sub in _block_matrices(assemble_sparse(H), n)[1:]]))
+    return [sla.eigvalsh(sub.toarray()) for _, sub in _block_matrices(assemble_sparse(H), n)[1:]]
+
+
+def _dense_spectrum(H):
+    """Every eigenvalue of the assembled H, sorted."""
+    return np.sort(np.concatenate(_dense_blocks(H)))
 
 
 def _dtype_spy(monkeypatch):
@@ -617,13 +642,21 @@ def _dtype_spy(monkeypatch):
 def test_real_form_matches_dense_eigvalsh(potential, request, monkeypatch):
     g = Grid(extent_L=5.0, n_per_side=65)
     H = build_operator("H", request.getfixturevalue(potential), g)
-    dense = _dense_spectrum(H)
+    blocks = _dense_blocks(H)
+    dense = np.sort(np.concatenate(blocks))
     seen = _dtype_spy(monkeypatch)
-    (low, _), (near, _) = _both_solves(H)
+    (low, low_info), (near, _) = _both_solves(H)
+    wide_info = {}
+    wide = lowest_eigenpairs(H, k=40, seed=0, info=wide_info)
     # every factor and every Lanczos run is real
     assert seen and all(dtype == np.float64 for dtype in seen)
-    refs = [dense[:12], np.sort(dense[np.argsort(np.abs(dense - 0.02), kind="stable")[:20]])]
-    for pairs, ref in zip((low, near), refs):
+    # the lowest solve's block counts are the block eigenvalues below tau
+    for info in (low_info, wide_info):
+        tau = info["inertia"]["tau"]
+        assert info["inertia"]["counts"] == [int(np.sum(b < tau)) for b in blocks]
+    refs = [dense[:12], np.sort(dense[np.argsort(np.abs(dense - 0.02), kind="stable")[:20]]),
+            dense[:40]]
+    for pairs, ref in zip((low, near, wide), refs):
         vals = np.array([p[0] for p in pairs])
         assert np.all(np.abs(vals - ref) <= 1e-12 * np.maximum(1.0, np.abs(ref)))
         # Lanczos vectors are orthonormal as returned, and each is fixed by
@@ -688,52 +721,132 @@ def test_real_matrix_without_t_symmetry_solves():
         assert [p[0] for p in pairs] == pytest.approx([1.0, 2.0, 3.0], abs=1e-9)
 
 
-def test_lowest_solve_returns_every_copy_of_a_degenerate_eigenvalue(model, bump01):
-    # the lowest 8 eigenvalues end with four copies of -0.335949 (two pairs
-    # 1e-7 apart, box-corner states that the bump does not reach); a
-    # single-vector Lanczos solve can return two of them and two eigenvalues
-    # above instead, as it does for the bump at seeds 0 and 4: the inertia
-    # count below the top returned run exposes that, and the solve is
-    # repeated for more pairs
+def _solve_spy(monkeypatch):
+    """Patch `_factor` and `eigsh` to record (size, shift) of every factor
+    and the size of every matrix that reaches Lanczos."""
+    factored, lanczos = [], []
+    factor, eigsh = eigensolve._factor, spla.eigsh
+
+    def spied_factor(mat, shift):
+        factored.append((mat.shape[0], shift))
+        return factor(mat, shift)
+
+    def spied_eigsh(A, *args, **kwargs):
+        lanczos.append(A.shape[0])
+        return eigsh(A, *args, **kwargs)
+
+    monkeypatch.setattr(eigensolve, "_factor", spied_factor)
+    monkeypatch.setattr(eigensolve.spla, "eigsh", spied_eigsh)
+    return factored, lanczos
+
+
+def test_a_block_with_no_count_is_never_factored_at_sigma(model, monkeypatch):
+    # none of the 12 lowest eigenvalues of the model at 65^2 lies on
+    # sublattice (1, 1): that block gets no factor at sigma = -1 and no
+    # Lanczos run, and is still listed
     g = Grid(extent_L=5.0, n_per_side=65)
-    for potential, seeds in ((model, range(10)), (bump01, (0, 4))):
+    H = build_operator("H", model, g)
+    factored, lanczos = _solve_spy(monkeypatch)
+    info = {}
+    pairs = lowest_eigenpairs(H, k=12, seed=0, info=info)
+    assert len(pairs) == 12
+    counts = info["inertia"]["counts"]
+    assert counts[3] == 0 and min(counts[:3]) > 0
+    blocks = info["blocks"]
+    assert [b["size"] for b in blocks] == [1089, 1056, 1056, 1024]
+    assert [b["k"] for b in blocks] == counts
+    assert blocks[3] == {"size": 1024, "k": 0, "resolves": 0, "op_solves": 0, "lu_fill_nnz": 0,
+                         "diagonal_pivots": None, "ncv": 0}
+    solved = sorted(b["size"] for b in blocks if b["k"] for _ in range(1 + b["resolves"]))
+    assert sorted(size for size, shift in factored if shift == -1.0) == solved
+    assert sorted(lanczos) == solved and 1024 not in lanczos
+    # every other factor is a count, of all four blocks
+    counted = [size for size, shift in factored if shift != -1.0]
+    assert len(counted) == info["inertia"]["factors"]
+    assert counted[:4] == [1089, 1056, 1056, 1024]
+
+
+def _copy_dropping_eigsh(monkeypatch):
+    """Patch `eigsh` so that its first run holding two eigenvalues within
+    1e-6 of each other returns one of them only, and the next eigenvalue of
+    its block in its place, as a Krylov solve that skips a copy does. The
+    list it returns records the block size of that run."""
+    dropped = []
+    eigsh = spla.eigsh
+
+    def dropping(A, k, **kwargs):
+        if dropped:
+            return eigsh(A, k=k, **kwargs)
+        vals, vecs = eigsh(A, k=k + 1, **{**kwargs, "ncv": arnoldi_ncv(k + 1, A.shape[0])})
+        order = np.argsort(vals)
+        close = np.flatnonzero(np.diff(vals[order]) <= 1e-6)
+        keep = np.delete(order, close[0] + 1) if len(close) else order[:k]
+        if len(close):
+            dropped.append(A.shape[0])
+        return vals[keep], vecs[:, keep]
+
+    monkeypatch.setattr(eigensolve.spla, "eigsh", dropping)
+    return dropped
+
+
+def test_lowest_solve_returns_every_copy_of_a_degenerate_eigenvalue(model, bump01, monkeypatch):
+    # the lowest 8 eigenvalues end with four copies of -0.335949 (two pairs
+    # 1e-7 apart, box-corner states that the bump does not reach). A
+    # single-vector Lanczos solve can return two of them and eigenvalues
+    # above instead; per sublattice block no seed 0-29 of either potential
+    # does (nor of trig, nor at k = 12), so a solve that drops a copy is
+    # forced: the block's count below tau exposes it, and the block is
+    # solved again for its count plus BLOCK_MARGIN pairs
+    g = Grid(extent_L=5.0, n_per_side=65)
+    for potential, seeds in ((model, range(10)), (bump01, range(10))):
         H = build_operator("H", potential, g)
         dense = _dense_spectrum(H)
         assert np.abs(dense[4:8] + 0.335949) == pytest.approx(0.0, abs=1e-6)
         for seed in seeds:
-            info = {}
-            vals = [p[0] for p in lowest_eigenpairs(H, k=8, seed=seed, info=info)]
+            vals = [p[0] for p in lowest_eigenpairs(H, k=8, seed=seed)]
             np.testing.assert_allclose(vals, dense[:8], rtol=0, atol=1e-9)
-            block = info["blocks"][0]
-            assert block["inertia"]["certified"]
-            if potential is bump01:
-                assert block["resolves"] == 1
-                assert block["k"] == block["inertia"]["count"] + eigensolve.BLOCK_MARGIN
+    H = build_operator("H", bump01, g)
+    dense = _dense_spectrum(H)
+    dropped = _copy_dropping_eigsh(monkeypatch)
+    info = {}
+    vals = [p[0] for p in lowest_eigenpairs(H, k=8, seed=0, info=info)]
+    np.testing.assert_allclose(vals, dense[:8], rtol=0, atol=1e-9)
+    assert len(dropped) == 1
+    counts = info["inertia"]["counts"]
+    again = [b for b, f in enumerate(info["blocks"]) if f["resolves"]]
+    assert len(again) == 1
+    block = info["blocks"][again[0]]
+    assert block["size"] == dropped[0]
+    assert block["resolves"] == 1
+    assert block["k"] == counts[again[0]] + eigensolve.BLOCK_MARGIN
 
 
 def test_inertia_moves_its_shift_off_a_pivot_breakdown():
-    # 40 copies of [[0, 1], [1, 0]] and one 5: at tau = 0 every 2 x 2 block
-    # pivots off its (zero) diagonal, so the count moves tau to a quarter of
-    # the gap (-1, 1); a gap too narrow for a diagonal pivot gives no count
-    mat = sp.block_diag([sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]])] * 40 + [sp.csr_matrix([[5.0]])],
-                        format="csr")
-    assert eigensolve._inertia([mat], np.array([-1.0, 1.0]), -2.0, 1e-6) == {
-        "tau": -0.5, "count": 40, "certified": True}
-    assert eigensolve._inertia([mat], np.array([-1e-5, 1e-5]), -2.0, 1e-6) == {
-        "tau": pytest.approx(5e-6), "count": None, "certified": False}
-    # one run of values leaves no gap below it above sigma
-    assert eigensolve._inertia([mat], np.array([-1.0, -1.0]), -1.0, 1e-6) == {
-        "tau": None, "count": None, "certified": False}
+    # 40 copies of [[0, 1], [1, 0]] and one 5: at the bracket's first shift
+    # tau = sigma + 1 = 0 every 2 x 2 block pivots off its (zero) diagonal,
+    # so tau moves to a quarter of the bracket (-1, 0]
+    pair = sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]])
+    mat = sp.block_diag([pair] * 40 + [sp.csr_matrix([[5.0]])], format="csr")
+    assert eigensolve._slice([mat], 40, -1.0, 1e-6) == {
+        "tau": -0.75, "counts": [40], "factors": 2}
+    # 40 copies of -1 exceed k = 1 plus the margin below every tau, so the
+    # bisection stops when the bracket is tol wide
+    out = eigensolve._slice([mat], 1, -1.0, 1e-6)
+    assert out["counts"] == [40] and -1.0 < out["tau"] <= -1.0 + 1e-6
+    # entries of 1e4 push every pivot within 10 of 0 off the diagonal: no
+    # shift of the bracket gives a count
+    with pytest.raises(SolverError, match=r"bracket \(-1, 0\]"):
+        eigensolve._slice([1e4 * mat], 40, -1.0, 1e-6)
 
 
 def test_inertia_mismatch_raises_solver_error(model, monkeypatch):
-    inertia = eigensolve._inertia
+    slice_ = eigensolve._slice
 
     def overcount(*args):
-        out = inertia(*args)
-        return {**out, "count": out["count"] + 1}
+        out = slice_(*args)
+        return {**out, "counts": [out["counts"][0] + 1] + out["counts"][1:]}
 
-    monkeypatch.setattr(eigensolve, "_inertia", overcount)
+    monkeypatch.setattr(eigensolve, "_slice", overcount)
     H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
-    with pytest.raises(SolverError, match="negative pivots"):
+    with pytest.raises(SolverError, match="block 0 of 4: .* negative pivots"):
         lowest_eigenpairs(H, k=8, seed=0)
