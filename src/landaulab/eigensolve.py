@@ -82,7 +82,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import GridFunction, SublatticeFunction, mgs_orthonormalize
+from .grid import GridFunction, SublatticeFunction, gram_cholesky
 from .operators import OperatorHandle, assemble_sparse
 
 MAX_K = 200
@@ -483,7 +483,9 @@ class EigenCluster:
 
 def cluster(pairs, cluster_tol: float = 0.25) -> list[EigenCluster]:
     """Group sorted (eigenvalue, GridFunction, residual) triples into maximal runs
-    with consecutive gaps <= cluster_tol; each cluster basis is re-orthonormalized."""
+    with consecutive gaps <= cluster_tol; each cluster basis is re-orthonormalized,
+    as conj(L)^{-1} B for the row stack B of its vectors and L =
+    `gram_cholesky`(B), which raises `GridError` on a rank-deficient group."""
     if not pairs:
         raise SolverError("cannot cluster an empty eigenpair list")
     if cluster_tol <= 0:
@@ -497,7 +499,8 @@ def cluster(pairs, cluster_tol: float = 0.25) -> list[EigenCluster]:
     for idx, run in enumerate(gap_groups(vals, cluster_tol)):
         g = [pairs[i] for i in run]
         grid = g[0][1].grid
-        ortho = mgs_orthonormalize([p[1].values for p in g], grid.weight)
+        B = np.stack([p[1].values for p in g])
+        ortho = np.linalg.inv(gram_cholesky(B, grid.weight)).conj() @ B
         out.append(EigenCluster(
             label=idx,
             eigenvalues=[p[0] for p in g],
@@ -514,13 +517,15 @@ def principal_angles(basis_a, basis_b) -> np.ndarray:
     `scipy.linalg.subspace_angles` does; small angles mean the smaller space
     is contained in the larger one. Both lists must be linearly independent.
     Only the smaller basis is orthonormalized (QR), and it raises
-    `SolverError` when a diagonal entry of R is at most 1e-10 of the largest
-    (the rank threshold of `mgs_orthonormalize`); the larger one enters
-    through the Cholesky factor R of its Gram matrix, so no SVD of a tall
-    matrix is taken. Angles up to pi/4 come from sines, the rest from cosines,
-    each the accurate form in its range. A larger basis whose Gram matrix is
-    not numerically positive definite fails the Cholesky factorization and
-    raises `SolverError`.
+    `SolverError` when a diagonal entry of R is at most 1e-10 of the largest:
+    Householder QR resolves R's diagonal to about eps of the column norm, so
+    this threshold can sit far below `grid.RANK_TOL`, which a Cholesky
+    factor's diagonal (resolved to about sqrt(eps)) needs. The larger one
+    enters through the Cholesky factor R of its Gram matrix, so no SVD of a
+    tall matrix is taken. Angles up to pi/4 come from sines, the rest from
+    cosines, each the accurate form in its range. A larger basis whose Gram
+    matrix is not numerically positive definite fails the Cholesky
+    factorization and raises `SolverError`.
 
     The larger basis is never stacked on the full grid: A^H A, A^H Qb and the
     residual Qb - A S are summed or stacked over the four node parity classes

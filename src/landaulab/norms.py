@@ -364,11 +364,11 @@ def extremal_l6(cluster, restarts: int = 8, seed: int = 0) -> AscentResult:
     change J^6 by at most the result's cut_bound; BFGS evaluates J in the
     form the module docstring's size rule picks. The ratios of all starts
     are then evaluated on all nodes in one product, so the reported ratio is
-    a lower bound whatever the cut. The winner's ratio is re-evaluated on its
-    own row, which makes it exactly `l6_objective_and_gradient` at its
-    coeffs. The winner also carries converged, iterations (its accepted
-    steps), hessian_max (`tangent_hessian_max` on the kept nodes) and
-    nodes_kept.
+    a lower bound whatever the cut. The winner's ratio is
+    `l6_objective_and_gradient` at its coeffs on all nodes, evaluated again
+    on its own row. The winner also carries converged, iterations (its
+    accepted steps), hessian_max (`tangent_hessian_max` on the kept nodes)
+    and nodes_kept.
     """
     if not cluster.basis:
         raise NormError("empty cluster")
@@ -409,7 +409,7 @@ def extremal_l6(cluster, restarts: int = 8, seed: int = 0) -> AscentResult:
         if ratios[j] > ratios[best] + 1e-15:
             best = j
     c = C[best]
-    return AscentResult(ratio=float(_l6_terms(c, V, w)[3] ** (1.0 / 6.0)), coeffs=c,
+    return AscentResult(ratio=float(l6_objective_and_gradient(c, V, w)[0]), coeffs=c,
                         converged=bool(converged[best]), iterations=int(steps[best]),
                         cut_bound=cut_bound, nodes_kept=nodes_kept,
                         hessian_max=tangent_hessian_max(c, Vk, w))

@@ -5,11 +5,13 @@ blind sparse solve: for every shipped potential the null space contains
 exp(-phi) conj(z)^m exactly, and the higher levels are generated by the
 creation factor and refined by a Rayleigh-Ritz projection of H onto the
 ladder subspace. `ladder_tiers` builds the tiers and `ladder_level_clusters`,
-the package's one builder of level bases, orthonormalizes them and runs the
-projection. At desk scale this is the only route to levels beyond the
-first: the truncated box carries ~ (2/pi) * area near-degenerate states per
-Landau level, so a lowest-k eigensolve never reaches level 1 with any
-practical k.
+the package's one builder of level bases, runs the projection on the tiers
+as they are, through the Cholesky factor of their Gram matrix
+(`grid.gram_cholesky`, whose rank rule rejects a ladder that outgrows the
+grid), and never forms an orthonormal copy of them. At desk scale this is
+the only route to levels beyond the first: the truncated box carries
+~ (2/pi) * area near-degenerate states per Landau level, so a lowest-k
+eigensolve never reaches level 1 with any practical k.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 from .cutoffs import (SUPPORT_RADIUS, cutoff_rows, lattice_window, make_cutoff,
                       overlap_sup_factors, profile_sup_norms)
 from .eigensolve import EigenCluster, cluster
-from .grid import (ENVELOPE_THRESHOLD, Grid, GridError, GridFunction, l2_norm,
-                   mgs_orthonormalize)
+from .grid import (ENVELOPE_THRESHOLD, Grid, GridError, GridFunction, gram_cholesky,
+                   l2_norm)
 from .norms import extremal_l6, extremal_linf
 from .operators import build_operator, gauge_multiplier
 from .potentials import Potential, _fd_partial, ball_sup
@@ -33,6 +35,7 @@ from .potentials import Potential, _fd_partial, ball_sup
 SCHEMA_VERSION = 1          # of every JSON report the package writes
 
 LEVEL_CLUSTER_TOL = 0.5     # largest eigenvalue gap inside one level's cluster
+RITZ_PANEL = 4096           # nodes per panel of the ladder's Ritz vectors
 RESIDUAL_GUARD = 0.5        # worst Ritz residual above which a level is excluded
 # bounded no growth: the later levels at most TREND_SLACK times the largest
 # of the first two, and a fitted slope at most SLOPE_LIMIT
@@ -87,13 +90,15 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
     w = grid.weight
     dstar = build_operator("D_star", potential, grid)
     H = build_operator("H", potential, grid)
-    tiers = ladder_tiers(potential, dstar, m_count, max_level)
-
-    # the ladder tiers stream into MGS, whose output is stacked at once
     n = grid.n_per_side
+
+    # the tiers stream into one (basis size, N) stack B
+    B = np.empty((m_count * (max_level + 1), grid.size), dtype=complex)
+    tiers = ladder_tiers(potential, dstar, m_count, max_level)
+    for i, u in enumerate(u for tier in tiers for u in tier):
+        B[i] = u.reshape(-1)
     try:
-        B = np.stack(mgs_orthonormalize((u.reshape(-1) for tier in tiers for u in tier),
-                                        w))  # (basis size, N)
+        L = gram_cholesky(B, w)
     except GridError as exc:
         raise VerifyError(
             f"ladder basis of m_count {m_count} and max_level {max_level} is "
@@ -102,18 +107,29 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
     HB = np.empty_like(B)
     for i in range(len(B)):   # a row view in a loop variable would keep B, HB past `del`
         HB[i] = H.apply_array(B[i].reshape(n, n)).reshape(-1)
-    M = (B.conj() @ HB.T) * w
-    M = 0.5 * (M + M.conj().T)
-    evals, evecs = np.linalg.eigh(M)
-    ritz_vecs = evecs.T @ B       # rows are Ritz vectors
-    del B
-    ritz_hvecs = evecs.T @ HB
+    # Rayleigh-Ritz in the coordinates of Q = conj(L)^{-1} B, which is never
+    # formed: for M = conj(B) HB^T w, Q's projection of H is L^{-1} M L^{-H},
+    # and its eigenvectors Y give the Ritz vectors C B for C = (L^{-H} Y)^T.
+    # B is conjugated in place for M (exactly, and with no copy beside HB)
+    np.conjugate(B, out=B)
+    M = (B @ HB.T) * w
+    np.conjugate(B, out=B)
+    L_inv = np.linalg.inv(L)
+    A = L_inv @ M @ L_inv.conj().T
+    evals, Y = np.linalg.eigh(0.5 * (A + A.conj().T))
+    C = (L_inv.conj().T @ Y).T
+    # the Ritz vectors overwrite B one panel of nodes at a time, and the
+    # squares of their residual vectors C HB - lambda C B are summed there
+    r2 = np.zeros(len(B))
+    for s in range(0, grid.size, RITZ_PANEL):
+        X = C @ B[:, s:s + RITZ_PANEL]
+        r2 += np.sum(np.abs(C @ HB[:, s:s + RITZ_PANEL] - evals[:, None] * X) ** 2, axis=1)
+        B[:, s:s + RITZ_PANEL] = X
     del HB
-    ritz_hvecs -= evals[:, None] * ritz_vecs   # the residual vectors, in place
-    resid = np.sqrt(np.sum(np.abs(ritz_hvecs) ** 2, axis=1) * w)
+    resid = np.sqrt(r2 * w)
 
     clusters = cluster([(float(lam), GridFunction(v, grid), float(r))
-                        for lam, v, r in zip(evals, ritz_vecs, resid)], LEVEL_CLUSTER_TOL)
+                        for lam, v, r in zip(evals, B, resid)], LEVEL_CLUSTER_TOL)
     for c in clusters:
         c.label = int(round(c.mean / 2.0))
     return clusters

@@ -1,14 +1,18 @@
 """Test-only helpers around the package's API: sampled grid functions,
-handles over arbitrary matrices, the model potential's level clusters, a
-random-pair Hermiticity probe and a sampled check of each potential's stored
-derivative bounds."""
+handles over arbitrary matrices, orthonormal rows from `gram_cholesky`, the
+model potential's level clusters, a two-pass Gram-Schmidt reference of the
+ladder's Rayleigh-Ritz, a random-pair Hermiticity probe and a sampled check
+of each potential's stored derivative bounds."""
 
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 
-from landaulab import (Grid, GridFunction, OperatorHandle, ladder_level_clusters,
-                       make_potential)
+from landaulab import (Grid, GridFunction, OperatorHandle, build_operator,
+                       ladder_level_clusters, make_potential)
+from landaulab.grid import gram_cholesky
+from landaulab.verify import ladder_tiers
 from landaulab.potentials import Potential, PotentialError, _fd_partial
 
 
@@ -22,6 +26,14 @@ def custom_operator(grid: Grid, matrix, is_hermitian: bool) -> OperatorHandle:
                           is_hermitian=is_hermitian)
 
 
+def orthonormal_rows(vectors, weight):
+    """The rows conj(L)^{-1} B of the stack B of `vectors`, for L =
+    gram_cholesky(B): orthonormal in the weighted inner product, with the
+    span of every leading run of vectors kept."""
+    B = np.stack(vectors)
+    return sla.solve_triangular(gram_cholesky(B, weight).conj(), B, lower=True)
+
+
 def model_level_cluster(grid: Grid, level: int, m_count: int):
     """The model potential's Rayleigh-Ritz cluster of `level`, from the ladder
     tiers 0..level of m_count states each."""
@@ -29,6 +41,31 @@ def model_level_cluster(grid: Grid, level: int, m_count: int):
                                      m_count=m_count)
     (c,) = [c for c in clusters if c.label == level]
     return c
+
+
+def mgs_ritz_reference(potential, grid: Grid, max_level: int, m_count: int):
+    """`ladder_level_clusters`' Rayleigh-Ritz by the route it replaced: the
+    ladder tiers orthonormalized one vector at a time by modified Gram-Schmidt
+    with one reorthogonalization pass, then `eigh` of H projected on them.
+    Returns the Ritz values, the Ritz vectors as rows and their residuals."""
+    w, n = grid.weight, grid.n_per_side
+    H = build_operator("H", potential, grid)
+    dstar = build_operator("D_star", potential, grid)
+    Q = []
+    for tier in ladder_tiers(potential, dstar, m_count, max_level):
+        for u in tier:
+            v = u.reshape(-1).copy()
+            for _ in range(2):
+                for q in Q:
+                    v -= (np.vdot(q, v) * w) * q
+            Q.append(v / np.sqrt(np.vdot(v, v).real * w))
+    Q = np.stack(Q)
+    HQ = np.stack([H.apply_array(q.reshape(n, n)).reshape(-1) for q in Q])
+    M = (Q.conj() @ HQ.T) * w
+    evals, Y = np.linalg.eigh(0.5 * (M + M.conj().T))
+    vecs = Y.T @ Q
+    resid = np.sqrt(np.sum(np.abs(Y.T @ HQ - evals[:, None] * vecs) ** 2, axis=1) * w)
+    return evals, vecs, resid
 
 
 def hermiticity_defect(op: OperatorHandle, trials: int = 50, seed: int = 0) -> float:

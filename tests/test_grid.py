@@ -3,8 +3,8 @@ import pytest
 
 from landaulab import (Grid, GridFunction, inner, l2_norm, norm_triple,
                        rescale, save_grid_function)
-from landaulab.grid import GridError, SublatticeFunction, mgs_orthonormalize
-from helpers import from_callable
+from landaulab.grid import GridError, SublatticeFunction
+from helpers import from_callable, orthonormal_rows
 
 
 def test_grid_invariants():
@@ -112,11 +112,11 @@ def test_inner_product_grid_guard(rng):
         inner(a, b)
 
 
-def test_mgs_orthonormalize(rng):
+def test_gram_cholesky_orthonormalizes(rng):
     g = Grid(extent_L=2.0, n_per_side=11)
     vecs = [rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
             for _ in range(5)]
-    ortho = mgs_orthonormalize(vecs, g.weight)
+    ortho = orthonormal_rows(vecs, g.weight)
     for i, a in enumerate(ortho):
         for j, b in enumerate(ortho):
             ip = np.vdot(a, b) * g.weight

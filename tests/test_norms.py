@@ -311,6 +311,26 @@ def test_ratio_is_evaluated_on_every_node(trig_level1, monkeypatch):
     assert l6_objective_and_gradient(res.coeffs, V[:, keep], w)[0] < res.ratio
 
 
+def test_reported_ratio_is_the_objective_at_the_winner(trig01, monkeypatch):
+    # bit for bit, on the ladder clusters and on 20 random (9, 3969) bases; a
+    # 1-D evaluation of the L^6 sum, which the ratio once was, differs in the
+    # last bit on 2 of those bases. For them the ascent is stubbed to return
+    # its starts: only the winner's evaluation is under test
+    g = Grid(extent_L=6.5, n_per_side=65)
+    for c in ladder_level_clusters(trig01, g, 2, m_count=4):
+        res = extremal_l6(c, restarts=2, seed=0)
+        assert res.ratio == l6_objective_and_gradient(res.coeffs, _basis_matrix(c), g.weight)[0]
+    monkeypatch.setattr(norms, "_bfgs", lambda f, X: (X, np.zeros(len(X), dtype=int),
+                                                      np.zeros(len(X), dtype=bool)))
+    g = Grid(extent_L=4.0, n_per_side=63)
+    rng = np.random.default_rng(4)
+    for trial in range(20):
+        c = _cluster_from_basis(rng.standard_normal((9, g.size))
+                                + 1j * rng.standard_normal((9, g.size)), g)
+        res = extremal_l6(c, restarts=8, seed=trial)
+        assert res.ratio == l6_objective_and_gradient(res.coeffs, _basis_matrix(c), g.weight)[0]
+
+
 def test_l6_log_hessian_matches_finite_differences(rng):
     g = Grid(extent_L=6.0, n_per_side=65)
     basis = [b.values for b in model_level_cluster(g, 1, 3).basis]

@@ -5,10 +5,9 @@ import pytest
 
 from landaulab import (Grid, GridFunction, analytic_null_norm, build_operator,
                        inner, l2_norm, null_state)
-from landaulab.grid import mgs_orthonormalize
 from landaulab.oracle import OracleError
 from landaulab.verify import ladder_tiers
-from helpers import model_level_cluster
+from helpers import model_level_cluster, orthonormal_rows
 
 
 def test_analytic_norms():
@@ -109,7 +108,7 @@ def test_level0_cluster_spans_the_null_states(L, n, m):
     # the ladder's level-0 cluster and the sampled closed-form null states
     # span one space: their kernel diagonals agree
     g = Grid(extent_L=L, n_per_side=n)
-    nulls = mgs_orthonormalize([null_state(j, g).values for j in range(m)], g.weight)
+    nulls = orthonormal_rows([null_state(j, g).values for j in range(m)], g.weight)
     np.testing.assert_allclose(_cluster_diagonal(g, 0, m), _kernel_diagonal(nulls, g),
                                rtol=0, atol=1e-12)
 

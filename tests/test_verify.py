@@ -4,11 +4,14 @@ import numpy as np
 import pytest
 
 from landaulab import (Grid, GridFunction, build_operator, check_cutoff_lemma,
-                       check_energy_lemma, check_gauge_lemma, l2_norm,
+                       check_energy_lemma, check_gauge_lemma, extremal_linf, l2_norm,
                        ladder_level_clusters, make_cutoff, rescale, sweep_bounds)
+from landaulab import verify
 from landaulab.cutoffs import lattice_window
 from landaulab.eigensolve import EigenCluster
-from landaulab.verify import VerifyError, _gauge_sups, translate_samples
+from landaulab.grid import RANK_TOL
+from landaulab.verify import VerifyError, _gauge_sups, ladder_tiers, translate_samples
+from helpers import mgs_ritz_reference
 
 
 @pytest.fixture(scope="module")
@@ -256,6 +259,62 @@ def test_ladder_level_clusters_are_eigensolve_clusters(trig01):
     for c in clusters:
         V = np.stack([b.values for b in c.basis])
         assert np.abs((V.conj() @ V.T) * g.weight - np.eye(c.dim)).max() <= 1e-12
+
+
+def _gram_defect(clusters, grid):
+    V = np.stack([b.values for c in clusters for b in c.basis])
+    return np.abs((V.conj() @ V.T) * grid.weight - np.eye(len(V))).max()
+
+
+# the smoke grids of the benchmark's sweep config and of the lemmas config's
+# first ladder (levels 0..2 of 6 states)
+@pytest.mark.parametrize("L, n, max_level, m_count", [(6.5, 97, 3, 3), (10.0, 129, 2, 6)],
+                         ids=["sweep", "lemmas"])
+def test_ladder_ritz_pairs_match_a_gram_schmidt_reference(trig01, L, n, max_level, m_count):
+    g = Grid(extent_L=L, n_per_side=n)
+    clusters = ladder_level_clusters(trig01, g, max_level, m_count=m_count)
+    assert _gram_defect(clusters, g) <= 1e-13
+    evals, vecs, resid = mgs_ritz_reference(trig01, g, max_level, m_count)
+    np.testing.assert_allclose([e for c in clusters for e in c.eigenvalues], evals,
+                               rtol=1e-12, atol=0)
+    np.testing.assert_allclose([r for c in clusters for r in c.residuals], resid,
+                               rtol=1e-12, atol=0)
+    first = np.cumsum([0] + [c.dim for c in clusters])
+    for c, i in zip(clusters, first):
+        ref = np.sqrt(np.max(np.sum(np.abs(vecs[i:i + c.dim]) ** 2, axis=0)))
+        assert extremal_linf(c)[0] == pytest.approx(ref, rel=1e-12, abs=0)
+
+
+@pytest.mark.parametrize("scale, accepted", [(1.5, True), (1 / 1.5, False)],
+                         ids=["inside", "outside"])
+def test_ladder_rank_rule_at_its_threshold(trig01, monkeypatch, scale, accepted):
+    # the last ladder vector is replaced by one at distance scale * RANK_TOL
+    # from the span of the others: sqrt(1 - s^2) b_0 + s e, with e a unit
+    # vector orthogonal to the other rows (the next null state, projected)
+    g = Grid(extent_L=6.5, n_per_side=65)
+    s = scale * RANK_TOL
+    dstar = build_operator("D_star", trig01, g)
+    rows = np.stack([u.reshape(-1) for t in ladder_tiers(trig01, dstar, 3, 1) for u in t])[:-1]
+    X1, X2 = g.mesh()
+    e = ((X1 - 1j * X2) ** 3 * np.exp(-trig01.value(X1, X2))).reshape(-1)
+    Q = np.linalg.qr(rows.T)[0]
+    e -= Q @ (Q.conj().T @ e)
+    e /= np.sqrt(np.vdot(e, e).real * g.weight)
+    near = (np.sqrt(1.0 - s * s) * rows[0] + s * e).reshape(g.n_per_side, -1)
+
+    def tiers(potential, dstar, m_count, max_level):
+        *head, last = ladder_tiers(potential, dstar, m_count, max_level)
+        yield from head
+        yield last[:-1] + [near]
+
+    monkeypatch.setattr(verify, "ladder_tiers", tiers)
+    if accepted:
+        assert _gram_defect(ladder_level_clusters(trig01, g, 1, m_count=3), g) <= 1e-10
+    else:
+        with pytest.raises(VerifyError, match="^ladder basis of m_count 3 and max_level 1 "
+                           "is rank-deficient on n_per_side 65: lower m_count or "
+                           "max_level, or refine the grid$"):
+            ladder_level_clusters(trig01, g, 1, m_count=3)
 
 
 @pytest.mark.parametrize("n, levels, shared", [(49, [0, 1], [2]), (25, [0], [1, 2])],
