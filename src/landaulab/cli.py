@@ -19,7 +19,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, RunConfig, load_config, set_field
-from .cutoffs import SUPPORT_RADIUS
+from .cutoffs import SUPPORT_RADIUS, center_inside
 from .eigensolve import (SolverError, eigenpairs_near, gap_groups,
                          lowest_eigenpairs, principal_angles,
                          resolution_warning)
@@ -28,7 +28,8 @@ from .oracle import null_state
 from .operators import build_operator
 from .potentials import make_potential
 from .verify import (SCHEMA_VERSION, check_cutoff_lemma, check_energy_lemma,
-                     check_gauge_lemma, ladder_level_clusters, sweep_bounds)
+                     check_gauge_lemma, ladder_level_clusters, rayleigh_residual,
+                     sweep_bounds)
 
 
 def _dump_json(doc, path):
@@ -100,10 +101,9 @@ def run_lemmas(cfg: RunConfig) -> int:
     def admissible(q, g, on_node=False, **entry):
         """Whether the check can use center q on grid g; a skip is recorded
         in lemmas.json and warned about, never dropped silently."""
-        d = g.spacing
-        if on_node and not all(abs(c / d - round(c / d)) < 1e-9 for c in q):
-            reason = f"center not on a grid node (spacing {d:g})"
-        elif max(abs(q[0]), abs(q[1])) > g.extent_L - SUPPORT_RADIUS:
+        if on_node and g.node_shift(q) is None:
+            reason = f"center not on a grid node (spacing {g.spacing:g})"
+        elif not center_inside(q, g):
             reason = (f"center outside the interior margin {SUPPORT_RADIUS:g} "
                       f"of the box of extent {g.extent_L:g}")
         else:
@@ -153,15 +153,9 @@ def run_oracle_compare(cfg: RunConfig) -> int:
     potential, grid = _setup(cfg)
     H = build_operator("H", potential, grid)
     oracle_basis = [null_state(m, grid) for m in range(cfg.compare_m_max + 1)]
-    # oracle residuals against the discrete operator, from numpy's fixed-order
-    # sums (BLAS dot products split long sums by thread count); the quadrature
-    # weight cancels
     oracle_rows = []
     for m, state in enumerate(oracle_basis):
-        u, hu = state.values, H.apply(state).values
-        sq = np.sum(np.abs(u) ** 2)
-        ray = float(np.sum(u.conj() * hu).real / sq)
-        res = float(np.sqrt(np.sum(np.abs(hu - ray * u) ** 2) / sq))
+        ray, res = rayleigh_residual(H, state)
         oracle_rows.append({"m": m, "rayleigh": ray, "residual": res})
     # center the shift on the oracle band so the window covers its content
     sigma = cfg.compare_sigma

@@ -85,11 +85,16 @@ def make_cutoff(q, grid: Grid) -> GridFunction:
     return GridFunction(cutoff_rows(q, grid, 0, grid.n_per_side).astype(complex).reshape(-1), grid)
 
 
+def center_inside(q, grid: Grid) -> bool:
+    """Whether center q keeps the lemma checks' margin: max |q_i| <= extent_L - SUPPORT_RADIUS."""
+    return max(abs(q[0]), abs(q[1])) <= grid.extent_L - SUPPORT_RADIUS
+
+
 def lattice_window(grid: Grid):
-    """Integer lattice points q with dist(q, boundary) >= SUPPORT_RADIUS."""
-    reach = int(np.floor(grid.extent_L - SUPPORT_RADIUS))
-    span = range(-reach, reach + 1)
-    return [(float(q1), float(q2)) for q1 in span for q2 in span]
+    """The integer lattice points q that are `center_inside` the grid's box."""
+    span = range(-int(grid.extent_L), int(grid.extent_L) + 1)
+    return [(float(q1), float(q2)) for q1 in span for q2 in span
+            if center_inside((q1, q2), grid)]
 
 
 def overlap_square_sums(grid: Grid):

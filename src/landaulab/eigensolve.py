@@ -110,8 +110,8 @@ def resolution_warning(potential, grid) -> str | None:
 
 def gap_groups(values, gap):
     """Index arrays of the maximal runs of nondecreasing `values` whose
-    consecutive gaps are <= gap (a scalar, or one threshold per value)."""
-    breaks = np.flatnonzero(np.diff(values) > np.broadcast_to(gap, len(values))[1:])
+    consecutive gaps are <= the scalar gap."""
+    breaks = np.flatnonzero(np.diff(values) > float(gap))
     return np.split(np.arange(len(values)), breaks + 1)
 
 

@@ -57,6 +57,13 @@ class Grid:
         x = self.axis()
         return np.meshgrid(x, x, indexing="ij")
 
+    def node_shift(self, q):
+        """q in whole node spacings (ints), or None if it is > 1e-9 spacings off a node."""
+        s = [c / self.spacing for c in q]
+        if any(abs(c - round(c)) > 1e-9 for c in s):
+            return None
+        return tuple(int(round(c)) for c in s)
+
     def check_envelope(self, potential) -> bool:
         """True when exp(-phi) < ENVELOPE_THRESHOLD on the whole boundary."""
         x = self.axis()

@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .grid import GridFunction
+from .grid import GridFunction, l2_norm
 
 
 class NormError(ValueError):
@@ -54,14 +54,12 @@ def _basis_matrix(cluster):
     """(k, N) complex array of the cluster's basis, renormalized to unit
     discrete L^2 so that both extremal ratios are homogeneous of degree zero
     in the stored values."""
-    grid = cluster.basis[0].grid
-    rows = []
-    for b in cluster.basis:
-        nrm = np.sqrt(np.vdot(b.values, b.values).real * grid.weight)
-        if nrm == 0.0:
-            raise NormError("zero vector in cluster basis")
-        rows.append(b.values / nrm)
-    return np.stack(rows)
+    nrm = np.array([l2_norm(b) for b in cluster.basis])
+    if not nrm.all():
+        raise NormError("zero vector in cluster basis")
+    V = np.stack([b.values for b in cluster.basis])
+    V /= nrm[:, None]   # in place, with no second (k, N) array
+    return V
 
 
 def _kernel_diagonal(V):

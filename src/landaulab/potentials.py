@@ -1,8 +1,8 @@
 """Scalar potentials for the magnetic Laplacian, with analytic derivatives.
 
 Every shipped potential is smooth, grows quadratically, and has all derivatives
-of order >= 2 bounded; the bounds are stored per order (the tests validate
-them against finite-difference sampling on a grid). (Any growth faster than |x|^eps
+of order >= 2 bounded (the tests hold each kind's bounds against
+finite-difference sampling on a grid). (Any growth faster than |x|^eps
 already makes the operator's null space infinite-dimensional; quadratic growth
 is recorded here as a property of the shipped family, not a requirement the
 code enforces.)
@@ -13,7 +13,7 @@ share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable
 
@@ -42,7 +42,6 @@ class Potential:
     value_fn: Callable  # (x1, x2) -> phi
     grad_fn: Callable   # (x1, x2) -> (d1 phi, d2 phi)
     laplacian_fn: Callable  # (x1, x2) -> lap phi
-    deriv_bound_orders: dict = field(default_factory=dict)  # |alpha| -> C_alpha
     params: tuple = ()
 
     def value(self, x1, x2):
@@ -89,13 +88,11 @@ def _model():
         value_fn=lambda x1, x2: x1**2 + x2**2,
         grad_fn=lambda x1, x2: (2 * x1, 2 * x2),
         laplacian_fn=lambda x1, x2: 4.0 + 0.0 * x1,
-        deriv_bound_orders={2: 2.0, 3: 0.0, 4: 0.0},
     )
 
 
 def _trig(eps):
-    # phi = |x|^2 + eps sin(x1) cos(x2); every derivative of the perturbation
-    # is a +-sin/cos product, so sup = eps at each order >= 3.
+    # phi = |x|^2 + eps sin(x1) cos(x2)
     return Potential(
         kind="quadratic_plus_trig",
         value_fn=lambda x1, x2: x1**2 + x2**2 + eps * np.sin(x1) * np.cos(x2),
@@ -104,15 +101,12 @@ def _trig(eps):
             2 * x2 - eps * np.sin(x1) * np.sin(x2),
         ),
         laplacian_fn=lambda x1, x2: 4.0 - 2 * eps * np.sin(x1) * np.cos(x2),
-        deriv_bound_orders={2: 2.0 + eps, 3: eps, 4: eps},
         params=(eps,),
     )
 
 
 def _bump(eps):
-    # phi = |x|^2 + eps exp(-|x|^2).  One-dimensional maximization of the
-    # Gaussian derivatives gives the order bounds below (4 and 12 are the
-    # sups of |d^3| and |d^4| of exp(-|x|^2), rounded up).
+    # phi = |x|^2 + eps exp(-|x|^2)
     g = lambda x1, x2: np.exp(-(x1**2 + x2**2))
     return Potential(
         kind="quadratic_plus_gaussian_bump",
@@ -122,7 +116,6 @@ def _bump(eps):
             2 * x2 * (1 - eps * g(x1, x2)),
         ),
         laplacian_fn=lambda x1, x2: 4.0 + eps * (4 * (x1**2 + x2**2) - 4) * g(x1, x2),
-        deriv_bound_orders={2: 2.0 + 2 * eps, 3: 4 * eps, 4: 12 * eps},
         params=(eps,),
     )
 
@@ -130,22 +123,23 @@ def _bump(eps):
 def make_potential(kind: str, params=()) -> Potential:
     """Build a Potential of one of the KINDS.
 
-    params: for the perturbed kinds, a single amplitude eps >= 0. Any other
-    phi is a `Potential(...)` built directly from its callables; the
-    eigensolvers need it even in x2, phi(x1, -x2) = phi(x1, x2), as every
-    kind here is.
+    params: none for the model, one amplitude eps >= 0 for the perturbed
+    kinds. Any other phi is a `Potential(...)` built directly from its
+    callables; the eigensolvers need it even in x2, phi(x1, -x2) =
+    phi(x1, x2), as every kind here is.
     """
     params = tuple(params)
-    if kind == "model_quadratic":
+    if kind not in KINDS:
+        raise PotentialError(f"unknown potential kind {kind!r}; known: {KINDS}")
+    arity = int(kind != "model_quadratic")
+    if len(params) != arity:
+        raise PotentialError(f"{kind} takes {arity} parameter(s), got {params}")
+    if not arity:
         return _model()
-    if kind in ("quadratic_plus_trig", "quadratic_plus_gaussian_bump"):
-        if len(params) != 1:
-            raise PotentialError(f"{kind} takes exactly one parameter (eps), got {params}")
-        eps = float(params[0])
-        if eps < 0:
-            raise PotentialError(f"perturbation amplitude must be >= 0, got {eps}")
-        return _trig(eps) if kind == "quadratic_plus_trig" else _bump(eps)
-    raise PotentialError(f"unknown potential kind {kind!r}; known: {KINDS}")
+    eps = float(params[0])
+    if eps < 0:
+        raise PotentialError(f"perturbation amplitude must be >= 0, got {eps}")
+    return _trig(eps) if kind == "quadratic_plus_trig" else _bump(eps)
 
 
 def _fd_partial(f, x1, x2, i_order, j_order, step):

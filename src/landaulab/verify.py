@@ -23,8 +23,8 @@ from itertools import groupby
 
 import numpy as np
 
-from .cutoffs import (SUPPORT_RADIUS, cutoff_rows, lattice_window, make_cutoff,
-                      overlap_sup_factors, profile_sup_norms)
+from .cutoffs import (SUPPORT_RADIUS, center_inside, cutoff_rows, lattice_window,
+                      make_cutoff, overlap_sup_factors, profile_sup_norms)
 from .eigensolve import EigenCluster, cluster
 from .grid import (ENVELOPE_THRESHOLD, Grid, GridError, GridFunction, gram_cholesky,
                    l2_norm)
@@ -303,8 +303,7 @@ def check_energy_lemma(potential: Potential, grid: Grid,
     for lam, u in zip(cluster.eigenvalues, cluster.basis):
         if u.grid != grid:
             raise VerifyError("cluster grid does not match the supplied grid")
-        nrm2 = np.vdot(u.values, u.values).real * w
-        if not 0.5 < nrm2 < 2.0:
+        if not 0.5 < l2_norm(u) ** 2 < 2.0:
             raise VerifyError("cluster basis vector is not unit-normalized")
         lhs = (l2_norm(A.apply(u)) ** 2 + l2_norm(B.apply(u)) ** 2)
         rhs = float(np.vdot(u.values, (lap4 + lam) * u.values).real * w)
@@ -329,6 +328,9 @@ def check_cutoff_lemma(potential: Potential, grid: Grid, u: GridFunction,
     row holds its stored entries in the full matrix's order, and the dropped
     columns multiply zeros. Written into a zero grid, each norm sums in the
     full-grid order, so every lhs equals the full-grid apply's bit for bit."""
+    for q in centers:
+        if not center_inside(q, grid):
+            raise VerifyError(f"center {q} violates the interior margin {SUPPORT_RADIUS:g}")
     P = build_operator("P", potential, grid, h=h)
     nu = l2_norm(u)
     p_res = l2_norm(P.apply(u)) / nu
@@ -339,9 +341,6 @@ def check_cutoff_lemma(potential: Potential, grid: Grid, u: GridFunction,
     energy_factor = float(np.sqrt(h / 4.0 * potential.laplacian_sup_norm() + 1.0))
     # sup |d_j beta_q| <= sup |grad beta_q| = sup_grad, attained on the axes
     sup_grad, sup_lap = profile_sup_norms()
-    for q in centers:
-        if max(abs(q[0]), abs(q[1])) > grid.extent_L - SUPPORT_RADIUS:
-            raise VerifyError(f"center {q} violates the interior margin {SUPPORT_RADIUS:g}")
     n, x = grid.n_per_side, grid.axis()
 
     def norms(qs):   # ||P(beta_q u)||_2, one row block per run of centers with one q1
@@ -374,16 +373,22 @@ def check_cutoff_lemma(potential: Potential, grid: Grid, u: GridFunction,
     return rows
 
 
+def rayleigh_residual(op, u: GridFunction):
+    """(lambda, ||op u - lambda u|| / ||u||) for the Rayleigh quotient lambda
+    of u, from numpy's fixed-order sums (BLAS dot products split long sums by
+    thread count); the quadrature weight cancels."""
+    v, ov = u.values, op.apply(u).values
+    sq = np.sum(np.abs(v) ** 2)
+    lam = float(np.sum(v.conj() * ov).real / sq)
+    return lam, float(np.sqrt(np.sum(np.abs(ov - lam * v) ** 2) / sq))
+
+
 def translate_samples(u: GridFunction, q) -> GridFunction:
     """u(x + q) by exact node shifting (q must be node-aligned); Dirichlet
     zeros flow in from outside the grid."""
-    d = u.grid.spacing
-    shifts = []
-    for comp in q:
-        s = comp / d
-        if abs(s - round(s)) > 1e-9:
-            raise VerifyError(f"translation {q} is not node-aligned (spacing {d})")
-        shifts.append(int(round(s)))
+    shifts = u.grid.node_shift(q)
+    if shifts is None:
+        raise VerifyError(f"translation {q} is not node-aligned (spacing {u.grid.spacing})")
     # node i of u sits at m + i of the padded array; a shift of n nodes or
     # more reads only padding
     n = u.grid.n_per_side
@@ -412,18 +417,13 @@ def check_gauge_lemma(potential: Potential, grid: Grid, u: GridFunction, q) -> l
     cutoff-localized translate of u stay controlled by the proof's chain
       ||A(beta_q u)|| + ||grad d2 phi||_inf ||u|| + ||d2 phi||_{B(0,2)} ||u||
     (and symmetrically for B with d1 phi)."""
-    if max(abs(q[0]), abs(q[1])) > grid.extent_L - SUPPORT_RADIUS:
+    if not center_inside(q, grid):
         raise VerifyError(f"center {q} violates the interior margin {SUPPORT_RADIUS:g}")
-    H = build_operator("H", potential, grid)
     nu = l2_norm(u)
-    hu = H.apply(u)
-    lam_est = float(np.vdot(u.values, hu.values).real * grid.weight / nu**2)
-    res = l2_norm(GridFunction(hu.values - lam_est * u.values, grid)) / nu
+    _, res = rayleigh_residual(build_operator("H", potential, grid), u)
     if res > H_RESIDUAL_GUARD:
         warnings.warn(f"input has ||Hu - lambda u||/||u|| = {res:.3f} above "
                       f"guard {H_RESIDUAL_GUARD}")
-    A = build_operator("A", potential, grid)
-    B = build_operator("B", potential, grid)
     phase = gauge_multiplier(potential, grid, h=1.0, q=q)
     u_minus_q = translate_samples(u, q)          # u(x + q)
     beta0 = make_cutoff((0.0, 0.0), grid)
@@ -432,7 +432,8 @@ def check_gauge_lemma(potential: Potential, grid: Grid, u: GridFunction, q) -> l
     local = GridFunction(beta_q.values * u.values, grid)
 
     rows = []
-    for name, op, comp in (("A", A, 1), ("B", B, 0)):
+    for name, comp in (("A", 1), ("B", 0)):
+        op = build_operator(name, potential, grid)
         lhs = l2_norm(op.apply(twisted))
         hess_sup, grad_sup = _gauge_sups(potential, comp)
         chain = l2_norm(op.apply(local)) + (hess_sup + grad_sup) * nu

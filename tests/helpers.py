@@ -2,7 +2,7 @@
 handles over arbitrary matrices, orthonormal rows from `gram_cholesky`, the
 model potential's level clusters, a two-pass Gram-Schmidt reference of the
 ladder's Rayleigh-Ritz, a random-pair Hermiticity probe and a sampled check
-of each potential's stored derivative bounds."""
+of each shipped kind's derivative bounds."""
 
 from dataclasses import dataclass
 
@@ -95,14 +95,27 @@ class DerivativeBoundReport:
 # absolute floor for pass checks: covers FD round-off when the true bound is 0
 FD_PASS_FLOOR = 1e-6
 
+# per kind, the bound C_alpha on |d^alpha phi| for each order |alpha| as a
+# function of the amplitude eps. trig: every derivative of eps sin(x1)
+# cos(x2) is a +-sin/cos product, so sup = eps at each order >= 3. bump:
+# one-dimensional maximization of the Gaussian's derivatives (4 and 12 are
+# the sups of |d^3| and |d^4| of exp(-|x|^2), rounded up).
+DERIV_BOUNDS = {
+    "model_quadratic": lambda: {2: 2.0, 3: 0.0, 4: 0.0},
+    "quadratic_plus_trig": lambda eps: {2: 2.0 + eps, 3: eps, 4: eps},
+    "quadratic_plus_gaussian_bump": lambda eps: {2: 2.0 + 2 * eps, 3: 4 * eps, 4: 12 * eps},
+}
+
 
 def check_derivative_bounds(potential: Potential, grid, max_order: int = 4,
                             step: float | None = None) -> list[DerivativeBoundReport]:
     """Sample |d^alpha phi| for 2 <= |alpha| <= max_order over the grid.
 
     The difference step defaults to the grid spacing. Passes when the observed
-    sup is <= 1.05 * C_alpha + FD_PASS_FLOOR.
+    sup is <= 1.05 * C_alpha + FD_PASS_FLOOR, for C_alpha the kind's
+    `DERIV_BOUNDS` at the potential's params.
     """
+    bounds = DERIV_BOUNDS[potential.kind](*potential.params)
     if not 2 <= max_order <= 4:
         raise PotentialError(f"max_order must be in [2, 4], got {max_order}")
     if grid.n_per_side < max_order + 1:
@@ -121,7 +134,7 @@ def check_derivative_bounds(potential: Potential, grid, max_order: int = 4,
             j = order - i
             vals = _fd_partial(potential.value, X1, X2, i, j, step)
             sup = max(sup, float(np.abs(vals).max()))
-        claimed = float(potential.deriv_bound_orders.get(order, np.inf))
+        claimed = float(bounds[order])
         reports.append(DerivativeBoundReport(
             order=order,
             observed_sup=sup,

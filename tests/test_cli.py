@@ -3,15 +3,18 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 import landaulab.cli as cli
+from landaulab import Grid, check_cutoff_lemma, check_gauge_lemma
 from landaulab.cli import main
 from landaulab.config import ConfigError, RunConfig, parse_config
 from landaulab.eigensolve import BLOCK_MARGIN, arnoldi_ncv
 from landaulab.grid import GridFunction
+from landaulab.verify import VerifyError, translate_samples
 
 
 def _write_config(tmp_path, doc, name="cfg.json"):
@@ -454,6 +457,65 @@ def test_cli_lemmas_samples_laplacian_sup_once(tmp_path, monkeypatch):
     assert {r["detail"]["h"] for r in rows if r["lemma_id"].startswith("cutoff")} \
         == {0.5, 0.25, 0.125}
     assert radii.count(potentials.LAP_SUP_RADIUS) == 1
+
+
+# spacing 12/48 = 0.25 on the box of extent 6; h = 1 keeps that box for the
+# cutoff rows, so both checks have the margin 6 - SUPPORT_RADIUS = 4, a node
+CENTER_GRID = {"extent_L": 6.0, "n_per_side": 49}
+CENTER_CASES = {   # q -> (why the cutoff check skips q, why the gauge check does)
+    (4.0, -4.0): (None, None),                                # on the margin
+    (4.25, 0.0): ("interior margin", "interior margin"),      # a node beyond it
+    (1.0 + 2e-9 * 0.25, 0.0): (None, "not on a grid node"),   # 2e-9 spacings off a node
+    (1.0 + 0.5e-9 * 0.25, 0.0): (None, None),                 # within the 1e-9 tolerance
+}
+
+
+@pytest.fixture(scope="module")
+def center_report(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("centers")
+    doc = {**BASE, "grid": CENTER_GRID,
+           "lemmas": {"h_list": [1.0], "q_list": [list(q) for q in CENTER_CASES]}}
+    # a center that run_lemmas admits and a check rejects would exit 1
+    assert main(["lemmas", "--config", _write_config(tmp, doc), "--out", str(tmp / "out")]) == 0
+    return json.loads((tmp / "out" / "lemmas.json").read_text())
+
+
+@pytest.mark.parametrize("q", list(CENTER_CASES),
+                         ids=["on_margin", "node_beyond_margin", "off_node", "within_node_tol"])
+def test_cli_and_checks_share_the_center_rules(center_report, model, q):
+    # run_lemmas skips, with its reason, exactly the centers the checks reject
+    g = Grid(**CENTER_GRID)
+    X1, X2 = g.mesh()
+    u = GridFunction(np.exp(-(X1 ** 2 + X2 ** 2)), g)
+    checks = {"cutoff": lambda: check_cutoff_lemma(model, g, u, 1.0, [q]),
+              "gauge": lambda: check_gauge_lemma(model, g, u, q)}
+    for (check, run), reason in zip(checks.items(), CENTER_CASES[q]):
+        skips = [s for s in center_report["skipped"] if s["check"] == check and s["q"] == list(q)]
+        rows = [r for r in center_report["rows"]
+                if r["lemma_id"].startswith(check) and r["detail"].get("q") == list(q)]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")   # input guards; not under test here
+            if reason is None:
+                assert not skips and rows and run()
+            else:
+                assert len(skips) == 1 and reason in skips[0]["reason"] and not rows
+                with pytest.raises(VerifyError):
+                    run()
+    if CENTER_CASES[q][1] == "not on a grid node":
+        with pytest.raises(VerifyError, match="not node-aligned"):
+            translate_samples(u, q)
+    else:
+        assert translate_samples(u, q).grid == g
+
+
+def test_cli_model_params_exit_1_naming_the_kind(tmp_path, capsys):
+    # the model takes no amplitude: a stray one stops the run instead of
+    # running the plain model
+    doc = {**BASE, "potential": {"kind": "model_quadratic", "params": [0.3]}}
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", _write_config(tmp_path, doc), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: model_quadratic takes 0 parameter")
+    assert not out.exists()
 
 
 def test_cli_lemmas_records_skipped_rows(tmp_path, capsys):

@@ -10,8 +10,8 @@ import scipy.sparse.linalg as spla
 from landaulab import eigensolve
 from landaulab import (Grid, assemble_sparse, build_operator, cluster,
                        eigenpairs_near, lowest_eigenpairs, principal_angles)
-from landaulab.eigensolve import (SolverError, arnoldi_ncv, resolution_warning,
-                                  sublattice_blocks)
+from landaulab.eigensolve import (SolverError, arnoldi_ncv, gap_groups,
+                                  resolution_warning, sublattice_blocks)
 from landaulab.grid import GridFunction, SublatticeFunction
 from landaulab.potentials import Potential
 from helpers import custom_operator
@@ -108,6 +108,13 @@ def test_cluster_single_group():
     w = GridFunction(np.arange(g.size) + 0j, g)
     cs = cluster([(0.0, v, 0.0), (0.05, w, 0.0)], cluster_tol=0.1)
     assert len(cs) == 1 and cs[0].dim == 2
+
+
+def test_gap_groups_takes_one_scalar_gap():
+    groups = gap_groups([0.0, 0.1, 1.0, 1.05], 0.2)
+    assert [g.tolist() for g in groups] == [[0, 1], [2, 3]]
+    with pytest.raises(TypeError):
+        gap_groups([0.0, 0.1, 1.0], [0.2, 0.2, 0.2])
 
 
 def test_cluster_empty_rejected():

@@ -36,6 +36,11 @@ def test_trig_laplacian_at_origin(trig01):
 def test_errors():
     with pytest.raises(PotentialError):
         make_potential("nope")
+    # the model takes no amplitude, so a stray one cannot pass unnoticed
+    with pytest.raises(PotentialError, match="model_quadratic takes 0 parameter"):
+        make_potential("model_quadratic", [0.3])
+    with pytest.raises(PotentialError, match="quadratic_plus_trig takes 1 parameter"):
+        make_potential("quadratic_plus_trig", [])
     with pytest.raises(PotentialError):
         make_potential("quadratic_plus_trig", [-0.5])
     with pytest.raises(PotentialError):
@@ -49,7 +54,6 @@ def test_custom_roundtrip():
         value_fn=lambda x1, x2: x1**2 + x2**2,
         grad_fn=lambda x1, x2: (2 * x1, 2 * x2),
         laplacian_fn=lambda x1, x2: 4.0 + 0 * x1,
-        deriv_bound_orders={2: 2.0},
     )
     assert p.value(1.0, 1.0) == pytest.approx(2.0)
 

@@ -2,6 +2,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from landaulab import (Grid, GridFunction, build_operator, check_cutoff_lemma,
                        check_energy_lemma, check_gauge_lemma, extremal_linf, l2_norm,
@@ -11,7 +12,7 @@ from landaulab.cutoffs import lattice_window
 from landaulab.eigensolve import EigenCluster
 from landaulab.grid import RANK_TOL
 from landaulab.verify import VerifyError, _gauge_sups, ladder_tiers, translate_samples
-from helpers import mgs_ritz_reference
+from helpers import custom_operator, mgs_ritz_reference
 
 
 @pytest.fixture(scope="module")
@@ -108,6 +109,16 @@ def test_cutoff_lemma_margin_guard(model):
         check_cutoff_lemma(model, uh.grid, uh, h, centers=[(L - 1.0, 0.0)])
 
 
+def test_cutoff_lemma_checks_centers_before_the_input_guard(trig01):
+    # a random state fails the ||Pu||/||u|| guard, but a bad center raises
+    # before the guard can warn
+    g = Grid(extent_L=6.0, n_per_side=65)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(VerifyError, match="interior margin"):
+            check_cutoff_lemma(trig01, g, _random_state(g), 0.5, [(0.0, 0.0), (5.0, 0.0)])
+
+
 def _random_state(grid, seed=7):
     rng = np.random.default_rng(seed)
     shape = grid.n_per_side, grid.n_per_side
@@ -187,9 +198,19 @@ def test_gauge_lemma_rows(model):
     rows = check_gauge_lemma(model, g, ground, (2.0, 0.0))
     assert {r.lemma_id for r in rows} == {"gauge_translate_A", "gauge_translate_B"}
     assert all(r.passed for r in rows)
+    _, res = verify.rayleigh_residual(build_operator("H", model, g), ground)
+    assert [r.detail["input_residual"] for r in rows] == [res, res]
     # margin violation
     with pytest.raises(VerifyError):
         check_gauge_lemma(model, g, ground, (5.0, 0.0))
+
+
+def test_rayleigh_residual_of_an_exact_eigenvector():
+    g = Grid(extent_L=6.0, n_per_side=9)
+    op = custom_operator(g, sp.diags(np.arange(g.size, dtype=float)).tocsr(), True)
+    u = GridFunction(np.zeros(g.size), g)
+    u.values[5] = 3.0 - 4.0j   # |u|^2 = 25, exact
+    assert verify.rayleigh_residual(op, u) == (5.0, 0.0)
 
 
 def test_gauge_lemma_trivial_phase_at_origin(model):
