@@ -187,20 +187,35 @@ def rescale(u: GridFunction, h: float) -> GridFunction:
 def save_grid_function(u: GridFunction, path: str) -> None:
     # the bytes np.savetxt writes (header, then "%.18e" rows). Row i1*n + i2
     # has x1, x2 = axis[i1], axis[i2], so the n axis values are formatted once
-    # into the row template and one % fills in only (Re u, Im u). The rows of
-    # one x1 are x1 + x1.join(tails): n strings, not n^2
+    # into the row template and one % fills in only (Re u, Im u), and only on
+    # the node parity classes that hold values: a class that is all +0.0 gets
+    # the text of +0.0 in the template (a -0.0 keeps its sign, so its class is
+    # formatted). The rows of one x1 are x1 + x1.join(tails[i1 % 2]): n
+    # strings, not n^2
+    full = u.as_2d()
+    stored = np.array([[u.on_class(p, q) is not None
+                        or np.signbit(full[p::2, q::2].real).any()
+                        or np.signbit(full[p::2, q::2].imag).any()
+                        for q in (0, 1)] for p in (0, 1)])
     ax = ["%.18e" % x for x in u.grid.axis().tolist()]
-    tails = [f",{x2},%.18e,%.18e\n" for x2 in ax]
-    template = "".join([x1 + x1.join(tails) for x1 in ax])
-    re_im = np.ascontiguousarray(u.values).view(np.float64)
+    zeros = "%.18e,%.18e\n" % (0.0, 0.0)
+    tails = [[f",{x2}," + ("%.18e,%.18e\n" if stored[p, j % 2] else zeros)
+              for j, x2 in enumerate(ax)] for p in (0, 1)]
+    template = "".join([x1 + x1.join(tails[i % 2]) for i, x1 in enumerate(ax)])
+    parity = np.arange(u.grid.n_per_side) % 2
+    re_im = full[stored[np.ix_(parity, parity)]].view(np.float64)
     atomic_write_text(path, "x1,x2,re_u,im_u\n" + template % tuple(re_im.tolist()))
     meta = {"extent_L": u.grid.extent_L, "n_per_side": u.grid.n_per_side, "format": "csv"}
     atomic_write_text(path + ".meta.json", json.dumps(meta, sort_keys=True) + "\n")
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write to a temp name in the same directory, then rename."""
+    """Write to a temp name in the same directory, then rename. An `OSError`
+    of either step raises `GridError` naming `path`."""
     tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise GridError(f"output {path!r} cannot be written: {exc}") from exc

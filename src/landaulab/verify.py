@@ -88,9 +88,17 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
             f"{ENVELOPE_THRESHOLD:g} on the boundary")
 
     w = grid.weight
+    n = grid.n_per_side
+    rank_deficient = VerifyError(
+        f"ladder basis of m_count {m_count} and max_level {max_level} is "
+        f"rank-deficient on n_per_side {n}: lower m_count or max_level, or "
+        "refine the grid")
+    # more vectors than nodes cannot be full rank: raise before the stack
+    # (which could ask for terabytes) is allocated
+    if m_count * (max_level + 1) > grid.size:
+        raise rank_deficient
     dstar = build_operator("D_star", potential, grid)
     H = build_operator("H", potential, grid)
-    n = grid.n_per_side
 
     # the tiers stream into one (basis size, N) stack B
     B = np.empty((m_count * (max_level + 1), grid.size), dtype=complex)
@@ -100,10 +108,7 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
     try:
         L = gram_cholesky(B, w)
     except GridError as exc:
-        raise VerifyError(
-            f"ladder basis of m_count {m_count} and max_level {max_level} is "
-            f"rank-deficient on n_per_side {n}: lower m_count or max_level, or "
-            "refine the grid") from exc
+        raise rank_deficient from exc
     HB = np.empty_like(B)
     for i in range(len(B)):   # a row view in a loop variable would keep B, HB past `del`
         HB[i] = H.apply_array(B[i].reshape(n, n)).reshape(-1)

@@ -21,6 +21,14 @@ def from_callable(fn, grid: Grid) -> GridFunction:
     return GridFunction(np.asarray(fn(X1, X2), dtype=complex).reshape(-1), grid)
 
 
+def savetxt_reference(u: GridFunction, path: str) -> None:
+    """The CSV that `save_grid_function` must reproduce byte for byte."""
+    X1, X2 = u.grid.mesh()
+    v = u.values
+    np.savetxt(path, np.column_stack([X1.ravel(), X2.ravel(), v.real, v.imag]),
+               delimiter=",", header="x1,x2,re_u,im_u", comments="")
+
+
 def custom_operator(grid: Grid, matrix, is_hermitian: bool) -> OperatorHandle:
     return OperatorHandle(label="custom", grid=grid, matrix=matrix,
                           is_hermitian=is_hermitian)

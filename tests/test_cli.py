@@ -9,12 +9,14 @@ import numpy as np
 import pytest
 
 import landaulab.cli as cli
-from landaulab import Grid, check_cutoff_lemma, check_gauge_lemma
+from landaulab import (Grid, build_operator, check_cutoff_lemma, check_gauge_lemma,
+                       make_potential)
 from landaulab.cli import main
 from landaulab.config import ConfigError, RunConfig, parse_config
-from landaulab.eigensolve import BLOCK_MARGIN, arnoldi_ncv
+from landaulab.eigensolve import BLOCK_MARGIN, arnoldi_ncv, lowest_eigenpairs
 from landaulab.grid import GridFunction
 from landaulab.verify import VerifyError, translate_samples
+from helpers import savetxt_reference
 
 
 def _write_config(tmp_path, doc, name="cfg.json"):
@@ -200,17 +202,25 @@ def test_cli_empty_h_list_exits_1(tmp_path, capsys):
 
 
 # valid configs whose ladder outgrows the grid: h = 0.001 asks the lemmas
-# for a level-500 ladder, and 100 states per tier do not fit on 9^2 nodes
+# for a level-500 ladder, and 100 states per tier do not fit on 9^2 nodes.
+# The last two ask for more ladder vectors than the grid has nodes, a stack
+# of terabytes, which is refused before it is allocated
 RANK_DEFICIENT = [
     ("lemmas", {"grid": {"extent_L": 6.0, "n_per_side": 33},
                 "lemmas": {"h_list": [0.001], "q_list": [[1.5, 0.0]]}},
      "m_count 1 and max_level 500 is rank-deficient on n_per_side 33"),
     ("bounds", {"grid": {"n_per_side": 9}, "sweep": {"m_count": 100}},
      "m_count 100 and max_level 5 is rank-deficient on n_per_side 9"),
+    ("lemmas", {"grid": {"extent_L": 6.0, "n_per_side": 33},
+                "lemmas": {"h_list": [1e-9], "q_list": [[1.5, 0.0]]}},
+     "m_count 1 and max_level 500000000 is rank-deficient on n_per_side 33"),
+    ("bounds", {"grid": {"n_per_side": 33}, "sweep": {"max_level": 1000000000}},
+     "m_count 9 and max_level 1000000000 is rank-deficient on n_per_side 33"),
 ]
 
 
-@pytest.mark.parametrize("command, doc, names", RANK_DEFICIENT, ids=["lemmas", "bounds"])
+@pytest.mark.parametrize("command, doc, names", RANK_DEFICIENT,
+                         ids=["lemmas", "bounds", "lemmas-beyond-grid", "bounds-beyond-grid"])
 def test_cli_rank_deficient_ladder_says_what_to_change(tmp_path, command, doc, names):
     cfg = _write_config(tmp_path, doc)
     out = _run_cli([command, "--config", cfg, "--out", str(tmp_path / "out")])
@@ -385,6 +395,38 @@ def test_cli_spectrum_writes_eigenfunctions(tmp_path):
     assert rows.shape == (65 * 65, 4)
     meta = json.loads(open(os.path.join(out, "eig_000.csv.meta.json")).read())
     assert meta == {"extent_L": 5.0, "n_per_side": 65, "format": "csv"}
+
+
+@pytest.mark.parametrize("blocked", ["spectrum.json", "eig_002.csv"])
+def test_cli_unwritable_output_exits_1_naming_it(tmp_path, capsys, blocked):
+    out = tmp_path / "out"
+    (out / f"{blocked}.tmp").mkdir(parents=True)
+    cfg = _write_config(tmp_path, {"grid": {"extent_L": 6.0, "n_per_side": 33},
+                                   "solve": {"k": 4}})
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    line = [ln for ln in err.splitlines() if ln.startswith("error: ")]
+    assert len(line) == 1
+    assert line[0].startswith(f"error: output {str(out / blocked)!r} cannot be written: ")
+
+
+def test_cli_spectrum_csv_bytes_match_savetxt(tmp_path):
+    # every dump of a run, against np.savetxt of the same solve
+    doc = {"grid": {"extent_L": 6.0, "n_per_side": 33}, "solve": {"k": 12, "seed": 3}}
+    cfg = _write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    c = parse_config(doc)
+    pairs = lowest_eigenpairs(
+        build_operator("H", make_potential(c.potential_kind, c.potential_params),
+                       Grid(c.extent_L, c.n_per_side)), k=c.k, tol=c.tol, seed=c.seed)
+    assert sorted(os.listdir(out)) == sorted(
+        ["spectrum.json"] + [f"eig_{i:03d}.csv{ext}" for i in range(len(pairs))
+                             for ext in ("", ".meta.json")])
+    for i, (_, u, _) in enumerate(pairs):
+        savetxt_reference(u, str(tmp_path / "ref.csv"))
+        assert (out / f"eig_{i:03d}.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 def test_cli_lemmas_runs(tmp_path):

@@ -1,10 +1,12 @@
+import functools
+
 import numpy as np
 import pytest
 
 from landaulab import (Grid, GridFunction, inner, l2_norm, norm_triple,
                        rescale, save_grid_function)
 from landaulab.grid import GridError, SublatticeFunction
-from helpers import from_callable, orthonormal_rows
+from helpers import from_callable, orthonormal_rows, savetxt_reference
 
 
 def test_grid_invariants():
@@ -69,11 +71,21 @@ def _random_state(g, rng):
     return GridFunction(v, g)
 
 
-def _sublattice_state(g, rng):
+def _sublattice_state(g, rng, parity=(1, 0)):
     n = g.n_per_side
-    shape = (len(range(1, n, 2)), len(range(0, n, 2)))
+    shape = (len(range(parity[0], n, 2)), len(range(parity[1], n, 2)))
     return SublatticeFunction(rng.standard_normal(shape) + 1j * rng.standard_normal(shape),
-                              (1, 0), g)
+                              parity, g)
+
+
+def _one_class_is(fill, dense=True, parity=(0, 1)):
+    """A state whose parity class `parity` holds only `fill`: the others are
+    random (dense) or +0.0."""
+    def make(g, rng):
+        u = _random_state(g, rng) if dense else GridFunction(np.zeros(g.size), g)
+        u.as_2d()[parity[0]::2, parity[1]::2] = fill
+        return u
+    return make
 
 
 def _special_state(g, rng):
@@ -85,23 +97,28 @@ def _special_state(g, rng):
 
 
 @pytest.mark.parametrize("extent_L, n, make", [
-    (2.0, 11, _random_state),
-    (6.0, 9, _random_state),
-    (6.0, 11, _random_state),
-    (6.0, 129, _random_state),   # the spectrum default grid
-    (6.0, 11, _sublattice_state),
-    (6.0, 9, _special_state),
-], ids=["L2-n11", "L6-n9", "L6-n11", "L6-n129", "sublattice", "special-values"])
+    pytest.param(2.0, 11, _random_state, id="L2-n11"),
+    pytest.param(6.0, 9, _random_state, id="L6-n9"),
+    pytest.param(6.0, 11, _random_state, id="L6-n11"),
+    pytest.param(6.0, 129, _random_state, id="L6-n129"),   # the spectrum default grid
+    pytest.param(6.0, 11, _sublattice_state, id="sublattice"),
+    pytest.param(6.0, 9, _special_state, id="special-values"),
+    *[pytest.param(6.0, n, functools.partial(_sublattice_state, parity=(p, q)),
+                   id=f"sublattice-{p}{q}-n{n}")
+      for n in (11, 129) for p in (0, 1) for q in (0, 1) if (n, p, q) != (11, 1, 0)],
+    pytest.param(6.0, 11, _one_class_is(0.0), id="zero-class"),
+    pytest.param(6.0, 11, _one_class_is(complex(-0.0, -0.0)), id="negative-zero-class"),
+    pytest.param(6.0, 11, _one_class_is(complex(0.0, -0.0)), id="negative-zero-imag-class"),
+    pytest.param(6.0, 11, _one_class_is(complex(np.nan, np.nan), dense=False, parity=(1, 1)),
+                 id="nan-class"),
+])
 def test_csv_bytes_match_savetxt(tmp_path, rng, extent_L, n, make):
     g = Grid(extent_L=extent_L, n_per_side=n)
     u = make(g, rng)
     path = str(tmp_path / "state.csv")
     save_grid_function(u, path)
     ref = str(tmp_path / "ref.csv")
-    X1, X2 = g.mesh()
-    v = u.values
-    np.savetxt(ref, np.column_stack([X1.ravel(), X2.ravel(), v.real, v.imag]),
-               delimiter=",", header="x1,x2,re_u,im_u", comments="")
+    savetxt_reference(u, ref)
     assert open(path, "rb").read() == open(ref, "rb").read()
 
 
