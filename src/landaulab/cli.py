@@ -36,18 +36,26 @@ def _dump_json(doc, path):
     atomic_write_text(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
-def _setup(cfg: RunConfig):
+def _setup(cfg: RunConfig, manifest: str):
+    """The potential, the grid and the manifest's path. An older manifest is
+    removed: it is written last, so a failed run leaves none by a partial set."""
     potential = make_potential(cfg.potential_kind, cfg.potential_params)
     grid = Grid(extent_L=cfg.extent_L, n_per_side=cfg.n_per_side)
+    path = os.path.join(cfg.out_dir, manifest)
     try:
         os.makedirs(cfg.out_dir, exist_ok=True)
     except OSError as exc:
         raise ConfigError(f"output directory {cfg.out_dir!r} cannot be created: {exc}") from exc
-    return potential, grid
+    try:
+        if os.path.lexists(path):
+            os.remove(path)
+    except OSError as exc:
+        raise ConfigError(f"output {path!r} cannot be written: {exc}") from exc
+    return potential, grid, path
 
 
 def run_spectrum(cfg: RunConfig) -> int:
-    potential, grid = _setup(cfg)
+    potential, grid, manifest_path = _setup(cfg, "spectrum.json")
     H = build_operator("H", potential, grid)
     warn = resolution_warning(potential, grid)
     if warn:
@@ -63,21 +71,21 @@ def run_spectrum(cfg: RunConfig) -> int:
         "solver": solver,
         "warnings": [warn] if warn else [],
     }
-    _dump_json(manifest, os.path.join(cfg.out_dir, "spectrum.json"))
     for i, (_, gf, _) in enumerate(pairs):
         save_grid_function(gf, os.path.join(cfg.out_dir, f"eig_{i:03d}.csv"))
+    _dump_json(manifest, manifest_path)
     print(f"spectrum: {cfg.k} eigenpairs in {len(groups)} cluster(s); "
           f"eigenvalue range [{pairs[0][0]:.6g}, {pairs[-1][0]:.6g}]")
     return 0
 
 
 def run_bounds(cfg: RunConfig) -> int:
-    potential, grid = _setup(cfg)
+    potential, grid, manifest_path = _setup(cfg, "bounds.json")
     report = sweep_bounds(potential, grid, cfg.max_level,
                           m_count=cfg.m_count, restarts=cfg.restarts,
                           seed=cfg.seed)
-    _dump_json(report.to_dict(), os.path.join(cfg.out_dir, "bounds.json"))
     atomic_write_text(os.path.join(cfg.out_dir, "bounds.csv"), report.to_csv())
+    _dump_json(report.to_dict(), manifest_path)
     for row in report.rows:
         print(f"level {row.level}: lambda^2={row.lambda_sq:+.4f} dim={row.cluster_dim} "
               f"ratio_linf={row.ratio_linf:.5f} scaled_l6={row.scaled_l6:.5f}")
@@ -94,7 +102,7 @@ def run_bounds(cfg: RunConfig) -> int:
 
 
 def run_lemmas(cfg: RunConfig) -> int:
-    potential, grid = _setup(cfg)
+    potential, grid, manifest_path = _setup(cfg, "lemmas.json")
     rows = []
     skipped = []
 
@@ -141,7 +149,7 @@ def run_lemmas(cfg: RunConfig) -> int:
         "warnings": [f"cutoff rows at h={h:g} rest on an input state above the "
                      "||Pu||/||u|| guard (input_guard_ok false)" for h in polluted],
     }
-    _dump_json(doc, os.path.join(cfg.out_dir, "lemmas.json"))
+    _dump_json(doc, manifest_path)
     n_pass = sum(r.passed for r in rows)
     print(f"lemmas: {n_pass}/{len(rows)} rows passed, {len(skipped)} skipped")
     return 0 if rows and n_pass == len(rows) else 2
@@ -150,7 +158,7 @@ def run_lemmas(cfg: RunConfig) -> int:
 def run_oracle_compare(cfg: RunConfig) -> int:
     if cfg.potential_kind != "model_quadratic":
         raise ConfigError("oracle-compare requires potential.kind = model_quadratic")
-    potential, grid = _setup(cfg)
+    potential, grid, manifest_path = _setup(cfg, "oracle_compare.json")
     H = build_operator("H", potential, grid)
     oracle_basis = [null_state(m, grid) for m in range(cfg.compare_m_max + 1)]
     oracle_rows = []
@@ -178,7 +186,7 @@ def run_oracle_compare(cfg: RunConfig) -> int:
         "max_angle_rad": max_angle,
         "passed": passed,
     }
-    _dump_json(doc, os.path.join(cfg.out_dir, "oracle_compare.json"))
+    _dump_json(doc, manifest_path)
     print(f"oracle-compare: max principal angle {max_angle:.2e} rad "
           f"({'PASS' if passed else 'FAIL'} at 1e-2)")
     return 0 if passed else 2

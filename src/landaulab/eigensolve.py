@@ -12,8 +12,8 @@ pivoting), and only with them does U's diagonal carry the inertia of
 H - sigma I; the `diagonal_pivots` fact says whether every pivot stayed there.
 The Krylov basis holds `arnoldi_ncv(k, N)` vectors. Every returned pair is
 certified by recomputing its residual on the assembled complex matrix of its
-block, all of a block's pairs in one sparse product, on the stored rows;
-this is independent of the LU and of ARPACK. Results are deterministic for a
+block, by one sparse product on its stored row and `grid.l2_sums`; this is
+independent of the LU and of ARPACK. Results are deterministic for a
 fixed seed (the seed fixes the Krylov start vector).
 
 Real symmetric form. The magnetic field breaks complex conjugation K as a
@@ -82,7 +82,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import GridFunction, SublatticeFunction, gram_cholesky
+from .grid import GridFunction, SublatticeFunction, gram_cholesky, l2_sums
 from .operators import OperatorHandle, assemble_sparse
 
 MAX_K = 200
@@ -399,7 +399,7 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         if lowest:
             info["inertia"] = inertia
 
-    # certify each block's pairs at once on its assembled matrix, which is
+    # certify each block's pairs on its assembled matrix, which is
     # independent of the LU (vectors of different blocks have disjoint
     # supports, and Q keeps a block's Lanczos vectors orthonormal)
     grid = op.grid
@@ -414,9 +414,9 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         vals = vals[order]
         rows = vecs[order]
         del vecs
-        rows /= np.sqrt(grid.weight * np.sum(np.abs(rows) ** 2, axis=1))[:, None]
-        resid = np.sqrt(grid.weight * np.sum(
-            np.abs(subs[b] @ rows.T - rows.T * vals) ** 2, axis=0))
+        rows /= np.sqrt(grid.weight * l2_sums(rows))[:, None]
+        resid = np.sqrt(grid.weight * np.array(
+            [l2_sums(subs[b] @ r - lam * r) for lam, r in zip(vals, rows)]))
         bound = tol * np.maximum(1.0, np.abs(vals))
         for lam, r, bd in zip(vals, resid, bound):
             if r > bd:

@@ -6,8 +6,8 @@ Conventions used throughout the package:
   * grid functions are stored flat, row-major over (x1, x2): index i1*n + i2;
   * values are implicitly zero outside the grid (Dirichlet truncation);
   * the discrete L^2 inner product uses the uniform weight spacing^2 at every
-    node. This single quadrature convention is shared by norms, operators and
-    eigensolvers.
+    node, in norms, operators and eigensolvers alike, and every sum of it over
+    nodes is `l2_sums`, whose order no BLAS thread count moves.
 """
 
 from __future__ import annotations
@@ -125,15 +125,25 @@ class SublatticeFunction(GridFunction):
         return self.rows if (p, q) == self.parity else None
 
 
+def l2_sums(F, G=None) -> np.ndarray:
+    """Re sum conj(F) G, or sum |F|^2 when G is None, over the last (node) axis
+    of a complex vector or row stack; times `Grid.weight`, the discrete L^2
+    product's real part or squared norm. The package's one such sum: a numpy
+    einsum over the float64 (re, im) pairs in an order fixed by the shapes,
+    with no BLAS call: a BLAS dot product splits a long sum by thread count."""
+    X = F.view(np.float64)
+    return np.einsum("...i,...i->...", X, X if G is None else G.view(np.float64))
+
+
 def inner(f: GridFunction, g: GridFunction) -> complex:
-    """Discrete L^2 inner product, conjugate-linear in the first slot."""
+    """Discrete L^2 inner product, conjugate-linear in f: Re <f, g> + i Re <if, g>."""
     if f.grid != g.grid:
         raise GridError("inner product requires a common grid")
-    return complex(np.vdot(f.values, g.values) * f.grid.weight)
+    return complex(l2_sums(f.values, g.values), l2_sums(1j * f.values, g.values)) * f.grid.weight
 
 
 def l2_norm(f: GridFunction) -> float:
-    return float(np.sqrt(np.real(np.vdot(f.values, f.values)) * f.grid.weight))
+    return float(np.sqrt(l2_sums(f.values) * f.grid.weight))
 
 
 def gram_cholesky(B, weight: float):

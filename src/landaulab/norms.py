@@ -27,7 +27,7 @@ from math import comb
 
 import numpy as np
 
-from .grid import GridFunction, l2_norm
+from .grid import GridFunction, l2_norm, l2_sums
 
 
 class NormError(ValueError):
@@ -42,22 +42,19 @@ class NormTriple:
 
 
 def norm_triple(u: GridFunction) -> NormTriple:
-    w = u.grid.weight
     a2 = np.abs(u.values) ** 2
-    l2 = float(np.sqrt(a2.sum() * w))
-    l6 = float((np.sum(a2**3) * w) ** (1.0 / 6.0))
-    linf = float(np.sqrt(a2.max()))
-    return NormTriple(l2=l2, l6=l6, linf=linf)
+    l6 = float((np.sum(a2**3) * u.grid.weight) ** (1.0 / 6.0))
+    return NormTriple(l2=l2_norm(u), l6=l6, linf=float(np.sqrt(a2.max())))
 
 
 def _basis_matrix(cluster):
     """(k, N) complex array of the cluster's basis, renormalized to unit
     discrete L^2 so that both extremal ratios are homogeneous of degree zero
     in the stored values."""
-    nrm = np.array([l2_norm(b) for b in cluster.basis])
+    V = np.stack([b.values for b in cluster.basis])
+    nrm = np.sqrt(l2_sums(V) * cluster.basis[0].grid.weight)
     if not nrm.all():
         raise NormError("zero vector in cluster basis")
-    V = np.stack([b.values for b in cluster.basis])
     V /= nrm[:, None]   # in place, with no second (k, N) array
     return V
 

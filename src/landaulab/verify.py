@@ -27,7 +27,7 @@ from .cutoffs import (SUPPORT_RADIUS, center_inside, cutoff_rows, lattice_window
                       make_cutoff, overlap_sup_factors, profile_sup_norms)
 from .eigensolve import EigenCluster, cluster
 from .grid import (ENVELOPE_THRESHOLD, Grid, GridError, GridFunction, gram_cholesky,
-                   l2_norm)
+                   l2_norm, l2_sums)
 from .norms import extremal_l6, extremal_linf
 from .operators import build_operator, gauge_multiplier
 from .potentials import Potential, _fd_partial, ball_sup
@@ -64,12 +64,11 @@ def ladder_tiers(potential, dstar, m_count: int, max_level: int):
     X1, X2 = grid.mesh()
     zbar = X1 - 1j * X2
     env = np.exp(-potential.value(X1, X2)).astype(complex)
-    w = grid.weight
     tier = [zbar**m * env for m in range(m_count)]
     for level in range(max_level + 1):
         if level:
             tier = [dstar.apply_array(u) for u in tier]
-        tier = [u / np.sqrt(np.vdot(u, u).real * w) for u in tier]
+        tier = [u / l2_norm(GridFunction(u, grid)) for u in tier]
         yield tier
 
 
@@ -128,7 +127,7 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
     r2 = np.zeros(len(B))
     for s in range(0, grid.size, RITZ_PANEL):
         X = C @ B[:, s:s + RITZ_PANEL]
-        r2 += np.sum(np.abs(C @ HB[:, s:s + RITZ_PANEL] - evals[:, None] * X) ** 2, axis=1)
+        r2 += l2_sums(C @ HB[:, s:s + RITZ_PANEL] - evals[:, None] * X)
         B[:, s:s + RITZ_PANEL] = X
     del HB
     resid = np.sqrt(r2 * w)
@@ -180,8 +179,7 @@ class TrendCheck:
 class BoundReport:
     potential_kind: str
     params: tuple
-    extent_L: float
-    n_per_side: int
+    grid: Grid
     rows: list
     theorem1: TrendCheck | None = None
     theorem2: TrendCheck | None = None
@@ -192,18 +190,7 @@ class BoundReport:
         return all(t.passed for t in (self.theorem1, self.theorem2) if t is not None)
 
     def to_dict(self) -> dict:
-        def trend(t):
-            return None if t is None else asdict(t)
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "potential_kind": self.potential_kind,
-            "params": list(self.params),
-            "grid": {"extent_L": self.extent_L, "n_per_side": self.n_per_side},
-            "rows": [asdict(r) for r in self.rows],
-            "theorem1": trend(self.theorem1),
-            "theorem2": trend(self.theorem2),
-            "warnings": list(self.warnings),
-        }
+        return {"schema_version": SCHEMA_VERSION, **asdict(self)}
 
     def to_csv(self) -> str:
         lines = ["level,lambda_sq,cluster_dim,ratio_linf,ratio_l6,scaled_l6"]
@@ -278,8 +265,7 @@ def sweep_bounds(potential: Potential, grid: Grid, max_level: int,
                              l6_hessian_max=asc.hessian_max))
 
     report = BoundReport(potential_kind=potential.kind, params=potential.params,
-                         extent_L=grid.extent_L, n_per_side=grid.n_per_side,
-                         rows=rows, warnings=warns)
+                         grid=grid, rows=rows, warnings=warns)
     if rows:
         report.theorem1 = _bounded_no_growth([r.level for r in rows],
                                              [r.ratio_linf for r in rows])
@@ -300,7 +286,6 @@ def check_energy_lemma(potential: Potential, grid: Grid,
     ENERGY_REL_TOL (exact for true discrete eigenpairs).
     """
     rows = []
-    w = grid.weight
     A = build_operator("A", potential, grid)
     B = build_operator("B", potential, grid)
     X1, X2 = grid.mesh()
@@ -311,7 +296,7 @@ def check_energy_lemma(potential: Potential, grid: Grid,
         if not 0.5 < l2_norm(u) ** 2 < 2.0:
             raise VerifyError("cluster basis vector is not unit-normalized")
         lhs = (l2_norm(A.apply(u)) ** 2 + l2_norm(B.apply(u)) ** 2)
-        rhs = float(np.vdot(u.values, (lap4 + lam) * u.values).real * w)
+        rhs = float(l2_sums(u.values, (lap4 + lam) * u.values) * grid.weight)
         rel = abs(lhs - rhs) / max(abs(rhs), 1e-300)
         rows.append(LemmaRow(lemma_id="energy_identity", lhs=lhs, rhs=rhs,
                              passed=bool(rel <= ENERGY_REL_TOL),
@@ -380,12 +365,12 @@ def check_cutoff_lemma(potential: Potential, grid: Grid, u: GridFunction,
 
 def rayleigh_residual(op, u: GridFunction):
     """(lambda, ||op u - lambda u|| / ||u||) for the Rayleigh quotient lambda
-    of u, from numpy's fixed-order sums (BLAS dot products split long sums by
-    thread count); the quadrature weight cancels."""
+    of u, from `grid.l2_sums`, so no BLAS thread count moves it; the
+    quadrature weight cancels."""
     v, ov = u.values, op.apply(u).values
-    sq = np.sum(np.abs(v) ** 2)
-    lam = float(np.sum(v.conj() * ov).real / sq)
-    return lam, float(np.sqrt(np.sum(np.abs(ov - lam * v) ** 2) / sq))
+    sq = l2_sums(v)
+    lam = float(l2_sums(v, ov) / sq)
+    return lam, float(np.sqrt(l2_sums(ov - lam * v) / sq))
 
 
 def translate_samples(u: GridFunction, q) -> GridFunction:

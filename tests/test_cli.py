@@ -401,6 +401,7 @@ def test_cli_spectrum_writes_eigenfunctions(tmp_path):
 def test_cli_unwritable_output_exits_1_naming_it(tmp_path, capsys, blocked):
     out = tmp_path / "out"
     (out / f"{blocked}.tmp").mkdir(parents=True)
+    (out / "spectrum.json").write_text("{}\n")   # an older run's manifest
     cfg = _write_config(tmp_path, {"grid": {"extent_L": 6.0, "n_per_side": 33},
                                    "solve": {"k": 4}})
     assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 1
@@ -409,6 +410,8 @@ def test_cli_unwritable_output_exits_1_naming_it(tmp_path, capsys, blocked):
     line = [ln for ln in err.splitlines() if ln.startswith("error: ")]
     assert len(line) == 1
     assert line[0].startswith(f"error: output {str(out / blocked)!r} cannot be written: ")
+    # the manifest is written last, so no manifest stands beside a partial set
+    assert not (out / "spectrum.json").exists()
 
 
 def test_cli_spectrum_csv_bytes_match_savetxt(tmp_path):
@@ -642,6 +645,43 @@ def test_cli_oracle_compare_auto_sigma_independent_of_blas_threads(tmp_path):
     a, b = docs
     assert a["solver"]["sigma"] == b["solver"]["sigma"]
     assert a["oracle"] == b["oracle"]
+
+
+# at 129^2 a grid vector holds 16,641 nodes, enough for a BLAS dot product to
+# split its sum by thread count
+BLAS_THREAD_CONFIGS = {
+    "bounds": {"potential": {"kind": "quadratic_plus_trig", "params": [0.1]},
+               "grid": {"extent_L": 6.5, "n_per_side": 129},
+               "sweep": {"max_level": 1}, "solve": {"seed": 5}},
+    "lemmas": {"potential": {"kind": "quadratic_plus_trig", "params": [0.1]},
+               "grid": {"extent_L": 10.0, "n_per_side": 129},
+               "lemmas": {"h_list": [0.5, 0.25], "q_list": [[1.25, 0.0]]}},
+}
+
+
+@pytest.mark.parametrize("command", sorted(BLAS_THREAD_CONFIGS))
+def test_cli_ladder_and_energy_rows_independent_of_blas_threads(tmp_path, command):
+    # bounds: every ladder field of each level (the ascent's fields still
+    # move); lemmas: every energy identity row. Each rests on discrete L^2
+    # sums over the grid (tier norms, Ritz residuals, basis norms, the
+    # energy identity's sides), which must not depend on the thread count
+    cfg = _write_config(tmp_path, BLAS_THREAD_CONFIGS[command])
+    docs = []
+    for threads in ("1", "2"):
+        out = str(tmp_path / f"{command}{threads}")
+        proc = _run_cli([command, "--config", cfg, "--out", out],
+                        OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        assert proc.returncode in (0, 2), proc.stderr
+        docs.append(json.loads(open(os.path.join(out, f"{command}.json")).read()))
+    if command == "bounds":
+        fields = ("level", "lambda_sq", "ratio_linf", "max_residual", "l6_cut_bound")
+        a, b = ([{f: r[f] for f in fields} for r in doc["rows"]] for doc in docs)
+        assert len(a) == 2
+    else:
+        a, b = ([r for r in doc["rows"] if r["lemma_id"] == "energy_identity"]
+                for doc in docs)
+        assert len(a) == 18
+    assert a == b
 
 
 def test_cli_spectrum_independent_of_blas_threads(tmp_path):

@@ -5,7 +5,7 @@ import pytest
 
 from landaulab import (Grid, GridFunction, inner, l2_norm, norm_triple,
                        rescale, save_grid_function)
-from landaulab.grid import GridError, SublatticeFunction
+from landaulab.grid import GridError, SublatticeFunction, l2_sums
 from helpers import from_callable, orthonormal_rows, savetxt_reference
 
 
@@ -127,6 +127,22 @@ def test_inner_product_grid_guard(rng):
     b = GridFunction(np.ones(Grid(2.0, 11).size), Grid(2.0, 11))
     with pytest.raises(GridError):
         inner(a, b)
+
+
+def test_l2_sums_and_inner_match_blas_to_round_off(rng):
+    # the package's one node sum against BLAS dot products: one vector, a
+    # row stack and both parts of the inner product
+    g = Grid(extent_L=2.0, n_per_side=129)
+    F, G = (rng.standard_normal((3, g.size)) + 1j * rng.standard_normal((3, g.size))
+            for _ in range(2))
+    np.testing.assert_allclose(l2_sums(F), [np.vdot(f, f).real for f in F], rtol=1e-13)
+    np.testing.assert_allclose(l2_sums(F, G), [np.vdot(f, h).real for f, h in zip(F, G)],
+                               rtol=1e-13)
+    np.testing.assert_allclose([l2_sums(f) for f in F], l2_sums(F), rtol=1e-13)
+    f, h = GridFunction(F[0], g), GridFunction(G[0], g)
+    ref = np.vdot(F[0], G[0]) * g.weight
+    assert abs(inner(f, h) - ref) <= 1e-13 * abs(ref)
+    assert l2_norm(f) == pytest.approx(np.linalg.norm(F[0]) * g.spacing, rel=1e-13)
 
 
 def test_gram_cholesky_orthonormalizes(rng):
