@@ -228,6 +228,10 @@ def main(argv=None) -> int:
                 set_field(cfg, "output.directory", args.out)
             if args.seed is not None:
                 set_field(cfg, "solve.seed", args.seed)
+            nodes = cfg.n_per_side ** 2
+            if args.command in ("spectrum", "oracle-compare") and cfg.k >= nodes - 1:
+                raise ConfigError(f"solve.k = {cfg.k} must be below {nodes - 1}: "
+                                  f"the grid has {nodes} nodes")
             return COMMANDS[args.command](cfg)
         except ValueError as exc:   # the error class of every module but eigensolve
             print(f"error: {exc}", file=sys.stderr)

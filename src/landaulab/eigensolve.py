@@ -1,20 +1,21 @@
 """Sparse Hermitian eigensolves and near-degenerate clustering.
 
 The solver assembles the operator once and shift-inverts at a real sigma
-(`lowest_eigenpairs` uses -1: the discrete operator is bounded below by -1 up
-to discretization). It factors H - sigma I itself, once, with SuperLU under
-the minimum-degree ordering of A^T + A (the stencil matrix is structurally
-symmetric, and this ordering has far less fill than the default COLAMD) in
-its symmetric mode, which pivots on the diagonal unless a diagonal entry is
-below 0.001 of its column's largest, and hands the factor's solve to ARPACK.
-Diagonal pivots keep the Hermitian structure (less fill than partial
-pivoting), and only with them does U's diagonal carry the inertia of
+(`lowest_eigenpairs` uses -1 only as a shift: A^2 + B^2 >= 0 holds exactly,
+so H >= -max(lap phi)/4, -1 - eps/2 for trig, and the slice's counts make
+the returned pairs the lowest). It factors H - sigma I itself, once, with
+SuperLU under the minimum-degree ordering of A^T + A (the stencil matrix is
+structurally symmetric, and this ordering has far less fill than the default
+COLAMD) in its symmetric mode, which pivots on the diagonal unless a diagonal
+entry is below 0.001 of its column's largest, and hands the factor's solve
+to ARPACK. Diagonal pivots keep the Hermitian structure (less fill than
+partial pivoting), and only with them does U's diagonal carry the inertia of
 H - sigma I; the `diagonal_pivots` fact says whether every pivot stayed there.
 The Krylov basis holds `arnoldi_ncv(k, N)` vectors. Every returned pair is
 certified by recomputing its residual on the assembled complex matrix of its
 block, by one sparse product on its stored row and `grid.l2_sums`; this is
-independent of the LU and of ARPACK. Results are deterministic for a
-fixed seed (the seed fixes the Krylov start vector).
+independent of the LU and of ARPACK. Results are deterministic for a fixed
+seed (the seed fixes the Krylov start vector).
 
 Real symmetric form. The magnetic field breaks complex conjugation K as a
 symmetry of H, but when phi(x1, -x2) = phi(x1, x2), as for every shipped
@@ -82,7 +83,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import GridFunction, SublatticeFunction, gram_cholesky, l2_sums
+from .grid import GridFunction, SublatticeFunction, l2_sums
 from .operators import OperatorHandle, assemble_sparse
 
 MAX_K = 200
@@ -469,7 +470,7 @@ def eigenpairs_near(op: OperatorHandle, k: int, sigma: float,
 class EigenCluster:
     label: int
     eigenvalues: list
-    basis: list          # GridFunctions, orthonormal in the discrete L^2
+    basis: list          # the given GridFunctions, orthonormal in the discrete L^2
     residuals: list
 
     @property
@@ -483,9 +484,10 @@ class EigenCluster:
 
 def cluster(pairs, cluster_tol: float = 0.25) -> list[EigenCluster]:
     """Group sorted (eigenvalue, GridFunction, residual) triples into maximal runs
-    with consecutive gaps <= cluster_tol; each cluster basis is re-orthonormalized,
-    as conj(L)^{-1} B for the row stack B of its vectors and L =
-    `gram_cholesky`(B), which raises `GridError` on a rank-deficient group."""
+    with consecutive gaps <= cluster_tol. The vectors must already be
+    orthonormal in the discrete L^2, as `lowest_eigenpairs`, `eigenpairs_near`
+    and the ladder's Rayleigh-Ritz return them: nothing orthonormalizes them
+    here, and each cluster's basis holds the given vector objects."""
     if not pairs:
         raise SolverError("cannot cluster an empty eigenpair list")
     if cluster_tol <= 0:
@@ -495,19 +497,10 @@ def cluster(pairs, cluster_tol: float = 0.25) -> list[EigenCluster]:
     vals = [p[0] for p in pairs]
     if any(vals[i + 1] < vals[i] for i in range(len(vals) - 1)):
         raise SolverError("eigenpairs must be sorted by eigenvalue")
-    out = []
-    for idx, run in enumerate(gap_groups(vals, cluster_tol)):
-        g = [pairs[i] for i in run]
-        grid = g[0][1].grid
-        B = np.stack([p[1].values for p in g])
-        ortho = np.linalg.inv(gram_cholesky(B, grid.weight)).conj() @ B
-        out.append(EigenCluster(
-            label=idx,
-            eigenvalues=[p[0] for p in g],
-            basis=[GridFunction(v, grid) for v in ortho],
-            residuals=[p[2] for p in g],
-        ))
-    return out
+    return [EigenCluster(label=idx, eigenvalues=[pairs[i][0] for i in run],
+                         basis=[pairs[i][1] for i in run],
+                         residuals=[pairs[i][2] for i in run])
+            for idx, run in enumerate(gap_groups(vals, cluster_tol))]
 
 
 def principal_angles(basis_a, basis_b) -> np.ndarray:

@@ -148,9 +148,10 @@ def l2_norm(f: GridFunction) -> float:
 
 def gram_cholesky(B, weight: float):
     """Lower Cholesky factor L of the weighted Gram matrix G = conj(B) B^T weight
-    of the rows of a (k, N) stack B, from one GEMM and a k x k factor:
-    G = L L^H, and the rows of conj(L)^{-1} B are orthonormal (B = conj(L) Q,
-    as Gram-Schmidt gives).
+    of the rows of a (k, N) stack B, from one GEMM (its diagonal from
+    `l2_sums`: numpy sends a one-row product to a BLAS dot product, whose sum
+    splits by thread count) and a k x k factor: G = L L^H, and the rows of
+    conj(L)^{-1} B are orthonormal (B = conj(L) Q, as Gram-Schmidt gives).
 
     L_ii is the distance of row i from the span of the rows before it. A row
     with L_ii <= RANK_TOL |b_i|, or a G that is not numerically positive
@@ -161,6 +162,7 @@ def gram_cholesky(B, weight: float):
     others' span, which stays far inside 1e-10."""
     B = np.asarray(B, dtype=complex)
     G = (B.conj() @ B.T) * weight
+    np.fill_diagonal(G, l2_sums(B) * weight)
     try:
         L = np.linalg.cholesky(G)
         full_rank = np.all(L.diagonal().real > RANK_TOL * np.sqrt(G.diagonal().real))

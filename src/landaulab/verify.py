@@ -77,7 +77,7 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
     """Per-level eigenspace clusters from the analytic ladder subspace.
 
     Cluster `label` is the Landau level index (mean eigenvalue / 2, rounded);
-    each cluster carries its Ritz residuals.
+    each cluster carries its Ritz vectors, orthonormal as returned, and residuals.
     """
     if max_level < 0:
         raise VerifyError("max_level must be >= 0")
@@ -131,8 +131,8 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
         B[:, s:s + RITZ_PANEL] = X
     del HB
     resid = np.sqrt(r2 * w)
-
-    clusters = cluster([(float(lam), GridFunction(v, grid), float(r))
+    # a copy of each Ritz row, so that B is freed on return
+    clusters = cluster([(float(lam), GridFunction(v.copy(), grid), float(r))
                         for lam, v, r in zip(evals, B, resid)], LEVEL_CLUSTER_TOL)
     for c in clusters:
         c.label = int(round(c.mean / 2.0))

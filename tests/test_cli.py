@@ -192,6 +192,18 @@ def test_cli_oracle_compare_non_model_exits_1_before_any_work(tmp_path):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize("command", ["spectrum", "oracle-compare"])
+def test_cli_k_too_large_for_the_grid_exits_1_before_any_work(tmp_path, capsys, command):
+    # 9^2 = 81 nodes; the eigensolvers take k < 80 and raise SolverError beyond
+    path = _write_config(tmp_path, {"grid": {"extent_L": 6.0, "n_per_side": 9},
+                                    "solve": {"k": 80}})
+    out_dir = tmp_path / "out"
+    assert main([command, "--config", path, "--out", str(out_dir)]) == 1
+    assert capsys.readouterr().err == ("error: solve.k = 80 must be below 80: "
+                                       "the grid has 81 nodes\n")
+    assert not out_dir.exists()
+
+
 def test_cli_empty_h_list_exits_1(tmp_path, capsys):
     doc = dict(BASE)
     doc["lemmas"] = {"h_list": [], "q_list": [[1.5, 0.0]]}
@@ -648,23 +660,25 @@ def test_cli_oracle_compare_auto_sigma_independent_of_blas_threads(tmp_path):
 
 
 # at 129^2 a grid vector holds 16,641 nodes, enough for a BLAS dot product to
-# split its sum by thread count
+# split its sum by thread count; lemmas runs at the benchmark's 257^2 config,
+# whose one-vector cutoff and gauge ladders split theirs
 BLAS_THREAD_CONFIGS = {
     "bounds": {"potential": {"kind": "quadratic_plus_trig", "params": [0.1]},
                "grid": {"extent_L": 6.5, "n_per_side": 129},
                "sweep": {"max_level": 1}, "solve": {"seed": 5}},
     "lemmas": {"potential": {"kind": "quadratic_plus_trig", "params": [0.1]},
-               "grid": {"extent_L": 10.0, "n_per_side": 129},
-               "lemmas": {"h_list": [0.5, 0.25], "q_list": [[1.25, 0.0]]}},
+               "grid": {"extent_L": 10.0, "n_per_side": 257},
+               "lemmas": {"h_list": [0.5, 0.25, 0.125], "q_list": [[1.25, 0.0]]},
+               "solve": {"seed": 3}},
 }
 
 
 @pytest.mark.parametrize("command", sorted(BLAS_THREAD_CONFIGS))
 def test_cli_ladder_and_energy_rows_independent_of_blas_threads(tmp_path, command):
     # bounds: every ladder field of each level (the ascent's fields still
-    # move); lemmas: every energy identity row. Each rests on discrete L^2
-    # sums over the grid (tier norms, Ritz residuals, basis norms, the
-    # energy identity's sides), which must not depend on the thread count
+    # move); lemmas: every row. Each rests on discrete L^2 sums over the grid
+    # (tier norms, Gram diagonals, Ritz residuals, basis norms, the lemmas'
+    # sides), which must not depend on the thread count
     cfg = _write_config(tmp_path, BLAS_THREAD_CONFIGS[command])
     docs = []
     for threads in ("1", "2"):
@@ -678,9 +692,8 @@ def test_cli_ladder_and_energy_rows_independent_of_blas_threads(tmp_path, comman
         a, b = ([{f: r[f] for f in fields} for r in doc["rows"]] for doc in docs)
         assert len(a) == 2
     else:
-        a, b = ([r for r in doc["rows"] if r["lemma_id"] == "energy_identity"]
-                for doc in docs)
-        assert len(a) == 18
+        a, b = (doc["rows"] for doc in docs)
+        assert len(a) == 26   # 18 energy, 6 cutoff and 2 gauge rows
     assert a == b
 
 

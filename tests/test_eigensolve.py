@@ -14,7 +14,7 @@ from landaulab.eigensolve import (SolverError, arnoldi_ncv, gap_groups,
                                   resolution_warning, sublattice_blocks)
 from landaulab.grid import GridFunction, SublatticeFunction
 from landaulab.potentials import Potential
-from helpers import custom_operator
+from helpers import custom_operator, orthonormal_rows
 
 
 def _diag_op(grid):
@@ -74,6 +74,14 @@ def test_guards(model):
         lowest_eigenpairs(H, k=2, tol=1e-9)
 
 
+def test_k_too_large_for_the_grid_raises_solver_error(model):
+    # the CLI rejects this k as a usage error first; library callers get SolverError
+    H = build_operator("H", model, Grid(extent_L=6.0, n_per_side=9))
+    for solve in (lowest_eigenpairs, lambda op, k: eigenpairs_near(op, k, sigma=0.0)):
+        with pytest.raises(SolverError, match="k too large for the grid"):
+            solve(H, k=80)
+
+
 def test_variational_sanity(model):
     from landaulab import inner, l2_norm, null_state
     g = Grid(extent_L=6.0, n_per_side=65)
@@ -85,29 +93,40 @@ def test_variational_sanity(model):
 
 
 def test_cluster_two_groups():
+    # cluster groups orthonormal vectors and keeps the very objects it is given
     g = Grid(extent_L=1.0, n_per_side=9)
     rng = np.random.default_rng(0)
-    vecs = [GridFunction(rng.standard_normal(g.size) + 0j, g) for _ in range(4)]
+    rows = orthonormal_rows([rng.standard_normal(g.size) + 0j for _ in range(4)], g.weight)
+    vecs = [GridFunction(r, g) for r in rows]
     pairs = [(0.001, vecs[0], 0.0), (0.002, vecs[1], 0.0),
              (1.999, vecs[2], 0.0), (2.003, vecs[3], 0.0)]
     cs = cluster(pairs, cluster_tol=0.1)
     assert [c.dim for c in cs] == [2, 2]
     assert cs[0].mean == pytest.approx(0.0015)
     assert cs[1].mean == pytest.approx(2.001)
-    # orthonormalized bases
-    for c in cs:
-        for i, a in enumerate(c.basis):
-            for j, b in enumerate(c.basis):
-                ip = np.vdot(a.values, b.values) * g.weight
-                assert abs(ip - (1.0 if i == j else 0.0)) < 1e-10
+    assert all(b is v for b, v in zip([b for c in cs for b in c.basis], vecs))
 
 
 def test_cluster_single_group():
     g = Grid(extent_L=1.0, n_per_side=9)
-    v = GridFunction(np.ones(g.size) + 0j, g)
-    w = GridFunction(np.arange(g.size) + 0j, g)
+    v, w = (GridFunction(r, g) for r in orthonormal_rows(
+        [np.ones(g.size) + 0j, np.arange(g.size) + 0j], g.weight))
     cs = cluster([(0.0, v, 0.0), (0.05, w, 0.0)], cluster_tol=0.1)
     assert len(cs) == 1 and cs[0].dim == 2
+    assert cs[0].basis[0] is v and cs[0].basis[1] is w
+
+
+def test_cluster_keeps_the_sublattice_eigenvectors_of_a_lowest_solve(model):
+    # Lanczos returns orthonormal vectors, so cluster takes them as they are
+    g = Grid(extent_L=5.0, n_per_side=33)
+    pairs = lowest_eigenpairs(build_operator("H", model, g), k=6, tol=1e-8, seed=0)
+    cs = cluster(pairs, cluster_tol=0.25)
+    basis = [b for c in cs for b in c.basis]
+    assert all(b is p[1] for b, p in zip(basis, pairs)) and len(basis) == len(pairs)
+    assert all(isinstance(b, SublatticeFunction) for b in basis)
+    V = np.stack([b.values for b in basis])
+    gram = (V.conj() @ V.T) * g.weight
+    assert np.max(np.abs(gram - np.eye(len(basis)))) <= 1e-12
 
 
 def test_gap_groups_takes_one_scalar_gap():
