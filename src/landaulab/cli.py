@@ -158,6 +158,10 @@ def run_lemmas(cfg: RunConfig) -> int:
 def run_oracle_compare(cfg: RunConfig) -> int:
     if cfg.potential_kind != "model_quadratic":
         raise ConfigError("oracle-compare requires potential.kind = model_quadratic")
+    if cfg.k <= cfg.compare_m_max:
+        raise ConfigError(f"solve.k = {cfg.k} must exceed compare.m_max = {cfg.compare_m_max}: "
+                          f"the solved span must be able to hold the {cfg.compare_m_max + 1} "
+                          "oracle states")
     potential, grid, manifest_path = _setup(cfg, "oracle_compare.json")
     H = build_operator("H", potential, grid)
     oracle_basis = [null_state(m, grid) for m in range(cfg.compare_m_max + 1)]

@@ -44,7 +44,7 @@ for. `eigenpairs_near` asks each block for its share of k plus
 blocks. A block whose farthest returned eigenvalue is not beyond the k-th
 distance may hold more of them, so it is solved once more for k +
 `BLOCK_MARGIN` pairs; if that still falls short the solve raises
-`SolverError`.
+`SolverError`, and `BlockLimitError` when the block returned its size - 2.
 
 Spectrum slicing. `lowest_eigenpairs` first finds a shift tau below which
 the blocks hold at least k eigenvalues together, counting each block's by
@@ -55,8 +55,9 @@ a block with c = 0 gets no factor at sigma and no Krylov run. A
 single-vector Krylov solve can skip copies of an exactly degenerate
 eigenvalue, so a block that returns fewer than c eigenvalues below tau is
 solved once more for c + `BLOCK_MARGIN` pairs, and a block whose count still
-differs raises `SolverError`. The k lowest over all blocks are kept, so every
-returned eigenvalue lies below a counted tau.
+differs raises `SolverError` (and a c above the block's size - 2,
+`BlockLimitError`, before any Krylov run). The k lowest over all blocks are
+kept, so every returned eigenvalue lies below a counted tau.
 
 Memory: one LU is alive at a time. The handle keeps its own matrix; the
 assembled copy is freed once the blocks are sliced, each count factor once
@@ -83,7 +84,7 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from .grid import GridFunction, SublatticeFunction, l2_sums
+from .grid import GridError, GridFunction, SublatticeFunction, gram_cholesky, l2_sums
 from .operators import OperatorHandle, assemble_sparse
 
 MAX_K = 200
@@ -96,6 +97,12 @@ FOLD_TOL = 1e-12
 
 class SolverError(RuntimeError):
     pass
+
+
+class BlockLimitError(SolverError, ValueError):
+    """k asks an invariant block for more pairs than its size - 2, the most a
+    Lanczos solve of it returns: a usage error (a `ValueError`, exit 1 from
+    the CLI) that library callers still catch as a `SolverError`."""
 
 
 def resolution_warning(potential, grid) -> str | None:
@@ -318,9 +325,11 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         raise SolverError(f"tol must be >= {MIN_TOL}, got {tol}")
     mat = assemble_sparse(op)
     n = mat.shape[0]
-    if k >= n - 1:
-        raise SolverError("k too large for the grid")
     blocks = sublattice_blocks(mat, op.grid.n_per_side)
+    limit = sum(len(idx) - 2 for idx in blocks)
+    if k > limit:
+        raise BlockLimitError(f"k too large for the grid: its {len(blocks)} invariant block(s) "
+                              f"return at most {limit} pairs (each its size - 2), k = {k}")
     # slice every block, then let the assembled matrix go
     subs = [mat] if len(blocks) == 1 else [mat[idx][:, idx] for idx in blocks]
     del mat
@@ -331,8 +340,12 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         parts = [_real_symmetric(sub, fold) for sub, fold in zip(subs, folds)]
         inertia = _slice(parts, k, sigma, tol)
         del parts
-        # (a count above what ARPACK can return fails the check below)
-        ks = [min(count, len(idx) - 2) for count, idx in zip(inertia["counts"], blocks)]
+        ks = inertia["counts"]
+        for b, (count, idx) in enumerate(zip(ks, blocks)):
+            if count > len(idx) - 2:
+                raise BlockLimitError(
+                    f"block {b} of {len(blocks)} holds {count} eigenvalues below tau = "
+                    f"{inertia['tau']:.6g}, but returns at most {len(idx) - 2} (its size - 2)")
     else:
         ks = [k if len(idx) == n else min(math.ceil(k * len(idx) / n) + BLOCK_MARGIN, len(idx) - 2)
               for idx in blocks]
@@ -372,22 +385,23 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
     else:
         # keep the k eigenvalues nearest sigma over all blocks; a block whose
         # farthest returned eigenvalue is not beyond the k-th distance may
-        # hold more inside it, so it is asked for k + BLOCK_MARGIN pairs, once
+        # hold more inside it, so it is asked for k + BLOCK_MARGIN pairs, once;
+        # one already asked for its size - 2 cannot be (a usage error)
         while len(blocks) > 1:
             dist = np.sort(np.abs(np.concatenate([v for v, _ in found]) - sigma))
-            if len(dist) < k:
-                raise SolverError(f"the {len(blocks)} invariant blocks hold fewer than k = {k} pairs")
-            short = [b for b, (v, _) in enumerate(found)
-                     if np.max(np.abs(v - sigma)) <= dist[k - 1]]
+            reach = dist[k - 1] if len(dist) >= k else np.inf
+            short = [b for b, (v, _) in enumerate(found) if np.max(np.abs(v - sigma)) <= reach]
             if not short:
                 break
             for b in short:
-                kb = min(k + BLOCK_MARGIN, facts[b]["size"] - 2)
-                if facts[b]["resolves"] or kb <= facts[b]["k"]:
-                    raise SolverError(
-                        f"block {b} of {len(blocks)} may hold more of the {k} eigenvalues "
+                more = (f"block {b} of {len(blocks)} may hold more of the {k} eigenvalues "
                         f"nearest {sigma:g} than the {facts[b]['k']} it returned")
-                resolve(b, kb)
+                limit = facts[b]["size"] - 2
+                if facts[b]["k"] == limit:
+                    raise BlockLimitError(f"{more}, and returns at most {limit} (its size - 2)")
+                if facts[b]["resolves"]:
+                    raise SolverError(more)
+                resolve(b, min(k + BLOCK_MARGIN, limit))
     every = np.concatenate([v for v, _ in found])
     kept = np.zeros(len(every), dtype=bool)
     kept[np.argsort(every if lowest else np.abs(every - sigma), kind="stable")[:k]] = True
@@ -503,79 +517,59 @@ def cluster(pairs, cluster_tol: float = 0.25) -> list[EigenCluster]:
             for idx, run in enumerate(gap_groups(vals, cluster_tol))]
 
 
-def principal_angles(basis_a, basis_b) -> np.ndarray:
-    """Principal angles (radians) between the spans of two GridFunction lists.
+def principal_angles(span, other) -> np.ndarray:
+    """Principal angles (radians) between span(span) and span(other), as
+    `scipy.linalg.subspace_angles` returns them: len(other) angles, in
+    nonincreasing order; small angles mean span(other) lies inside span(span).
 
-    Returns min(dim_a, dim_b) angles in nonincreasing order, as
-    `scipy.linalg.subspace_angles` does; small angles mean the smaller space
-    is contained in the larger one. Both lists must be linearly independent.
-    Only the smaller basis is orthonormalized (QR), and it raises
-    `SolverError` when a diagonal entry of R is at most 1e-10 of the largest:
-    Householder QR resolves R's diagonal to about eps of the column norm, so
-    this threshold can sit far below `grid.RANK_TOL`, which a Cholesky
-    factor's diagonal (resolved to about sqrt(eps)) needs. The larger one
-    enters through the Cholesky factor R of its Gram matrix, so no SVD of a
-    tall matrix is taken. Angles up to pi/4 come from sines, the rest from
-    cosines, each the accurate form in its range. A larger basis whose Gram
-    matrix is not numerically positive definite fails the Cholesky
-    factorization and raises `SolverError`.
+    `span` must hold at least len(other) vectors, orthonormal in the discrete
+    L^2, and is used as given: both eigensolvers return their vectors so, and
+    a second pass would only repeat theirs. Only `other` (in `oracle-compare`
+    the closed-form states, which the grid leaves slightly non-orthogonal)
+    becomes the rows of Q = conj(L)^{-1} B, for the `grid.gram_cholesky`
+    factor L of its row stack B. A shorter `span`, or an `other` that fails
+    the rank rule, raises `SolverError`. The cosines are the singular values
+    of C = <A, Q> for the rows A of `span`, the sines those of Q - C^T A
+    (Björck & Golub, Math. Comp. 27, 1973). A cosine resolves an angle theta
+    only to about eps / theta, a sine to about eps / cos(theta): angles up to
+    pi/4 come from the sines, the rest from the cosines.
 
-    The larger basis is never stacked on the full grid: A^H A, A^H Qb and the
-    residual Qb - A S are summed or stacked over the four node parity classes
-    (i mod 2, j mod 2), each panel holding the class values (`on_class`) of
-    only the vectors nonzero there, which is exact for any basis. For the
-    `SublatticeFunction`s of `eigenpairs_near` each panel holds about a
-    quarter of the vectors on a quarter of the rows, with no scan. One panel
-    is alive at a time, and the QR of the smaller basis overwrites its stack.
+    C and the residual are summed or stacked over the four node parity
+    classes (i mod 2, j mod 2), one panel alive at a time, each holding the
+    class values (`on_class`) of only the `span` vectors nonzero there: for
+    `eigenpairs_near`'s, a quarter of them on a quarter of the rows.
     """
-    if len(basis_a) < len(basis_b):
-        basis_a, basis_b = basis_b, basis_a
-    n = basis_a[0].grid.n_per_side
-    # the transpose of the row stack is Fortran-ordered, so LAPACK needs no copy
-    Qb, Rb = sla.qr(np.stack([b.values for b in basis_b]).T, mode="economic",
-                    overwrite_a=True)
-    d = np.abs(np.diag(Rb))
-    if d.min() <= 1e-10 * d.max():
-        raise SolverError(f"QR of the {len(d)}-vector basis has |R_ii| down to {d.min():.1e} "
-                          f"of the largest {d.max():.1e}: the basis is rank-deficient")
-    Qb = Qb.reshape(n, n, -1)
-
-    def panels():
-        """(indices of the vectors nonzero on the class, their rows of the
-        class as Fortran-ordered columns, the class rows of Qb). The
-        generator keeps no panel, and its loops drop each one before the
-        next is stacked."""
-        for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            Qc = Qb[p::2, q::2].reshape(-1, Qb.shape[2])
-            rows = [a.on_class(p, q) for a in basis_a]
-            on = [i for i, r in enumerate(rows) if r is not None]
-            yield on, (np.stack([rows[i] for i in on]).reshape(len(on), -1).T if on
-                       else np.zeros((len(Qc), 0), dtype=complex)), Qc
-
-    dim = len(basis_a)
-    gram = np.zeros((dim, dim), dtype=complex)
-    aq = np.zeros((dim, Qb.shape[2]), dtype=complex)
-    for on, A, Qc in panels():
-        if on:
-            # upper triangle of A^H A, with no conjugated copy of A
-            gram[np.ix_(on, on)] += sla.blas.zherk(1.0, A, trans=2)
-            aq[on] += (Qc.conj().T @ A).conj().T
-        del A
+    if len(span) < len(other):
+        raise SolverError(f"span holds {len(span)} vectors, fewer than the {len(other)} of other")
+    grid = other[0].grid
+    B = np.stack([b.values for b in other])
     try:
-        R = sla.cholesky(gram)
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"Cholesky factorization of the {dim} x {dim} Gram matrix "
-                          f"failed: the basis is rank-deficient ({exc})") from exc
-    # Qa = A R^{-1} is orthonormal; C = Qa^H Qb is dim_a x dim_b
-    C = sla.solve_triangular(R, aq, trans="C")
-    S = sla.solve_triangular(R, C)
+        L = gram_cholesky(B, grid.weight)
+    except GridError as exc:
+        raise SolverError(f"`other`, the {len(other)}-vector basis measured against the "
+                          f"span, cannot be orthonormalized: {exc}") from exc
+    Q = sla.solve_triangular(L.conj(), B, lower=True, overwrite_b=True)
+    del B   # LAPACK solves on a copy of a C-ordered stack
+
+    # per class: the span vectors nonzero there, their rows, Q's; no panel outlives its loop
+    def panels():
+        for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            Qc = Q.reshape(len(Q), grid.n_per_side, -1)[:, p::2, q::2].reshape(len(Q), -1)
+            rows = [a.on_class(p, q) for a in span]
+            on = [i for i, r in enumerate(rows) if r is not None]
+            yield on, np.array([rows[i] for i in on], complex).reshape(len(on), Qc.shape[1]), Qc
+
+    # C = conj(A) Q^T w, with no conjugated copy of a panel
+    C = np.zeros((len(span), len(Q)), dtype=complex)
+    for on, A, Qc in panels():
+        C[on] += (A @ Qc.conj().T).conj() * grid.weight
+        del A
     cos = sla.svdvals(C)[::-1]
-    # the residual's rows in class order: a row permutation keeps its
-    # singular values
+    # the residual's columns in class order, which keeps its singular values
     resid = []
     for on, A, Qc in panels():
-        resid.append(Qc - A @ S[on])
+        resid.append(Qc - C[on].T @ A)
         del A
-    sin = sla.svdvals(np.concatenate(resid))
+    sin = sla.svdvals(np.concatenate(resid, axis=1)) * grid.spacing
     return np.where(cos ** 2 >= 0.5, np.arcsin(np.clip(sin, -1.0, 1.0)),
                     np.arccos(np.clip(cos, -1.0, 1.0)))

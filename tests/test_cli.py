@@ -13,7 +13,8 @@ from landaulab import (Grid, build_operator, check_cutoff_lemma, check_gauge_lem
                        make_potential)
 from landaulab.cli import main
 from landaulab.config import ConfigError, RunConfig, parse_config
-from landaulab.eigensolve import BLOCK_MARGIN, arnoldi_ncv, lowest_eigenpairs
+from landaulab.eigensolve import (BLOCK_MARGIN, BlockLimitError, arnoldi_ncv,
+                                  eigenpairs_near, lowest_eigenpairs)
 from landaulab.grid import GridFunction
 from landaulab.verify import VerifyError, translate_samples
 from helpers import savetxt_reference
@@ -194,7 +195,8 @@ def test_cli_oracle_compare_non_model_exits_1_before_any_work(tmp_path):
 
 @pytest.mark.parametrize("command", ["spectrum", "oracle-compare"])
 def test_cli_k_too_large_for_the_grid_exits_1_before_any_work(tmp_path, capsys, command):
-    # 9^2 = 81 nodes; the eigensolvers take k < 80 and raise SolverError beyond
+    # 9^2 = 81 nodes: k >= 80 is refused here, before any work (a smaller k
+    # beyond a block's size - 2 is refused by the solvers, as tested below)
     path = _write_config(tmp_path, {"grid": {"extent_L": 6.0, "n_per_side": 9},
                                     "solve": {"k": 80}})
     out_dir = tmp_path / "out"
@@ -717,22 +719,76 @@ def test_cli_spectrum_independent_of_blas_threads(tmp_path):
         assert a == b, name
 
 
-def test_cli_oracle_compare_rank_deficient_span_exits_2(tmp_path, monkeypatch, capsys):
-    # a dependent eigenvector span fails the Cholesky factorization of its
-    # Gram matrix: a solver failure (exit 2), not a config error
-    def dependent_pairs(H, k, sigma, tol, seed, info):
-        e = np.eye(H.grid.size, 3, dtype=complex)
-        vecs = [e[:, 0], e[:, 1], e[:, 2], e[:, 0] + e[:, 1]]
-        return [(0.0, GridFunction(v, H.grid), 0.0) for v in vecs]
+def test_cli_oracle_compare_rank_deficient_oracle_exits_2(tmp_path, monkeypatch, capsys):
+    # a dependent oracle basis (e0, e1, e0 + e1) fails the rank rule of
+    # `gram_cholesky` in `principal_angles`: a solver failure (exit 2), not a
+    # config error
+    def dependent_states(m, grid):
+        e = np.eye(2, grid.size, dtype=complex) / grid.spacing
+        return GridFunction((e[0], e[1], e[0] + e[1])[m], grid)
 
-    monkeypatch.setattr(cli, "eigenpairs_near", dependent_pairs)
+    monkeypatch.setattr(cli, "null_state", dependent_states)
     doc = {
-        "grid": {"extent_L": 5.2, "n_per_side": 65},
+        "grid": {"extent_L": 5.2, "n_per_side": 33},
         "solve": {"k": 4, "tol": 1e-6, "seed": 0},
-        "compare": {"sigma": "auto", "m_max": 2},
+        "compare": {"sigma": 0.0, "m_max": 2},
     }
     cfg = _write_config(tmp_path, doc)
     assert main(["oracle-compare", "--config", cfg, "--out", str(tmp_path / "oc")]) == 2
     err = capsys.readouterr().err
-    assert "solver failure" in err and "Cholesky" in err
+    assert err.startswith("solver failure: `other`, the 3-vector basis measured against "
+                          "the span, cannot be orthonormalized")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("k", [5, 6])
+def test_cli_oracle_compare_k_must_exceed_m_max(tmp_path, capsys, k):
+    # the span of k = m_max pairs cannot contain the m_max + 1 oracle states:
+    # refused before any work; one more pair runs
+    cfg = _write_config(tmp_path, {
+        "grid": {"extent_L": 5.2, "n_per_side": 65},
+        "solve": {"k": k, "seed": 0},
+        "compare": {"m_max": 5},
+    })
+    out_dir = tmp_path / "oc"
+    code = main(["oracle-compare", "--config", cfg, "--out", str(out_dir)])
+    err = capsys.readouterr().err
+    if k == 5:
+        assert code == 1
+        assert err == ("error: solve.k = 5 must exceed compare.m_max = 5: the solved span "
+                       "must be able to hold the 6 oracle states\n")
+        assert not out_dir.exists()
+    else:
+        assert code in (0, 2) and err == ""
+        doc = json.loads((out_dir / "oracle_compare.json").read_text())
+        assert len(doc["principal_angles_rad"]) == 6
+
+
+def test_cli_every_accepted_k_solves_or_exits_1_on_9x9(tmp_path, capsys):
+    # the 9^2 grid's sublattice blocks hold 25, 20, 20 and 16 nodes, and a
+    # solve of a block returns at most its size - 2 pairs. Each k the CLI
+    # accepts (k < 80) solves, or raises `BlockLimitError` (a usage error)
+    # from that k on; the CLI exits 1 there, with one error line
+    grid = Grid(extent_L=5.2, n_per_side=9)
+    H = build_operator("H", make_potential("model_quadratic"), grid)
+    solvers = {"spectrum": lowest_eigenpairs,
+               "oracle-compare": lambda op, k: eigenpairs_near(op, k, sigma=0.0)}
+    for command, solve in solvers.items():
+        refused = []
+        for k in range(1, 80):
+            try:
+                assert len(solve(H, k)) == k
+            except BlockLimitError:
+                refused.append(k)
+        assert refused == list(range(refused[0], 80)), command
+        for k in (refused[0] - 1, refused[0]):
+            cfg = _write_config(tmp_path, {
+                "grid": {"extent_L": 5.2, "n_per_side": 9}, "solve": {"k": k},
+                "compare": {"sigma": 0.0, "m_max": 2}})
+            code = main([command, "--config", cfg, "--out", str(tmp_path / f"{command}{k}")])
+            err = capsys.readouterr().err
+            errors = [line for line in err.splitlines() if not line.startswith("warning: ")]
+            if k == refused[0]:
+                assert code == 1 and len(errors) == 1 and errors[0].startswith("error: block ")
+            else:
+                assert code in (0, 2) and errors == [], err

@@ -10,7 +10,7 @@ import scipy.sparse.linalg as spla
 from landaulab import eigensolve
 from landaulab import (Grid, assemble_sparse, build_operator, cluster,
                        eigenpairs_near, lowest_eigenpairs, principal_angles)
-from landaulab.eigensolve import (SolverError, arnoldi_ncv, gap_groups,
+from landaulab.eigensolve import (BlockLimitError, SolverError, arnoldi_ncv, gap_groups,
                                   resolution_warning, sublattice_blocks)
 from landaulab.grid import GridFunction, SublatticeFunction
 from landaulab.potentials import Potential
@@ -327,10 +327,11 @@ def test_split_resolves_a_short_block(monkeypatch):
 
 def test_split_short_block_at_its_size_limit_raises():
     # sublattice (1, 1) of a 9 x 9 grid has 16 nodes, so ARPACK can return
-    # at most 14 of its pairs: the 15 nearest sigma cannot be certified
+    # at most 14 of its pairs: the 15 nearest sigma cannot be certified, a
+    # usage error
     g = Grid(extent_L=1.0, n_per_side=9)
     op, _ = _one_sublattice_diag_op(g, 3)
-    with pytest.raises(SolverError, match="block 3"):
+    with pytest.raises(BlockLimitError, match="block 3 of 4 .* at most 14 "):
         eigenpairs_near(op, k=15, sigma=0.5, tol=1e-8)
 
 
@@ -366,6 +367,31 @@ def _random_basis(rng, g, m):
             for _ in range(m)]
 
 
+def _orthonormal(fs):
+    """The rows of `helpers.orthonormal_rows` of the values of `fs`, as
+    GridFunctions: a `span` for `principal_angles`."""
+    g = fs[0].grid
+    return [GridFunction(r, g) for r in orthonormal_rows([f.values for f in fs], g.weight)]
+
+
+def _orthonormal_per_class(fs):
+    """One-class vectors orthonormalized within each parity class, in their
+    order, so that each stays on its class."""
+    out = list(fs)
+    for p, q in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        idx = [i for i, f in enumerate(fs) if f.on_class(p, q) is not None]
+        if idx:
+            for i, f in zip(idx, _orthonormal([fs[i] for i in idx])):
+                out[i] = f
+    return out
+
+
+def _assert_angles_match_scipy(span, other):
+    ref = sla.subspace_angles(np.stack([v.values for v in span], axis=1),
+                              np.stack([v.values for v in other], axis=1))
+    np.testing.assert_allclose(principal_angles(span, other), ref, rtol=0, atol=1e-10)
+
+
 def test_principal_angles_match_scipy():
     g = Grid(extent_L=1.0, n_per_side=15)
     rng = np.random.default_rng(3)
@@ -375,12 +401,20 @@ def test_principal_angles_match_scipy():
     near = L @ (rng.standard_normal((11, 5)) + 1j * rng.standard_normal((11, 5)))
     near += 1e-6 * rng.standard_normal(near.shape)
     inside = [GridFunction(near[:, j], g) for j in range(5)]
-    for a, b in ((small, large), (large, small), (inside, large), (large, inside)):
-        ref = sla.subspace_angles(np.stack([v.values for v in a], axis=1),
-                                  np.stack([v.values for v in b], axis=1))
-        np.testing.assert_allclose(principal_angles(a, b), ref, rtol=0, atol=1e-10)
-    tiny = principal_angles(inside, large)
+    # `other` enters unorthonormalized
+    for span, other in ((_orthonormal(large), small), (_orthonormal(large), inside),
+                        (_orthonormal(inside), small), (_orthonormal(large), large)):
+        _assert_angles_match_scipy(span, other)
+    tiny = principal_angles(_orthonormal(large), inside)
     assert np.all((tiny > 1e-8) & (tiny < 1e-5))
+
+
+def test_principal_angles_shorter_span_raises_solver_error():
+    g = Grid(extent_L=1.0, n_per_side=9)
+    rng = np.random.default_rng(8)
+    span = _orthonormal(_random_basis(rng, g, 2))
+    with pytest.raises(SolverError, match="span holds 2 vectors, fewer than the 3 of other"):
+        principal_angles(span, _random_basis(rng, g, 3))
 
 
 def _on_classes(rng, g, classes):
@@ -388,13 +422,6 @@ def _on_classes(rng, g, classes):
     v = rng.standard_normal(g.size) + 1j * rng.standard_normal(g.size)
     v[~np.isin(_sublattice(g), classes)] = 0.0
     return GridFunction(v, g)
-
-
-def _assert_angles_match_scipy(a, b):
-    for x, y in ((a, b), (b, a)):
-        ref = sla.subspace_angles(np.stack([v.values for v in x], axis=1),
-                                  np.stack([v.values for v in y], axis=1))
-        np.testing.assert_allclose(principal_angles(x, y), ref, rtol=0, atol=1e-10)
 
 
 def _compact(f, c):
@@ -405,17 +432,18 @@ def _compact(f, c):
 
 
 def test_principal_angles_class_panels_match_scipy():
-    # the larger basis is read one parity class at a time
+    # the span is read one parity class at a time
     g = Grid(extent_L=1.0, n_per_side=17)
     rng = np.random.default_rng(5)
     spread = _random_basis(rng, g, 3)
     # each vector on one class, as `eigenpairs_near` returns them
-    one_class = [_on_classes(rng, g, [c % 4]) for c in range(9)]
+    one_class = _orthonormal_per_class([_on_classes(rng, g, [c % 4]) for c in range(9)])
     _assert_angles_match_scipy(one_class, spread)
     # one vector spread over several classes
-    _assert_angles_match_scipy(one_class + [_on_classes(rng, g, [1, 2, 3])], spread)
-    # class 2 holds no vector of the larger basis (but rows of the smaller)
-    gap = [_on_classes(rng, g, [c]) for c in (0, 1, 3, 0, 1, 3, 0)]
+    _assert_angles_match_scipy(_orthonormal(one_class + [_on_classes(rng, g, [1, 2, 3])]),
+                               spread)
+    # class 2 holds no vector of the span (but rows of `other`)
+    gap = _orthonormal_per_class([_on_classes(rng, g, [c]) for c in (0, 1, 3, 0, 1, 3, 0)])
     _assert_angles_match_scipy(gap, spread)
     _assert_angles_match_scipy(gap, [_on_classes(rng, g, [0, 3]) for _ in range(2)])
     # small angles (taken from sines) that only the rows of class 2 carry
@@ -430,21 +458,21 @@ def test_principal_angles_class_panels_match_scipy():
     near = L @ (rng.standard_normal((9, 4)) + 1j * rng.standard_normal((9, 4)))
     near += 1e-6 * rng.standard_normal(near.shape)
     inside = [GridFunction(near[:, j], g) for j in range(4)]
-    _assert_angles_match_scipy(inside, one_class)
-    tiny = principal_angles(inside, one_class)
+    _assert_angles_match_scipy(one_class, inside)
+    tiny = principal_angles(one_class, inside)
     assert np.all((tiny > 1e-8) & (tiny < 1e-5))
     # the one-class vectors stored on their class, as `eigenpairs_near`
-    # returns them, alone or next to a vector spread over several classes:
-    # the angles of plain copies of their values, and scipy's
+    # returns them, alone or next to a vector spread over several classes
+    # (orthonormal to them): the angles of plain copies of their values,
+    # and scipy's
     compact = [_compact(v, c % 4) for c, v in enumerate(one_class)]
-    spread_one = _on_classes(rng, g, [0, 2, 3])
-    for large in (compact, compact[:5] + [spread_one] + compact[5:]):
-        for small in (spread, inside, compact[1:4]):
-            _assert_angles_match_scipy(large, small)
-            for a, b in ((large, small), (small, large)):
-                plain = [GridFunction(v.values.copy(), g) for v in a]
-                np.testing.assert_array_equal(principal_angles(a, b),
-                                              principal_angles(plain, b))
+    spread_one = _orthonormal(one_class + [_on_classes(rng, g, [0, 2, 3])])[-1]
+    for span in (compact, compact[:5] + [spread_one] + compact[5:]):
+        plain = [GridFunction(v.values.copy(), g) for v in span]
+        for other in (spread, inside, compact[1:4]):
+            _assert_angles_match_scipy(span, other)
+            np.testing.assert_array_equal(principal_angles(span, other),
+                                          principal_angles(plain, other))
 
 
 def test_principal_angles_peak_memory():
@@ -452,44 +480,28 @@ def test_principal_angles_peak_memory():
     # would take 40 N complex entries
     g = Grid(extent_L=1.0, n_per_side=65)
     rng = np.random.default_rng(6)
-    large = [_on_classes(rng, g, [c % 4]) for c in range(40)]
-    small = _random_basis(rng, g, 4)
+    span = _orthonormal_per_class([_on_classes(rng, g, [c % 4]) for c in range(40)])
+    other = _random_basis(rng, g, 4)
     tracemalloc.start()
     try:
-        principal_angles(large, small)
+        principal_angles(span, other)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 0.6 * 40 * g.size * 16
 
 
-def _dependent_basis(g):
-    """e_a, e_b, e_c and e_a + e_b: the Gram matrix is integral, so its last
-    Cholesky pivot is exactly 0."""
-    e = np.eye(g.size, 4, dtype=complex)
-    return [GridFunction(e[:, j], g) for j in range(3)] + [
-        GridFunction(e[:, 0] + e[:, 1], g)]
-
-
-def test_principal_angles_rank_deficient_raises_solver_error():
+def test_principal_angles_rank_deficient_other_raises_solver_error():
+    # e0, e1, e0 + e1 spans 2 dimensions: its Gram matrix is integral, so its
+    # last Cholesky pivot is exactly 0 and `gram_cholesky` refuses it;
+    # unchecked, the angles against e0, e1, e40, e41, e42 come out as
+    # [pi/2, 0, 0]
     g = Grid(extent_L=1.0, n_per_side=9)
-    small = _random_basis(np.random.default_rng(7), g, 2)
-    for a, b in ((_dependent_basis(g), small), (small, _dependent_basis(g))):
-        with pytest.raises(SolverError, match="Cholesky"):
-            principal_angles(a, b)
-
-
-def test_principal_angles_rank_deficient_smaller_basis_raises_solver_error():
-    # e0, e1, e0 + e1 spans 2 dimensions, so its QR's R has a zero on the
-    # diagonal; unchecked, the angles against e0, e1, e40, e41, e42 come out
-    # as [pi/2, 0, 0]
-    g = Grid(extent_L=1.0, n_per_side=9)
-    e = np.eye(g.size, dtype=complex)
-    small = [GridFunction(v, g) for v in (e[0], e[1], e[0] + e[1])]
-    large = [GridFunction(e[j], g) for j in (0, 1, 40, 41, 42)]
-    for a, b in ((small, large), (large, small)):
-        with pytest.raises(SolverError, match="rank-deficient"):
-            principal_angles(a, b)
+    e = np.eye(g.size, dtype=complex) / g.spacing
+    other = [GridFunction(v, g) for v in (e[0], e[1], e[0] + e[1])]
+    span = [GridFunction(e[j], g) for j in (0, 1, 40, 41, 42)]
+    with pytest.raises(SolverError, match="3-vector basis .* cannot be orthonormalized"):
+        principal_angles(span, other)
 
 
 def _factor_builds(info):
