@@ -103,7 +103,6 @@ def run_bounds(cfg: RunConfig) -> int:
 
 def run_lemmas(cfg: RunConfig) -> int:
     potential, grid, manifest_path = _setup(cfg, "lemmas.json")
-    rows = []
     skipped = []
 
     def admissible(q, g, on_node=False, **entry):
@@ -121,11 +120,11 @@ def run_lemmas(cfg: RunConfig) -> int:
         print(f"warning: skipped {where}, q={list(q)}: {reason}", file=sys.stderr)
         return False
 
-    # energy identity on ladder clusters of the unscaled operator
-    clusters = ladder_level_clusters(potential, grid, min(cfg.max_level, 2),
-                                     m_count=min(cfg.m_count, 6))
-    for c in clusters:
-        rows += check_energy_lemma(potential, grid, c)
+    # energy identity on ladder clusters of the unscaled operator, which no
+    # name keeps alive past their rows
+    rows = [row for c in ladder_level_clusters(potential, grid, min(cfg.max_level, 2),
+                                               m_count=min(cfg.m_count, 6))
+            for row in check_energy_lemma(potential, grid, c)]
     # semiclassical cutoff rows: level 1/(2h) ladder state, rescaled
     for h in cfg.h_list:
         level = max(1, round(1.0 / (2.0 * h)))

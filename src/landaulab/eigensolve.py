@@ -230,6 +230,7 @@ def _shift_invert(mat, sigma: float, seed: int, k: int, fold):
     basis in the heap, so a next solve reuses their space; the LU and S are
     freed before the rows are unfolded, one at a time."""
     n = mat.shape[0]
+    ncv = arnoldi_ncv(k, n)
     rows = np.empty((k, n), dtype=complex)
     mat = _real_symmetric(mat, fold)
     lu = _factor(mat, sigma)
@@ -243,14 +244,14 @@ def _shift_invert(mat, sigma: float, seed: int, k: int, fold):
     v0 = np.random.RandomState(seed).standard_normal(n)
     try:
         vals, vecs = spla.eigsh(
-            mat, k=k, sigma=sigma, which="LM", v0=v0, ncv=arnoldi_ncv(k, n),
+            mat, k=k, sigma=sigma, which="LM", v0=v0, ncv=ncv,
             OPinv=spla.LinearOperator(mat.shape, matvec=apply, dtype=mat.dtype))
     except spla.ArpackNoConvergence as exc:
         raise SolverError(
             f"eigensolver did not converge within the iteration budget: {exc}") from exc
     except (RuntimeError, MemoryError) as exc:
         raise SolverError(f"shift-invert eigensolve failed: {exc}") from exc
-    facts = {"op_solves": solves, "lu_fill_nnz": int(lu.nnz),
+    facts = {"ncv": ncv, "op_solves": solves, "lu_fill_nnz": int(lu.nnz),
              "diagonal_pivots": bool(np.array_equal(lu.perm_r, lu.perm_c))}
     del lu, mat
     for i in range(k):
@@ -356,7 +357,7 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
             vals, rows, f = _shift_invert(sub, sigma, seed, kb, fold)
         else:   # no eigenvalue below tau: no factor, no Krylov run
             vals, rows = np.empty(0), np.empty((0, nb), dtype=complex)
-            f = {"op_solves": 0, "lu_fill_nnz": 0, "diagonal_pivots": None}
+            f = {"ncv": 0, "op_solves": 0, "lu_fill_nnz": 0, "diagonal_pivots": None}
         found.append((vals, rows))
         facts.append({"size": nb, "k": kb, "resolves": 0, **f})
 
@@ -364,7 +365,7 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         found[b] = None
         vals, rows, f = _shift_invert(subs[b], sigma, seed, kb, folds[b])
         found[b] = (vals, rows)
-        facts[b].update(k=kb, resolves=1, op_solves=facts[b]["op_solves"] + f["op_solves"])
+        facts[b].update(f, k=kb, resolves=1, op_solves=facts[b]["op_solves"] + f["op_solves"])
 
     if lowest:
         # Krylov solves can skip copies of a degenerate eigenvalue: a block
@@ -406,8 +407,6 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
     kept = np.zeros(len(every), dtype=bool)
     kept[np.argsort(every if lowest else np.abs(every - sigma), kind="stable")[:k]] = True
     if info is not None:
-        for f in facts:
-            f["ncv"] = arnoldi_ncv(f["k"], f["size"]) if f["k"] else 0
         info.update(ncv=max(f["ncv"] for f in facts),
                     op_solves=sum(f["op_solves"] for f in facts),
                     lu_fill_nnz=sum(f["lu_fill_nnz"] for f in facts), blocks=facts)

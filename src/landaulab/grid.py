@@ -74,13 +74,13 @@ class Grid:
         return bool(np.max(vals) < ENVELOPE_THRESHOLD)
 
 
-@dataclass
+@dataclass(eq=False)   # equality is identity: value arrays have no truth value
 class GridFunction:
     values: np.ndarray  # complex, flat, length n^2, row-major over (x1, x2)
     grid: Grid
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=complex).reshape(-1)
+        self.values = np.ascontiguousarray(self.values, dtype=complex).reshape(-1)
         if self.values.size != self.grid.size:
             raise GridError(
                 f"value count {self.values.size} does not match grid size {self.grid.size}")
@@ -106,7 +106,7 @@ class SublatticeFunction(GridFunction):
     def __init__(self, rows, parity: tuple, grid: Grid):
         p, q = parity
         n = grid.n_per_side
-        self.rows = np.asarray(rows, dtype=complex).reshape(
+        self.rows = np.ascontiguousarray(rows, dtype=complex).reshape(
             len(range(p, n, 2)), len(range(q, n, 2)))
         self.parity, self.grid = (p, q), grid
 
@@ -199,23 +199,17 @@ def rescale(u: GridFunction, h: float) -> GridFunction:
 def save_grid_function(u: GridFunction, path: str) -> None:
     # the bytes np.savetxt writes (header, then "%.18e" rows). Row i1*n + i2
     # has x1, x2 = axis[i1], axis[i2], so the n axis values are formatted once
-    # into the row template and one % fills in only (Re u, Im u), and only on
-    # the node parity classes that hold values: a class that is all +0.0 gets
-    # the text of +0.0 in the template (a -0.0 keeps its sign, so its class is
-    # formatted). The rows of one x1 are x1 + x1.join(tails[i1 % 2]): n
-    # strings, not n^2
-    full = u.as_2d()
-    stored = np.array([[u.on_class(p, q) is not None
-                        or np.signbit(full[p::2, q::2].real).any()
-                        or np.signbit(full[p::2, q::2].imag).any()
-                        for q in (0, 1)] for p in (0, 1)])
+    # into the row template and one % fills in (Re u, Im u) only where u
+    # stores them: every node of a GridFunction, or a SublatticeFunction's
+    # `rows` (row-major), its other three classes (+0.0 by construction) taking
+    # +0.0's text. The rows of one x1 are x1 + x1.join(tails[i1 % 2]): n strings
+    sub = isinstance(u, SublatticeFunction)
     ax = ["%.18e" % x for x in u.grid.axis().tolist()]
     zeros = "%.18e,%.18e\n" % (0.0, 0.0)
-    tails = [[f",{x2}," + ("%.18e,%.18e\n" if stored[p, j % 2] else zeros)
+    tails = [[f",{x2}," + ("%.18e,%.18e\n" if not sub or u.parity == (p, j % 2) else zeros)
               for j, x2 in enumerate(ax)] for p in (0, 1)]
     template = "".join([x1 + x1.join(tails[i % 2]) for i, x1 in enumerate(ax)])
-    parity = np.arange(u.grid.n_per_side) % 2
-    re_im = full[stored[np.ix_(parity, parity)]].view(np.float64)
+    re_im = (u.rows.reshape(-1) if sub else u.values).view(np.float64)
     atomic_write_text(path, "x1,x2,re_u,im_u\n" + template % tuple(re_im.tolist()))
     meta = {"extent_L": u.grid.extent_L, "n_per_side": u.grid.n_per_side, "format": "csv"}
     atomic_write_text(path + ".meta.json", json.dumps(meta, sort_keys=True) + "\n")

@@ -320,6 +320,7 @@ def test_split_resolves_a_short_block(monkeypatch):
     assert mat_again is mat
     assert blocks[0]["op_solves"] == first + again
     assert blocks[0]["lu_fill_nnz"] == nnz == nnz_again
+    assert blocks[0]["ncv"] == arnoldi_ncv(blocks[0]["k"], blocks[0]["size"])   # the re-solve's
     assert [(b["op_solves"], b["lu_fill_nnz"]) for b in blocks[1:]] == [r[1:] for r in others]
     assert info["op_solves"] == sum(r[1] for r in runs)
     assert info["lu_fill_nnz"] == sum(r[2] for r in runs[:4])

@@ -78,6 +78,23 @@ def _sublattice_state(g, rng, parity=(1, 0)):
                               parity, g)
 
 
+def _strided_sublattice_state(g, rng, parity=(0, 1)):
+    """A SublatticeFunction built from a non-contiguous view: every other
+    column of a twice-as-wide array."""
+    n = g.n_per_side
+    shape = (len(range(parity[0], n, 2)), 2 * len(range(parity[1], n, 2)))
+    wide = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return SublatticeFunction(wide[:, ::2], parity, g)
+
+
+def _full_state_on_one_class(g, rng, parity=(1, 1)):
+    """A full GridFunction that is random on the class `parity`, +0.0 elsewhere."""
+    u = GridFunction(np.zeros(g.size), g)
+    rows = u.as_2d()[parity[0]::2, parity[1]::2]
+    rows[...] = rng.standard_normal(rows.shape) + 1j * rng.standard_normal(rows.shape)
+    return u
+
+
 def _one_class_is(fill, dense=True, parity=(0, 1)):
     """A state whose parity class `parity` holds only `fill`: the others are
     random (dense) or +0.0."""
@@ -111,6 +128,8 @@ def _special_state(g, rng):
     pytest.param(6.0, 11, _one_class_is(complex(0.0, -0.0)), id="negative-zero-imag-class"),
     pytest.param(6.0, 11, _one_class_is(complex(np.nan, np.nan), dense=False, parity=(1, 1)),
                  id="nan-class"),
+    pytest.param(6.0, 11, _strided_sublattice_state, id="sublattice-from-strided-rows"),
+    pytest.param(6.0, 11, _full_state_on_one_class, id="full-grid-one-class"),
 ])
 def test_csv_bytes_match_savetxt(tmp_path, rng, extent_L, n, make):
     g = Grid(extent_L=extent_L, n_per_side=n)
@@ -120,6 +139,29 @@ def test_csv_bytes_match_savetxt(tmp_path, rng, extent_L, n, make):
     ref = str(tmp_path / "ref.csv")
     savetxt_reference(u, ref)
     assert open(path, "rb").read() == open(ref, "rb").read()
+
+
+def test_grid_function_stores_contiguous_values():
+    # a strided view is copied on construction, so the node sums, which view
+    # the values as float64 pairs, accept it
+    g = Grid(extent_L=1.0, n_per_side=9)
+    u = GridFunction(np.ones((g.size, 2), dtype=complex)[:, 0], g)
+    assert u.values.flags.c_contiguous
+    assert l2_norm(u) == 2.25   # sqrt(81 nodes * weight 1/16)
+    s = SublatticeFunction(np.ones((5, 10), dtype=complex)[:, ::2], (0, 0), g)
+    assert s.rows.flags.c_contiguous and l2_sums(s.rows).tolist() == [5.0] * 5
+    # an input that is already contiguous is kept, not copied
+    v = np.ones(g.size, dtype=complex)
+    assert np.shares_memory(GridFunction(v, g).values, v)
+
+
+def test_grid_function_equality_is_identity():
+    g = Grid(extent_L=1.0, n_per_side=9)
+    v = np.ones(g.size, dtype=complex)
+    u, twin = GridFunction(v, g), GridFunction(v, g)
+    assert u == u and u != twin and len({u, twin}) == 2
+    s = SublatticeFunction(np.ones((5, 5)), (0, 0), g)
+    assert s == s and s != SublatticeFunction(s.rows, (0, 0), g)
 
 
 def test_inner_product_grid_guard(rng):

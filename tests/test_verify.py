@@ -8,9 +8,9 @@ from landaulab import (Grid, GridFunction, build_operator, check_cutoff_lemma,
                        check_energy_lemma, check_gauge_lemma, extremal_linf, l2_norm,
                        ladder_level_clusters, make_cutoff, rescale, sweep_bounds)
 from landaulab import verify
-from landaulab.cutoffs import lattice_window
+from landaulab.cutoffs import SUPPORT_RADIUS, lattice_window
 from landaulab.eigensolve import EigenCluster
-from landaulab.grid import RANK_TOL
+from landaulab.grid import RANK_TOL, l2_sums
 from landaulab.verify import VerifyError, _gauge_sups, ladder_tiers, translate_samples
 from helpers import custom_operator, mgs_ritz_reference
 
@@ -128,7 +128,9 @@ def _random_state(grid, seed=7):
 def test_cutoff_lemma_lhs_equals_full_grid_apply(trig01):
     # the row-block applies give every lhs bit for bit, the blocks of
     # q1 = 4 and q1 = -4 clamped at the grid edges included: reference
-    # P(beta_q u) on the whole grid, summed over the window in its order
+    # P(beta_q u) on the whole grid, exactly zero off the rows
+    # |x1 - q1| < SUPPORT_RADIUS and 2 more on each side, summed over those
+    # rows, and over the window in its order
     g = Grid(extent_L=6.0, n_per_side=65)
     h = 0.5
     u = _random_state(g)
@@ -137,9 +139,14 @@ def test_cutoff_lemma_lhs_equals_full_grid_apply(trig01):
         warnings.simplefilter("ignore")   # a random u fails the ||Pu|| guard
         rows = check_cutoff_lemma(trig01, g, u, h, centers)
     P = build_operator("P", trig01, g, h=h)
+    x, n = g.axis(), g.n_per_side
 
     def ref(q):
-        return l2_norm(P.apply(GridFunction(make_cutoff(q, g).values * u.values, g)))
+        lo, hi = np.searchsorted(x, [q[0] - SUPPORT_RADIUS, q[0] + SUPPORT_RADIUS])
+        r0, r1 = max(lo - 2, 0), min(hi + 2, n)
+        full = P.apply(GridFunction(make_cutoff(q, g).values * u.values, g)).as_2d()
+        assert not full[:r0].any() and not full[r1:].any()
+        return float(np.sqrt(l2_sums(full[r0:r1].reshape(-1)) * g.weight))
 
     assert [r.lhs for r in rows[:-1]] == [ref(q) for q in centers]
     total = 0.0
