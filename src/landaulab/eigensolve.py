@@ -36,33 +36,43 @@ Both solvers solve each invariant block of the assembled matrix on its own.
 When the matrix stores no entry linking two of the four node parity classes
 (i mod 2, j mod 2), which holds for every `build_operator` handle, H is
 block-diagonal over them and its spectrum is the union of the four block
-spectra (`sublattice_blocks`). Each solved block gets its own LU and a
-quarter-size Krylov basis, and each eigenvector is supported on one
-sublattice. The solvers differ only in how many pairs each block is asked
-for. `eigenpairs_near` asks each block for its share of k plus
-`BLOCK_MARGIN` pairs and keeps the k eigenvalues nearest sigma over all
-blocks. A block whose farthest returned eigenvalue is not beyond the k-th
-distance may hold more of them, so it is solved once more for k +
-`BLOCK_MARGIN` pairs; if that still falls short the solve raises
-`SolverError`, and `BlockLimitError` when the block returned its size - 2.
+spectra (`sublattice_blocks`), and each eigenvector is supported on one
+sublattice.
+
+Inversion sectors. When phi is also even under x -> -x (the model, the
+bump, any radial phi), a block commutes with the inversion J: (i, j) ->
+(n-1-i, n-1-j), tested on its matrix as T is. It splits into J's even and
+odd sectors (`_sectors`), real symmetric parts of about half its size whose
+eigenvectors satisfy u(-x) = +-u(x); any other block (every trig block) is
+one part. The solvers run over the parts: one real LU and Lanczos run each,
+each pair certified on its block's assembled matrix, and k at most the sum
+over the parts of their size - 2.
+
+The solvers differ only in how many pairs each part is asked for.
+`eigenpairs_near` asks each part for its share of k plus `BLOCK_MARGIN`
+pairs and keeps the k eigenvalues nearest sigma over all parts. A part
+whose farthest returned eigenvalue is not beyond the k-th distance may hold
+more of them, so it is solved once more for k + `BLOCK_MARGIN` pairs; if
+that still falls short the solve raises `SolverError`, and `BlockLimitError`
+when the part returned its size - 2.
 
 Spectrum slicing. `lowest_eigenpairs` first finds a shift tau below which
-the blocks hold at least k eigenvalues together, counting each block's by
+the parts hold at least k eigenvalues together, counting each part's by
 Sylvester's law of inertia on a factor of its real form S - tau I (`_slice`,
 after Ericsson & Ruhe, Math. Comp. 35, 1980, and Grimes, Lewis & Simon,
-SIMAX 15, 1994). Each block is then asked for exactly its count c of pairs;
-a block with c = 0 gets no factor at sigma and no Krylov run. A
+SIMAX 15, 1994). Each part is then asked for exactly its count c of pairs;
+a part with c = 0 gets no factor at sigma and no Krylov run. A
 single-vector Krylov solve can skip copies of an exactly degenerate
-eigenvalue, so a block that returns fewer than c eigenvalues below tau is
-solved once more for c + `BLOCK_MARGIN` pairs, and a block whose count still
-differs raises `SolverError` (and a c above the block's size - 2,
-`BlockLimitError`, before any Krylov run). The k lowest over all blocks are
+eigenvalue, so a part that returns fewer than c eigenvalues below tau is
+solved once more for c + `BLOCK_MARGIN` pairs, and a part whose count still
+differs raises `SolverError` (and a c above the part's size - 2,
+`BlockLimitError`, before any Krylov run). The k lowest over all parts are
 kept, so every returned eigenvalue lies below a counted tau.
 
 Memory: one LU is alive at a time. The handle keeps its own matrix; the
 assembled copy is freed once the blocks are sliced, each count factor once
 its pivots are read, each solve's LU (and real form) once its Krylov run is
-read, before the rows are unfolded, and a block solved again refactors. A
+read, before the rows are unfolded, and a part solved again refactors. A
 proper block's eigenvectors are `SublatticeFunction`s stored on its parity
 class, normalized and certified there, so no full-grid copy of one is made;
 `principal_angles` reads them one parity class at a time.
@@ -100,7 +110,7 @@ class SolverError(RuntimeError):
 
 
 class BlockLimitError(SolverError, ValueError):
-    """k asks an invariant block for more pairs than its size - 2, the most a
+    """k asks an invariant part for more pairs than its size - 2, the most a
     Lanczos solve of it returns: a usage error (a `ValueError`, exit 1 from
     the CLI) that library callers still catch as a `SolverError`."""
 
@@ -127,16 +137,20 @@ def arnoldi_ncv(k: int, n: int) -> int:
     """Krylov basis size for k eigenpairs of an n x n matrix.
 
     scipy's default max(2k+1, 20) up to k = 15; beyond that k + 16, because
-    a larger basis costs more dense Krylov work without saving solves. A
-    scan of the constant c in k + c over the split Lanczos shift-invert solves
-    of the model potential on [-5.2, 5.2]^2 (sigma at the mean Rayleigh
-    quotient of the oracle states, seed 3) counted these shift-invert solves:
+    a larger basis costs more dense Krylov work without saving many solves.
+    A scan of the constant c in k + c over the split Lanczos shift-invert
+    solves of the model potential on [-5.2, 5.2]^2 (sigma at the mean
+    Rayleigh quotient of the oracle states, seed 3; eight inversion-sector
+    parts, each asked for 22 pairs at 257^2 and 18 at 161^2) counted these
+    shift-invert solves:
 
         grid, k            c = 12   c = 16   c = 20
-        257^2, k = 130     228      220      236
-        161^2, k = 100     245      237      245
+        257^2, k = 130     316      320      344
+        161^2, k = 100     260      280      304
 
-    Never more than n.
+    On the four whole sublattice blocks (38 pairs each at 257^2) the counts
+    were 228, 220, 236 and 245, 237, 245; c = 16 is kept until a paired
+    `run_s` measurement favours another. Never more than n.
     """
     return min(max(min(2 * k + 1, k + 16), 20), n)
 
@@ -202,11 +216,45 @@ def _fold(mat, nodes, n_side: int):
         shape=mat.shape)
 
 
-def _real_symmetric(mat, fold):
-    """S = Re(Q^H mat Q), real symmetric for the `_fold` Q of `mat`, holding
-    no view of the complex product."""
-    prod = fold.conj().T @ mat @ fold
-    return sp.csr_matrix((prod.data.real.copy(), prod.indices, prod.indptr), shape=mat.shape)
+def _sectors(mat, nodes, n_side: int, fold):
+    """[(isometry, parity)] of the parts of the block matrix `mat` over the
+    sorted grid `nodes`, with `_fold` isometry Q = `fold`: [(Q, None)] unless
+    `mat` commutes with the inversion J: (i, j) -> (n-1-i, n-1-j), tested as
+    T is in `_fold`, and then [(Q E+, 1), (Q E-, -1)], J's even and odd
+    sectors. J maps every parity class onto itself (n is odd) and commutes
+    with R, so M = Q^H J Q is a signed permutation, M e_c = s_c e_d(c). E+-
+    has a column (e_c +- s_c e_d)/sqrt 2 for each pair c < d(c), and e_c for
+    each c = d(c) with s_c = +-1, in the order of c: real, so each sector is
+    real symmetric, of about half the block's size."""
+    i, j = np.divmod(nodes, n_side)
+    inv = np.searchsorted(nodes, (n_side - 1 - i) * n_side + n_side - 1 - j)
+    if abs(mat[inv][:, inv] - mat).max() > FOLD_TOL * abs(mat).max():
+        return [(fold, None)]
+    size = len(nodes)
+    flip = sp.csr_matrix((np.ones(size), (inv, np.arange(size))), shape=mat.shape)
+    signed = (fold.conj().T @ flip @ fold).real.tocsc()
+    signed.data[abs(signed.data) < 0.5] = 0.0   # the cancelled terms of a pair
+    signed.eliminate_zeros()
+    c, d, s = np.arange(size), signed.indices, np.sign(signed.data)
+    pair = c < d
+
+    def sector(parity):
+        keep = pair | ((c == d) & (s == parity))
+        twin, col = pair[keep], np.arange(np.sum(keep))
+        w = np.where(twin, np.sqrt(0.5), 1.0)
+        E = sp.csr_matrix((np.concatenate([w, parity * s[keep][twin] * w[twin]]),
+                           (np.concatenate([c[keep], d[keep][twin]]),
+                            np.concatenate([col, col[twin]]))), shape=(size, len(col)))
+        return fold @ E, parity
+
+    return [sector(1), sector(-1)]
+
+
+def _real_symmetric(mat, iso):
+    """S = Re(Q^H mat Q), real symmetric for the isometry Q of a part of
+    `mat` (`_sectors`), holding no view of the complex product."""
+    prod = iso.conj().T @ mat @ iso
+    return sp.csr_matrix((prod.data.real.copy(), prod.indices, prod.indptr), shape=prod.shape)
 
 
 def _factor(mat, shift: float):
@@ -221,18 +269,19 @@ def _factor(mat, shift: float):
         raise SolverError(f"LU factorization of H - {shift:g} I failed: {exc}") from exc
 
 
-def _shift_invert(mat, sigma: float, seed: int, k: int, fold):
-    """(eigenvalues, eigenvector rows, solve facts) of the k eigenpairs of `mat`
-    nearest sigma, by ARPACK's Lanczos shift-invert on the real symmetric
-    S = Re(Q^H mat Q) of its `fold` Q (see `_fold`), from the Krylov start
-    vector of `RandomState(seed)` with an `arnoldi_ncv(k, n)` basis; the rows
-    are Q x. The output rows are allocated first, below the LU and the Krylov
-    basis in the heap, so a next solve reuses their space; the LU and S are
-    freed before the rows are unfolded, one at a time."""
-    n = mat.shape[0]
+def _shift_invert(mat, sigma: float, seed: int, k: int, iso):
+    """(eigenvalues, eigenvector rows, solve facts) of the k eigenpairs of the
+    part of `mat` nearest sigma, by ARPACK's Lanczos shift-invert on the real
+    symmetric S = Re(Q^H mat Q) of the part's isometry Q (see `_sectors`),
+    from the Krylov start vector of `RandomState(seed)` with an
+    `arnoldi_ncv(k, n)` basis for the part's size n; the rows are Q x. The
+    output rows are allocated first, below the LU and the Krylov basis in the
+    heap, so a next solve reuses their space; the LU and S are freed before
+    the rows are unfolded, one at a time."""
+    n = iso.shape[1]
     ncv = arnoldi_ncv(k, n)
-    rows = np.empty((k, n), dtype=complex)
-    mat = _real_symmetric(mat, fold)
+    rows = np.empty((k, mat.shape[0]), dtype=complex)
+    mat = _real_symmetric(mat, iso)
     lu = _factor(mat, sigma)
     solves = 0
 
@@ -255,24 +304,24 @@ def _shift_invert(mat, sigma: float, seed: int, k: int, fold):
              "diagonal_pivots": bool(np.array_equal(lu.perm_r, lu.perm_c))}
     del lu, mat
     for i in range(k):
-        rows[i] = fold @ vecs[:, i]
+        rows[i] = iso @ vecs[:, i]
     return vals, rows, facts
 
 
-# pairs asked of a block beyond its share of k, or beyond its count when a
-# lowest solve repeats it; the slice stops bisecting within this many per block
+# pairs asked of a part beyond its share of k, or beyond its count when a
+# lowest solve repeats it; the slice stops bisecting within this many per part
 BLOCK_MARGIN = 5
 
 
 def _slice(parts, k: int, sigma: float, tol: float) -> dict:
     """{tau, counts, factors}: a shift tau above sigma below which the real
-    symmetric blocks `parts` hold at least k eigenvalues together, each
-    block's count and the factors taken. A count is the number of negative
+    symmetric matrices `parts` hold at least k eigenvalues together, each
+    part's count and the factors taken. A count is the number of negative
     diagonal entries of U in a factor of part - tau I (Sylvester's law of
     inertia), valid only when every pivot stayed on the diagonal (`perm_r ==
     perm_c`). tau brackets upward from sigma + 1, doubling its distance from
     sigma, until the counts sum to k, then bisects while the sum exceeds k +
-    `BLOCK_MARGIN` per block and the bracket is wider than tol max(1, |tau|).
+    `BLOCK_MARGIN` per part and the bracket is wider than tol max(1, |tau|).
     A shift whose factor fails (tau on an eigenvalue) or leaves the diagonal
     moves to a quarter, then three quarters, of its bracket; `SolverError`
     names the bracket when all three do. One factor is alive at a time."""
@@ -288,7 +337,7 @@ def _slice(parts, k: int, sigma: float, tol: float) -> dict:
             except SolverError as exc:
                 return None, str(exc)
             if not np.array_equal(lu.perm_r, lu.perm_c):
-                return None, f"a pivot of the {part.shape[0]}-node block left the diagonal"
+                return None, f"a pivot of the {part.shape[0]}-row part left the diagonal"
             counts.append(int(np.sum(lu.U.diagonal() < 0)))
             del lu
         return counts, None
@@ -325,84 +374,91 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
     if tol < MIN_TOL:
         raise SolverError(f"tol must be >= {MIN_TOL}, got {tol}")
     mat = assemble_sparse(op)
-    n = mat.shape[0]
-    blocks = sublattice_blocks(mat, op.grid.n_per_side)
-    limit = sum(len(idx) - 2 for idx in blocks)
-    if k > limit:
-        raise BlockLimitError(f"k too large for the grid: its {len(blocks)} invariant block(s) "
-                              f"return at most {limit} pairs (each its size - 2), k = {k}")
+    n, n_side = mat.shape[0], op.grid.n_per_side
+    blocks = sublattice_blocks(mat, n_side)
     # slice every block, then let the assembled matrix go
     subs = [mat] if len(blocks) == 1 else [mat[idx][:, idx] for idx in blocks]
     del mat
+    # (block, isometry, inversion parity) of each part: a block's sectors, in turn
+    parts = [(b, iso, parity) for b, (sub, idx) in enumerate(zip(subs, blocks))
+             for iso, parity in _sectors(sub, idx, n_side, _fold(sub, idx, n_side))]
+    sizes = [iso.shape[1] for _, iso, _ in parts]
+    limit = sum(size - 2 for size in sizes)
+    if k > limit:
+        raise BlockLimitError(f"k too large for the grid: its {len(parts)} invariant part(s) "
+                              f"return at most {limit} pairs (each its size - 2), k = {k}")
 
-    folds = [_fold(sub, idx, op.grid.n_per_side) for sub, idx in zip(subs, blocks)]
+    def name(p):
+        b, _, parity = parts[p]
+        return f"block {b} of {len(blocks)}" + ("" if parity is None else f" (parity {parity:+d})")
+
     if lowest:
-        # each block is asked for exactly its eigenvalues below a counted tau
-        parts = [_real_symmetric(sub, fold) for sub, fold in zip(subs, folds)]
-        inertia = _slice(parts, k, sigma, tol)
-        del parts
+        # each part is asked for exactly its eigenvalues below a counted tau
+        forms = [_real_symmetric(subs[b], iso) for b, iso, _ in parts]
+        inertia = _slice(forms, k, sigma, tol)
+        del forms
         ks = inertia["counts"]
-        for b, (count, idx) in enumerate(zip(ks, blocks)):
-            if count > len(idx) - 2:
+        for p, (count, size) in enumerate(zip(ks, sizes)):
+            if count > size - 2:
                 raise BlockLimitError(
-                    f"block {b} of {len(blocks)} holds {count} eigenvalues below tau = "
-                    f"{inertia['tau']:.6g}, but returns at most {len(idx) - 2} (its size - 2)")
+                    f"{name(p)} holds {count} eigenvalues below tau = "
+                    f"{inertia['tau']:.6g}, but returns at most {size - 2} (its size - 2)")
     else:
-        ks = [k if len(idx) == n else min(math.ceil(k * len(idx) / n) + BLOCK_MARGIN, len(idx) - 2)
-              for idx in blocks]
+        ks = [k if len(parts) == 1 else min(math.ceil(k * size / n) + BLOCK_MARGIN, size - 2)
+              for size in sizes]
     found, facts = [], []
-    for sub, fold, kb in zip(subs, folds, ks):
-        nb = sub.shape[0]
-        if kb:
-            vals, rows, f = _shift_invert(sub, sigma, seed, kb, fold)
+    for (b, iso, parity), size, kp in zip(parts, sizes, ks):
+        if kp:
+            vals, rows, f = _shift_invert(subs[b], sigma, seed, kp, iso)
         else:   # no eigenvalue below tau: no factor, no Krylov run
-            vals, rows = np.empty(0), np.empty((0, nb), dtype=complex)
+            vals, rows = np.empty(0), np.empty((0, len(blocks[b])), dtype=complex)
             f = {"ncv": 0, "op_solves": 0, "lu_fill_nnz": 0, "diagonal_pivots": None}
         found.append((vals, rows))
-        facts.append({"size": nb, "k": kb, "resolves": 0, **f})
+        facts.append({"size": size, "parity": parity, "k": kp, "resolves": 0, **f})
 
-    def resolve(b, kb):
-        found[b] = None
-        vals, rows, f = _shift_invert(subs[b], sigma, seed, kb, folds[b])
-        found[b] = (vals, rows)
-        facts[b].update(f, k=kb, resolves=1, op_solves=facts[b]["op_solves"] + f["op_solves"])
+    def resolve(p, kp):
+        found[p] = None
+        b, iso, _ = parts[p]
+        vals, rows, f = _shift_invert(subs[b], sigma, seed, kp, iso)
+        found[p] = (vals, rows)
+        facts[p].update(f, k=kp, resolves=1, op_solves=facts[p]["op_solves"] + f["op_solves"])
 
     if lowest:
-        # Krylov solves can skip copies of a degenerate eigenvalue: a block
+        # Krylov solves can skip copies of a degenerate eigenvalue: a part
         # that returned fewer than its count below tau is asked for
         # BLOCK_MARGIN more pairs, once, and keeps those below tau
         tau = inertia["tau"]
-        for b, count in enumerate(inertia["counts"]):
-            kb = min(count + BLOCK_MARGIN, facts[b]["size"] - 2)
-            if np.sum(found[b][0] < tau) < count and kb > count:
-                resolve(b, kb)
-            vals, rows = found[b]
+        for p, count in enumerate(inertia["counts"]):
+            kp = min(count + BLOCK_MARGIN, sizes[p] - 2)
+            if np.sum(found[p][0] < tau) < count and kp > count:
+                resolve(p, kp)
+            vals, rows = found[p]
             below = vals < tau
             if np.sum(below) != count:
                 raise SolverError(
-                    f"block {b} of {len(blocks)}: S - {tau:.6g} I has {count} negative "
+                    f"{name(p)}: S - {tau:.6g} I has {count} negative "
                     f"pivots, but the solve returned {np.sum(below)} eigenvalues below {tau:.6g}")
-            found[b] = (vals[below], rows[below])
+            found[p] = (vals[below], rows[below])
     else:
-        # keep the k eigenvalues nearest sigma over all blocks; a block whose
+        # keep the k eigenvalues nearest sigma over all parts; a part whose
         # farthest returned eigenvalue is not beyond the k-th distance may
         # hold more inside it, so it is asked for k + BLOCK_MARGIN pairs, once;
         # one already asked for its size - 2 cannot be (a usage error)
-        while len(blocks) > 1:
+        while len(parts) > 1:
             dist = np.sort(np.abs(np.concatenate([v for v, _ in found]) - sigma))
             reach = dist[k - 1] if len(dist) >= k else np.inf
-            short = [b for b, (v, _) in enumerate(found) if np.max(np.abs(v - sigma)) <= reach]
+            short = [p for p, (v, _) in enumerate(found) if np.max(np.abs(v - sigma)) <= reach]
             if not short:
                 break
-            for b in short:
-                more = (f"block {b} of {len(blocks)} may hold more of the {k} eigenvalues "
-                        f"nearest {sigma:g} than the {facts[b]['k']} it returned")
-                limit = facts[b]["size"] - 2
-                if facts[b]["k"] == limit:
+            for p in short:
+                more = (f"{name(p)} may hold more of the {k} eigenvalues "
+                        f"nearest {sigma:g} than the {facts[p]['k']} it returned")
+                limit = sizes[p] - 2
+                if facts[p]["k"] == limit:
                     raise BlockLimitError(f"{more}, and returns at most {limit} (its size - 2)")
-                if facts[b]["resolves"]:
+                if facts[p]["resolves"]:
                     raise SolverError(more)
-                resolve(b, min(k + BLOCK_MARGIN, limit))
+                resolve(p, min(k + BLOCK_MARGIN, limit))
     every = np.concatenate([v for v, _ in found])
     kept = np.zeros(len(every), dtype=bool)
     kept[np.argsort(every if lowest else np.abs(every - sigma), kind="stable")[:k]] = True
@@ -413,15 +469,16 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         if lowest:
             info["inertia"] = inertia
 
-    # certify each block's pairs on its assembled matrix, which is
+    # certify each part's pairs on its block's assembled matrix, which is
     # independent of the LU (vectors of different blocks have disjoint
-    # supports, and Q keeps a block's Lanczos vectors orthonormal)
+    # supports, the sectors of a block are orthogonal, and Q keeps a part's
+    # Lanczos vectors orthonormal)
     grid = op.grid
     lams, fs, resids = [], [], []
     start = 0
-    for b, idx in enumerate(blocks):
-        vals, vecs = found[b]
-        found[b] = None   # so this block's output goes with `vecs`
+    for p, (b, _, _) in enumerate(parts):
+        vals, vecs = found[p]
+        found[p] = None   # so this part's output goes with `vecs`
         mine = np.flatnonzero(kept[start:start + len(vals)])
         start += len(vals)
         order = mine[np.argsort(vals[mine])]
@@ -437,8 +494,9 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
                 raise SolverError(
                     f"recomputed residual {r:.2e} exceeds {bd:.2e} "
                     f"for eigenvalue {lam:.6g}")
-        parity = divmod(int(idx[0]), grid.n_per_side)   # a class's first node is (p, q)
-        fs += [GridFunction(r, grid) if len(idx) == n else SublatticeFunction(r, parity, grid)
+        idx = blocks[b]
+        cls = divmod(int(idx[0]), n_side)   # a class's first node is (p, q)
+        fs += [GridFunction(r, grid) if len(idx) == n else SublatticeFunction(r, cls, grid)
                for r in rows]
         lams += vals.tolist()
         resids += resid.tolist()
@@ -452,16 +510,18 @@ def lowest_eigenpairs(op: OperatorHandle, k: int, tol: float = 1e-6,
     Returns (eigenvalue, GridFunction, residual) triples in nondecreasing
     eigenvalue order, with orthonormal eigenvectors in the discrete L^2;
     those of a proper sublattice block are `SublatticeFunction`s. Each
-    block is asked for the count of its eigenvalues below a shift tau (see
-    the module docstring). A dict passed as `info` receives the solver facts
-    `ncv` (the largest Krylov basis size), `op_solves` (shift-invert solves)
-    and `lu_fill_nnz` (the real entries SuperLU stores for L and U), summed
-    over the solved blocks; `blocks`: per block its `size`, `k`, `ncv`,
-    `op_solves` (over both runs of a block solved again), `lu_fill_nnz` (of
-    one factor), `diagonal_pivots` (whether SuperLU kept every pivot on the
-    diagonal, `perm_r == perm_c`) and `resolves` (0 or 1), with `k`, `ncv`,
-    `op_solves` and `lu_fill_nnz` 0 and `diagonal_pivots` None for a block
-    not solved; and `inertia`: the shift `tau`, the per-block `counts` of
+    part (a block, or one of its inversion sectors) is asked for the count
+    of its eigenvalues below a shift tau (see the module docstring). A dict
+    passed as `info` receives the solver facts `ncv` (the largest Krylov
+    basis size), `op_solves` (shift-invert solves) and `lu_fill_nnz` (the
+    real entries SuperLU stores for L and U), summed over the solved parts;
+    `blocks`: per part its `size`, `parity` (+1 or -1 for an inversion
+    sector, None for a whole block), `k`, `ncv`, `op_solves` (over both runs
+    of a part solved again), `lu_fill_nnz` (of one factor),
+    `diagonal_pivots` (whether SuperLU kept every pivot on the diagonal,
+    `perm_r == perm_c`) and `resolves` (0 or 1), with `k`, `ncv`,
+    `op_solves` and `lu_fill_nnz` 0 and `diagonal_pivots` None for a part
+    not solved; and `inertia`: the shift `tau`, the per-part `counts` of
     eigenvalues below it and the count `factors` taken.
     """
     return _solve(op, k, tol, seed, -1.0, info, lowest=True)
@@ -471,7 +531,7 @@ def eigenpairs_near(op: OperatorHandle, k: int, sigma: float,
                     tol: float = 1e-6, seed: int = 0, info: dict | None = None):
     """k certified eigenpairs nearest the shift sigma (used by oracle
     comparison, where the physical band sits at a known location), solved
-    per invariant sublattice block; `info` as for `lowest_eigenpairs`,
+    per invariant part; `info` as for `lowest_eigenpairs`,
     without `inertia`. The eigenvectors of a proper block are
     `SublatticeFunction`s."""
     return _solve(op, k, tol, seed, sigma, info, lowest=False)

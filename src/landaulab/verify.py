@@ -316,10 +316,12 @@ def check_cutoff_lemma(potential: Potential, grid: Grid, u: GridFunction,
     and 2 more on each side, by P.matrix[s, s] with s the nodes of those rows:
     P moves data at most two rows along x1, so it vanishes off them. Each kept
     row holds its stored entries in the full matrix's order, and the dropped
-    columns multiply zeros: the strip holds the full-grid apply bit for bit."""
+    columns multiply zeros: the strip holds the full-grid apply bit for bit.
+    A `SublatticeFunction` input is padded to the full grid once, here."""
     for q in centers:
         if not center_inside(q, grid):
             raise VerifyError(f"center {q} violates the interior margin {SUPPORT_RADIUS:g}")
+    u = GridFunction(u.values, u.grid)
     P = build_operator("P", potential, grid, h=h)
     nu = l2_norm(u)
     p_res = l2_norm(P.apply(u)) / nu

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -36,13 +37,15 @@ BASE = {
 
 
 def _assert_solver_blocks(solver, size):
-    # the four sublattice blocks are listed, a block with no pair asked of it
-    # (a lowest-solve block with no eigenvalue below tau) with no factor
+    # the model's radial phi splits each of the four sublattice blocks into
+    # its even and odd inversion sectors, so eight parts are listed, a part
+    # with no pair asked of it (a lowest-solve part with no eigenvalue below
+    # tau) with no factor
     blocks = solver["blocks"]
-    assert len(blocks) == 4
+    assert [b["parity"] for b in blocks] == [1, -1] * 4
     assert sum(b["size"] for b in blocks) == size
     for b in blocks:
-        assert set(b) == {"size", "k", "ncv", "op_solves", "lu_fill_nnz", "resolves",
+        assert set(b) == {"size", "parity", "k", "ncv", "op_solves", "lu_fill_nnz", "resolves",
                           "diagonal_pivots"}
         if b["k"]:
             assert b["ncv"] == arnoldi_ncv(b["k"], b["size"])
@@ -57,7 +60,7 @@ def _assert_solver_blocks(solver, size):
     if "inertia" in solver:
         inertia = solver["inertia"]
         assert set(inertia) == {"tau", "counts", "factors"}
-        # each block is asked for its count, and a block solved again for
+        # each part is asked for its count, and a part solved again for
         # BLOCK_MARGIN more
         assert inertia["counts"] == [b["k"] - BLOCK_MARGIN * b["resolves"] for b in blocks]
         assert inertia["factors"] >= len(blocks)
@@ -369,17 +372,52 @@ def test_cli_spectrum_reproducible(tmp_path):
     solver = json.loads(open(os.path.join(outs[0], "spectrum.json")).read())["solver"]
     assert set(solver) == {"ncv", "op_solves", "lu_fill_nnz", "blocks", "inertia"}
     _assert_solver_blocks(solver, 33 * 33)
-    # the count brackets tau = 0 (more than 6 + 4 BLOCK_MARGIN eigenvalues
+    # the count brackets tau = 0 (more than 6 + 8 BLOCK_MARGIN eigenvalues
     # below it), then bisects to -0.5 (fewer than 6) and -0.25: three shifts
-    # of four factors. Block (1, 1) holds none of the 6 and is not solved;
-    # the two copies of -0.285523 lie on blocks (0, 1) and (1, 0)
-    assert solver["inertia"] == {"tau": -0.25, "counts": [4, 2, 2, 0], "factors": 12}
-    assert [b["resolves"] for b in solver["blocks"]] == [0, 0, 0, 0]
-    assert all(b["diagonal_pivots"] for b in solver["blocks"][:3])
+    # of eight factors, one per part. Neither sector of block (1, 1) holds
+    # one of the 6, so neither is solved; each sector of blocks (0, 1) and
+    # (1, 0) holds one
+    assert solver["inertia"] == {"tau": -0.25, "counts": [2, 2, 1, 1, 1, 1, 0, 0],
+                                 "factors": 24}
+    assert [b["resolves"] for b in solver["blocks"]] == [0] * 8
+    assert all(b["diagonal_pivots"] for b in solver["blocks"][:6])
     vals = json.loads(open(os.path.join(outs[0], "spectrum.json")).read())["eigenvalues"]
     assert max(vals) < solver["inertia"]["tau"]
     assert vals[-1] - vals[-2] <= 1e-12
 
+
+
+# sha256 of the files that `spectrum` wrote at this trig config before the
+# solver split a block into inversion sectors; spectrum.json without the
+# `"parity": null` lines that the split added
+TRIG_SPECTRUM_SHA256 = {
+    "eig_000.csv": "afbf14dcf41d9c7a7e727f091c1f703614a8950e8c148cbd681f8768e6166d75",
+    "eig_001.csv": "aae7cad19e7a8fc22597eb3e487d829264efe40b6addd1f5091683e84b03ed65",
+    "eig_002.csv": "640b642639260f8ed4b05da49cbb17bdbac48415b0daca048c2682d4d5c9e661",
+    "eig_003.csv": "f3ddfbebbccc83a8cb0caec6203773cc5910e9ff61fee4bead08f18ae8ae923a",
+    "eig_004.csv": "83f4cd98500aebb7e89f12ae0c453ea4e489d6fe4f350ae72dfba88de90e5ec9",
+    "eig_005.csv": "13bc71f8911ab4d7db73c42c491a105acd7c5b835a3aa3db902b454a71319016",
+    "spectrum.json": "7b587fa3a966b7177ff7288c9e1d7760c29c8fd205a8f7363cee86eed9c334f2",
+}
+
+
+def test_cli_trig_spectrum_keeps_its_bytes(tmp_path):
+    # trig's phi is odd in its eps term under x -> -x, so H does not commute
+    # with the inversion: its four sublattice blocks are its four parts, and
+    # they are solved exactly as before the split
+    cfg = _write_config(tmp_path, {
+        "potential": {"kind": "quadratic_plus_trig", "params": [0.1]},
+        "grid": {"extent_L": 5.0, "n_per_side": 33}, "solve": {"k": 6, "seed": 0}})
+    out = tmp_path / "trig"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    solver = json.loads((out / "spectrum.json").read_text())["solver"]
+    assert [b["parity"] for b in solver["blocks"]] == [None] * 4
+    for name, digest in TRIG_SPECTRUM_SHA256.items():
+        data = (out / name).read_bytes()
+        if name == "spectrum.json":
+            data = b"".join(line for line in data.splitlines(True)
+                            if line.strip() != b'"parity": null,')
+        assert hashlib.sha256(data).hexdigest() == digest, name
 
 
 def test_cli_solver_failure_exits_2(tmp_path, monkeypatch, capsys):
@@ -617,7 +655,8 @@ def test_cli_oracle_compare_small(tmp_path):
     doc_json = json.loads(open(os.path.join(out, "oracle_compare.json")).read())
     assert "max_angle_rad" in doc_json
     assert code in (0, 2)  # pass threshold checked in the acceptance suite
-    # the averaged-coefficient H splits over the four sublattices
+    # the averaged-coefficient H splits over the four sublattices, and the
+    # model's each into two inversion sectors
     solver = doc_json["solver"]
     _assert_solver_blocks(solver, 129 * 129)
     assert "inertia" not in solver

@@ -217,14 +217,19 @@ def _near_vs_eigsh(H, k, sigma):
     return pairs, info
 
 
-@pytest.mark.parametrize("potential", ["model", "trig01"])
-def test_split_solve_matches_eigsh(potential, request):
-    # sigma = 0.02 lies inside the level-0 band on this grid
+@pytest.mark.parametrize("potential, sizes, parities", [
+    pytest.param("model", [145, 144, 136, 136, 136, 136, 128, 128], [1, -1] * 4, id="model"),
+    pytest.param("trig01", [289, 272, 272, 256], [None] * 4, id="trig01")])
+def test_split_solve_matches_eigsh(potential, sizes, parities, request):
+    # sigma = 0.02 lies inside the level-0 band on this grid; the model's
+    # radial phi splits each sublattice block into its inversion sectors,
+    # trig's does not
     g = Grid(extent_L=4.0, n_per_side=33)
     H = build_operator("H", request.getfixturevalue(potential), g)
     pairs, info = _near_vs_eigsh(H, k=12, sigma=0.02)
     blocks = info["blocks"]
-    assert [b["size"] for b in blocks] == [289, 272, 272, 256]
+    assert [b["size"] for b in blocks] == sizes
+    assert [b["parity"] for b in blocks] == parities
     for b in blocks:
         assert b["ncv"] == arnoldi_ncv(b["k"], b["size"])
         assert b["op_solves"] >= b["ncv"] - 1
@@ -539,17 +544,18 @@ def test_no_factor_alive_when_vectors_are_built(model, monkeypatch, near):
 
 @pytest.mark.parametrize("near", [True, False])
 def test_certificate_rejects_a_perturbed_pair(model, monkeypatch, near):
-    # the vector nearest sigma of the last Arnoldi run, off by 1e-4 of its
-    # size in a random direction, is no longer an eigenvector to tol; near
-    # sigma = 0.02 the last block (sublattice (1, 1)) holds the eigenvalue
-    # nearest sigma, and the lowest solve's first run is block (0, 0)'s
+    # the vector nearest sigma of an Arnoldi run, off by 1e-4 of its size in
+    # a random direction, is no longer an eigenvector to tol; near sigma =
+    # 0.02 the seventh run (the even sector of sublattice (1, 1)) holds the
+    # eigenvalue nearest sigma, and the lowest solve's first run is the even
+    # sector of block (0, 0)
     shift_invert = eigensolve._shift_invert
     runs = []
 
     def perturbed(mat, sigma, seed, k, *args):
         vals, rows, facts = shift_invert(mat, sigma, seed, k, *args)
         runs.append(None)
-        if len(runs) == (4 if near else 1):
+        if len(runs) == (7 if near else 1):
             i = np.argmin(np.abs(vals - sigma))
             noise = np.random.RandomState(1).standard_normal(rows.shape[1])
             rows[i] += 1e-4 * np.linalg.norm(rows[i]) / np.linalg.norm(noise) * noise
@@ -565,15 +571,18 @@ def test_certificate_rejects_a_perturbed_pair(model, monkeypatch, near):
 
 
 def test_one_factor_alive_at_a_time(model, monkeypatch):
+    # one factor per part: the two inversion sectors of each sublattice block
     _, alive_at_build, _ = _track_factors(monkeypatch)
     H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
-    eigenpairs_near(H, k=8, sigma=0.02, seed=0)
-    assert alive_at_build == [1] * 4
-    # the lowest solve's count factors and its block solves
+    near = {}
+    eigenpairs_near(H, k=8, sigma=0.02, seed=0, info=near)
+    assert len(near["blocks"]) == 8
+    assert alive_at_build == [1] * 8
+    # the lowest solve's count factors and its part solves
     info = {}
     lowest_eigenpairs(H, k=8, seed=0, info=info)
-    assert alive_at_build == [1] * (4 + _factor_builds(info))
-    assert info["inertia"]["factors"] >= len(info["blocks"])
+    assert alive_at_build == [1] * (8 + _factor_builds(info))
+    assert info["inertia"]["factors"] >= len(info["blocks"]) == 8
 
 
 def test_eigenpairs_near_vectors_stay_on_their_class(model):
@@ -653,6 +662,21 @@ def _dense_blocks(H):
     return [sla.eigvalsh(sub.toarray()) for _, sub in _block_matrices(assemble_sparse(H), n)[1:]]
 
 
+def _part_isometries(sub, idx, n):
+    """[(isometry, parity)] of the parts of one block, as the solver takes them."""
+    return eigensolve._sectors(sub, idx, n, eigensolve._fold(sub, idx, n))
+
+
+def _dense_parts(H):
+    """Every eigenvalue of each part (a sublattice block, or one of its
+    inversion sectors) of the assembled H, from dense `eigvalsh` of its real
+    symmetric form, in the solver's part order."""
+    n = H.grid.n_per_side
+    return [sla.eigvalsh(eigensolve._real_symmetric(sub, iso).toarray())
+            for idx, sub in _block_matrices(assemble_sparse(H), n)[1:]
+            for iso, _ in _part_isometries(sub, idx, n)]
+
+
 def _dense_spectrum(H):
     """Every eigenvalue of the assembled H, sorted."""
     return np.sort(np.concatenate(_dense_blocks(H)))
@@ -681,18 +705,22 @@ def _dtype_spy(monkeypatch):
 def test_real_form_matches_dense_eigvalsh(potential, request, monkeypatch):
     g = Grid(extent_L=5.0, n_per_side=65)
     H = build_operator("H", request.getfixturevalue(potential), g)
-    blocks = _dense_blocks(H)
-    dense = np.sort(np.concatenate(blocks))
+    parts = _dense_parts(H)
+    dense = _dense_spectrum(H)
     seen = _dtype_spy(monkeypatch)
     (low, low_info), (near, _) = _both_solves(H)
     wide_info = {}
     wide = lowest_eigenpairs(H, k=40, seed=0, info=wide_info)
     # every factor and every Lanczos run is real
     assert seen and all(dtype == np.float64 for dtype in seen)
-    # the lowest solve's block counts are the block eigenvalues below tau
+    # the lowest solve's part counts are the part eigenvalues below tau, and
+    # the parts hold the spectrum of the assembled H
+    assert len(parts) == (4 if potential == "trig01" else 8)
+    assert np.all(np.abs(np.sort(np.concatenate(parts)) - dense)
+                  <= 1e-12 * np.maximum(1.0, np.abs(dense)))
     for info in (low_info, wide_info):
         tau = info["inertia"]["tau"]
-        assert info["inertia"]["counts"] == [int(np.sum(b < tau)) for b in blocks]
+        assert info["inertia"]["counts"] == [int(np.sum(b < tau)) for b in parts]
     refs = [dense[:12], np.sort(dense[np.argsort(np.abs(dense - 0.02), kind="stable")[:20]]),
             dense[:40]]
     for pairs, ref in zip((low, near, wide), refs):
@@ -781,8 +809,8 @@ def _solve_spy(monkeypatch):
 
 def test_a_block_with_no_count_is_never_factored_at_sigma(model, monkeypatch):
     # none of the 12 lowest eigenvalues of the model at 65^2 lies on
-    # sublattice (1, 1): that block gets no factor at sigma = -1 and no
-    # Lanczos run, and is still listed
+    # sublattice (1, 1): neither of its inversion sectors gets a factor at
+    # sigma = -1 or a Lanczos run, and both are still listed
     g = Grid(extent_L=5.0, n_per_side=65)
     H = build_operator("H", model, g)
     factored, lanczos = _solve_spy(monkeypatch)
@@ -790,19 +818,22 @@ def test_a_block_with_no_count_is_never_factored_at_sigma(model, monkeypatch):
     pairs = lowest_eigenpairs(H, k=12, seed=0, info=info)
     assert len(pairs) == 12
     counts = info["inertia"]["counts"]
-    assert counts[3] == 0 and min(counts[:3]) > 0
+    assert counts[6:] == [0, 0] and min(counts[:6]) > 0
     blocks = info["blocks"]
-    assert [b["size"] for b in blocks] == [1089, 1056, 1056, 1024]
+    sizes = [545, 544, 528, 528, 528, 528, 512, 512]
+    assert [b["size"] for b in blocks] == sizes
+    assert [b["parity"] for b in blocks] == [1, -1] * 4
     assert [b["k"] for b in blocks] == counts
-    assert blocks[3] == {"size": 1024, "k": 0, "resolves": 0, "op_solves": 0, "lu_fill_nnz": 0,
-                         "diagonal_pivots": None, "ncv": 0}
+    for parity, b in zip((1, -1), blocks[6:]):
+        assert b == {"size": 512, "parity": parity, "k": 0, "resolves": 0, "op_solves": 0,
+                     "lu_fill_nnz": 0, "diagonal_pivots": None, "ncv": 0}
     solved = sorted(b["size"] for b in blocks if b["k"] for _ in range(1 + b["resolves"]))
     assert sorted(size for size, shift in factored if shift == -1.0) == solved
-    assert sorted(lanczos) == solved and 1024 not in lanczos
-    # every other factor is a count, of all four blocks
+    assert sorted(lanczos) == solved and 512 not in lanczos
+    # every other factor is a count, of all eight parts
     counted = [size for size, shift in factored if shift != -1.0]
     assert len(counted) == info["inertia"]["factors"]
-    assert counted[:4] == [1089, 1056, 1056, 1024]
+    assert counted[:8] == sizes
 
 
 def _copy_dropping_eigsh(monkeypatch):
@@ -828,14 +859,18 @@ def _copy_dropping_eigsh(monkeypatch):
     return dropped
 
 
-def test_lowest_solve_returns_every_copy_of_a_degenerate_eigenvalue(model, bump01, monkeypatch):
+def test_lowest_solve_returns_every_copy_of_a_degenerate_eigenvalue(model, bump01, trig01,
+                                                                   monkeypatch):
     # the lowest 8 eigenvalues end with four copies of -0.335949 (two pairs
     # 1e-7 apart, box-corner states that the bump does not reach). A
     # single-vector Lanczos solve can return two of them and eigenvalues
-    # above instead; per sublattice block no seed 0-29 of either potential
-    # does (nor of trig, nor at k = 12), so a solve that drops a copy is
-    # forced: the block's count below tau exposes it, and the block is
-    # solved again for its count plus BLOCK_MARGIN pairs
+    # above instead; per part no seed 0-29 of either potential does (nor of
+    # trig, nor at k = 12). The inversion sectors of the model and the bump
+    # hold no two of their lowest 8 within 1e-6; trig's unsplit block (1, 0)
+    # holds two copies of -0.336012, 9e-8 apart: the 7th and 8th lowest of H.
+    # So a solve of trig that drops a copy is forced: the part's count below
+    # tau exposes it, and the part is solved again for its count plus
+    # BLOCK_MARGIN pairs
     g = Grid(extent_L=5.0, n_per_side=65)
     for potential, seeds in ((model, range(10)), (bump01, range(10))):
         H = build_operator("H", potential, g)
@@ -844,8 +879,11 @@ def test_lowest_solve_returns_every_copy_of_a_degenerate_eigenvalue(model, bump0
         for seed in seeds:
             vals = [p[0] for p in lowest_eigenpairs(H, k=8, seed=seed)]
             np.testing.assert_allclose(vals, dense[:8], rtol=0, atol=1e-9)
-    H = build_operator("H", bump01, g)
+        assert all(np.min(np.diff(part[part <= dense[7]]), initial=1.0) > 1e-6
+                   for part in _dense_parts(H))
+    H = build_operator("H", trig01, g)
     dense = _dense_spectrum(H)
+    assert dense[7] - dense[6] <= 1e-7
     dropped = _copy_dropping_eigsh(monkeypatch)
     info = {}
     vals = [p[0] for p in lowest_eigenpairs(H, k=8, seed=0, info=info)]
@@ -853,7 +891,7 @@ def test_lowest_solve_returns_every_copy_of_a_degenerate_eigenvalue(model, bump0
     assert len(dropped) == 1
     counts = info["inertia"]["counts"]
     again = [b for b, f in enumerate(info["blocks"]) if f["resolves"]]
-    assert len(again) == 1
+    assert again == [2]
     block = info["blocks"][again[0]]
     assert block["size"] == dropped[0]
     assert block["resolves"] == 1
@@ -887,5 +925,132 @@ def test_inertia_mismatch_raises_solver_error(model, monkeypatch):
 
     monkeypatch.setattr(eigensolve, "_slice", overcount)
     H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
-    with pytest.raises(SolverError, match="block 0 of 4: .* negative pivots"):
+    with pytest.raises(SolverError, match=r"block 0 of 4 \(parity \+1\): .* negative pivots"):
         lowest_eigenpairs(H, k=8, seed=0)
+
+
+# --- inversion sectors: a radial phi commutes with J: x -> -x --------------
+
+def _hand_built_radial():
+    """phi = |x|^2 + 0.2 sin(|x|^2 / 4): radial, but none of the shipped kinds."""
+    r2 = lambda x1, x2: x1**2 + x2**2
+    return Potential(
+        kind="hand-built radial",
+        value_fn=lambda x1, x2: r2(x1, x2) + 0.2 * np.sin(r2(x1, x2) / 4),
+        grad_fn=lambda x1, x2: (2 * x1 * (1 + 0.05 * np.cos(r2(x1, x2) / 4)),
+                                2 * x2 * (1 + 0.05 * np.cos(r2(x1, x2) / 4))),
+        laplacian_fn=lambda x1, x2: (4.0 + 0.2 * np.cos(r2(x1, x2) / 4)
+                                     - 0.05 * r2(x1, x2) * np.sin(r2(x1, x2) / 4)))
+
+
+def _image(nodes, n, i_of, j_of):
+    """Position among the sorted `nodes` of the image of each node under the
+    node map (i, j) -> (i_of(i), j_of(j))."""
+    i, j = np.divmod(nodes, n)
+    return np.searchsorted(nodes, i_of(i) * n + j_of(j))
+
+
+def _assert_sectors(sub, idx, n, parts):
+    """The parts of one block split it: each isometry is orthonormal, the
+    parts are mutually orthogonal and together span the block (and so
+    `_fold`'s span, which is all of it), each column is fixed by T and has
+    its part's parity under J, and the parts' dense spectra together are the
+    block's, to 1e-12."""
+    W = sp.hstack([iso for iso, _ in parts]).tocsr()
+    assert W.shape == sub.shape
+    assert abs(W.conj().T @ W - sp.identity(len(idx))).max() <= 1e-15
+    flip = lambda i: n - 1 - i
+    keep = lambda i: i
+    reflect, invert = _image(idx, n, keep, flip), _image(idx, n, flip, flip)
+    for iso, parity in parts:
+        assert abs(iso[reflect].conj() - iso).max() <= 1e-15   # T-fixed
+        assert abs(iso[invert] - parity * iso).max() <= 1e-15
+    block = sla.eigvalsh(sub.toarray())
+    split = np.sort(np.concatenate(
+        [sla.eigvalsh(eigensolve._real_symmetric(sub, iso).toarray()) for iso, _ in parts]))
+    assert np.all(np.abs(split - block) <= 1e-12 * np.maximum(1.0, np.abs(block)))
+
+
+@pytest.mark.parametrize("n", [33, 65])
+@pytest.mark.parametrize("potential", ["model", "bump01", "trig01"])
+def test_sectors_split_each_block_of_a_radial_potential(potential, n, request):
+    g = Grid(extent_L=5.0, n_per_side=n)
+    mat = assemble_sparse(build_operator("H", request.getfixturevalue(potential), g))
+    for idx, sub in _block_matrices(mat, n)[1:]:
+        fold = eigensolve._fold(sub, idx, n)
+        parts = eigensolve._sectors(sub, idx, n, fold)
+        if potential == "trig01":
+            # eps sin(x1) cos(x2) is odd under x -> -x: the block is one part
+            assert len(parts) == 1 and parts[0][0] is fold and parts[0][1] is None
+            continue
+        assert [parity for _, parity in parts] == [1, -1]
+        assert sum(iso.shape[1] for iso, _ in parts) == len(idx)
+        _assert_sectors(sub, idx, n, parts)
+
+
+@pytest.mark.parametrize("n", [33, 65])
+@pytest.mark.parametrize("potential", ["model", "bump01"])
+def test_returned_vectors_have_inversion_parity(potential, n, request):
+    # each vector is even or odd under x -> -x, u(-x) = +-u(x), and T-fixed,
+    # u(x1, -x2) = conj(u(x1, x2)); the eight parts are listed with their parity
+    g = Grid(extent_L=5.0, n_per_side=n)
+    H = build_operator("H", request.getfixturevalue(potential), g)
+    for pairs, info in _both_solves(H):
+        assert [b["parity"] for b in info["blocks"]] == [1, -1] * 4
+        parities = []
+        for _, f, _ in pairs:
+            u = f.as_2d()
+            scale = np.max(np.abs(u))
+            assert np.max(np.abs(u[:, ::-1] - u.conj())) <= 1e-12 * scale
+            odd, even = (np.max(np.abs(u[::-1, ::-1] + s * u)) for s in (1, -1))
+            assert min(odd, even) <= 1e-12 * scale
+            parities.append(1 if even < odd else -1)
+        assert {1, -1} <= set(parities)
+
+
+def test_a_hand_built_radial_potential_splits():
+    # the split is read off the assembled matrix, not the potential's kind;
+    # the one block of all nodes (a matrix without the sublattice split)
+    # splits too
+    g = Grid(extent_L=5.0, n_per_side=33)
+    H = build_operator("H", _hand_built_radial(), g)
+    for idx, sub in _block_matrices(assemble_sparse(H), 33):
+        parts = _part_isometries(sub, idx, 33)
+        assert [parity for _, parity in parts] == [1, -1]
+        _assert_sectors(sub, idx, 33, parts)
+    solves = _both_solves(H)
+    for pairs, info in solves:
+        assert [b["parity"] for b in info["blocks"]] == [1, -1] * 4
+        assert max(p[2] for p in pairs) <= 1e-6
+    low = [p[0] for p in solves[0][0]]
+    np.testing.assert_allclose(low, _dense_spectrum(H)[:12], rtol=0, atol=1e-10)
+
+
+def _wrong_sign_in_the_odd_sector(sectors):
+    """`_sectors` with the second entry of every two-entry column of E-
+    negated: (e_c + s_c e_d)/sqrt 2, the even combination, in place of the
+    odd one."""
+    def mutant(mat, nodes, n_side, fold):
+        parts = sectors(mat, nodes, n_side, fold)
+        if len(parts) == 1:
+            return parts
+        (even, _), (odd, _) = parts
+        E = (fold.conj().T @ odd).real.tocsc()
+        E.data[abs(E.data) < 0.25] = 0.0
+        E.eliminate_zeros()
+        pair = np.flatnonzero(np.diff(E.indptr) == 2)
+        E.data[E.indptr[pair] + 1] *= -1.0
+        return [(even, 1), (fold @ E, -1)]
+    return mutant
+
+
+def test_a_wrong_sign_in_the_odd_sector_fails(model, monkeypatch):
+    g = Grid(extent_L=5.0, n_per_side=33)
+    H = build_operator("H", model, g)
+    mutant = _wrong_sign_in_the_odd_sector(eigensolve._sectors)
+    for idx, sub in _block_matrices(assemble_sparse(H), 33)[1:]:
+        with pytest.raises(AssertionError):
+            _assert_sectors(sub, idx, 33, mutant(sub, idx, 33, eigensolve._fold(sub, idx, 33)))
+    monkeypatch.setattr(eigensolve, "_sectors", mutant)
+    with pytest.raises(SolverError, match="recomputed residual"):
+        lowest_eigenpairs(H, k=12, seed=0)

@@ -119,6 +119,32 @@ def test_cutoff_lemma_checks_centers_before_the_input_guard(trig01):
             check_cutoff_lemma(trig01, g, _random_state(g), 0.5, [(0.0, 0.0), (5.0, 0.0)])
 
 
+def test_cutoff_lemma_pads_a_sublattice_input_once(model, monkeypatch):
+    # a solver eigenvector is stored on its parity class; the check pads it
+    # to the full grid once, not once per center, and gives the rows of a
+    # plain full-grid copy of it
+    from landaulab import lowest_eigenpairs
+    from landaulab.grid import SublatticeFunction
+    g = Grid(extent_L=5.0, n_per_side=65)
+    u = lowest_eigenpairs(build_operator("H", model, g), k=1, seed=0)[0][1]
+    assert isinstance(u, SublatticeFunction)
+    plain = GridFunction(u.values.copy(), g)
+    centers = [(1.0, 0.0), (0.0, 1.0), (-1.0, 1.0)]
+    assert len(lattice_window(g)) > len(centers)
+    as_2d, calls = SublatticeFunction.as_2d, []
+
+    def counted(self):
+        calls.append(self)
+        return as_2d(self)
+
+    monkeypatch.setattr(SublatticeFunction, "as_2d", counted)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rows = check_cutoff_lemma(model, g, u, 1.0, centers)
+        assert len(calls) == 1
+        assert rows == check_cutoff_lemma(model, g, plain, 1.0, centers)
+
+
 def _random_state(grid, seed=7):
     rng = np.random.default_rng(seed)
     shape = grid.n_per_side, grid.n_per_side
