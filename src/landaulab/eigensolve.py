@@ -17,21 +17,6 @@ block, by one sparse product on its stored row and `grid.l2_sums`; this is
 independent of the LU and of ARPACK. Results are deterministic for a fixed
 seed (the seed fixes the Krylov start vector).
 
-Real symmetric form. The magnetic field breaks complex conjugation K as a
-symmetry of H, but when phi(x1, -x2) = phi(x1, x2), as for every shipped
-kind, the antiunitary T = R∘K, with R the reflection x2 -> -x2, has T^2 = 1
-and commutes with H: H is in the orthogonal class of Dyson's threefold way.
-In the coordinates of the T-invariant vectors (`_fold`: e_a on the axis,
-(e_a + e_Ra)/sqrt 2 and i (e_a - e_Ra)/sqrt 2 for a node pair) a block is a
-real symmetric matrix S = Re(Q^H H Q). A block that is already real (K
-itself commutes with it) is its own S, with Q the identity. Every block is
-solved this way: a real LU and ARPACK's symmetric Lanczos driver, whose Ritz
-vectors are orthonormal, and its eigenvectors come back as Q x, which Q
-keeps orthonormal (the complex inner product of two T-invariant vectors is
-real); under T they satisfy u(x1, -x2) = conj(u(x1, x2)). A block with
-neither symmetry (R conj(H) R and conj(H) each differ from H by more than
-`FOLD_TOL` of its largest entry) raises `SolverError` before any factor.
-
 Both solvers solve each invariant block of the assembled matrix on its own.
 When the matrix stores no entry linking two of the four node parity classes
 (i mod 2, j mod 2), which holds for every `build_operator` handle, H is
@@ -39,14 +24,28 @@ block-diagonal over them and its spectrum is the union of the four block
 spectra (`sublattice_blocks`), and each eigenvector is supported on one
 sublattice.
 
-Inversion sectors. When phi is also even under x -> -x (the model, the
-bump, any radial phi), a block commutes with the inversion J: (i, j) ->
-(n-1-i, n-1-j), tested on its matrix as T is. It splits into J's even and
-odd sectors (`_sectors`), real symmetric parts of about half its size whose
-eigenvectors satisfy u(-x) = +-u(x); any other block (every trig block) is
-one part. The solvers run over the parts: one real LU and Lanczos run each,
-each pair certified on its block's assembled matrix, and k at most the sum
-over the parts of their size - 2.
+Real symmetric parts. The magnetic field breaks complex conjugation K as a
+symmetry of H, but when phi(x1, -x2) = phi(x1, x2), as for every shipped
+kind, the antiunitary T = R∘K, with R the reflection x2 -> -x2, has T^2 = 1
+and commutes with H: H is in the orthogonal class of Dyson's threefold way,
+and a block is real symmetric in the coordinates of its T-invariant vectors
+(e_a on the axis, (e_a + e_Ra)/sqrt 2 and i (e_a - e_Ra)/sqrt 2 for a node
+pair). A block that is already real (K itself commutes with it) keeps its
+own coordinates, and one with neither symmetry (R conj(H) R and conj(H)
+each differ from H by more than `FOLD_TOL` of its largest entry) raises
+`SolverError` before any factor. When phi is also even under x -> -x (the
+model, the bump, any radial phi), a block commutes with the inversion J:
+(i, j) -> (n-1-i, n-1-j), tested on its matrix as T is, and splits into J's
+even and odd sectors, of about half its size, whose eigenvectors satisfy
+u(-x) = +-u(x); any other block (every trig block) is one part. `_parts`
+builds each part's isometry Q, both symmetries' through `_halves`, and its
+real symmetric form S = Re(Q^H H Q), once. Each part gets a real LU and a
+run of ARPACK's symmetric Lanczos driver on S, whose Ritz vectors are
+orthonormal, and its eigenvectors come back as Q x, which Q keeps
+orthonormal (the complex inner product of two T-invariant vectors is real);
+under T they satisfy u(x1, -x2) = conj(u(x1, x2)). Each pair is certified on
+its block's assembled matrix, and k is at most the sum over the parts of
+their size - 2.
 
 The solvers differ only in how many pairs each part is asked for.
 `eigenpairs_near` asks each part for its share of k plus `BLOCK_MARGIN`
@@ -71,8 +70,9 @@ kept, so every returned eigenvalue lies below a counted tau.
 
 Memory: one LU is alive at a time. The handle keeps its own matrix; the
 assembled copy is freed once the blocks are sliced, each count factor once
-its pivots are read, each solve's LU (and real form) once its Krylov run is
-read, before the rows are unfolded, and a part solved again refactors. A
+its pivots are read, and each solve's LU once its Krylov run is read, before
+the rows are unfolded. Every part's real form stays alive through the solve,
+and a part solved again refactors it. A
 proper block's eigenvectors are `SublatticeFunction`s stored on its parity
 class, normalized and certified there, so no full-grid copy of one is made;
 `principal_angles` reads them one parity class at a time.
@@ -175,86 +175,71 @@ def sublattice_blocks(mat, n_side: int) -> list:
     return [np.flatnonzero(labels == c) for c in range(4)]
 
 
-def _fold(mat, nodes, n_side: int):
-    """The isometry Q from real coordinates onto the vectors that a
-    conjugation symmetry of the block matrix `mat` over the sorted grid
-    `nodes` (all nodes, or one parity class) fixes, so that Q^H mat Q is real
-    symmetric; `SolverError` when `mat` has neither symmetry.
-
-    T = R∘K comes first. R reflects x2 -> -x2, (i, j) -> (i, n-1-j), and
-    maps every parity class onto itself because n is odd. T commutes with
-    `mat` when R conj(mat) R = mat, tested to FOLD_TOL of the largest entry.
-    The columns that R keeps come first: e_a for a node on the axis j =
-    (n-1)/2 and (e_a + e_Ra)/sqrt 2 for a pair a < Ra, in node order; then
-    i (e_a - e_Ra)/sqrt 2 for each pair. Q is square and unitary. Otherwise,
-    when K commutes with `mat` (conj(mat) = mat, to the same tolerance), Q is
-    the identity.
-    """
-    i, j = np.divmod(nodes, n_side)
-    r = np.searchsorted(nodes, i * n_side + n_side - 1 - j)
-    scale = abs(mat).max()
-    t_defect = abs(mat[r][:, r] - mat.conj()).max()
-    if t_defect > FOLD_TOL * scale:
-        k_defect = abs(mat - mat.conj()).max()
-        if k_defect <= FOLD_TOL * scale:
-            return sp.identity(len(nodes), format="csr")
-        raise SolverError(
-            f"the {len(nodes)}-node block commutes with neither T = R∘K "
-            f"(|R conj(H) R - H| / max|H| = {t_defect / scale:.1e}) nor K "
-            f"(|conj(H) - H| / max|H| = {k_defect / scale:.1e}) to FOLD_TOL = {FOLD_TOL:g}: "
-            "the eigensolvers need phi(x1, -x2) = phi(x1, x2) or a real matrix")
-    first = np.flatnonzero(np.arange(len(nodes)) <= r)
-    col = np.arange(len(first))
-    pair = first < r[first]
-    lo, at = first[pair], col[pair]
-    odd = len(first) + np.arange(len(lo))
-    s = np.full(len(lo), np.sqrt(0.5))
-    return sp.csr_matrix(
-        (np.concatenate([np.ones(len(first) - len(lo)), s, s, 1j * s, -1j * s]),
-         (np.concatenate([first[~pair], lo, r[lo], lo, r[lo]]),
-          np.concatenate([col[~pair], at, at, odd, odd]))),
-        shape=mat.shape)
-
-
-def _sectors(mat, nodes, n_side: int, fold):
-    """[(isometry, parity)] of the parts of the block matrix `mat` over the
-    sorted grid `nodes`, with `_fold` isometry Q = `fold`: [(Q, None)] unless
-    `mat` commutes with the inversion J: (i, j) -> (n-1-i, n-1-j), tested as
-    T is in `_fold`, and then [(Q E+, 1), (Q E-, -1)], J's even and odd
-    sectors. J maps every parity class onto itself (n is odd) and commutes
-    with R, so M = Q^H J Q is a signed permutation, M e_c = s_c e_d(c). E+-
-    has a column (e_c +- s_c e_d)/sqrt 2 for each pair c < d(c), and e_c for
-    each c = d(c) with s_c = +-1, in the order of c: real, so each sector is
-    real symmetric, of about half the block's size."""
-    i, j = np.divmod(nodes, n_side)
-    inv = np.searchsorted(nodes, (n_side - 1 - i) * n_side + n_side - 1 - j)
-    if abs(mat[inv][:, inv] - mat).max() > FOLD_TOL * abs(mat).max():
-        return [(fold, None)]
-    size = len(nodes)
-    flip = sp.csr_matrix((np.ones(size), (inv, np.arange(size))), shape=mat.shape)
-    signed = (fold.conj().T @ flip @ fold).real.tocsc()
-    signed.data[abs(signed.data) < 0.5] = 0.0   # the cancelled terms of a pair
-    signed.eliminate_zeros()
-    c, d, s = np.arange(size), signed.indices, np.sign(signed.data)
+def _halves(d, s):
+    """(E+, E-): real isometries onto the +1 and -1 eigenspaces of the signed
+    involution M e_c = s_c e_d(c) (s = +-1, d(d(c)) = c). E+- has a column
+    (e_c +- s_c e_d)/sqrt 2 for each pair c < d(c), and e_c for each c = d(c)
+    with s_c = +-1, in the order of c."""
+    c = np.arange(len(d))
     pair = c < d
 
-    def sector(parity):
+    def half(parity):
         keep = pair | ((c == d) & (s == parity))
         twin, col = pair[keep], np.arange(np.sum(keep))
         w = np.where(twin, np.sqrt(0.5), 1.0)
-        E = sp.csr_matrix((np.concatenate([w, parity * s[keep][twin] * w[twin]]),
-                           (np.concatenate([c[keep], d[keep][twin]]),
-                            np.concatenate([col, col[twin]]))), shape=(size, len(col)))
-        return fold @ E, parity
+        return sp.csr_matrix((np.concatenate([w, parity * s[keep][twin] * w[twin]]),
+                              (np.concatenate([c[keep], d[keep][twin]]),
+                               np.concatenate([col, col[twin]]))), shape=(len(c), len(col)))
 
-    return [sector(1), sector(-1)]
+    return half(1), half(-1)
 
 
-def _real_symmetric(mat, iso):
-    """S = Re(Q^H mat Q), real symmetric for the isometry Q of a part of
-    `mat` (`_sectors`), holding no view of the complex product."""
-    prod = iso.conj().T @ mat @ iso
-    return sp.csr_matrix((prod.data.real.copy(), prod.indices, prod.indptr), shape=prod.shape)
+def _parts(sub, nodes, n_side: int):
+    """[(S, Q, parity)] of the parts of the block matrix `sub` over the sorted
+    grid `nodes` (all nodes, or one parity class): for each, its isometry Q
+    and its real symmetric form S = Re(Q^H sub Q), holding no view of the
+    complex product. R: (i, j) -> (i, n-1-j) and J: (i, j) -> (n-1-i, n-1-j)
+    map every parity class onto itself (n is odd), and a symmetry is tested
+    on `sub` to FOLD_TOL of its largest entry.
+
+    T = R∘K comes first: when R conj(sub) R = sub, Q = [E+, i E-] from the
+    `_halves` of R, so that its columns are T-fixed; otherwise, when
+    conj(sub) = sub, Q is the identity; `SolverError` when neither holds.
+    When sub also commutes with J, M = Q^H J Q is a signed permutation and
+    the parts are J's even and odd sectors, Q E+ and Q E- from the `_halves`
+    of M, with parity +1 and -1; otherwise the block is one part, Q, with
+    parity None."""
+    i, j = np.divmod(nodes, n_side)
+    size, scale = len(nodes), abs(sub).max()
+    r = np.searchsorted(nodes, i * n_side + n_side - 1 - j)
+    t_defect = abs(sub[r][:, r] - sub.conj()).max()
+    if t_defect <= FOLD_TOL * scale:
+        even, odd = _halves(r, np.ones(size))
+        Q = sp.hstack([even, 1j * odd], format="csr")
+    else:
+        k_defect = abs(sub - sub.conj()).max()
+        if k_defect > FOLD_TOL * scale:
+            raise SolverError(
+                f"the {size}-node block commutes with neither T = R∘K "
+                f"(|R conj(H) R - H| / max|H| = {t_defect / scale:.1e}) nor K "
+                f"(|conj(H) - H| / max|H| = {k_defect / scale:.1e}) to FOLD_TOL = {FOLD_TOL:g}: "
+                "the eigensolvers need phi(x1, -x2) = phi(x1, x2) or a real matrix")
+        Q = sp.identity(size, format="csr")
+    inv = np.searchsorted(nodes, (n_side - 1 - i) * n_side + n_side - 1 - j)
+    isos = [(Q, None)]
+    if abs(sub[inv][:, inv] - sub).max() <= FOLD_TOL * scale:
+        flip = sp.csr_matrix((np.ones(size), (inv, np.arange(size))), shape=sub.shape)
+        M = (Q.conj().T @ flip @ Q).real.tocsc()
+        M.data[abs(M.data) < 0.5] = 0.0   # the cancelled terms of a pair
+        M.eliminate_zeros()
+        even, odd = _halves(M.indices, np.sign(M.data))
+        isos = [(Q @ even, 1), (Q @ odd, -1)]
+    parts = []
+    for iso, parity in isos:
+        prod = iso.conj().T @ sub @ iso
+        S = sp.csr_matrix((prod.data.real.copy(), prod.indices, prod.indptr), shape=prod.shape)
+        parts.append((S, iso, parity))
+    return parts
 
 
 def _factor(mat, shift: float):
@@ -269,20 +254,19 @@ def _factor(mat, shift: float):
         raise SolverError(f"LU factorization of H - {shift:g} I failed: {exc}") from exc
 
 
-def _shift_invert(mat, sigma: float, seed: int, k: int, iso):
-    """(eigenvalues, eigenvector rows, solve facts) of the k eigenpairs of the
-    part of `mat` nearest sigma, by ARPACK's Lanczos shift-invert on the real
-    symmetric S = Re(Q^H mat Q) of the part's isometry Q (see `_sectors`),
-    from the Krylov start vector of `RandomState(seed)` with an
-    `arnoldi_ncv(k, n)` basis for the part's size n; the rows are Q x. The
-    output rows are allocated first, below the LU and the Krylov basis in the
-    heap, so a next solve reuses their space; the LU and S are freed before
-    the rows are unfolded, one at a time."""
-    n = iso.shape[1]
+def _shift_invert(S, sigma: float, seed: int, k: int, iso):
+    """(eigenvalues, eigenvector rows, solve facts) of the k eigenpairs nearest
+    sigma of a part with real symmetric form S and isometry Q = `iso` (see
+    `_parts`), by ARPACK's Lanczos shift-invert on S from the Krylov start
+    vector of `RandomState(seed)` with an `arnoldi_ncv(k, n)` basis for the
+    part's size n; the rows are Q x. The output rows are allocated first,
+    below the LU and the Krylov basis in the heap, so a next solve reuses
+    their space; the LU is freed before the rows are unfolded, one at a
+    time."""
+    n = S.shape[0]
     ncv = arnoldi_ncv(k, n)
-    rows = np.empty((k, mat.shape[0]), dtype=complex)
-    mat = _real_symmetric(mat, iso)
-    lu = _factor(mat, sigma)
+    rows = np.empty((k, iso.shape[0]), dtype=complex)
+    lu = _factor(S, sigma)
     solves = 0
 
     def apply(x):
@@ -293,8 +277,8 @@ def _shift_invert(mat, sigma: float, seed: int, k: int, iso):
     v0 = np.random.RandomState(seed).standard_normal(n)
     try:
         vals, vecs = spla.eigsh(
-            mat, k=k, sigma=sigma, which="LM", v0=v0, ncv=ncv,
-            OPinv=spla.LinearOperator(mat.shape, matvec=apply, dtype=mat.dtype))
+            S, k=k, sigma=sigma, which="LM", v0=v0, ncv=ncv,
+            OPinv=spla.LinearOperator(S.shape, matvec=apply, dtype=S.dtype))
     except spla.ArpackNoConvergence as exc:
         raise SolverError(
             f"eigensolver did not converge within the iteration budget: {exc}") from exc
@@ -302,7 +286,7 @@ def _shift_invert(mat, sigma: float, seed: int, k: int, iso):
         raise SolverError(f"shift-invert eigensolve failed: {exc}") from exc
     facts = {"ncv": ncv, "op_solves": solves, "lu_fill_nnz": int(lu.nnz),
              "diagonal_pivots": bool(np.array_equal(lu.perm_r, lu.perm_c))}
-    del lu, mat
+    del lu
     for i in range(k):
         rows[i] = iso @ vecs[:, i]
     return vals, rows, facts
@@ -379,24 +363,22 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
     # slice every block, then let the assembled matrix go
     subs = [mat] if len(blocks) == 1 else [mat[idx][:, idx] for idx in blocks]
     del mat
-    # (block, isometry, inversion parity) of each part: a block's sectors, in turn
-    parts = [(b, iso, parity) for b, (sub, idx) in enumerate(zip(subs, blocks))
-             for iso, parity in _sectors(sub, idx, n_side, _fold(sub, idx, n_side))]
-    sizes = [iso.shape[1] for _, iso, _ in parts]
+    # (block, real form, isometry, inversion parity) of each part, a block's in turn
+    parts = [(b, *part) for b, (sub, idx) in enumerate(zip(subs, blocks))
+             for part in _parts(sub, idx, n_side)]
+    sizes = [S.shape[0] for _, S, _, _ in parts]
     limit = sum(size - 2 for size in sizes)
     if k > limit:
         raise BlockLimitError(f"k too large for the grid: its {len(parts)} invariant part(s) "
                               f"return at most {limit} pairs (each its size - 2), k = {k}")
 
     def name(p):
-        b, _, parity = parts[p]
+        b, _, _, parity = parts[p]
         return f"block {b} of {len(blocks)}" + ("" if parity is None else f" (parity {parity:+d})")
 
     if lowest:
         # each part is asked for exactly its eigenvalues below a counted tau
-        forms = [_real_symmetric(subs[b], iso) for b, iso, _ in parts]
-        inertia = _slice(forms, k, sigma, tol)
-        del forms
+        inertia = _slice([S for _, S, _, _ in parts], k, sigma, tol)
         ks = inertia["counts"]
         for p, (count, size) in enumerate(zip(ks, sizes)):
             if count > size - 2:
@@ -407,9 +389,9 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         ks = [k if len(parts) == 1 else min(math.ceil(k * size / n) + BLOCK_MARGIN, size - 2)
               for size in sizes]
     found, facts = [], []
-    for (b, iso, parity), size, kp in zip(parts, sizes, ks):
+    for (b, S, iso, parity), size, kp in zip(parts, sizes, ks):
         if kp:
-            vals, rows, f = _shift_invert(subs[b], sigma, seed, kp, iso)
+            vals, rows, f = _shift_invert(S, sigma, seed, kp, iso)
         else:   # no eigenvalue below tau: no factor, no Krylov run
             vals, rows = np.empty(0), np.empty((0, len(blocks[b])), dtype=complex)
             f = {"ncv": 0, "op_solves": 0, "lu_fill_nnz": 0, "diagonal_pivots": None}
@@ -418,8 +400,8 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
 
     def resolve(p, kp):
         found[p] = None
-        b, iso, _ = parts[p]
-        vals, rows, f = _shift_invert(subs[b], sigma, seed, kp, iso)
+        _, S, iso, _ = parts[p]
+        vals, rows, f = _shift_invert(S, sigma, seed, kp, iso)
         found[p] = (vals, rows)
         facts[p].update(f, k=kp, resolves=1, op_solves=facts[p]["op_solves"] + f["op_solves"])
 
@@ -476,7 +458,7 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
     grid = op.grid
     lams, fs, resids = [], [], []
     start = 0
-    for p, (b, _, _) in enumerate(parts):
+    for p, (b, *_) in enumerate(parts):
         vals, vecs = found[p]
         found[p] = None   # so this part's output goes with `vecs`
         mine = np.flatnonzero(kept[start:start + len(vals)])

@@ -13,6 +13,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
+import numbers
 import os
 from dataclasses import dataclass
 
@@ -32,10 +34,12 @@ class Grid:
     n_per_side: int
 
     def __post_init__(self):
-        if self.n_per_side < 9 or self.n_per_side % 2 == 0:
-            raise GridError(f"n_per_side must be odd and >= 9, got {self.n_per_side}")
-        if self.extent_L <= 0:
-            raise GridError(f"extent_L must be positive, got {self.extent_L}")
+        n = self.n_per_side
+        if not isinstance(n, numbers.Integral) or n < 9 or n % 2 == 0:
+            raise GridError(f"n_per_side must be an odd integer >= 9, got {n!r}")
+        if not (isinstance(self.extent_L, numbers.Real) and math.isfinite(self.extent_L)
+                and self.extent_L > 0):
+            raise GridError(f"extent_L must be positive and finite, got {self.extent_L}")
 
     @property
     def spacing(self) -> float:

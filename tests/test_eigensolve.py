@@ -285,7 +285,7 @@ class _TrackedLU:
 def _track_factors(monkeypatch):
     """Patch `splu` and `_shift_invert` to record, holding no factor alive,
     the set of live factors, how many are alive as each one is built, and
-    (matrix, solves, LU fill) after each Arnoldi run."""
+    (real form, solves, LU fill) after each Lanczos run."""
     alive, alive_at_build, runs = weakref.WeakSet(), [], []
     splu, shift_invert = spla.splu, eigensolve._shift_invert
 
@@ -295,9 +295,9 @@ def _track_factors(monkeypatch):
         alive_at_build.append(len(alive))
         return lu
 
-    def tracked_shift_invert(mat, *args):
-        vals, rows, facts = shift_invert(mat, *args)
-        runs.append((mat, facts["op_solves"], facts["lu_fill_nnz"]))
+    def tracked_shift_invert(S, *args):
+        vals, rows, facts = shift_invert(S, *args)
+        runs.append((S, facts["op_solves"], facts["lu_fill_nnz"]))
         return vals, rows, facts
 
     monkeypatch.setattr(eigensolve.spla, "splu", tracked_splu)
@@ -552,8 +552,8 @@ def test_certificate_rejects_a_perturbed_pair(model, monkeypatch, near):
     shift_invert = eigensolve._shift_invert
     runs = []
 
-    def perturbed(mat, sigma, seed, k, *args):
-        vals, rows, facts = shift_invert(mat, sigma, seed, k, *args)
+    def perturbed(S, sigma, seed, k, *args):
+        vals, rows, facts = shift_invert(S, sigma, seed, k, *args)
         runs.append(None)
         if len(runs) == (7 if near else 1):
             i = np.argmin(np.abs(vals - sigma))
@@ -636,16 +636,20 @@ def _block_matrices(mat, n):
 @pytest.mark.parametrize("n", [33, 65])
 @pytest.mark.parametrize("potential", ["model", "trig01", "bump01"])
 def test_fold_is_an_isometry_onto_a_real_symmetric_form(potential, n, request):
+    # the parts' isometries together are unitary with T-fixed columns, and
+    # each part's form is real symmetric
     g = Grid(extent_L=5.0, n_per_side=n)
     mat = assemble_sparse(build_operator("H", request.getfixturevalue(potential), g))
     for idx, sub in _block_matrices(mat, n):
-        Q = eigensolve._fold(sub, idx, n)
-        assert Q is not None and Q.shape == sub.shape
-        assert abs(Q.conj().T @ Q - sp.identity(len(idx))).max() <= 1e-15
-        assert abs((Q.conj().T @ sub @ Q).imag).max() <= 1e-13 * abs(sub).max()
-        S = eigensolve._real_symmetric(sub, Q)
-        assert S.dtype == np.float64
-        assert abs(S - S.T).max() <= 1e-15 * abs(S).max()
+        parts = eigensolve._parts(sub, idx, n)
+        W = sp.hstack([Q for _, Q, _ in parts]).tocsr()
+        assert W.shape == sub.shape
+        assert abs(W.conj().T @ W - sp.identity(len(idx))).max() <= 1e-15
+        assert abs(W[_image(idx, n, lambda i: i, lambda j: n - 1 - j)].conj() - W).max() <= 1e-15
+        for S, Q, _ in parts:
+            assert abs((Q.conj().T @ sub @ Q).imag).max() <= 1e-13 * abs(sub).max()
+            assert S.dtype == np.float64
+            assert abs(S - S.T).max() <= 1e-15 * abs(S).max()
 
 
 def _both_solves(H):
@@ -662,19 +666,14 @@ def _dense_blocks(H):
     return [sla.eigvalsh(sub.toarray()) for _, sub in _block_matrices(assemble_sparse(H), n)[1:]]
 
 
-def _part_isometries(sub, idx, n):
-    """[(isometry, parity)] of the parts of one block, as the solver takes them."""
-    return eigensolve._sectors(sub, idx, n, eigensolve._fold(sub, idx, n))
-
-
 def _dense_parts(H):
     """Every eigenvalue of each part (a sublattice block, or one of its
     inversion sectors) of the assembled H, from dense `eigvalsh` of its real
     symmetric form, in the solver's part order."""
     n = H.grid.n_per_side
-    return [sla.eigvalsh(eigensolve._real_symmetric(sub, iso).toarray())
+    return [sla.eigvalsh(S.toarray())
             for idx, sub in _block_matrices(assemble_sparse(H), n)[1:]
-            for iso, _ in _part_isometries(sub, idx, n)]
+            for S, _, _ in eigensolve._parts(sub, idx, n)]
 
 
 def _dense_spectrum(H):
@@ -763,8 +762,8 @@ def test_fold_tol_separates_a_perturbed_block(model, size, folds):
     op = custom_operator(g, (mat + bump).tocsr(), True)
     if folds:
         for idx, sub in _block_matrices(op.matrix, 33):
-            Q = eigensolve._fold(sub, idx, 33)
-            assert abs(Q.imag).max() > 0   # T's isometry, not the identity
+            for _, Q, _ in eigensolve._parts(sub, idx, 33):
+                assert abs(Q.imag).max() > 0   # from T's isometry, not the identity
         for pairs, _ in _both_solves(op):
             assert max(p[2] for p in pairs) <= 1e-6 * max(1.0, max(abs(p[0]) for p in pairs))
     else:
@@ -782,7 +781,10 @@ def test_real_matrix_without_t_symmetry_solves():
     i, j = np.divmod(nodes, 9)
     r = i * 9 + 8 - j
     assert abs(op.matrix[r][:, r] - op.matrix).max() >= 1.0
-    assert abs(eigensolve._fold(op.matrix, nodes, 9) - sp.identity(g.size)).max() == 0
+    # J reorders them too: one part, in the block's own coordinates
+    [(S, Q, parity)] = eigensolve._parts(op.matrix, nodes, 9)
+    assert parity is None and abs(Q - sp.identity(g.size)).max() == 0
+    assert abs(S - op.matrix).max() == 0
     for pairs in (lowest_eigenpairs(op, k=3, tol=1e-8),
                   eigenpairs_near(op, k=3, sigma=0.5, tol=1e-8)):
         assert [p[0] for p in pairs] == pytest.approx([1.0, 2.0, 3.0], abs=1e-9)
@@ -898,6 +900,33 @@ def test_lowest_solve_returns_every_copy_of_a_degenerate_eigenvalue(model, bump0
     assert block["k"] == counts[again[0]] + eigensolve.BLOCK_MARGIN
 
 
+def test_each_part_real_form_is_built_once(trig01, monkeypatch):
+    # the trig solve of the test above, whose block (1, 0) is solved again:
+    # every count factor, factor at sigma and re-solve factor of a part takes
+    # the one real form that `_parts` built for it
+    H = build_operator("H", trig01, Grid(extent_L=5.0, n_per_side=65))
+    _copy_dropping_eigsh(monkeypatch)
+    factored, factor = [], eigensolve._factor
+
+    def spied_factor(mat, shift):
+        factored.append((mat, shift))
+        return factor(mat, shift)
+
+    monkeypatch.setattr(eigensolve, "_factor", spied_factor)
+    info = {}
+    lowest_eigenpairs(H, k=8, seed=0, info=info)
+    counted = [mat for mat, shift in factored if shift != -1.0]
+    at_sigma = [mat for mat, shift in factored if shift == -1.0]
+    forms = counted[:4]
+    assert len({id(S) for S in forms}) == len(info["blocks"]) == 4
+    assert len(counted) == info["inertia"]["factors"]
+    assert all(any(mat is S for S in forms) for mat in counted)
+    assert [b["resolves"] for b in info["blocks"]] == [0, 0, 1, 0]
+    assert [sum(mat is S for mat in at_sigma) for S in forms] == [
+        (1 + b["resolves"]) if b["k"] else 0 for b in info["blocks"]]
+    assert len(at_sigma) == sum(1 + b["resolves"] for b in info["blocks"] if b["k"])
+
+
 def test_inertia_moves_its_shift_off_a_pivot_breakdown():
     # 40 copies of [[0, 1], [1, 0]] and one 5: at the bracket's first shift
     # tau = sigma + 1 = 0 every 2 x 2 block pivots off its (zero) diagonal,
@@ -951,23 +980,23 @@ def _image(nodes, n, i_of, j_of):
 
 
 def _assert_sectors(sub, idx, n, parts):
-    """The parts of one block split it: each isometry is orthonormal, the
-    parts are mutually orthogonal and together span the block (and so
-    `_fold`'s span, which is all of it), each column is fixed by T and has
-    its part's parity under J, and the parts' dense spectra together are the
-    block's, to 1e-12."""
-    W = sp.hstack([iso for iso, _ in parts]).tocsr()
+    """The `_parts` of one block split it: each isometry is orthonormal, the
+    parts are mutually orthogonal and together span the block, each column
+    is fixed by T and has its part's parity under J (when it has one), and
+    the dense spectra of the parts' real forms together are the block's, to
+    1e-12."""
+    W = sp.hstack([Q for _, Q, _ in parts]).tocsr()
     assert W.shape == sub.shape
     assert abs(W.conj().T @ W - sp.identity(len(idx))).max() <= 1e-15
     flip = lambda i: n - 1 - i
     keep = lambda i: i
     reflect, invert = _image(idx, n, keep, flip), _image(idx, n, flip, flip)
-    for iso, parity in parts:
-        assert abs(iso[reflect].conj() - iso).max() <= 1e-15   # T-fixed
-        assert abs(iso[invert] - parity * iso).max() <= 1e-15
+    for _, Q, parity in parts:
+        assert abs(Q[reflect].conj() - Q).max() <= 1e-15   # T-fixed
+        if parity is not None:
+            assert abs(Q[invert] - parity * Q).max() <= 1e-15
     block = sla.eigvalsh(sub.toarray())
-    split = np.sort(np.concatenate(
-        [sla.eigvalsh(eigensolve._real_symmetric(sub, iso).toarray()) for iso, _ in parts]))
+    split = np.sort(np.concatenate([sla.eigvalsh(S.toarray()) for S, _, _ in parts]))
     assert np.all(np.abs(split - block) <= 1e-12 * np.maximum(1.0, np.abs(block)))
 
 
@@ -977,14 +1006,13 @@ def test_sectors_split_each_block_of_a_radial_potential(potential, n, request):
     g = Grid(extent_L=5.0, n_per_side=n)
     mat = assemble_sparse(build_operator("H", request.getfixturevalue(potential), g))
     for idx, sub in _block_matrices(mat, n)[1:]:
-        fold = eigensolve._fold(sub, idx, n)
-        parts = eigensolve._sectors(sub, idx, n, fold)
+        parts = eigensolve._parts(sub, idx, n)
         if potential == "trig01":
-            # eps sin(x1) cos(x2) is odd under x -> -x: the block is one part
-            assert len(parts) == 1 and parts[0][0] is fold and parts[0][1] is None
-            continue
-        assert [parity for _, parity in parts] == [1, -1]
-        assert sum(iso.shape[1] for iso, _ in parts) == len(idx)
+            # eps sin(x1) cos(x2) is odd under x -> -x: the block is one part, T's fold
+            assert len(parts) == 1 and parts[0][2] is None
+        else:
+            assert [parity for *_, parity in parts] == [1, -1]
+            assert sum(S.shape[0] for S, _, _ in parts) == len(idx)
         _assert_sectors(sub, idx, n, parts)
 
 
@@ -1015,8 +1043,8 @@ def test_a_hand_built_radial_potential_splits():
     g = Grid(extent_L=5.0, n_per_side=33)
     H = build_operator("H", _hand_built_radial(), g)
     for idx, sub in _block_matrices(assemble_sparse(H), 33):
-        parts = _part_isometries(sub, idx, 33)
-        assert [parity for _, parity in parts] == [1, -1]
+        parts = eigensolve._parts(sub, idx, 33)
+        assert [parity for *_, parity in parts] == [1, -1]
         _assert_sectors(sub, idx, 33, parts)
     solves = _both_solves(H)
     for pairs, info in solves:
@@ -1026,31 +1054,33 @@ def test_a_hand_built_radial_potential_splits():
     np.testing.assert_allclose(low, _dense_spectrum(H)[:12], rtol=0, atol=1e-10)
 
 
-def _wrong_sign_in_the_odd_sector(sectors):
-    """`_sectors` with the second entry of every two-entry column of E-
+def _wrong_sign_in_the_odd_sector(halves, mutated):
+    """`_halves` with the second entry of every two-entry column of E-
     negated: (e_c + s_c e_d)/sqrt 2, the even combination, in place of the
-    odd one."""
-    def mutant(mat, nodes, n_side, fold):
-        parts = sectors(mat, nodes, n_side, fold)
-        if len(parts) == 1:
-            return parts
-        (even, _), (odd, _) = parts
-        E = (fold.conj().T @ odd).real.tocsc()
-        E.data[abs(E.data) < 0.25] = 0.0
-        E.eliminate_zeros()
-        pair = np.flatnonzero(np.diff(E.indptr) == 2)
-        E.data[E.indptr[pair] + 1] *= -1.0
-        return [(even, 1), (fold @ E, -1)]
+    odd one. Only J's halves change: R's signs are all +1, while in T's
+    coordinates J maps the odd column i (e_a - e_Ra)/sqrt 2 of a pair to
+    minus another. Each mutated call appends its size to `mutated`."""
+    def mutant(d, s):
+        even, odd = halves(d, s)
+        if np.all(s == 1):
+            return even, odd
+        odd = odd.tocsc()
+        pair = np.flatnonzero(np.diff(odd.indptr) == 2)
+        odd.data[odd.indptr[pair] + 1] *= -1.0
+        mutated.append(len(d))
+        return even, odd.tocsr()
     return mutant
 
 
 def test_a_wrong_sign_in_the_odd_sector_fails(model, monkeypatch):
     g = Grid(extent_L=5.0, n_per_side=33)
     H = build_operator("H", model, g)
-    mutant = _wrong_sign_in_the_odd_sector(eigensolve._sectors)
+    mutated = []
+    monkeypatch.setattr(eigensolve, "_halves",
+                        _wrong_sign_in_the_odd_sector(eigensolve._halves, mutated))
     for idx, sub in _block_matrices(assemble_sparse(H), 33)[1:]:
         with pytest.raises(AssertionError):
-            _assert_sectors(sub, idx, 33, mutant(sub, idx, 33, eigensolve._fold(sub, idx, 33)))
-    monkeypatch.setattr(eigensolve, "_sectors", mutant)
+            _assert_sectors(sub, idx, 33, eigensolve._parts(sub, idx, 33))
+    assert mutated == [len(idx) for idx in sublattice_blocks(assemble_sparse(H), 33)]
     with pytest.raises(SolverError, match="recomputed residual"):
         lowest_eigenpairs(H, k=12, seed=0)

@@ -1,8 +1,11 @@
+import ast
 import functools
+import pathlib
 
 import numpy as np
 import pytest
 
+import landaulab
 from landaulab import (Grid, GridFunction, inner, l2_norm, norm_triple,
                        rescale, save_grid_function)
 from landaulab.grid import GridError, SublatticeFunction, l2_sums
@@ -19,6 +22,16 @@ def test_grid_invariants():
         Grid(extent_L=6.0, n_per_side=7)
     with pytest.raises(GridError):
         Grid(extent_L=-1.0, n_per_side=9)
+    assert Grid(extent_L=1.0, n_per_side=np.int64(9)).size == 81
+
+
+@pytest.mark.parametrize("extent, n", [(float("nan"), 9), (float("inf"), 9), ("1.0", 9),
+                                       (1.0, 9.0), (1.0, np.float64(9.0)), (1.0, "9")])
+def test_grid_rejects_a_non_finite_extent_or_a_non_integer_side(extent, n):
+    # a float side and a non-finite extent used to construct (and a float side
+    # then made build_operator raise TypeError); a string raised TypeError
+    with pytest.raises(GridError):
+        Grid(extent_L=extent, n_per_side=n)
 
 
 def test_envelope_check(model):
@@ -206,3 +219,23 @@ def test_from_callable_layout():
     assert arr[0, 3] == pytest.approx(x[0] + 10 * x[3])
     assert arr[5, 0] == pytest.approx(x[5] + 10 * x[0])
     assert l2_norm(u) > 0
+
+
+def test_package_has_no_blas_dot_product():
+    """No `np.vdot`, `np.dot` or `scipy.linalg.blas` in the package's code: a
+    BLAS dot product splits a long sum by thread count, and scipy's BLAS is a
+    second OpenBLAS with its own threads, so the one-L^2-sum (`l2_sums`) and
+    BLAS-thread byte guarantees rest on their absence. Docstrings may name them."""
+    found = []
+    for path in sorted(pathlib.Path(landaulab.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute):
+                code = ast.unparse(node)
+            elif isinstance(node, (ast.Import, ast.ImportFrom)):
+                code = " ".join([getattr(node, "module", None) or ""]
+                                + [alias.name for alias in node.names])
+            else:
+                continue
+            if "blas" in code.lower() or code in ("np.dot", "np.vdot", "numpy.dot", "numpy.vdot"):
+                found.append(f"{path.name}:{node.lineno}: {code}")
+    assert found == []

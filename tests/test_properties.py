@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from landaulab import Grid, assemble_sparse, build_operator, make_potential
 from landaulab.config import _SECTIONS, ConfigError, parse_config
+from landaulab import eigensolve
 from landaulab.eigensolve import sublattice_blocks
 from landaulab.potentials import KINDS
 from helpers import hermiticity_defect
@@ -34,6 +35,39 @@ def test_averaged_assembly_splits_over_sublattices(kind, eps, n, extent, label, 
     assert _cross_sublattice_entries(mat, n) == 0
     assert len(sublattice_blocks(mat, n)) == 4
     assert hermiticity_defect(op, trials=3) <= 1e-12
+
+
+@st.composite
+def signed_involutions(draw):
+    """(d, s) of a random signed involution M e_c = s_c e_d(c) on up to 40
+    coordinates: a random matching of some of them, one sign per pair (both
+    ends share it, so M^2 = 1) and one per fixed point, each sign +-1."""
+    n = draw(st.integers(1, 40))
+    order = draw(st.permutations(range(n)))
+    pairs = draw(st.integers(0, n // 2))
+    s = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=n, max_size=n)))
+    d = np.arange(n)
+    for a, b in zip(order[:pairs], order[pairs:2 * pairs]):
+        d[a], d[b], s[b] = b, a, s[a]
+    return d, s
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(involution=signed_involutions())
+def test_halves_split_a_signed_involution(involution):
+    # E+ and E- are real and orthonormal, together span the space (square
+    # and orthonormal), and M E+- = +-E+-
+    d, s = involution
+    n = len(d)
+    M = np.zeros((n, n))
+    M[d, np.arange(n)] = s
+    halves = eigensolve._halves(d, s)
+    W = np.hstack([E.toarray() for E in halves])
+    assert W.shape == (n, n)
+    assert np.abs(W.T @ W - np.eye(n)).max() <= 1e-15
+    for E, sign in zip(halves, (1, -1)):
+        assert E.dtype == np.float64
+        assert np.array_equal(M @ E.toarray(), sign * E.toarray())
 
 
 JSON_SCALARS = (st.none() | st.booleans() | st.integers() | st.floats()
