@@ -41,7 +41,8 @@ u(-x) = +-u(x); any other block (every trig block) is one part. `_parts`
 builds each part's isometry Q, both symmetries' through `_halves`, and its
 real symmetric form S = Re(Q^H H Q), once. Each part gets a real LU and a
 run of ARPACK's symmetric Lanczos driver on S, whose Ritz vectors are
-orthonormal, and its eigenvectors come back as Q x, which Q keeps
+orthonormal and stay in the part's real coordinates until the k pairs to
+return are chosen; only those come back as eigenvectors Q x, which Q keeps
 orthonormal (the complex inner product of two T-invariant vectors is real);
 under T they satisfy u(x1, -x2) = conj(u(x1, x2)). Each pair is certified on
 its block's assembled matrix, and k is at most the sum over the parts of
@@ -70,18 +71,27 @@ kept, so every returned eigenvalue lies below a counted tau.
 
 Memory: one LU is alive at a time. The handle keeps its own matrix; the
 assembled copy is freed once the blocks are sliced, each count factor once
-its pivots are read, and each solve's LU once its Krylov run is read, before
-the rows are unfolded. Every part's real form stays alive through the solve,
-and a part solved again refactors it. A
-proper block's eigenvectors are `SublatticeFunction`s stored on its parity
-class, normalized and certified there, so no full-grid copy of one is made;
-`principal_angles` reads them one parity class at a time.
+its pivots are read, and each solve's LU once its Krylov run is read.
+Between the slicing and the certificate everything is real: the parts'
+forms, which stay alive through the solve (a part solved again refactors
+its own), their LUs and their Lanczos vectors. Each kept vector is
+unfolded once, into the complex row that is normalized and certified; a
+returned pair that is not kept is never unfolded. A proper block's
+eigenvectors are `SublatticeFunction`s stored on its parity class, so no
+full-grid copy of one is made; `principal_angles` reads them one parity
+class at a time.
 
-Caution for coarse grids: when the largest coefficient momentum |grad phi|/2
-on the box approaches the grid's resolvable band (|grad phi| * spacing / 2 of
-order one), the lowest discrete eigenvalues belong to under-resolved states
-near the box corners, displaced below the physical band by O((k dx)^2). The
-`resolution_warning` helper quantifies this.
+States below the band: H = A^2 + B^2 - V takes its ghost zeros on the
+factors, so at a boundary node of an even parity class a diagonal entry of
+A^2 or B^2 holds one neighbour's term only, a Neumann-type closure (block
+(0, 0) on all four sides, (0, 1) and (1, 0) on two; (1, 1) is Dirichlet).
+A magnetic Laplacian with a Neumann boundary has edge states at Theta_0 B,
+Theta_0 ~ 0.5901, and right-angle corner states near 0.51 B, which for
+H = ((p - a)^2 - B) / 4 with B = lap phi = 4 sit at Theta_0 - 1 ~ -0.41 and
+about -0.49: these are the lowest eigenvalues on a box. Refining the grid
+does not remove them (block (0, 0)'s lowest at L = 6 reads -0.5079 at 65^2
+and -0.4986 at 161^2); `resolution_warning`, which tests |grad phi| *
+spacing / 2 > 0.5 and names under-resolution, is silent on fine grids.
 """
 
 from __future__ import annotations
@@ -254,18 +264,14 @@ def _factor(mat, shift: float):
         raise SolverError(f"LU factorization of H - {shift:g} I failed: {exc}") from exc
 
 
-def _shift_invert(S, sigma: float, seed: int, k: int, iso):
-    """(eigenvalues, eigenvector rows, solve facts) of the k eigenpairs nearest
-    sigma of a part with real symmetric form S and isometry Q = `iso` (see
-    `_parts`), by ARPACK's Lanczos shift-invert on S from the Krylov start
-    vector of `RandomState(seed)` with an `arnoldi_ncv(k, n)` basis for the
-    part's size n; the rows are Q x. The output rows are allocated first,
-    below the LU and the Krylov basis in the heap, so a next solve reuses
-    their space; the LU is freed before the rows are unfolded, one at a
-    time."""
+def _shift_invert(S, sigma: float, seed: int, k: int):
+    """(eigenvalues, Ritz vectors, solve facts) of the k eigenpairs nearest
+    sigma of the real symmetric matrix S, by ARPACK's Lanczos shift-invert
+    on S from the Krylov start vector of `RandomState(seed)` with an
+    `arnoldi_ncv(k, n)` basis for S's size n. The vectors are the rows of a
+    real (k, n) array, orthonormal; the LU is freed before they are read."""
     n = S.shape[0]
     ncv = arnoldi_ncv(k, n)
-    rows = np.empty((k, iso.shape[0]), dtype=complex)
     lu = _factor(S, sigma)
     solves = 0
 
@@ -287,9 +293,7 @@ def _shift_invert(S, sigma: float, seed: int, k: int, iso):
     facts = {"ncv": ncv, "op_solves": solves, "lu_fill_nnz": int(lu.nnz),
              "diagonal_pivots": bool(np.array_equal(lu.perm_r, lu.perm_c))}
     del lu
-    for i in range(k):
-        rows[i] = iso @ vecs[:, i]
-    return vals, rows, facts
+    return vals, vecs.T, facts
 
 
 # pairs asked of a part beyond its share of k, or beyond its count when a
@@ -355,8 +359,10 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         raise SolverError(f"operator {op.label!r} is not flagged Hermitian")
     if k < 1 or k > MAX_K:
         raise SolverError(f"k must be in [1, {MAX_K}], got {k}")
-    if tol < MIN_TOL:
-        raise SolverError(f"tol must be >= {MIN_TOL}, got {tol}")
+    if not MIN_TOL <= tol < math.inf:
+        raise SolverError(f"tol must be finite and >= {MIN_TOL}, got {tol}")
+    if not math.isfinite(sigma):
+        raise SolverError(f"sigma must be finite, got {sigma}")
     mat = assemble_sparse(op)
     n, n_side = mat.shape[0], op.grid.n_per_side
     blocks = sublattice_blocks(mat, n_side)
@@ -389,20 +395,19 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         ks = [k if len(parts) == 1 else min(math.ceil(k * size / n) + BLOCK_MARGIN, size - 2)
               for size in sizes]
     found, facts = [], []
-    for (b, S, iso, parity), size, kp in zip(parts, sizes, ks):
+    for (_, S, _, parity), size, kp in zip(parts, sizes, ks):
         if kp:
-            vals, rows, f = _shift_invert(S, sigma, seed, kp, iso)
+            vals, X, f = _shift_invert(S, sigma, seed, kp)
         else:   # no eigenvalue below tau: no factor, no Krylov run
-            vals, rows = np.empty(0), np.empty((0, len(blocks[b])), dtype=complex)
+            vals, X = np.empty(0), np.empty((0, size))
             f = {"ncv": 0, "op_solves": 0, "lu_fill_nnz": 0, "diagonal_pivots": None}
-        found.append((vals, rows))
+        found.append((vals, X))
         facts.append({"size": size, "parity": parity, "k": kp, "resolves": 0, **f})
 
     def resolve(p, kp):
         found[p] = None
-        _, S, iso, _ = parts[p]
-        vals, rows, f = _shift_invert(S, sigma, seed, kp, iso)
-        found[p] = (vals, rows)
+        vals, X, f = _shift_invert(parts[p][1], sigma, seed, kp)
+        found[p] = (vals, X)
         facts[p].update(f, k=kp, resolves=1, op_solves=facts[p]["op_solves"] + f["op_solves"])
 
     if lowest:
@@ -414,13 +419,13 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
             kp = min(count + BLOCK_MARGIN, sizes[p] - 2)
             if np.sum(found[p][0] < tau) < count and kp > count:
                 resolve(p, kp)
-            vals, rows = found[p]
+            vals, X = found[p]
             below = vals < tau
             if np.sum(below) != count:
                 raise SolverError(
                     f"{name(p)}: S - {tau:.6g} I has {count} negative "
                     f"pivots, but the solve returned {np.sum(below)} eigenvalues below {tau:.6g}")
-            found[p] = (vals[below], rows[below])
+            found[p] = (vals[below], X[below])
     else:
         # keep the k eigenvalues nearest sigma over all parts; a part whose
         # farthest returned eigenvalue is not beyond the k-th distance may
@@ -451,22 +456,23 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         if lowest:
             info["inertia"] = inertia
 
-    # certify each part's pairs on its block's assembled matrix, which is
-    # independent of the LU (vectors of different blocks have disjoint
-    # supports, the sectors of a block are orthogonal, and Q keeps a part's
-    # Lanczos vectors orthonormal)
+    # unfold each part's kept Lanczos vectors, Q x, and certify them on
+    # their block's assembled matrix, which is independent of the LU
+    # (vectors of different blocks have disjoint supports, the sectors of a
+    # block are orthogonal, and Q keeps a part's Lanczos vectors orthonormal)
     grid = op.grid
     lams, fs, resids = [], [], []
     start = 0
-    for p, (b, *_) in enumerate(parts):
-        vals, vecs = found[p]
-        found[p] = None   # so this part's output goes with `vecs`
+    for p, (b, _, iso, _) in enumerate(parts):
+        vals, X = found[p]
+        found[p] = None   # so this part's Lanczos vectors go with `X`
         mine = np.flatnonzero(kept[start:start + len(vals)])
         start += len(vals)
         order = mine[np.argsort(vals[mine])]
         vals = vals[order]
-        rows = vecs[order]
-        del vecs
+        rows = np.empty((len(order), iso.shape[0]), dtype=complex)
+        for i, j in enumerate(order):
+            rows[i] = iso @ X[j]
         rows /= np.sqrt(grid.weight * l2_sums(rows))[:, None]
         resid = np.sqrt(grid.weight * np.array(
             [l2_sums(subs[b] @ r - lam * r) for lam, r in zip(vals, rows)]))
@@ -580,6 +586,8 @@ def principal_angles(span, other) -> np.ndarray:
     class values (`on_class`) of only the `span` vectors nonzero there: for
     `eigenpairs_near`'s, a quarter of them on a quarter of the rows.
     """
+    if not len(other):
+        raise SolverError("other holds no vector to measure against the span")
     if len(span) < len(other):
         raise SolverError(f"span holds {len(span)} vectors, fewer than the {len(other)} of other")
     grid = other[0].grid

@@ -156,8 +156,8 @@ def build_operator(label: str, potential: Potential, grid: Grid,
     if semi:
         if h is None:
             raise OperatorError(f"{label} requires the semiclassical parameter h")
-        if not h > 0:
-            raise OperatorError(f"h must be positive, got {h}")
+        if not 0 < h < np.inf:
+            raise OperatorError(f"h must be positive and finite, got {h}")
     if label in TILDE_LABELS and q is None:
         raise OperatorError(f"{label} requires a translation center q")
     if semi:
@@ -193,8 +193,8 @@ def gauge_multiplier(potential: Potential, grid: Grid, h: float, q: tuple) -> np
     sigma(x, xi) = x2 xi1 - x1 xi2. With h = 1 this is the small-eigenvalue
     variant exp(i sigma(x, grad phi(q))).
     """
-    if not h > 0:
-        raise OperatorError(f"h must be positive, got {h}")
+    if not 0 < h < np.inf:
+        raise OperatorError(f"h must be positive and finite, got {h}")
     xi1, xi2 = _grad_at(potential, q, h)
     X1, X2 = grid.mesh()
     return np.exp(1j * (X2 * xi1 - X1 * xi2))

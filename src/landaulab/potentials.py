@@ -137,8 +137,8 @@ def make_potential(kind: str, params=()) -> Potential:
     if not arity:
         return _model()
     eps = float(params[0])
-    if eps < 0:
-        raise PotentialError(f"perturbation amplitude must be >= 0, got {eps}")
+    if not 0 <= eps < np.inf:
+        raise PotentialError(f"perturbation amplitude must be finite and >= 0, got {eps}")
     return _trig(eps) if kind == "quadratic_plus_trig" else _bump(eps)
 
 

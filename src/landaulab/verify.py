@@ -81,6 +81,8 @@ def ladder_level_clusters(potential: Potential, grid: Grid, max_level: int,
     """
     if max_level < 0:
         raise VerifyError("max_level must be >= 0")
+    if m_count < 1:
+        raise VerifyError(f"m_count must be >= 1, got {m_count}")
     if not grid.check_envelope(potential):
         raise VerifyError(
             f"extent {grid.extent_L} too small: exp(-phi) exceeds "

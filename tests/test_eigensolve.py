@@ -65,13 +65,28 @@ def test_non_hermitian_rejected(model):
         lowest_eigenpairs(D, k=2)
 
 
-def test_guards(model):
+def test_guards(model, monkeypatch):
     g = Grid(extent_L=5.0, n_per_side=33)
     H = build_operator("H", model, g)
     with pytest.raises(SolverError):
         lowest_eigenpairs(H, k=201)
     with pytest.raises(SolverError):
         lowest_eigenpairs(H, k=2, tol=1e-9)
+
+    # a non-finite tol would pass every residual (r > nan is false), and a
+    # non-finite sigma would reach the factor: each is refused by name first
+    def no_factor(*args, **kwargs):
+        raise AssertionError("a factor was taken")
+
+    monkeypatch.setattr(spla, "splu", no_factor)
+    for bad in (np.nan, np.inf):
+        with pytest.raises(SolverError, match="^tol must be finite"):
+            lowest_eigenpairs(H, k=2, tol=bad)
+        with pytest.raises(SolverError, match="^tol must be finite"):
+            eigenpairs_near(H, k=2, sigma=0.0, tol=bad)
+        for sigma in (bad, -bad):
+            with pytest.raises(SolverError, match="^sigma must be finite"):
+                eigenpairs_near(H, k=2, sigma=sigma)
 
 
 def test_k_too_large_for_the_grid_raises_solver_error(model):
@@ -285,7 +300,8 @@ class _TrackedLU:
 def _track_factors(monkeypatch):
     """Patch `splu` and `_shift_invert` to record, holding no factor alive,
     the set of live factors, how many are alive as each one is built, and
-    (real form, solves, LU fill) after each Lanczos run."""
+    (real form, solves, LU fill) after each Lanczos run, whose (eigenvalues,
+    real Ritz vectors, facts) pass through."""
     alive, alive_at_build, runs = weakref.WeakSet(), [], []
     splu, shift_invert = spla.splu, eigensolve._shift_invert
 
@@ -296,9 +312,9 @@ def _track_factors(monkeypatch):
         return lu
 
     def tracked_shift_invert(S, *args):
-        vals, rows, facts = shift_invert(S, *args)
+        vals, X, facts = shift_invert(S, *args)
         runs.append((S, facts["op_solves"], facts["lu_fill_nnz"]))
-        return vals, rows, facts
+        return vals, X, facts
 
     monkeypatch.setattr(eigensolve.spla, "splu", tracked_splu)
     monkeypatch.setattr(eigensolve, "_shift_invert", tracked_shift_invert)
@@ -421,6 +437,8 @@ def test_principal_angles_shorter_span_raises_solver_error():
     span = _orthonormal(_random_basis(rng, g, 2))
     with pytest.raises(SolverError, match="span holds 2 vectors, fewer than the 3 of other"):
         principal_angles(span, _random_basis(rng, g, 3))
+    with pytest.raises(SolverError, match="other holds no vector"):
+        principal_angles(span, [])
 
 
 def _on_classes(rng, g, classes):
@@ -544,22 +562,22 @@ def test_no_factor_alive_when_vectors_are_built(model, monkeypatch, near):
 
 @pytest.mark.parametrize("near", [True, False])
 def test_certificate_rejects_a_perturbed_pair(model, monkeypatch, near):
-    # the vector nearest sigma of an Arnoldi run, off by 1e-4 of its size in
-    # a random direction, is no longer an eigenvector to tol; near sigma =
-    # 0.02 the seventh run (the even sector of sublattice (1, 1)) holds the
-    # eigenvalue nearest sigma, and the lowest solve's first run is the even
-    # sector of block (0, 0)
+    # the Ritz vector nearest sigma of a Lanczos run, off by 1e-4 of its
+    # size in a random direction of its part's real coordinates, unfolds to
+    # no eigenvector to tol of its block; near sigma = 0.02 the seventh run
+    # (the even sector of sublattice (1, 1)) holds the eigenvalue nearest
+    # sigma, and the lowest solve's first run is the even sector of block (0, 0)
     shift_invert = eigensolve._shift_invert
     runs = []
 
-    def perturbed(S, sigma, seed, k, *args):
-        vals, rows, facts = shift_invert(S, sigma, seed, k, *args)
+    def perturbed(S, sigma, seed, k):
+        vals, X, facts = shift_invert(S, sigma, seed, k)
         runs.append(None)
         if len(runs) == (7 if near else 1):
             i = np.argmin(np.abs(vals - sigma))
-            noise = np.random.RandomState(1).standard_normal(rows.shape[1])
-            rows[i] += 1e-4 * np.linalg.norm(rows[i]) / np.linalg.norm(noise) * noise
-        return vals, rows, facts
+            noise = np.random.RandomState(1).standard_normal(X.shape[1])
+            X[i] += 1e-4 * np.linalg.norm(X[i]) / np.linalg.norm(noise) * noise
+        return vals, X, facts
 
     monkeypatch.setattr(eigensolve, "_shift_invert", perturbed)
     H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
@@ -568,6 +586,48 @@ def test_certificate_rejects_a_perturbed_pair(model, monkeypatch, near):
             eigenpairs_near(H, k=8, sigma=0.02, seed=0)
         else:
             lowest_eigenpairs(H, k=8, seed=0)
+
+
+def test_shift_invert_returns_real_ritz_vectors(model):
+    # a part's Lanczos run stays in the part's real coordinates
+    g = Grid(extent_L=4.0, n_per_side=33)
+    mat = build_operator("H", model, g).matrix
+    idx = sublattice_blocks(mat, 33)[0]
+    S, _, _ = eigensolve._parts(mat[idx][:, idx], idx, 33)[0]
+    vals, X, facts = eigensolve._shift_invert(S, 0.02, 0, 6)
+    assert X.dtype == np.float64 and X.shape == (6, S.shape[0])
+    np.testing.assert_allclose(X @ X.T, np.eye(6), rtol=0, atol=1e-12)
+    resid = np.linalg.norm(S @ X.T - X.T * vals, axis=0)
+    assert np.max(resid) <= 1e-8
+    assert facts["ncv"] == arnoldi_ncv(6, S.shape[0])
+
+
+class _CountedIsometry:
+    """A part's isometry Q behind a proxy that counts the vectors it unfolds."""
+
+    def __init__(self, Q, count):
+        self.Q, self.shape, self.count = Q, Q.shape, count
+
+    def __matmul__(self, x):
+        self.count.append(None)
+        return self.Q @ x
+
+
+@pytest.mark.parametrize("near", [True, False])
+def test_only_kept_vectors_are_unfolded(model, monkeypatch, near):
+    # the near solve's eight parts return 50 pairs, of which 8 are kept:
+    # only those leave their part's real coordinates
+    parts, unfolded = eigensolve._parts, []
+    monkeypatch.setattr(eigensolve, "_parts", lambda *args: [
+        (S, _CountedIsometry(Q, unfolded), parity) for S, Q, parity in parts(*args)])
+    H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
+    info = {}
+    if near:
+        pairs = eigenpairs_near(H, k=8, sigma=0.02, seed=0, info=info)
+        assert sum(b["k"] for b in info["blocks"]) == 50
+    else:
+        pairs = lowest_eigenpairs(H, k=8, seed=0, info=info)
+    assert len(pairs) == 8 and len(unfolded) == 8
 
 
 def test_one_factor_alive_at_a_time(model, monkeypatch):

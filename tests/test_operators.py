@@ -268,8 +268,11 @@ def test_build_operator_argument_guards(model):
         build_operator("P", model, g)  # missing h
     with pytest.raises(OperatorError):
         build_operator("A_tilde_q", model, g, h=0.5)  # missing q
-    with pytest.raises(OperatorError):
-        build_operator("P", model, g, h=-0.5)
+    for h in (-0.5, np.nan, np.inf):
+        with pytest.raises(OperatorError, match="^h must be positive and finite"):
+            build_operator("P", model, g, h=h)
+        with pytest.raises(OperatorError, match="^h must be positive and finite"):
+            gauge_multiplier(model, g, h=h, q=(0.0, 0.0))
     with pytest.raises(OperatorError):
         build_operator("nonsense", model, g)
 

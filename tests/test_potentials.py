@@ -41,8 +41,9 @@ def test_errors():
         make_potential("model_quadratic", [0.3])
     with pytest.raises(PotentialError, match="quadratic_plus_trig takes 1 parameter"):
         make_potential("quadratic_plus_trig", [])
-    with pytest.raises(PotentialError):
-        make_potential("quadratic_plus_trig", [-0.5])
+    for eps in (-0.5, float("nan"), float("inf")):
+        with pytest.raises(PotentialError, match="perturbation amplitude"):
+            make_potential("quadratic_plus_trig", [eps])
     with pytest.raises(PotentialError):
         make_potential("custom")
 

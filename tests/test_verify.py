@@ -315,6 +315,15 @@ def test_ladder_level_clusters_are_eigensolve_clusters(trig01):
         assert np.abs((V.conj() @ V.T) * g.weight - np.eye(c.dim)).max() <= 1e-12
 
 
+def test_ladder_level_clusters_argument_guards(trig01):
+    # an empty ladder is a bad argument, not an empty eigenpair list
+    g = Grid(extent_L=6.5, n_per_side=33)
+    with pytest.raises(VerifyError, match="^m_count must be >= 1, got 0$"):
+        ladder_level_clusters(trig01, g, 1, m_count=0)
+    with pytest.raises(VerifyError, match="^max_level must be >= 0$"):
+        ladder_level_clusters(trig01, g, -1)
+
+
 def _gram_defect(clusters, grid):
     V = np.stack([b.values for c in clusters for b in c.basis])
     return np.abs((V.conj() @ V.T) * grid.weight - np.eye(len(V))).max()
