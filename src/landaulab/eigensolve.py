@@ -33,20 +33,28 @@ and a block is real symmetric in the coordinates of its T-invariant vectors
 pair). A block that is already real (K itself commutes with it) keeps its
 own coordinates, and one with neither symmetry (R conj(H) R and conj(H)
 each differ from H by more than `FOLD_TOL` of its largest entry) raises
-`SolverError` before any factor. When phi is also even under x -> -x (the
-model, the bump, any radial phi), a block commutes with the inversion J:
-(i, j) -> (n-1-i, n-1-j), tested on its matrix as T is, and splits into J's
-even and odd sectors, of about half its size, whose eigenvectors satisfy
-u(-x) = +-u(x); any other block (every trig block) is one part. `_parts`
-builds each part's isometry Q, both symmetries' through `_halves`, and its
-real symmetric form S = Re(Q^H H Q), once. Each part gets a real LU and a
-run of ARPACK's symmetric Lanczos driver on S, whose Ritz vectors are
-orthonormal and stay in the part's real coordinates until the k pairs to
-return are chosen; only those come back as eigenvectors Q x, which Q keeps
-orthonormal (the complex inner product of two T-invariant vectors is real);
-under T they satisfy u(x1, -x2) = conj(u(x1, x2)). Each pair is certified on
-its block's assembled matrix, and k is at most the sum over the parts of
-their size - 2.
+`SolverError` before any factor. A radial phi (the model, the bump) makes
+two node maps symmetries too, each tested on the block's matrix as T is:
+the inversion J: (i, j) -> (n-1-i, n-1-j), and the quarter turn C: (i, j)
+-> (j, n-1-i), which squares to J. `_parts` applies them in turn, R (through
+T), then J, then C, each through `_halves` of a signed involution: J splits
+a block into its even and odd sectors, u(-x) = +-u(x), and C each sector of
+blocks (0, 0) and (1, 1), which it maps onto themselves, into two quarters
+(on an odd sector the involution is -i C, as C^2 = -1 there); every trig
+block stays one part. Each part has an isometry Q and a real symmetric form
+S = Re(Q^H H Q), the first from the complex block, each later one as
+E^T S E from its parent's. C maps block (0, 1) onto block (1, 0): when it
+maps the one's matrix onto the other's, block (1, 0)'s parts are twins of
+block (0, 1)'s, with no form, count, factor or Krylov run of their own; their
+pairs are (0, 1)'s Ritz pairs unfolded through its isometries with their
+rows moved by C (times i on an odd sector). Each part that is no twin gets
+a real LU and a run of ARPACK's symmetric Lanczos driver on S, whose Ritz
+vectors are orthonormal and stay in the part's real coordinates until the
+k pairs to return are chosen; only those come back as eigenvectors Q x,
+which Q keeps orthonormal (the complex inner product of two T-invariant
+vectors is real); under T they satisfy u(x1, -x2) = conj(u(x1, x2)). Each
+pair, a twin's too, is certified on its own block's assembled matrix, and k
+is at most the sum over the parts of their size - 2.
 
 The solvers differ only in how many pairs each part is asked for.
 `eigenpairs_near` asks each part for its share of k plus `BLOCK_MARGIN`
@@ -58,7 +66,8 @@ when the part returned its size - 2.
 
 Spectrum slicing. `lowest_eigenpairs` first finds a shift tau below which
 the parts hold at least k eigenvalues together, counting each part's by
-Sylvester's law of inertia on a factor of its real form S - tau I (`_slice`,
+Sylvester's law of inertia on a factor of its real form S - tau I (a twin
+repeats its source's count, with no factor; `_slice`,
 after Ericsson & Ruhe, Math. Comp. 35, 1980, and Grimes, Lewis & Simon,
 SIMAX 15, 1994). Each part is then asked for exactly its count c of pairs;
 a part with c = 0 gets no factor at sigma and no Krylov run. A
@@ -74,7 +83,10 @@ assembled copy is freed once the blocks are sliced, each count factor once
 its pivots are read, and each solve's LU once its Krylov run is read.
 Between the slicing and the certificate everything is real: the parts'
 forms, which stay alive through the solve (a part solved again refactors
-its own), their LUs and their Lanczos vectors. Each kept vector is
+its own; a twin shares its source's), their LUs and their Lanczos vectors,
+freed after the last part that reads them (a twin reads its source's).
+A sector's form, once C has split it, goes when `_parts` returns, and every
+part's form before the first kept vector is unfolded. Each kept vector is
 unfolded once, into the complex row that is normalized and certified; a
 returned pair that is not kept is never unfolded. A proper block's
 eigenvectors are `SublatticeFunction`s stored on its parity class, so no
@@ -97,6 +109,7 @@ spacing / 2 > 0.5 and names under-resolution, is silent on fine grids.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,17 +163,19 @@ def arnoldi_ncv(k: int, n: int) -> int:
     a larger basis costs more dense Krylov work without saving many solves.
     A scan of the constant c in k + c over the split Lanczos shift-invert
     solves of the model potential on [-5.2, 5.2]^2 (sigma at the mean
-    Rayleigh quotient of the oracle states, seed 3; eight inversion-sector
-    parts, each asked for 22 pairs at 257^2 and 18 at 161^2) counted these
-    shift-invert solves:
+    Rayleigh quotient of the oracle states, seed 3) counted these
+    shift-invert solves, over the ten solved parts (eight quarters asked
+    for 14 pairs and two sectors for 22 at 257^2; 12 and 18 at 161^2):
 
         grid, k            c = 12   c = 16   c = 20
-        257^2, k = 130     316      320      344
-        161^2, k = 100     260      280      304
+        257^2, k = 130     346      358      366
+        161^2, k = 100     274      285      291
 
-    On the four whole sublattice blocks (38 pairs each at 257^2) the counts
-    were 228, 220, 236 and 245, 237, 245; c = 16 is kept until a paired
-    `run_s` measurement favours another. Never more than n.
+    Over the eight inversion sectors (22 pairs each at 257^2, 18 at 161^2)
+    the counts were 316, 320, 344 and 260, 280, 304, and over the four
+    whole sublattice blocks (38 pairs each at 257^2) 228, 220, 236 and 245,
+    237, 245; c = 16 is kept until a paired `run_s` measurement favours
+    another. Never more than n.
     """
     return min(max(min(2 * k + 1, k + 16), 20), n)
 
@@ -189,45 +204,59 @@ def _halves(d, s):
     """(E+, E-): real isometries onto the +1 and -1 eigenspaces of the signed
     involution M e_c = s_c e_d(c) (s = +-1, d(d(c)) = c). E+- has a column
     (e_c +- s_c e_d)/sqrt 2 for each pair c < d(c), and e_c for each c = d(c)
-    with s_c = +-1, in the order of c."""
+    with s_c = +-1, in the order of c; each row holds at most one entry."""
     c = np.arange(len(d))
-    pair = c < d
+    first, second, fixed = c < d, c > d, c == d
+    w = np.where(fixed, 1.0, np.sqrt(0.5))
 
     def half(parity):
-        keep = pair | ((c == d) & (s == parity))
-        twin, col = pair[keep], np.arange(np.sum(keep))
-        w = np.where(twin, np.sqrt(0.5), 1.0)
-        return sp.csr_matrix((np.concatenate([w, parity * s[keep][twin] * w[twin]]),
-                              (np.concatenate([c[keep], d[keep][twin]]),
-                               np.concatenate([col, col[twin]]))), shape=(len(c), len(col)))
+        keep = first | (fixed & (s == parity))
+        col, row = np.cumsum(keep) - 1, keep | second
+        return sp.csr_matrix((np.where(second, parity * s[d] * w, w)[row],
+                              np.where(second, col[d], col)[row],
+                              np.concatenate([[0], np.cumsum(row)])), shape=(len(c), col[-1] + 1))
 
     return half(1), half(-1)
 
 
-def _parts(sub, nodes, n_side: int):
-    """[(S, Q, parity)] of the parts of the block matrix `sub` over the sorted
-    grid `nodes` (all nodes, or one parity class): for each, its isometry Q
-    and its real symmetric form S = Re(Q^H sub Q), holding no view of the
-    complex product. R: (i, j) -> (i, n-1-j) and J: (i, j) -> (n-1-i, n-1-j)
-    map every parity class onto itself (n is odd), and a symmetry is tested
-    on `sub` to FOLD_TOL of its largest entry.
+def _moved(mat, to):
+    """mat[to][:, to] for a permutation `to` of mat's rows, with the column
+    indices of mat[to] renamed in place of a column slice."""
+    rows, back = mat[to], np.empty_like(to)
+    back[to] = np.arange(len(to))
+    return sp.csr_matrix((rows.data, back[rows.indices], rows.indptr), shape=mat.shape)
 
-    T = R∘K comes first: when R conj(sub) R = sub, Q = [E+, i E-] from the
-    `_halves` of R, so that its columns are T-fixed; otherwise, when
-    conj(sub) = sub, Q is the identity; `SolverError` when neither holds.
-    When sub also commutes with J, M = Q^H J Q is a signed permutation and
-    the parts are J's even and odd sectors, Q E+ and Q E- from the `_halves`
-    of M, with parity +1 and -1; otherwise the block is one part, Q, with
-    parity None."""
+
+def _largest(mat) -> float:
+    """Largest |entry| of a sparse matrix, 0 for one with none stored."""
+    return float(np.abs(mat.data).max(initial=0.0))
+
+
+def _parts(sub, nodes, n_side: int):
+    """[(S, Q, parity, quarter)] of the parts of the block matrix `sub` over
+    the sorted grid `nodes` (all nodes, or one parity class): each part's
+    isometry Q and real symmetric form S = Re(Q^H sub Q). A node map is a
+    symmetry when it maps `nodes` onto themselves and `sub[to][:, to]`
+    equals `sub` to FOLD_TOL of its largest entry.
+
+    T = R∘K comes first: Q = [E+, i E-] from the `_halves` of R: (i, j) ->
+    (i, n-1-j), or the identity for a real `sub`; `SolverError` when neither
+    holds. J, then C, split every part while each is a symmetry: M = Q^H
+    Q[to] (times -i on a J-odd part, where C^2 = -1) is a real signed
+    involution, whose `_halves` E+- give the halves Q E+- with forms E+-^T S
+    E+- and their sign as `parity` (J) or `quarter` (C), None for a split
+    not made. A part whose M is no signed permutation stays whole."""
     i, j = np.divmod(nodes, n_side)
-    size, scale = len(nodes), abs(sub).max()
-    r = np.searchsorted(nodes, i * n_side + n_side - 1 - j)
-    t_defect = abs(sub[r][:, r] - sub.conj()).max()
+    m, size, scale = n_side - 1, len(nodes), _largest(sub)
+    at = np.full(n_side * n_side, -1)
+    at[nodes] = np.arange(size)
+    r = at[i * n_side + m - j]
+    t_defect = _largest(_moved(sub, r) - sub.conj())
     if t_defect <= FOLD_TOL * scale:
         even, odd = _halves(r, np.ones(size))
         Q = sp.hstack([even, 1j * odd], format="csr")
     else:
-        k_defect = abs(sub - sub.conj()).max()
+        k_defect = _largest(sub - sub.conj())
         if k_defect > FOLD_TOL * scale:
             raise SolverError(
                 f"the {size}-node block commutes with neither T = R∘K "
@@ -235,21 +264,20 @@ def _parts(sub, nodes, n_side: int):
                 f"(|conj(H) - H| / max|H| = {k_defect / scale:.1e}) to FOLD_TOL = {FOLD_TOL:g}: "
                 "the eigensolvers need phi(x1, -x2) = phi(x1, x2) or a real matrix")
         Q = sp.identity(size, format="csr")
-    inv = np.searchsorted(nodes, (n_side - 1 - i) * n_side + n_side - 1 - j)
-    isos = [(Q, None)]
-    if abs(sub[inv][:, inv] - sub).max() <= FOLD_TOL * scale:
-        flip = sp.csr_matrix((np.ones(size), (inv, np.arange(size))), shape=sub.shape)
-        M = (Q.conj().T @ flip @ Q).real.tocsc()
-        M.data[abs(M.data) < 0.5] = 0.0   # the cancelled terms of a pair
-        M.eliminate_zeros()
-        even, odd = _halves(M.indices, np.sign(M.data))
-        isos = [(Q @ even, 1), (Q @ odd, -1)]
-    parts = []
-    for iso, parity in isos:
-        prod = iso.conj().T @ sub @ iso
-        S = sp.csr_matrix((prod.data.real.copy(), prod.indices, prod.indptr), shape=prod.shape)
-        parts.append((S, iso, parity))
-    return parts
+    prod = Q.conj().T.tocsr() @ sub @ Q
+    parts = [(sp.csr_matrix((prod.data.real.copy(), prod.indices, prod.indptr), shape=prod.shape), Q, ())]
+    for to in (at[(m - i) * n_side + m - j], at[j * n_side + m - i]):
+        if to.min() < 0 or _largest(_moved(sub, to) - sub) > FOLD_TOL * scale:
+            break
+        parts, whole = [], parts
+        for S, Q, signs in whole:
+            M = ((-1j if signs[-1:] == (-1,) else 1) * (Q.conj().T.tocsr() @ Q[to])).real
+            M.data[abs(M.data) < 0.5] = 0.0   # the cancelled terms of a pair
+            M.eliminate_zeros()
+            halves = _halves(M.indices, np.sign(M.data)) if np.all(np.diff(M.indptr) == 1) else []
+            parts += [(E.T.tocsr() @ S @ E, Q @ E, signs + (sign,))
+                      for E, sign in zip(halves, (1, -1))] or [(S, Q, signs)]
+    return [(S, Q, *(signs + (None, None))[:2]) for S, Q, signs in parts]
 
 
 def _factor(mat, shift: float):
@@ -269,7 +297,9 @@ def _shift_invert(S, sigma: float, seed: int, k: int):
     sigma of the real symmetric matrix S, by ARPACK's Lanczos shift-invert
     on S from the Krylov start vector of `RandomState(seed)` with an
     `arnoldi_ncv(k, n)` basis for S's size n. The vectors are the rows of a
-    real (k, n) array, orthonormal; the LU is freed before they are read."""
+    real (k, n) array, orthonormal, copied once the LU is freed: the copy can
+    take the LU's memory, where ARPACK's array would sit above it and keep
+    it resident."""
     n = S.shape[0]
     ncv = arnoldi_ncv(k, n)
     lu = _factor(S, sigma)
@@ -293,23 +323,27 @@ def _shift_invert(S, sigma: float, seed: int, k: int):
     facts = {"ncv": ncv, "op_solves": solves, "lu_fill_nnz": int(lu.nnz),
              "diagonal_pivots": bool(np.array_equal(lu.perm_r, lu.perm_c))}
     del lu
-    return vals, vecs.T, facts
+    return vals, vecs.T.copy(), facts
 
 
 # pairs asked of a part beyond its share of k, or beyond its count when a
-# lowest solve repeats it; the slice stops bisecting within this many per part
+# lowest solve repeats it; the slice stops bisecting within this many per
+# solved part
 BLOCK_MARGIN = 5
 
 
-def _slice(parts, k: int, sigma: float, tol: float) -> dict:
+def _slice(parts, k: int, sigma: float, tol: float, twin) -> dict:
     """{tau, counts, factors}: a shift tau above sigma below which the real
     symmetric matrices `parts` hold at least k eigenvalues together, each
-    part's count and the factors taken. A count is the number of negative
+    part's count and the factors taken. A part p with `twin[p]` not None
+    shares the spectrum of that earlier part: it repeats its count and takes
+    no factor. Every other part, a solved one, counts the negative
     diagonal entries of U in a factor of part - tau I (Sylvester's law of
     inertia), valid only when every pivot stayed on the diagonal (`perm_r ==
     perm_c`). tau brackets upward from sigma + 1, doubling its distance from
     sigma, until the counts sum to k, then bisects while the sum exceeds k +
-    `BLOCK_MARGIN` per part and the bracket is wider than tol max(1, |tau|).
+    `BLOCK_MARGIN` per solved part and the bracket is wider than tol
+    max(1, |tau|).
     A shift whose factor fails (tau on an eigenvalue) or leaves the diagonal
     moves to a quarter, then three quarters, of its bracket; `SolverError`
     names the bracket when all three do. One factor is alive at a time."""
@@ -318,7 +352,10 @@ def _slice(parts, k: int, sigma: float, tol: float) -> dict:
     def counts_below(tau):
         nonlocal factors
         counts = []
-        for part in parts:
+        for part, t in zip(parts, twin):
+            if t is not None:
+                counts.append(counts[t])
+                continue
             factors += 1
             try:
                 lu = _factor(part, tau)
@@ -344,7 +381,7 @@ def _slice(parts, k: int, sigma: float, tol: float) -> dict:
     while sum(counts) < k:
         lo, step = tau, 2.0 * step
         tau, counts = probe(lo, sigma + step, 1.0)
-    while sum(counts) > k + BLOCK_MARGIN * len(parts) and tau - lo > tol * max(1.0, abs(tau)):
+    while sum(counts) > k + BLOCK_MARGIN * twin.count(None) and tau - lo > tol * max(1.0, abs(tau)):
         mid, below = probe(lo, tau, 0.5)
         if sum(below) >= k:
             tau, counts = mid, below
@@ -357,8 +394,9 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
            info: dict | None, lowest: bool):
     if not op.is_hermitian:
         raise SolverError(f"operator {op.label!r} is not flagged Hermitian")
-    if k < 1 or k > MAX_K:
-        raise SolverError(f"k must be in [1, {MAX_K}], got {k}")
+    if isinstance(k, bool) or not isinstance(k, numbers.Integral) or not 1 <= k <= MAX_K:
+        raise SolverError(f"k must be an integer in [1, {MAX_K}], got {k!r}")
+    k = int(k)
     if not MIN_TOL <= tol < math.inf:
         raise SolverError(f"tol must be finite and >= {MIN_TOL}, got {tol}")
     if not math.isfinite(sigma):
@@ -369,22 +407,37 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
     # slice every block, then let the assembled matrix go
     subs = [mat] if len(blocks) == 1 else [mat[idx][:, idx] for idx in blocks]
     del mat
-    # (block, real form, isometry, inversion parity) of each part, a block's in turn
-    parts = [(b, *part) for b, (sub, idx) in enumerate(zip(subs, blocks))
-             for part in _parts(sub, idx, n_side)]
-    sizes = [S.shape[0] for _, S, _, _ in parts]
+    # (block, real form, isometry, parity, quarter, twin) of each part, a
+    # block's in turn. C: (i, j) -> (j, n-1-i) maps class (1, 0) onto (0, 1):
+    # when it maps block 1's matrix onto block 2's, block 2's parts are twins
+    # of block 1's, which share their forms and Ritz pairs and unfold them
+    # through row-permuted isometries (times i on a J-odd part, which keeps
+    # their columns T-fixed)
+    parts = []
+    for b, (sub, idx) in enumerate(zip(subs, blocks)):
+        to = (np.searchsorted(blocks[1], idx % n_side * n_side + n_side - 1 - idx // n_side)
+              if b == 2 else None)
+        if to is not None and _largest(_moved(subs[1], to) - sub) <= FOLD_TOL * _largest(sub):
+            parts += [(b, S, (1j if parity == -1 else 1) * Q[to], parity, quarter, p)
+                      for p, (c, S, Q, parity, quarter, _) in enumerate(parts) if c == 1]
+        else:
+            parts += [(b, *part, None) for part in _parts(sub, idx, n_side)]
+    sizes = [S.shape[0] for _, S, *_ in parts]
+    twin = [part[5] for part in parts]
+    src = [p if t is None else t for p, t in enumerate(twin)]   # the part whose run each reads
     limit = sum(size - 2 for size in sizes)
     if k > limit:
         raise BlockLimitError(f"k too large for the grid: its {len(parts)} invariant part(s) "
                               f"return at most {limit} pairs (each its size - 2), k = {k}")
 
     def name(p):
-        b, _, _, parity = parts[p]
-        return f"block {b} of {len(blocks)}" + ("" if parity is None else f" (parity {parity:+d})")
+        signs = [f"{key} {sign:+d}" for key, sign in zip(("parity", "quarter"), parts[p][3:5])
+                 if sign is not None]
+        return f"block {parts[p][0]} of {len(blocks)}" + (f" ({', '.join(signs)})" if signs else "")
 
     if lowest:
         # each part is asked for exactly its eigenvalues below a counted tau
-        inertia = _slice([S for _, S, _, _ in parts], k, sigma, tol)
+        inertia = _slice([S for _, S, *_ in parts], k, sigma, tol, twin)
         ks = inertia["counts"]
         for p, (count, size) in enumerate(zip(ks, sizes)):
             if count > size - 2:
@@ -395,10 +448,10 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         ks = [k if len(parts) == 1 else min(math.ceil(k * size / n) + BLOCK_MARGIN, size - 2)
               for size in sizes]
     found, facts = [], []
-    for (_, S, _, parity), size, kp in zip(parts, sizes, ks):
-        if kp:
+    for (_, S, _, parity, _, t), size, kp in zip(parts, sizes, ks):
+        if kp and t is None:
             vals, X, f = _shift_invert(S, sigma, seed, kp)
-        else:   # no eigenvalue below tau: no factor, no Krylov run
+        else:   # a twin, or no eigenvalue below tau: no factor, no Krylov run
             vals, X = np.empty(0), np.empty((0, size))
             f = {"ncv": 0, "op_solves": 0, "lu_fill_nnz": 0, "diagonal_pivots": None}
         found.append((vals, X))
@@ -416,6 +469,8 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         # BLOCK_MARGIN more pairs, once, and keeps those below tau
         tau = inertia["tau"]
         for p, count in enumerate(inertia["counts"]):
+            if twin[p] is not None:
+                continue
             kp = min(count + BLOCK_MARGIN, sizes[p] - 2)
             if np.sum(found[p][0] < tau) < count and kp > count:
                 resolve(p, kp)
@@ -432,9 +487,10 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         # hold more inside it, so it is asked for k + BLOCK_MARGIN pairs, once;
         # one already asked for its size - 2 cannot be (a usage error)
         while len(parts) > 1:
-            dist = np.sort(np.abs(np.concatenate([v for v, _ in found]) - sigma))
+            dist = np.sort(np.abs(np.concatenate([found[s][0] for s in src]) - sigma))
             reach = dist[k - 1] if len(dist) >= k else np.inf
-            short = [p for p, (v, _) in enumerate(found) if np.max(np.abs(v - sigma)) <= reach]
+            short = [p for p, s in enumerate(src) if p == s
+                     and np.max(np.abs(found[p][0] - sigma)) <= reach]
             if not short:
                 break
             for p in short:
@@ -446,10 +502,16 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
                 if facts[p]["resolves"]:
                     raise SolverError(more)
                 resolve(p, min(k + BLOCK_MARGIN, limit))
-    every = np.concatenate([v for v, _ in found])
+    every = np.concatenate([found[s][0] for s in src])
     kept = np.zeros(len(every), dtype=bool)
     kept[np.argsort(every if lowest else np.abs(every - sigma), kind="stable")[:k]] = True
     if info is not None:
+        if any(quarter is not None or t is not None for *_, quarter, t in parts):
+            # C is a symmetry of H: every part lists its quarter and twin, and
+            # a twin its source's k and resolves
+            facts = [{**f, "quarter": quarter, "twin": t} if t is None else
+                     {**f, "quarter": quarter, "twin": t, "k": facts[t]["k"],
+                      "resolves": facts[t]["resolves"]} for f, (*_, quarter, t) in zip(facts, parts)]
         info.update(ncv=max(f["ncv"] for f in facts),
                     op_solves=sum(f["op_solves"] for f in facts),
                     lu_fill_nnz=sum(f["lu_fill_nnz"] for f in facts), blocks=facts)
@@ -461,11 +523,13 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
     # (vectors of different blocks have disjoint supports, the sectors of a
     # block are orthogonal, and Q keeps a part's Lanczos vectors orthonormal)
     grid = op.grid
+    parts = [(b, iso) for b, _, iso, *_ in parts]   # the forms go before any row is made
     lams, fs, resids = [], [], []
     start = 0
-    for p, (b, _, iso, _) in enumerate(parts):
-        vals, X = found[p]
-        found[p] = None   # so this part's Lanczos vectors go with `X`
+    for p, (b, iso) in enumerate(parts):
+        vals, X = found[src[p]]
+        if src[p] not in src[p + 1:]:   # the last reader: the Lanczos vectors go with `X`
+            found[src[p]] = None
         mine = np.flatnonzero(kept[start:start + len(vals)])
         start += len(vals)
         order = mine[np.argsort(vals[mine])]
@@ -474,6 +538,7 @@ def _solve(op: OperatorHandle, k: int, tol: float, seed: int, sigma: float,
         for i, j in enumerate(order):
             rows[i] = iso @ X[j]
         rows /= np.sqrt(grid.weight * l2_sums(rows))[:, None]
+        subs[b].sort_indices()   # so that each row of the product sums in column order
         resid = np.sqrt(grid.weight * np.array(
             [l2_sums(subs[b] @ r - lam * r) for lam, r in zip(vals, rows)]))
         bound = tol * np.maximum(1.0, np.abs(vals))
@@ -498,19 +563,25 @@ def lowest_eigenpairs(op: OperatorHandle, k: int, tol: float = 1e-6,
     Returns (eigenvalue, GridFunction, residual) triples in nondecreasing
     eigenvalue order, with orthonormal eigenvectors in the discrete L^2;
     those of a proper sublattice block are `SublatticeFunction`s. Each
-    part (a block, or one of its inversion sectors) is asked for the count
-    of its eigenvalues below a shift tau (see the module docstring). A dict
-    passed as `info` receives the solver facts `ncv` (the largest Krylov
-    basis size), `op_solves` (shift-invert solves) and `lu_fill_nnz` (the
-    real entries SuperLU stores for L and U), summed over the solved parts;
-    `blocks`: per part its `size`, `parity` (+1 or -1 for an inversion
-    sector, None for a whole block), `k`, `ncv`, `op_solves` (over both runs
-    of a part solved again), `lu_fill_nnz` (of one factor),
-    `diagonal_pivots` (whether SuperLU kept every pivot on the diagonal,
-    `perm_r == perm_c`) and `resolves` (0 or 1), with `k`, `ncv`,
-    `op_solves` and `lu_fill_nnz` 0 and `diagonal_pivots` None for a part
-    not solved; and `inertia`: the shift `tau`, the per-part `counts` of
-    eigenvalues below it and the count `factors` taken.
+    part (a block, one of its inversion sectors or one of their quarters)
+    is asked for the count of its eigenvalues below a shift tau (see the
+    module docstring). A dict passed as `info` receives the solver facts
+    `ncv` (the largest Krylov basis size), `op_solves` (shift-invert solves)
+    and `lu_fill_nnz` (the real entries SuperLU stores for L and U), summed
+    over the solved parts; `blocks`: per part its `size`, `parity` (+1 or -1
+    for an inversion sector or its quarters, None for a whole block), `k`,
+    `ncv`, `op_solves` (over both runs of a part solved again),
+    `lu_fill_nnz` (of one factor), `diagonal_pivots` (whether SuperLU kept
+    every pivot on the diagonal, `perm_r == perm_c`) and `resolves` (0 or
+    1), with `k`, `ncv`, `op_solves` and `lu_fill_nnz` 0 and
+    `diagonal_pivots` None for a part not solved, and, when the quarter turn
+    C is a symmetry of H (some part has a quarter or a twin), `quarter` (+1
+    or -1 for a quarter of a sector, None otherwise) and `twin` (the index
+    of the part whose run a twin reuses, None otherwise); a twin lists its
+    source's `k` and `resolves` with `ncv`, `op_solves` and `lu_fill_nnz` 0
+    and `diagonal_pivots` None; and `inertia`: the shift `tau`, the
+    per-part `counts` of eigenvalues below it (a twin's its source's) and
+    the count `factors` taken, none for a twin.
     """
     return _solve(op, k, tol, seed, -1.0, info, lowest=True)
 
@@ -551,7 +622,7 @@ def cluster(pairs, cluster_tol: float = 0.25) -> list[EigenCluster]:
     here, and each cluster's basis holds the given vector objects."""
     if not pairs:
         raise SolverError("cannot cluster an empty eigenpair list")
-    if cluster_tol <= 0:
+    if not cluster_tol > 0:   # NaN too
         raise SolverError(f"cluster_tol must be positive, got {cluster_tol}")
     if any(len(p) != 3 or not isinstance(p[1], GridFunction) for p in pairs):
         raise SolverError("each eigenpair must be a (eigenvalue, GridFunction, residual) triple")

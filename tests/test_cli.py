@@ -37,17 +37,27 @@ BASE = {
 
 
 def _assert_solver_blocks(solver, size):
-    # the model's radial phi splits each of the four sublattice blocks into
-    # its even and odd inversion sectors, so eight parts are listed, a part
-    # with no pair asked of it (a lowest-solve part with no eigenvalue below
-    # tau) with no factor
+    # the model's radial phi splits sublattice blocks (0, 0) and (1, 1) into
+    # the four quarters of their even and odd inversion sectors and block
+    # (0, 1) into its two sectors, whose twins block (1, 0)'s are, so twelve
+    # parts are listed; a twin, and a part with no pair asked of it (a
+    # lowest-solve part with no eigenvalue below tau), with no factor
     blocks = solver["blocks"]
-    assert [b["parity"] for b in blocks] == [1, -1] * 4
+    assert [b["parity"] for b in blocks] == [1, 1, -1, -1, 1, -1, 1, -1, 1, 1, -1, -1]
+    assert [b["quarter"] for b in blocks] == [1, -1, 1, -1] + [None] * 4 + [1, -1, 1, -1]
+    assert [b["twin"] for b in blocks] == [None] * 6 + [4, 5] + [None] * 4
     assert sum(b["size"] for b in blocks) == size
     for b in blocks:
-        assert set(b) == {"size", "parity", "k", "ncv", "op_solves", "lu_fill_nnz", "resolves",
-                          "diagonal_pivots"}
-        if b["k"]:
+        assert set(b) == {"size", "parity", "quarter", "twin", "k", "ncv", "op_solves",
+                          "lu_fill_nnz", "resolves", "diagonal_pivots"}
+        if b["twin"] is not None:
+            # the pairs of its source's run, with no factor and no run of its own
+            source = blocks[b["twin"]]
+            assert (b["size"], b["parity"], b["k"], b["resolves"]) == (
+                source["size"], source["parity"], source["k"], source["resolves"])
+            assert (b["ncv"], b["op_solves"], b["lu_fill_nnz"], b["diagonal_pivots"]) == (
+                0, 0, 0, None)
+        elif b["k"]:
             assert b["ncv"] == arnoldi_ncv(b["k"], b["size"])
             assert b["op_solves"] >= b["ncv"] - 1
             assert b["lu_fill_nnz"] > 0
@@ -63,7 +73,7 @@ def _assert_solver_blocks(solver, size):
         # each part is asked for its count, and a part solved again for
         # BLOCK_MARGIN more
         assert inertia["counts"] == [b["k"] - BLOCK_MARGIN * b["resolves"] for b in blocks]
-        assert inertia["factors"] >= len(blocks)
+        assert inertia["factors"] % 10 == 0   # per shift, one of each part but the twins
 
 
 def test_parse_config_defaults():
@@ -372,14 +382,13 @@ def test_cli_spectrum_reproducible(tmp_path):
     solver = json.loads(open(os.path.join(outs[0], "spectrum.json")).read())["solver"]
     assert set(solver) == {"ncv", "op_solves", "lu_fill_nnz", "blocks", "inertia"}
     _assert_solver_blocks(solver, 33 * 33)
-    # the count brackets tau = 0 (more than 6 + 8 BLOCK_MARGIN eigenvalues
+    # the count brackets tau = 0 (more than 6 + 10 BLOCK_MARGIN eigenvalues
     # below it), then bisects to -0.5 (fewer than 6) and -0.25: three shifts
-    # of eight factors, one per part. Neither sector of block (1, 1) holds
-    # one of the 6, so neither is solved; each sector of blocks (0, 1) and
-    # (1, 0) holds one
-    assert solver["inertia"] == {"tau": -0.25, "counts": [2, 2, 1, 1, 1, 1, 0, 0],
-                                 "factors": 24}
-    assert [b["resolves"] for b in solver["blocks"]] == [0] * 8
+    # of ten factors, one per part but the twins. No quarter of block (1, 1)
+    # holds one of the 6, so none is solved; each quarter of block (0, 0)
+    # and each sector of blocks (0, 1) and (1, 0) holds one
+    assert solver["inertia"] == {"tau": -0.25, "counts": [1] * 8 + [0] * 4, "factors": 30}
+    assert [b["resolves"] for b in solver["blocks"]] == [0] * 12
     assert all(b["diagonal_pivots"] for b in solver["blocks"][:6])
     vals = json.loads(open(os.path.join(outs[0], "spectrum.json")).read())["eigenvalues"]
     assert max(vals) < solver["inertia"]["tau"]
@@ -418,6 +427,33 @@ def test_cli_trig_spectrum_keeps_its_bytes(tmp_path):
             data = b"".join(line for line in data.splitlines(True)
                             if line.strip() != b'"parity": null,')
         assert hashlib.sha256(data).hexdigest() == digest, name
+
+
+# sha256 of the files that `spectrum` writes for the model at the trig
+# config above, its parts the quarters of blocks (0, 0) and (1, 1), the
+# inversion sectors of block (0, 1) and their twins on block (1, 0): a change
+# to the split loop or the twins that moves a byte shows here
+MODEL_SPECTRUM_SHA256 = {
+    "eig_000.csv": "0c07112809445cd89950c3f0646d0388023023abbc21482be379c7c519583ea5",
+    "eig_001.csv": "082e8be52c7893390ac6e58817cf423295dd4499cf18001d6b494f407d3b27c2",
+    "eig_002.csv": "9f4f31c2b366b50a1edaf9aca40588b83d7f6fe86edbb8fc40addcd826f2dcd7",
+    "eig_003.csv": "6ca37da20a37495d7427eca6cee64ae6fd43f273a95f311fa4861c02811e96a9",
+    "eig_004.csv": "f17be5aa99ab1d0f6dec5c10848e4b413cf82108a5a95b950a25e1e11dabf4ce",
+    "eig_005.csv": "1ca188bd1a974ebf14bf8f22ed6a74e9ac7b04b0d20ebfe6dda8c375a0d0b11a",
+    "spectrum.json": "17031b7a3db9bc8b90314b41a52935874a92ad1ca294cccb0faa34745e67842c",
+}
+
+
+def test_cli_model_spectrum_keeps_its_bytes(tmp_path):
+    cfg = _write_config(tmp_path, {
+        "potential": {"kind": "model_quadratic", "params": []},
+        "grid": {"extent_L": 5.0, "n_per_side": 33}, "solve": {"k": 6, "seed": 0}})
+    out = tmp_path / "model"
+    assert main(["spectrum", "--config", cfg, "--out", str(out)]) == 0
+    solver = json.loads((out / "spectrum.json").read_text())["solver"]
+    assert [b["twin"] for b in solver["blocks"]] == [None] * 6 + [4, 5] + [None] * 4
+    for name, digest in MODEL_SPECTRUM_SHA256.items():
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_cli_solver_failure_exits_2(tmp_path, monkeypatch, capsys):

@@ -1,3 +1,4 @@
+import gc
 import tracemalloc
 import weakref
 
@@ -12,7 +13,7 @@ from landaulab import (Grid, assemble_sparse, build_operator, cluster,
                        eigenpairs_near, lowest_eigenpairs, principal_angles)
 from landaulab.eigensolve import (BlockLimitError, SolverError, arnoldi_ncv, gap_groups,
                                   resolution_warning, sublattice_blocks)
-from landaulab.grid import GridFunction, SublatticeFunction
+from landaulab.grid import GridFunction, SublatticeFunction, l2_sums
 from landaulab.potentials import Potential
 from helpers import custom_operator, orthonormal_rows
 
@@ -89,6 +90,28 @@ def test_guards(model, monkeypatch):
                 eigenpairs_near(H, k=2, sigma=sigma)
 
 
+def test_k_must_be_an_integer(model, monkeypatch):
+    # a float k failed inside the solve with TypeError and k = True was
+    # solved as k = 1; each is refused by name before any factor, while a
+    # numpy integer is an integer
+    H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
+    splu = spla.splu
+
+    def no_factor(*args, **kwargs):
+        raise AssertionError("a factor was taken")
+
+    monkeypatch.setattr(spla, "splu", no_factor)
+    for bad in (2.5, 2.0, np.float64(3.0), True, False, np.bool_(True), "3", None):
+        with pytest.raises(SolverError, match="^k must be an integer"):
+            lowest_eigenpairs(H, k=bad)
+        with pytest.raises(SolverError, match="^k must be an integer"):
+            eigenpairs_near(H, k=bad, sigma=0.0)
+    monkeypatch.setattr(spla, "splu", splu)
+    for solve in (lowest_eigenpairs, lambda op, k, seed: eigenpairs_near(op, k, 0.02, seed=seed)):
+        assert ([p[0] for p in solve(H, k=np.int64(3), seed=0)]
+                == [p[0] for p in solve(H, k=3, seed=0)])
+
+
 def test_k_too_large_for_the_grid_raises_solver_error(model):
     # the CLI rejects this k as a usage error first; library callers get SolverError
     H = build_operator("H", model, Grid(extent_L=6.0, n_per_side=9))
@@ -149,6 +172,16 @@ def test_gap_groups_takes_one_scalar_gap():
     assert [g.tolist() for g in groups] == [[0, 1], [2, 3]]
     with pytest.raises(TypeError):
         gap_groups([0.0, 0.1, 1.0], [0.2, 0.2, 0.2])
+
+
+def test_cluster_rejects_a_nan_tol():
+    # every gap > nan is false, so a NaN cluster_tol put all pairs in one cluster
+    g = Grid(extent_L=1.0, n_per_side=9)
+    v, w = (GridFunction(r, g) for r in orthonormal_rows(
+        [np.ones(g.size) + 0j, np.arange(g.size) + 0j], g.weight))
+    for bad in (np.nan, 0.0, -0.1):
+        with pytest.raises(SolverError, match="^cluster_tol must be positive"):
+            cluster([(0.0, v, 0.0), (5.0, w, 0.0)], cluster_tol=bad)
 
 
 def test_cluster_empty_rejected():
@@ -216,6 +249,14 @@ def test_matches_default_shift_invert(model):
         assert info["lu_fill_nnz"] > mat.nnz
 
 
+# the parts of a radial potential's H, in the solver's order: the four
+# quarters of block (0, 0), the two inversion sectors of block (0, 1), their
+# twins on block (1, 0), and the four quarters of block (1, 1)
+RADIAL_PARITIES = [1, 1, -1, -1, 1, -1, 1, -1, 1, 1, -1, -1]
+RADIAL_QUARTERS = [1, -1, 1, -1, None, None, None, None, 1, -1, 1, -1]
+RADIAL_TWINS = [None] * 6 + [4, 5] + [None] * 4
+
+
 def _sublattice(g):
     """Parity class 2 (i mod 2) + (j mod 2) of every node, flat."""
     i, j = np.divmod(np.arange(g.size), g.n_per_side)
@@ -233,12 +274,13 @@ def _near_vs_eigsh(H, k, sigma):
 
 
 @pytest.mark.parametrize("potential, sizes, parities", [
-    pytest.param("model", [145, 144, 136, 136, 136, 136, 128, 128], [1, -1] * 4, id="model"),
+    pytest.param("model", [73, 72, 72, 72] + [136] * 4 + [64] * 4, RADIAL_PARITIES, id="model"),
     pytest.param("trig01", [289, 272, 272, 256], [None] * 4, id="trig01")])
 def test_split_solve_matches_eigsh(potential, sizes, parities, request):
     # sigma = 0.02 lies inside the level-0 band on this grid; the model's
-    # radial phi splits each sublattice block into its inversion sectors,
-    # trig's does not
+    # radial phi splits blocks (0, 0) and (1, 1) into the quarters of their
+    # inversion sectors and block (0, 1) into its sectors, whose twins block
+    # (1, 0)'s are; trig's splits no block
     g = Grid(extent_L=4.0, n_per_side=33)
     H = build_operator("H", request.getfixturevalue(potential), g)
     pairs, info = _near_vs_eigsh(H, k=12, sigma=0.02)
@@ -246,8 +288,11 @@ def test_split_solve_matches_eigsh(potential, sizes, parities, request):
     assert [b["size"] for b in blocks] == sizes
     assert [b["parity"] for b in blocks] == parities
     for b in blocks:
-        assert b["ncv"] == arnoldi_ncv(b["k"], b["size"])
-        assert b["op_solves"] >= b["ncv"] - 1
+        if b.get("twin") is None:
+            assert b["ncv"] == arnoldi_ncv(b["k"], b["size"])
+            assert b["op_solves"] >= b["ncv"] - 1
+        else:   # no factor and no Krylov run of its own
+            assert (b["ncv"], b["op_solves"], b["lu_fill_nnz"]) == (0, 0, 0)
     assert info["op_solves"] == sum(b["op_solves"] for b in blocks)
     assert info["lu_fill_nnz"] == sum(b["lu_fill_nnz"] for b in blocks)
     # each vector lives on one sublattice; together they are orthonormal
@@ -531,7 +576,7 @@ def test_principal_angles_rank_deficient_other_raises_solver_error():
 def _factor_builds(info):
     """The factors a solve takes by its solver facts: the count factors of
     the lowest solve, then one per Lanczos run."""
-    runs = sum(1 + b["resolves"] for b in info["blocks"] if b["k"])
+    runs = sum(1 + b["resolves"] for b in info["blocks"] if b["k"] and b.get("twin") is None)
     return info.get("inertia", {}).get("factors", 0) + runs
 
 
@@ -565,8 +610,9 @@ def test_certificate_rejects_a_perturbed_pair(model, monkeypatch, near):
     # the Ritz vector nearest sigma of a Lanczos run, off by 1e-4 of its
     # size in a random direction of its part's real coordinates, unfolds to
     # no eigenvector to tol of its block; near sigma = 0.02 the seventh run
-    # (the even sector of sublattice (1, 1)) holds the eigenvalue nearest
-    # sigma, and the lowest solve's first run is the even sector of block (0, 0)
+    # (the (+1, +1) quarter of sublattice (1, 1)) holds the eigenvalue
+    # nearest sigma, and the lowest solve's first run is the (+1, +1) quarter
+    # of block (0, 0)
     shift_invert = eigensolve._shift_invert
     runs = []
 
@@ -593,7 +639,7 @@ def test_shift_invert_returns_real_ritz_vectors(model):
     g = Grid(extent_L=4.0, n_per_side=33)
     mat = build_operator("H", model, g).matrix
     idx = sublattice_blocks(mat, 33)[0]
-    S, _, _ = eigensolve._parts(mat[idx][:, idx], idx, 33)[0]
+    S, *_ = eigensolve._parts(mat[idx][:, idx], idx, 33)[0]
     vals, X, facts = eigensolve._shift_invert(S, 0.02, 0, 6)
     assert X.dtype == np.float64 and X.shape == (6, S.shape[0])
     np.testing.assert_allclose(X @ X.T, np.eye(6), rtol=0, atol=1e-12)
@@ -612,37 +658,46 @@ class _CountedIsometry:
         self.count.append(None)
         return self.Q @ x
 
+    def __getitem__(self, rows):   # a twin's row-permuted isometry
+        return _CountedIsometry(self.Q[rows], self.count)
+
+    def __rmul__(self, phase):
+        return _CountedIsometry(phase * self.Q, self.count)
+
 
 @pytest.mark.parametrize("near", [True, False])
 def test_only_kept_vectors_are_unfolded(model, monkeypatch, near):
-    # the near solve's eight parts return 50 pairs, of which 8 are kept:
-    # only those leave their part's real coordinates
+    # the near solve's twelve parts hold 72 pairs (60 from the ten Lanczos
+    # runs, 12 on the twins), of which 8 are kept: only those leave their
+    # part's real coordinates
     parts, unfolded = eigensolve._parts, []
     monkeypatch.setattr(eigensolve, "_parts", lambda *args: [
-        (S, _CountedIsometry(Q, unfolded), parity) for S, Q, parity in parts(*args)])
+        (S, _CountedIsometry(Q, unfolded), *signs) for S, Q, *signs in parts(*args)])
     H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
     info = {}
     if near:
         pairs = eigenpairs_near(H, k=8, sigma=0.02, seed=0, info=info)
-        assert sum(b["k"] for b in info["blocks"]) == 50
+        assert sum(b["k"] for b in info["blocks"]) == 72
+        assert sum(b["k"] for b in info["blocks"] if b["twin"] is None) == 60
     else:
         pairs = lowest_eigenpairs(H, k=8, seed=0, info=info)
     assert len(pairs) == 8 and len(unfolded) == 8
 
 
 def test_one_factor_alive_at_a_time(model, monkeypatch):
-    # one factor per part: the two inversion sectors of each sublattice block
+    # one factor per solved part: the quarters of blocks (0, 0) and (1, 1)
+    # and the inversion sectors of block (0, 1), none for block (1, 0)'s twins
     _, alive_at_build, _ = _track_factors(monkeypatch)
     H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
     near = {}
     eigenpairs_near(H, k=8, sigma=0.02, seed=0, info=near)
-    assert len(near["blocks"]) == 8
-    assert alive_at_build == [1] * 8
+    assert len(near["blocks"]) == 12
+    assert alive_at_build == [1] * 10
     # the lowest solve's count factors and its part solves
     info = {}
     lowest_eigenpairs(H, k=8, seed=0, info=info)
-    assert alive_at_build == [1] * (8 + _factor_builds(info))
-    assert info["inertia"]["factors"] >= len(info["blocks"]) == 8
+    assert alive_at_build == [1] * (10 + _factor_builds(info))
+    assert len(info["blocks"]) == 12 and info["inertia"]["factors"] % 10 == 0
 
 
 def test_eigenpairs_near_vectors_stay_on_their_class(model):
@@ -702,11 +757,11 @@ def test_fold_is_an_isometry_onto_a_real_symmetric_form(potential, n, request):
     mat = assemble_sparse(build_operator("H", request.getfixturevalue(potential), g))
     for idx, sub in _block_matrices(mat, n):
         parts = eigensolve._parts(sub, idx, n)
-        W = sp.hstack([Q for _, Q, _ in parts]).tocsr()
+        W = sp.hstack([Q for _, Q, *_ in parts]).tocsr()
         assert W.shape == sub.shape
         assert abs(W.conj().T @ W - sp.identity(len(idx))).max() <= 1e-15
         assert abs(W[_image(idx, n, lambda i: i, lambda j: n - 1 - j)].conj() - W).max() <= 1e-15
-        for S, Q, _ in parts:
+        for S, Q, *_ in parts:
             assert abs((Q.conj().T @ sub @ Q).imag).max() <= 1e-13 * abs(sub).max()
             assert S.dtype == np.float64
             assert abs(S - S.T).max() <= 1e-15 * abs(S).max()
@@ -727,13 +782,14 @@ def _dense_blocks(H):
 
 
 def _dense_parts(H):
-    """Every eigenvalue of each part (a sublattice block, or one of its
-    inversion sectors) of the assembled H, from dense `eigvalsh` of its real
-    symmetric form, in the solver's part order."""
+    """Every eigenvalue of each part (a sublattice block, one of its
+    inversion sectors or one of their quarters) of the assembled H, from
+    dense `eigvalsh` of its real symmetric form, in the solver's part order
+    (a twin's are those of its own block's part)."""
     n = H.grid.n_per_side
     return [sla.eigvalsh(S.toarray())
             for idx, sub in _block_matrices(assemble_sparse(H), n)[1:]
-            for S, _, _ in eigensolve._parts(sub, idx, n)]
+            for S, *_ in eigensolve._parts(sub, idx, n)]
 
 
 def _dense_spectrum(H):
@@ -774,7 +830,7 @@ def test_real_form_matches_dense_eigvalsh(potential, request, monkeypatch):
     assert seen and all(dtype == np.float64 for dtype in seen)
     # the lowest solve's part counts are the part eigenvalues below tau, and
     # the parts hold the spectrum of the assembled H
-    assert len(parts) == (4 if potential == "trig01" else 8)
+    assert len(parts) == (4 if potential == "trig01" else 12)
     assert np.all(np.abs(np.sort(np.concatenate(parts)) - dense)
                   <= 1e-12 * np.maximum(1.0, np.abs(dense)))
     for info in (low_info, wide_info):
@@ -822,7 +878,7 @@ def test_fold_tol_separates_a_perturbed_block(model, size, folds):
     op = custom_operator(g, (mat + bump).tocsr(), True)
     if folds:
         for idx, sub in _block_matrices(op.matrix, 33):
-            for _, Q, _ in eigensolve._parts(sub, idx, 33):
+            for _, Q, *_ in eigensolve._parts(sub, idx, 33):
                 assert abs(Q.imag).max() > 0   # from T's isometry, not the identity
         for pairs, _ in _both_solves(op):
             assert max(p[2] for p in pairs) <= 1e-6 * max(1.0, max(abs(p[0]) for p in pairs))
@@ -841,13 +897,36 @@ def test_real_matrix_without_t_symmetry_solves():
     i, j = np.divmod(nodes, 9)
     r = i * 9 + 8 - j
     assert abs(op.matrix[r][:, r] - op.matrix).max() >= 1.0
-    # J reorders them too: one part, in the block's own coordinates
-    [(S, Q, parity)] = eigensolve._parts(op.matrix, nodes, 9)
-    assert parity is None and abs(Q - sp.identity(g.size)).max() == 0
+    # J and C reorder them too: one part, in the block's own coordinates
+    [(S, Q, parity, quarter)] = eigensolve._parts(op.matrix, nodes, 9)
+    assert parity is None and quarter is None and abs(Q - sp.identity(g.size)).max() == 0
     assert abs(S - op.matrix).max() == 0
     for pairs in (lowest_eigenpairs(op, k=3, tol=1e-8),
                   eigenpairs_near(op, k=3, sigma=0.5, tol=1e-8)):
         assert [p[0] for p in pairs] == pytest.approx([1.0, 2.0, 3.0], abs=1e-9)
+
+
+def test_a_real_block_keeps_its_odd_sector_whole_under_the_quarter_turn():
+    # a real diagonal even under C but odd in x2 off its radial part: K, not
+    # T, is the symmetry, so a part's coordinates are real. C^2 = J is -1 on
+    # J's odd sector, where C has no real eigenvectors: the even sector
+    # splits into quarters, the odd one stays whole
+    g = Grid(extent_L=2.0, n_per_side=33)
+    x1, x2 = (c.reshape(-1) for c in g.mesh())
+    d = x1 ** 2 + x2 ** 2 + 0.3 * (x1 ** 3 * x2 - x1 * x2 ** 3)
+    op = custom_operator(g, sp.diags(d).tocsr(), True)
+    nodes = np.arange(g.size)
+    parts = eigensolve._parts(op.matrix, nodes, 33)
+    assert _signs(parts) == [(1, 1), (1, -1), (-1, None)]
+    for _, Q, *_ in parts:
+        assert abs(Q.imag).max() == 0
+    block = np.sort(d)
+    split = np.sort(np.concatenate([S.diagonal() for S, *_ in parts]))
+    np.testing.assert_allclose(split, block, rtol=0, atol=1e-12)
+    for pairs, info in _both_solves(op):
+        assert [b["quarter"] for b in info["blocks"]][:3] == [1, -1, None]
+        ref = block[:12] if len(pairs) == 12 else np.sort(d[np.argsort(np.abs(d - 0.02))[:20]])
+        np.testing.assert_allclose([p[0] for p in pairs], ref, rtol=0, atol=1e-9)
 
 
 def _solve_spy(monkeypatch):
@@ -871,8 +950,8 @@ def _solve_spy(monkeypatch):
 
 def test_a_block_with_no_count_is_never_factored_at_sigma(model, monkeypatch):
     # none of the 12 lowest eigenvalues of the model at 65^2 lies on
-    # sublattice (1, 1): neither of its inversion sectors gets a factor at
-    # sigma = -1 or a Lanczos run, and both are still listed
+    # sublattice (1, 1): none of its four quarters gets a factor at sigma =
+    # -1 or a Lanczos run, and all four are still listed
     g = Grid(extent_L=5.0, n_per_side=65)
     H = build_operator("H", model, g)
     factored, lanczos = _solve_spy(monkeypatch)
@@ -880,22 +959,24 @@ def test_a_block_with_no_count_is_never_factored_at_sigma(model, monkeypatch):
     pairs = lowest_eigenpairs(H, k=12, seed=0, info=info)
     assert len(pairs) == 12
     counts = info["inertia"]["counts"]
-    assert counts[6:] == [0, 0] and min(counts[:6]) > 0
+    assert counts[8:] == [0] * 4 and min(counts[:8]) > 0
     blocks = info["blocks"]
-    sizes = [545, 544, 528, 528, 528, 528, 512, 512]
+    sizes = [273, 272, 272, 272] + [528] * 4 + [256] * 4
     assert [b["size"] for b in blocks] == sizes
-    assert [b["parity"] for b in blocks] == [1, -1] * 4
+    assert [b["parity"] for b in blocks] == RADIAL_PARITIES
     assert [b["k"] for b in blocks] == counts
-    for parity, b in zip((1, -1), blocks[6:]):
-        assert b == {"size": 512, "parity": parity, "k": 0, "resolves": 0, "op_solves": 0,
-                     "lu_fill_nnz": 0, "diagonal_pivots": None, "ncv": 0}
-    solved = sorted(b["size"] for b in blocks if b["k"] for _ in range(1 + b["resolves"]))
+    for parity, quarter, b in zip((1, 1, -1, -1), (1, -1, 1, -1), blocks[8:]):
+        assert b == {"size": 256, "parity": parity, "quarter": quarter, "twin": None, "k": 0,
+                     "resolves": 0, "op_solves": 0, "lu_fill_nnz": 0, "diagonal_pivots": None,
+                     "ncv": 0}
+    solved = sorted(b["size"] for b in blocks if b["k"] and b["twin"] is None
+                    for _ in range(1 + b["resolves"]))
     assert sorted(size for size, shift in factored if shift == -1.0) == solved
-    assert sorted(lanczos) == solved and 512 not in lanczos
-    # every other factor is a count, of all eight parts
+    assert sorted(lanczos) == solved and 256 not in lanczos
+    # every other factor is a count, of the ten parts that are no twin
     counted = [size for size, shift in factored if shift != -1.0]
     assert len(counted) == info["inertia"]["factors"]
-    assert counted[:8] == sizes
+    assert counted[:10] == sizes[:6] + sizes[8:]
 
 
 def _copy_dropping_eigsh(monkeypatch):
@@ -927,8 +1008,8 @@ def test_lowest_solve_returns_every_copy_of_a_degenerate_eigenvalue(model, bump0
     # 1e-7 apart, box-corner states that the bump does not reach). A
     # single-vector Lanczos solve can return two of them and eigenvalues
     # above instead; per part no seed 0-29 of either potential does (nor of
-    # trig, nor at k = 12). The inversion sectors of the model and the bump
-    # hold no two of their lowest 8 within 1e-6; trig's unsplit block (1, 0)
+    # trig, nor at k = 12). The parts of the model and the bump hold no two
+    # of their lowest 8 within 1e-6; trig's unsplit block (1, 0)
     # holds two copies of -0.336012, 9e-8 apart: the 7th and 8th lowest of H.
     # So a solve of trig that drops a copy is forced: the part's count below
     # tau exposes it, and the part is solved again for its count plus
@@ -993,16 +1074,16 @@ def test_inertia_moves_its_shift_off_a_pivot_breakdown():
     # so tau moves to a quarter of the bracket (-1, 0]
     pair = sp.csr_matrix([[0.0, 1.0], [1.0, 0.0]])
     mat = sp.block_diag([pair] * 40 + [sp.csr_matrix([[5.0]])], format="csr")
-    assert eigensolve._slice([mat], 40, -1.0, 1e-6) == {
+    assert eigensolve._slice([mat], 40, -1.0, 1e-6, [None]) == {
         "tau": -0.75, "counts": [40], "factors": 2}
     # 40 copies of -1 exceed k = 1 plus the margin below every tau, so the
     # bisection stops when the bracket is tol wide
-    out = eigensolve._slice([mat], 1, -1.0, 1e-6)
+    out = eigensolve._slice([mat], 1, -1.0, 1e-6, [None])
     assert out["counts"] == [40] and -1.0 < out["tau"] <= -1.0 + 1e-6
     # entries of 1e4 push every pivot within 10 of 0 off the diagonal: no
     # shift of the bracket gives a count
     with pytest.raises(SolverError, match=r"bracket \(-1, 0\]"):
-        eigensolve._slice([1e4 * mat], 40, -1.0, 1e-6)
+        eigensolve._slice([1e4 * mat], 40, -1.0, 1e-6, [None])
 
 
 def test_inertia_mismatch_raises_solver_error(model, monkeypatch):
@@ -1014,7 +1095,8 @@ def test_inertia_mismatch_raises_solver_error(model, monkeypatch):
 
     monkeypatch.setattr(eigensolve, "_slice", overcount)
     H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
-    with pytest.raises(SolverError, match=r"block 0 of 4 \(parity \+1\): .* negative pivots"):
+    with pytest.raises(SolverError,
+                       match=r"block 0 of 4 \(parity \+1, quarter \+1\): .* negative pivots"):
         lowest_eigenpairs(H, k=8, seed=0)
 
 
@@ -1039,25 +1121,46 @@ def _image(nodes, n, i_of, j_of):
     return np.searchsorted(nodes, i_of(i) * n + j_of(j))
 
 
+def _turn(nodes, n):
+    """Position among the sorted `nodes` of the image of each node under the
+    quarter turn C: (i, j) -> (j, n-1-i)."""
+    i, j = np.divmod(nodes, n)
+    return np.searchsorted(nodes, j * n + n - 1 - i)
+
+
 def _assert_sectors(sub, idx, n, parts):
     """The `_parts` of one block split it: each isometry is orthonormal, the
     parts are mutually orthogonal and together span the block, each column
-    is fixed by T and has its part's parity under J (when it has one), and
-    the dense spectra of the parts' real forms together are the block's, to
-    1e-12."""
-    W = sp.hstack([Q for _, Q, _ in parts]).tocsr()
+    is fixed by T, has its part's parity under J (when it has one) and
+    satisfies u(C x) = quarter u(x) on a J-even part, i quarter u(x) on a
+    J-odd one (when it has a quarter), and the dense spectra of the parts'
+    real forms together are the block's, to 1e-12."""
+    W = sp.hstack([Q for _, Q, *_ in parts]).tocsr()
     assert W.shape == sub.shape
     assert abs(W.conj().T @ W - sp.identity(len(idx))).max() <= 1e-15
     flip = lambda i: n - 1 - i
     keep = lambda i: i
     reflect, invert = _image(idx, n, keep, flip), _image(idx, n, flip, flip)
-    for _, Q, parity in parts:
+    for _, Q, parity, quarter in parts:
         assert abs(Q[reflect].conj() - Q).max() <= 1e-15   # T-fixed
         if parity is not None:
             assert abs(Q[invert] - parity * Q).max() <= 1e-15
+        if quarter is not None:
+            phase = quarter * (1j if parity == -1 else 1)
+            assert abs(Q[_turn(idx, n)] - phase * Q).max() <= 1e-15
     block = sla.eigvalsh(sub.toarray())
-    split = np.sort(np.concatenate([sla.eigvalsh(S.toarray()) for S, _, _ in parts]))
+    split = np.sort(np.concatenate([sla.eigvalsh(S.toarray()) for S, *_ in parts]))
     assert np.all(np.abs(split - block) <= 1e-12 * np.maximum(1.0, np.abs(block)))
+
+
+def _signs(parts):
+    return [(parity, quarter) for *_, parity, quarter in parts]
+
+
+# (parity, quarter) of the parts of a class that C maps onto itself, and of
+# one that it maps onto another class
+QUARTERS = [(1, 1), (1, -1), (-1, 1), (-1, -1)]
+HALVES = [(1, None), (-1, None)]
 
 
 @pytest.mark.parametrize("n", [33, 65])
@@ -1065,14 +1168,16 @@ def _assert_sectors(sub, idx, n, parts):
 def test_sectors_split_each_block_of_a_radial_potential(potential, n, request):
     g = Grid(extent_L=5.0, n_per_side=n)
     mat = assemble_sparse(build_operator("H", request.getfixturevalue(potential), g))
-    for idx, sub in _block_matrices(mat, n)[1:]:
+    for b, (idx, sub) in enumerate(_block_matrices(mat, n)[1:]):
         parts = eigensolve._parts(sub, idx, n)
         if potential == "trig01":
             # eps sin(x1) cos(x2) is odd under x -> -x: the block is one part, T's fold
-            assert len(parts) == 1 and parts[0][2] is None
+            assert _signs(parts) == [(None, None)]
         else:
-            assert [parity for *_, parity in parts] == [1, -1]
-            assert sum(S.shape[0] for S, _, _ in parts) == len(idx)
+            # C maps classes (0, 0) and (1, 1) onto themselves, and (0, 1)
+            # and (1, 0) onto each other
+            assert _signs(parts) == (HALVES if b in (1, 2) else QUARTERS)
+            assert sum(S.shape[0] for S, *_ in parts) == len(idx)
         _assert_sectors(sub, idx, n, parts)
 
 
@@ -1080,12 +1185,18 @@ def test_sectors_split_each_block_of_a_radial_potential(potential, n, request):
 @pytest.mark.parametrize("potential", ["model", "bump01"])
 def test_returned_vectors_have_inversion_parity(potential, n, request):
     # each vector is even or odd under x -> -x, u(-x) = +-u(x), and T-fixed,
-    # u(x1, -x2) = conj(u(x1, x2)); the eight parts are listed with their parity
+    # u(x1, -x2) = conj(u(x1, x2)); one on class (0, 0) or (1, 1) also has
+    # u(C x) = lambda u(x) with lambda^4 = 1. The twelve parts are listed
+    # with their parity, quarter and twin
     g = Grid(extent_L=5.0, n_per_side=n)
     H = build_operator("H", request.getfixturevalue(potential), g)
+    i, j = np.divmod(np.arange(n * n), n)
+    turn = j * n + n - 1 - i
     for pairs, info in _both_solves(H):
-        assert [b["parity"] for b in info["blocks"]] == [1, -1] * 4
-        parities = []
+        assert [b["parity"] for b in info["blocks"]] == RADIAL_PARITIES
+        assert [b["quarter"] for b in info["blocks"]] == RADIAL_QUARTERS
+        assert [b["twin"] for b in info["blocks"]] == RADIAL_TWINS
+        parities, quarters = [], []
         for _, f, _ in pairs:
             u = f.as_2d()
             scale = np.max(np.abs(u))
@@ -1093,7 +1204,12 @@ def test_returned_vectors_have_inversion_parity(potential, n, request):
             odd, even = (np.max(np.abs(u[::-1, ::-1] + s * u)) for s in (1, -1))
             assert min(odd, even) <= 1e-12 * scale
             parities.append(1 if even < odd else -1)
-        assert {1, -1} <= set(parities)
+            if f.parity in ((0, 0), (1, 1)):
+                v = f.values
+                off = [np.max(np.abs(v[turn] - lam * v)) for lam in (1, -1, 1j, -1j)]
+                assert min(off) <= 1e-12 * scale
+                quarters.append(int(np.argmin(off)))
+        assert {1, -1} <= set(parities) and len(set(quarters)) >= 2
 
 
 def test_a_hand_built_radial_potential_splits():
@@ -1102,27 +1218,30 @@ def test_a_hand_built_radial_potential_splits():
     # splits too
     g = Grid(extent_L=5.0, n_per_side=33)
     H = build_operator("H", _hand_built_radial(), g)
-    for idx, sub in _block_matrices(assemble_sparse(H), 33):
+    for b, (idx, sub) in enumerate(_block_matrices(assemble_sparse(H), 33)):
         parts = eigensolve._parts(sub, idx, 33)
-        assert [parity for *_, parity in parts] == [1, -1]
+        # C maps all nodes, and classes (0, 0) and (1, 1), onto themselves
+        assert _signs(parts) == (HALVES if b in (2, 3) else QUARTERS)
         _assert_sectors(sub, idx, 33, parts)
     solves = _both_solves(H)
     for pairs, info in solves:
-        assert [b["parity"] for b in info["blocks"]] == [1, -1] * 4
+        assert [b["parity"] for b in info["blocks"]] == RADIAL_PARITIES
+        assert [b["twin"] for b in info["blocks"]] == RADIAL_TWINS
         assert max(p[2] for p in pairs) <= 1e-6
     low = [p[0] for p in solves[0][0]]
     np.testing.assert_allclose(low, _dense_spectrum(H)[:12], rtol=0, atol=1e-10)
 
 
-def _wrong_sign_in_the_odd_sector(halves, mutated):
+def _wrong_sign_in_the_odd_sector(halves, mutated, sizes):
     """`_halves` with the second entry of every two-entry column of E-
     negated: (e_c + s_c e_d)/sqrt 2, the even combination, in place of the
     odd one. Only J's halves change: R's signs are all +1, while in T's
     coordinates J maps the odd column i (e_a - e_Ra)/sqrt 2 of a pair to
-    minus another. Each mutated call appends its size to `mutated`."""
+    minus another, and C's act on a sector, smaller than any of the block
+    `sizes`. Each mutated call appends its size to `mutated`."""
     def mutant(d, s):
         even, odd = halves(d, s)
-        if np.all(s == 1):
+        if np.all(s == 1) or len(d) not in sizes:
             return even, odd
         odd = odd.tocsc()
         pair = np.flatnonzero(np.diff(odd.indptr) == 2)
@@ -1136,11 +1255,122 @@ def test_a_wrong_sign_in_the_odd_sector_fails(model, monkeypatch):
     g = Grid(extent_L=5.0, n_per_side=33)
     H = build_operator("H", model, g)
     mutated = []
+    sizes = [len(idx) for idx in sublattice_blocks(assemble_sparse(H), 33)]
     monkeypatch.setattr(eigensolve, "_halves",
-                        _wrong_sign_in_the_odd_sector(eigensolve._halves, mutated))
+                        _wrong_sign_in_the_odd_sector(eigensolve._halves, mutated, sizes))
     for idx, sub in _block_matrices(assemble_sparse(H), 33)[1:]:
         with pytest.raises(AssertionError):
             _assert_sectors(sub, idx, 33, eigensolve._parts(sub, idx, 33))
     assert mutated == [len(idx) for idx in sublattice_blocks(assemble_sparse(H), 33)]
     with pytest.raises(SolverError, match="recomputed residual"):
         lowest_eigenpairs(H, k=12, seed=0)
+
+
+# --- the quarter turn C: (i, j) -> (j, n-1-i) of a radial phi ----------------
+
+@pytest.mark.parametrize("n", [33, 65])
+@pytest.mark.parametrize("potential", ["model", "bump01", "trig01"])
+def test_the_quarter_turn_commutes_with_a_radial_h(potential, n, request):
+    # C H C^-1 = H exactly for the model and the bump on these grids; trig's
+    # eps sin(x1) cos(x2) turns into -eps sin(x2) cos(x1)
+    g = Grid(extent_L=5.0, n_per_side=n)
+    mat = assemble_sparse(build_operator("H", request.getfixturevalue(potential), g))
+    turn = _turn(np.arange(n * n), n)
+    defect = abs(mat[turn][:, turn] - mat).max() / abs(mat).max()
+    if potential == "trig01":
+        assert defect > 1e-3
+    else:
+        assert defect == 0.0
+
+
+@pytest.mark.parametrize("near", [True, False])
+@pytest.mark.parametrize("potential", ["model", "bump01"])
+def test_twin_pairs_are_their_sources_moved_by_the_quarter_turn(potential, near, request):
+    # block (1, 0)'s pairs are block (0, 1)'s runs: bit-equal eigenvalues,
+    # and each vector its source's moved by C, u(x) = phase v(C x) with
+    # phase 1 on an even sector and i on an odd one, certified on the
+    # assembled H, which holds block (1, 0)'s own matrix
+    g = Grid(extent_L=5.0, n_per_side=33)
+    H = build_operator("H", request.getfixturevalue(potential), g)
+    mat = assemble_sparse(H)
+    info = {}
+    pairs = (eigenpairs_near(H, k=40, sigma=0.02, seed=0, info=info) if near
+             else lowest_eigenpairs(H, k=40, seed=0, info=info))
+    assert [b["twin"] for b in info["blocks"]] == RADIAL_TWINS
+    turn = _turn(np.arange(g.size), 33)
+    source = [(lam, f) for lam, f, _ in pairs if f.parity == (0, 1)]
+    twins = [(lam, f, r) for lam, f, r in pairs if f.parity == (1, 0)]
+    assert len(twins) >= 8
+    phases = set()
+    for lam, f, resid in twins:
+        moved = [v.values[turn] for mu, v in source if mu == lam]   # bit-equal eigenvalues
+        assert moved
+        u = f.values
+        off, phase = min((np.max(np.abs(u - phase * w)), phase) for w in moved for phase in (1, 1j))
+        assert off <= 1e-14 * np.max(np.abs(u))
+        phases.add(phase)
+        assert resid <= 1e-12 * max(1.0, abs(lam))
+        assert np.sqrt(g.weight * l2_sums(mat @ u - lam * u)) <= 1e-12 * max(1.0, abs(lam))
+    assert phases == {1, 1j}
+
+
+@pytest.mark.parametrize("size, twins", [(1e-9, False), (1e-14, True)])
+def test_a_twin_is_read_off_the_matrix(model, size, twins):
+    # a Hermitian perturbation of block (1, 0)'s diagonal on the orbit of
+    # node (3, 10) under R and J keeps its T and J symmetries but breaks C's
+    # map from block (0, 1) by `size` of H's largest entry (a little more of
+    # the block's): past FOLD_TOL block (1, 0) is split and solved on its own
+    g = Grid(extent_L=5.0, n_per_side=33)
+    mat = assemble_sparse(build_operator("H", model, g))
+    orbit = [i * 33 + j for i in (3, 29) for j in (10, 22)]
+    bump = sp.csr_matrix((np.full(4, size * abs(mat).max()), (orbit, orbit)), shape=mat.shape)
+    op = custom_operator(g, (mat + bump).tocsr(), True)
+    for pairs, info in _both_solves(op):
+        blocks = info["blocks"]
+        assert [b["twin"] for b in blocks] == (RADIAL_TWINS if twins else [None] * 12)
+        assert [b["parity"] for b in blocks] == RADIAL_PARITIES
+        assert max(p[2] for p in pairs) <= 1e-6 * max(1.0, max(abs(p[0]) for p in pairs))
+
+
+def test_lowest_solve_counts_a_twin_once(model, monkeypatch):
+    # a count factor per shift for each part but the twins, whose counts
+    # repeat their sources' and enter the sum; no twin is factored at sigma
+    # or run through Lanczos
+    factored, lanczos = _solve_spy(monkeypatch)
+    H = build_operator("H", model, Grid(extent_L=5.0, n_per_side=65))
+    info = {}
+    assert len(lowest_eigenpairs(H, k=12, seed=0, info=info)) == 12
+    blocks, inertia = info["blocks"], info["inertia"]
+    counted = [size for size, shift in factored if shift != -1.0]
+    shifts = len({shift for _, shift in factored if shift != -1.0})
+    assert shifts >= 2 and inertia["factors"] == len(counted) == 10 * shifts
+    assert counted == [b["size"] for b in blocks if b["twin"] is None] * shifts
+    assert inertia["counts"][6:8] == inertia["counts"][4:6] == [b["k"] for b in blocks[6:8]]
+    assert sum(inertia["counts"]) >= 12
+    solved = sorted(b["size"] for b in blocks if b["k"] and b["twin"] is None)
+    assert sorted(size for size, shift in factored if shift == -1.0) == sorted(lanczos) == solved
+
+
+def test_solves_leave_no_part_form_alive(model, monkeypatch):
+    # with the cyclic collector off only reference counts free a solve's
+    # frame: a reference cycle through it (a closure that refers to itself)
+    # would keep every part's real form alive after the solve returns
+    H = build_operator("H", model, Grid(extent_L=4.0, n_per_side=33))
+    parts, forms = eigensolve._parts, []
+
+    def spied(*args):
+        out = parts(*args)
+        forms.extend(weakref.ref(S) for S, *_ in out)
+        return out
+
+    monkeypatch.setattr(eigensolve, "_parts", spied)
+    gc.collect()
+    gc.disable()
+    try:
+        for solve in (lambda: eigenpairs_near(H, k=8, sigma=0.02, seed=0),
+                      lambda: lowest_eigenpairs(H, k=8, seed=0)):
+            forms.clear()
+            assert len(solve()) == 8
+            assert len(forms) == 10 and all(form() is None for form in forms)
+    finally:
+        gc.enable()
